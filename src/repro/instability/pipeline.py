@@ -223,6 +223,16 @@ class DownstreamResult:
         return 0.5 * (self.accuracy_a + self.accuracy_b)
 
 
+def _fit_summary(history: dict[str, list[float]]) -> dict:
+    """Span attributes that let a slow downstream fit explain itself."""
+    losses, val = history["train_loss"], history["val_accuracy"]
+    return {
+        "epochs_run": len(losses),
+        "final_train_loss": losses[-1] if losses else None,
+        "best_val_accuracy": max(val) if val else None,
+    }
+
+
 class InstabilityPipeline:
     """Caches and orchestrates embeddings, compression, tasks and models.
 
@@ -752,8 +762,8 @@ class InstabilityPipeline:
         else:
             raise ValueError(f"unknown classifier type {model_type!r}")
         with span("pipeline.downstream_train", metric="phase", label="downstream",
-                  task=task, model=model_type, seed=int(seed)):
-            model.fit(splits.train, splits.val)
+                  task=task, model=model_type, seed=int(seed)) as handle:
+            handle.set(**_fit_summary(model.fit(splits.train, splits.val)))
         self.downstream_train_count += 1
         return model
 
@@ -780,8 +790,8 @@ class InstabilityPipeline:
             config=cfg,
         )
         with span("pipeline.downstream_train", metric="phase", label="downstream",
-                  task=NER_TASK_NAME, model="bilstm", seed=int(seed)):
-            tagger.fit(splits.train, splits.val)
+                  task=NER_TASK_NAME, model="bilstm", seed=int(seed)) as handle:
+            handle.set(**_fit_summary(tagger.fit(splits.train, splits.val)))
         self.downstream_train_count += 1
         return tagger
 

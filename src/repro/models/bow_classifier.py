@@ -90,9 +90,11 @@ class BowClassifier(Module):
         history: dict[str, list[float]] = {"train_loss": [], "val_accuracy": []}
 
         # With frozen embeddings the features never change, so compute them once.
-        static_features = None
+        static_features = val_features = None
         if not self.embedding.trainable:
             static_features = self._document_features(train.documents).data
+            if val is not None:
+                val_features = self._document_features(val.documents)
 
         for epoch in range(cfg.epochs):
             self.train()
@@ -116,7 +118,10 @@ class BowClassifier(Module):
             history["train_loss"].append(epoch_loss / max(n_batches, 1))
 
             if val is not None and len(val):
-                val_acc = self.accuracy(val)
+                if val_features is None:
+                    val_acc = self.accuracy(val)
+                else:
+                    val_acc = float(np.mean(self._predict_features(val_features) == val.labels))
                 history["val_accuracy"].append(val_acc)
                 if stopper.update(val_acc, self.state_dict()):
                     break
@@ -128,13 +133,18 @@ class BowClassifier(Module):
 
     # -- inference --------------------------------------------------------------------
 
-    def predict(self, dataset: TextClassificationDataset) -> np.ndarray:
-        """Predicted class per document."""
+    def _predict_features(self, features: Tensor) -> np.ndarray:
+        """Predicted class per row of precomputed mean-embedding features."""
         self.eval()
         with no_grad():
-            feats = self._document_features(dataset.documents)
-            logits = self.forward(feats if isinstance(feats, Tensor) else Tensor(feats))
+            logits = self.forward(features)
         return np.argmax(logits.data, axis=-1)
+
+    def predict(self, dataset: TextClassificationDataset) -> np.ndarray:
+        """Predicted class per document."""
+        with no_grad():
+            features = self._document_features(dataset.documents)
+        return self._predict_features(features)
 
     def predict_proba(self, dataset: TextClassificationDataset) -> np.ndarray:
         """Class probabilities per document."""

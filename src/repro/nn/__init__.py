@@ -4,7 +4,15 @@ The paper's downstream models (linear bag-of-words classifier, CNN sentence
 classifier, BiLSTM tagger with optional CRF) are trained with PyTorch in the
 original artifact.  Offline we build the substrate ourselves: a small
 define-by-run autograd engine over NumPy arrays (:mod:`repro.nn.tensor`),
-standard layers, recurrent cells, a linear-chain CRF, and optimisers.
+standard layers, recurrent layers, a linear-chain CRF, and optimisers.
+
+The two hot paths of downstream training are fused graph nodes with
+hand-written backward passes: :class:`LSTM`/:class:`BiLSTM` run one scan
+node per call instead of a dozen tensors per step
+(:mod:`repro.nn.recurrent`), and :func:`functional.cross_entropy` is one
+node instead of the ``nll_loss(log_softmax(.))`` chain.  Both are
+bit-identical to the per-op graphs they replace; :class:`LSTMCell` remains
+the per-step op.
 """
 
 from repro.nn.tensor import Tensor, no_grad

@@ -41,8 +41,29 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy between ``(n, c)`` logits and integer targets."""
-    return nll_loss(log_softmax(logits, axis=-1), targets)
+    """Mean softmax cross-entropy between ``(n, c)`` logits and integer targets.
+
+    One graph node.  Its forward and its closed-form backward reproduce, bit
+    for bit, the loss and logit gradient of
+    ``nll_loss(log_softmax(logits), targets)``: the same numpy expressions in
+    the same order, including the clips in ``exp`` and ``log``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(logits.shape[0])
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    exp = np.exp(np.clip(shifted, -500, 500))
+    total = np.clip(exp.sum(axis=-1, keepdims=True), 1e-300, None)
+    picked = (shifted - np.log(total))[rows, targets]
+    scale = 1.0 / picked.size
+    loss = -(picked.sum() * scale)
+
+    def backward(grad: np.ndarray) -> None:
+        picked_grad = -grad * scale
+        dlogits = -picked_grad / total * exp
+        dlogits[rows, targets] += picked_grad
+        logits._accumulate(dlogits)
+
+    return logits._make(loss, (logits,), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

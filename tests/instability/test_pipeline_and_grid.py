@@ -6,6 +6,9 @@ import pytest
 from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.instability.grid import GridRunner, average_over_seeds, records_to_rows
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
+from repro.models.bilstm_tagger import BiLSTMTagger
+from repro.models.bow_classifier import BowClassifier
+from repro.telemetry.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,31 @@ class TestPipeline:
             "sst2", emb_a, emb_a, 0, init_seed_b=99
         )
         assert different_init.disagreement >= 0.0
+
+    @pytest.mark.parametrize("model", ["bilstm", "bow"])
+    def test_downstream_train_span_reads_the_fit_history(self, tiny_pipeline, model, monkeypatch):
+        model_class = BiLSTMTagger if model == "bilstm" else BowClassifier
+        histories = []
+        fit = model_class.fit
+
+        def recording_fit(self, *args, **kwargs):
+            histories.append(fit(self, *args, **kwargs))
+            return histories[-1]
+
+        monkeypatch.setattr(model_class, "fit", recording_fit)
+        embedding = tiny_pipeline.embedding_pair("svd", 6, 0)[0]
+        trace = Trace("test")
+        with trace.active():
+            if model == "bilstm":
+                tiny_pipeline._train_tagger(embedding, 0)
+            else:
+                tiny_pipeline._train_classifier(embedding, "sst2", 0)
+        (row,) = [r for r in trace.span_rows() if r["name"] == "pipeline.downstream_train"]
+        (history,) = histories
+        assert row["attrs"]["model"] == model
+        assert row["attrs"]["epochs_run"] == len(history["train_loss"]) > 0
+        assert row["attrs"]["final_train_loss"] == history["train_loss"][-1]
+        assert row["attrs"]["best_val_accuracy"] == max(history["val_accuracy"])
 
 
 class TestGridRunner:
