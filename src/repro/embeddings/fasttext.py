@@ -16,6 +16,7 @@ from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
 from repro.embeddings.word2vec import CBOWModel, build_cbow_examples
+from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -162,16 +163,16 @@ class SubwordEmbeddingModel(CBOWModel):
 
                 grad_hidden = np.einsum("bk,bkd->bd", delta, out_vecs)
                 grad_out = delta[:, :, None] * hidden[:, None, :]
-                np.add.at(W_out, samples.ravel(), (-lr * grad_out).reshape(-1, self.dim))
+                scatter_add_rows(W_out, samples.ravel(), (-lr * grad_out).reshape(-1, self.dim))
 
                 # Propagate to word vectors and their n-gram buckets.
                 ctx_grad = (-lr) * grad_hidden / size[:, None]                 # (B, d)
                 per_slot = np.repeat(ctx_grad, ctx.shape[1], axis=0)           # (B*2w, d)
                 per_slot = per_slot / word_denom[:, None]
                 per_slot[~real] = 0.0
-                np.add.at(W_in, np.where(real, ctx_flat, pad_word), per_slot)
+                scatter_add_rows(W_in, np.where(real, ctx_flat, pad_word), per_slot)
                 ngram_grad = np.repeat(per_slot[:, None, :], ngram_ids.shape[1], axis=1)
-                np.add.at(W_in, ngram_ids.ravel(), ngram_grad.reshape(-1, self.dim))
+                scatter_add_rows(W_in, ngram_ids.ravel(), ngram_grad.reshape(-1, self.dim))
                 W_in[pad_word] = 0.0
 
         return self._compose(W_in, ngram_table, ngram_counts, n_words)

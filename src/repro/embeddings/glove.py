@@ -18,6 +18,7 @@ from repro.corpus.cooccurrence import build_cooccurrence
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
+from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -71,6 +72,8 @@ class GloVeModel(EmbeddingAlgorithm):
             raise ValueError("combine must be 'sum' or 'word'")
         if learning_rate <= 0 or epochs <= 0:
             raise ValueError("learning_rate and epochs must be positive")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.window_size = int(window_size)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
@@ -133,13 +136,13 @@ class GloVeModel(EmbeddingAlgorithm):
                 grad_c = fdiff[:, None] * wi
 
                 # AdaGrad: accumulate squared gradients, scale updates.
-                np.add.at(gW, i, grad_w**2)
-                np.add.at(gC, j, grad_c**2)
+                scatter_add_rows(gW, i, grad_w**2)
+                scatter_add_rows(gC, j, grad_c**2)
                 np.add.at(gbw, i, fdiff**2)
                 np.add.at(gbc, j, fdiff**2)
 
-                np.add.at(W, i, -self.learning_rate * grad_w / np.sqrt(gW[i]))
-                np.add.at(C, j, -self.learning_rate * grad_c / np.sqrt(gC[j]))
+                scatter_add_rows(W, i, -self.learning_rate * grad_w / np.sqrt(gW[i]))
+                scatter_add_rows(C, j, -self.learning_rate * grad_c / np.sqrt(gC[j]))
                 np.add.at(bw, i, -self.learning_rate * fdiff / np.sqrt(gbw[i]))
                 np.add.at(bc, j, -self.learning_rate * fdiff / np.sqrt(gbc[j]))
 

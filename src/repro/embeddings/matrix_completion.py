@@ -6,7 +6,9 @@ observed entries of the PPMI matrix with a symmetric low-rank factorization
     min_X  sum_{(i,j) in Theta} (X_i . X_j - A_ij)^2
 
 trained with stochastic gradient descent over sampled observed entries.  This
-module implements that online solver with mini-batched, vectorised updates.
+module implements that online solver with mini-batched, vectorised updates;
+:func:`repro.linalg.kernels.scatter_add_rows` applies each batch's per-entry
+row updates, one at a time in batch order, exactly as ``np.add.at`` would.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.corpus.cooccurrence import build_cooccurrence, ppmi_matrix
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
+from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -69,6 +72,8 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
             raise ValueError("learning_rate must be positive")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.window_size = int(window_size)
         self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
@@ -134,8 +139,8 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
                 # solver; the mini-batch only vectorises the computation.
                 grad_i = (2.0 * err)[:, None] * xj
                 grad_j = (2.0 * err)[:, None] * xi
-                np.add.at(X, i, -lr * grad_i)
-                np.add.at(X, j, -lr * grad_j)
+                scatter_add_rows(X, i, -lr * grad_i)
+                scatter_add_rows(X, j, -lr * grad_j)
             epoch_loss /= n_obs
             if np.isfinite(prev_loss):
                 rel_improvement = (prev_loss - epoch_loss) / max(prev_loss, 1e-12)

@@ -4,7 +4,10 @@ CBOW predicts a word from the average of its context-word vectors, trained
 with negative sampling (Mikolov et al., 2013).  The implementation here builds
 the (context-window, target) training examples for a corpus once and then runs
 mini-batched, fully vectorised SGD updates -- the same objective the word2vec
-C implementation optimises, at the scale of our synthetic corpora.
+C implementation optimises, at the scale of our synthetic corpora.  Each
+batch's row updates to the input and output vectors go through
+:func:`repro.linalg.kernels.scatter_add_rows`, which applies them one at a
+time in batch order, exactly as ``np.add.at`` would.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
+from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -115,6 +119,8 @@ class CBOWModel(EmbeddingAlgorithm):
             raise ValueError("negative_samples must be >= 1")
         if learning_rate <= 0 or epochs <= 0:
             raise ValueError("learning_rate and epochs must be positive")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.window_size = int(window_size)
         self.negative_samples = int(negative_samples)
         self.learning_rate = float(learning_rate)
@@ -217,11 +223,11 @@ class CBOWModel(EmbeddingAlgorithm):
                 grad_hidden = np.einsum("bk,bkd->bd", delta, out_vecs)
                 grad_out = delta[:, :, None] * hidden[:, None, :]
 
-                np.add.at(W_out, samples.ravel(), (-lr * grad_out).reshape(-1, self.dim))
+                scatter_add_rows(W_out, samples.ravel(), (-lr * grad_out).reshape(-1, self.dim))
                 # Each context word receives grad_hidden / context_size.
                 ctx_grad = (-lr) * grad_hidden / size[:, None]
                 expanded = np.repeat(ctx_grad, ctx.shape[1], axis=0)
-                np.add.at(W_in, ctx.ravel(), expanded)
+                scatter_add_rows(W_in, ctx.ravel(), expanded)
                 W_in[pad_id] = 0.0
 
         return W_in[:n_words]

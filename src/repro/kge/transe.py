@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.compression.uniform_quantization import FULL_PRECISION_BITS, uniform_quantize
 from repro.kge.graph import KnowledgeGraph
+from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -199,10 +200,10 @@ class TransEModel:
 
         lr = self.learning_rate / max(len(pos), 1)
         # Positive triplet: decrease d(h + r, t).
-        np.add.at(entities, pos[:, 0], -lr * pos_grad)
-        np.add.at(relations, pos[:, 1], -lr * pos_grad)
-        np.add.at(entities, pos[:, 2], lr * pos_grad)
+        scatter_add_rows(entities, pos[:, 0], -lr * pos_grad)
+        scatter_add_rows(relations, pos[:, 1], -lr * pos_grad)
+        scatter_add_rows(entities, pos[:, 2], lr * pos_grad)
         # Negative triplet: increase d(h' + r, t').
-        np.add.at(entities, neg[:, 0], lr * neg_grad)
-        np.add.at(relations, neg[:, 1], lr * neg_grad)
-        np.add.at(entities, neg[:, 2], -lr * neg_grad)
+        scatter_add_rows(entities, neg[:, 0], lr * neg_grad)
+        scatter_add_rows(relations, neg[:, 1], lr * neg_grad)
+        scatter_add_rows(entities, neg[:, 2], -lr * neg_grad)

@@ -11,7 +11,10 @@ pipeline routes through this package, which provides
   Halko-style range finder with power iterations, and the policy-dispatched
   :func:`~repro.linalg.svd.compute_svd` entry point;
 * blocked measure kernels (:mod:`repro.linalg.kernels`) that never
-  materialise ``(n, n)`` intermediates and keep reductions in float64.
+  materialise ``(n, n)`` intermediates and keep reductions in float64;
+* :func:`~repro.linalg.kernels.scatter_add_rows` -- the row scatter-add under
+  every SGD embedding and KGE trainer: ``np.add.at`` on a 2-D table run as one
+  1-D ``add.at`` on its flat view, bit-identical to the 2-D call.
 """
 
 from repro.linalg.policy import (
@@ -32,6 +35,7 @@ from repro.linalg.kernels import (
     gram_frobenius_diff_sq,
     normalize_rows,
     row_set_overlap,
+    scatter_add_rows,
 )
 
 __all__ = [
@@ -47,5 +51,6 @@ __all__ = [
     "normalize_rows",
     "randomized_svd",
     "row_set_overlap",
+    "scatter_add_rows",
     "svd_residual_estimate",
 ]

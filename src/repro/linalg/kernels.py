@@ -1,6 +1,6 @@
-"""Blocked GEMM-based kernels behind the embedding distance measures.
+"""Hot-loop kernels of the measure suite and the embedding trainers.
 
-These kernels are the hot loops of the measure suite, written so that
+The measure kernels are blocked GEMMs, written so that
 
 * no ``(n, n)`` intermediate is ever materialised -- cosine similarities are
   computed in query blocks of at most ``block_size`` rows, and the Gram
@@ -10,6 +10,13 @@ These kernels are the hot loops of the measure suite, written so that
 * scalar reductions accumulate in float64 regardless of the working dtype,
   so the float32 kernel policy loses precision only inside the GEMMs, not in
   the final sums.
+
+:func:`scatter_add_rows` applies the row updates of every SGD-trained
+embedding (MC, CBOW, GloVe, fastText, TransE).  It is ``np.add.at`` on a 2-D
+table routed through numpy's faster 1-D ``add.at`` on the flat view.  Each
+element still receives its updates one at a time in index order, so rows
+that repeat in a batch accumulate exactly as before and the trained vectors
+are bit-identical to the 2-D ``np.add.at`` result.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "cosine_top_k",
     "row_set_overlap",
     "gram_frobenius_diff_sq",
+    "scatter_add_rows",
 ]
 
 
@@ -125,3 +133,30 @@ def gram_frobenius_diff_sq(
         + np.sum(yty**2, dtype=np.float64)
         - 2.0 * np.sum(xty**2, dtype=np.float64)
     )
+
+
+def scatter_add_rows(X: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """In place, ``np.add.at(X, index, values)`` for a C-contiguous 2-D ``X``.
+
+    ``index`` is a 1-D integer array of row ids (repeats allowed, negative ids
+    count from the end) and ``values`` holds one ``(d,)`` update per id.  The
+    update runs as one 1-D ``np.add.at`` on ``X.reshape(-1)`` with the flat
+    ids ``index * d + arange(d)``: every element gets its updates one at a
+    time in ``index`` order, so the result equals the 2-D call bit for bit.
+
+    Raises ``ValueError`` when ``X`` is not a C-contiguous 2-D array (its flat
+    view would be a copy and the update would be lost) or when ``values`` is
+    not ``(len(index), d)`` (a transposed array of the same size would
+    otherwise land on the wrong elements).
+    """
+    if X.ndim != 2 or not X.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous 2-D array")
+    index = np.asarray(index)
+    values = np.asarray(values)
+    d = X.shape[1]
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise ValueError(f"index must be a 1-D integer array, got {index.dtype} {index.shape}")
+    if values.shape != (len(index), d):
+        raise ValueError(f"values must have shape {(len(index), d)}, got {values.shape}")
+    flat = index.astype(np.intp, copy=False)[:, np.newaxis] * d + np.arange(d)
+    np.add.at(X.reshape(-1), flat.reshape(-1), values.reshape(-1))

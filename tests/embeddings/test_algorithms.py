@@ -27,6 +27,9 @@ ALGORITHMS = {
     "fasttext": SubwordEmbeddingModel,
 }
 
+# The SGD trainers; PPMI-SVD factorises in one shot and takes no batch size.
+MINI_BATCHED = {"mc", "glove", "cbow", "fasttext"}
+
 
 @pytest.fixture(scope="module")
 def two_group_corpus():
@@ -66,6 +69,14 @@ class TestCommonBehaviour:
     def test_invalid_dim_raises(self, name, corpus, vocab):
         with pytest.raises(ValueError):
             ALGORITHMS[name](dim=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_raises(self, name, batch_size):
+        # A negative size would train nothing (``range`` with a negative step
+        # is empty) and zero would fail only inside ``fit``.
+        expected = ValueError if name in MINI_BATCHED else TypeError
+        with pytest.raises(expected):
+            ALGORITHMS[name](dim=8, batch_size=batch_size)
 
     def test_learns_group_structure(self, name, two_group_corpus):
         """Within-group cosine similarity should exceed across-group similarity."""

@@ -1,10 +1,13 @@
-"""Grid records from the fused kernels equal the per-op autograd path's.
+"""Grid records from the fused kernels equal the reference paths'.
 
-One small sst2 + conll grid (a BoW classifier pair and a BiLSTM tagger pair
-per cell) runs three ways: serially as shipped, serially with the per-op
-references of ``tests/nn/reference.py`` monkeypatched in for
-``BiLSTM.forward`` and ``functional.cross_entropy``, and on a two-worker
-pool.  The serialized rows must be equal byte for byte.
+One small sst2 + conll grid (a CBOW embedding pair per cell, then a BoW
+classifier pair and a BiLSTM tagger pair) runs three ways: serially as
+shipped, serially with the references monkeypatched in -- the per-op
+autograd path of ``tests/nn/reference.py`` for ``BiLSTM.forward`` and
+``functional.cross_entropy``, and the ``np.add.at`` row updates of
+``tests/embeddings/reference.py`` for the embedding trainers'
+``scatter_add_rows`` -- and on a two-worker pool.  The serialized rows must
+be equal byte for byte.
 """
 
 import json
@@ -16,6 +19,7 @@ import pytest
 from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.engine import GridEngine
 from repro.instability.pipeline import PipelineConfig
+from tests.embeddings.reference import patch_add_at
 from tests.nn.reference import patch_per_op
 
 ORACLE_CONFIG = PipelineConfig(
@@ -52,8 +56,9 @@ def test_grid_covers_both_downstream_models(shipped_rows):
 def test_records_equal_per_op_reference(shipped_rows, monkeypatch):
     calls: Counter = Counter()
     patch_per_op(monkeypatch, calls)
+    patch_add_at(monkeypatch, calls)
     assert _grid_rows() == shipped_rows
-    assert calls["bilstm"] > 0 and calls["loss"] > 0
+    assert calls["bilstm"] > 0 and calls["loss"] > 0 and calls["cbow"] > 0
 
 
 def test_pool_records_equal_serial(shipped_rows):
