@@ -65,6 +65,9 @@ __all__ = ["PipelineConfig", "InstabilityPipeline", "DownstreamResult"]
 #: Task names understood by the pipeline; "conll" is the NER task.
 SENTIMENT_TASK_NAMES = tuple(SENTIMENT_TASKS)
 NER_TASK_NAME = "conll"
+#: Names of the measures in :meth:`InstabilityPipeline.measure_suite`, the
+#: only names a ``measures=`` selection may use.
+SUITE_MEASURES = ("eis", "1-knn", "semantic-displacement", "pip", "1-eigenspace-overlap")
 
 
 @dataclass(frozen=True)
@@ -514,7 +517,7 @@ class InstabilityPipeline:
         )
 
     def measure_suite(self, algorithm: str, seed: int) -> dict[str, object]:
-        """The five embedding distance measures, with anchors resolved (cached)."""
+        """The :data:`SUITE_MEASURES`, with anchors resolved (cached)."""
         suite_key = (algorithm, int(seed))
         if suite_key not in self._measure_suites:
             anchor_a, anchor_b = self.anchors(algorithm, seed)
@@ -581,8 +584,14 @@ class InstabilityPipeline:
         matrix is decomposed once for EIS, eigenspace overlap and PIP loss
         together; values are cached in the artifact store.  ``cache`` lets a
         long-lived caller (the serving layer) share one bounded decomposition
-        cache across many requests instead of one per batch.
+        cache across many requests instead of one per batch.  A selection
+        naming a measure outside the suite raises ``KeyError`` before the
+        store is consulted.
         """
+        if measures is not None:
+            unknown = [name for name in measures if name not in SUITE_MEASURES]
+            if unknown:
+                raise KeyError(f"cannot evaluate {unknown!r}; known: {SUITE_MEASURES}")
         policy = self.config.resolved_kernel_policy()
         key = self.measures_key(algorithm, dim, precision, seed, measures=measures)
         cached = self.store.get_json("measures", key)

@@ -19,7 +19,11 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   from the cell's content-addressed measures key (plus the precision mode
   and tolerance), so an ``If-None-Match`` revalidation answers ``304 Not
   Modified`` *before any numerical work happens* -- the tag is computable
-  from keys alone.
+  from keys alone, on the event loop.  The answer is a pure function of
+  its tag as well, so each server keeps the bytes of its most recently
+  used computed answers (``_MEASURE_BODY_ENTRIES``) under their tags and
+  writes a repeat straight from them: no thread hop, service call, store
+  lookup or JSON encode (``serving.measure_body_hits`` in ``/metrics``).
 * ``GET|POST /select?budget=128&criterion=eis`` -- dimension-precision
   recommendation under a memory budget (bits per word).
 * ``GET|POST /grid?dims=8,16&precisions=1,32&stream=...`` -- executes a grid
@@ -62,13 +66,14 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
 Built on ``asyncio.start_server`` and nothing else -- no third-party web
 framework -- so the serving layer runs anywhere the reproduction runs.
 Blocking numerical work happens on the service's bounded thread pool; the
-event loop only parses requests and shuttles bytes.  Connections are
-**keep-alive** (HTTP/1.1 semantics) so a peer's store tier reuses one TCP
-connection across artifact fetches, and every non-streaming request is
-bounded by a per-request timeout (``--request-timeout``).  Request *reads*
-are separately bounded: headers and body must arrive within a read timeout
-once the request line lands, and concurrent connections are capped (503
-beyond the cap), so slow clients cannot pin memory or connection tasks.
+event loop only parses requests, derives ``/measure`` tags and shuttles
+bytes.  Connections are **keep-alive** (HTTP/1.1 semantics) so a peer's
+store tier reuses one TCP connection across artifact fetches, and every
+non-streaming request is bounded by a per-request timeout
+(``--request-timeout``).  Request *reads* are separately bounded: headers
+and body must arrive within a read timeout once the request line lands, and
+concurrent connections are capped (503 beyond the cap), so slow clients
+cannot pin memory or connection tasks.
 
 Run it::
 
@@ -88,6 +93,7 @@ import signal
 import sys
 import threading
 import time
+from collections import OrderedDict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,6 +125,9 @@ _MAX_HEADER_BYTES = 1 << 14
 _MAX_BODY_BYTES = 1 << 20
 #: Raw /artifacts payloads (npz embedding pairs) dwarf JSON request bodies.
 _MAX_ARTIFACT_BYTES = 1 << 28
+#: Computed ``/measure`` bodies one server keeps (least recently used
+#: evicted first); at 0.5-1 KB a body the table stays at a few MB.
+_MEASURE_BODY_ENTRIES = 4096
 #: ``/artifacts/<kind>/<name>``: identifier-safe kind, hex-ish name with the
 #: codec suffix -- rejects path traversal and temp-file names by construction.
 _ARTIFACT_PATH = re.compile(
@@ -154,23 +163,13 @@ class _Request:
 
 
 @dataclass
-class _JSONResponse:
-    """A handler result that controls status and headers, not just the body.
-
-    Handlers normally return a plain payload dict (written as a 200); ones
-    that need conditional-request semantics (``/measure``'s ``ETag`` /
-    ``If-None-Match`` revalidation) return this instead.  ``payload=None``
-    writes an empty body -- required for ``304 Not Modified``.
-    """
-
-    status: int
-    payload: dict | None
-    headers: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class _RawResponse:
-    """A handler result carrying a non-JSON body (Prometheus text, NDJSON)."""
+    """A handler result carrying ready bytes and its own status and headers.
+
+    Handlers normally return a plain payload dict (written as a 200 JSON
+    body); ones serving Prometheus text or stored ``/measure`` bytes, or a
+    conditional ``304 Not Modified`` with an empty body, return this.
+    """
 
     status: int
     body: bytes
@@ -315,6 +314,11 @@ def _tuple_param(params: dict, name: str, cast=int) -> tuple | None:
         raise APIError(400, f"parameter {name!r} has non-{cast.__name__} items") from None
 
 
+def _json_body(payload: dict) -> bytes:
+    """The bytes of every JSON response body this server writes."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
 def _etag_matches(if_none_match: str | None, name: str) -> bool:
     """Whether an ``If-None-Match`` header validates the entity tag ``name``.
 
@@ -376,6 +380,10 @@ class StabilityAPIServer:
         self.access_log = access_log
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
+        #: ETag -> (200 body, the answer's ``escalated`` field) of computed
+        #: /measure answers, least recently used first.  Only the event
+        #: loop touches it, so it needs no lock.
+        self._measure_bodies: OrderedDict[str, tuple[bytes, bool | None]] = OrderedDict()
         self._routes: dict[str, Callable[[_Request], Awaitable[dict]]] = {
             "/healthz": self._handle_healthz,
             "/metrics": self._handle_metrics,
@@ -542,9 +550,10 @@ class StabilityAPIServer:
         }
         # Serving-path flags annotated onto the root span (coalesced with
         # another identical request, served from the quantized fast path,
-        # escalated to exact) surface in the log line when set.
+        # escalated to exact, written from stored /measure bytes) surface in
+        # the log line when set.
         attrs = getattr(trace.root, "attrs", None) or {}
-        for flag in ("coalesced", "fast", "escalated", "error"):
+        for flag in ("coalesced", "fast", "escalated", "cached", "error"):
             if flag in attrs:
                 entry[flag] = attrs[flag]
         print(json.dumps(entry, sort_keys=True), flush=True)
@@ -619,17 +628,6 @@ class StabilityAPIServer:
                     writer, payload.status, payload.body, payload.content_type,
                     close=close, extra_headers=payload.headers or None,
                 )
-            elif isinstance(payload, _JSONResponse):
-                if payload.payload is None:
-                    self._write_response(
-                        writer, payload.status, b"", "application/json",
-                        close=close, extra_headers=payload.headers or None,
-                    )
-                else:
-                    self._write_json(
-                        writer, payload.status, payload.payload,
-                        close=close, extra_headers=payload.headers or None,
-                    )
             else:
                 self._write_json(writer, 200, payload, close=close)
         await writer.drain()
@@ -643,9 +641,8 @@ class StabilityAPIServer:
         close: bool = False,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         StabilityAPIServer._write_response(
-            writer, status, body, "application/json",
+            writer, status, _json_body(payload), "application/json",
             close=close, extra_headers=extra_headers,
         )
 
@@ -938,39 +935,51 @@ class StabilityAPIServer:
             )
         await writer.drain()
 
-    async def _handle_measure(self, request: _Request) -> _JSONResponse:
+    async def _handle_measure(self, request: _Request) -> _RawResponse:
         params = request.params
         algorithm = params.get("algorithm")
         if not algorithm:
             raise APIError(400, "missing required parameter 'algorithm'")
+        algorithm = str(algorithm)
         measures = _tuple_param(params, "measures", cast=str)
-        loop = asyncio.get_running_loop()
-        # The service blocks (possibly training); keep the event loop free.
         dim = _int_param(params, "dim", required=True)
         precision = _int_param(params, "precision", required=True)
         seed = _int_param(params, "seed", 0)
         fast = _bool_param(params, "fast", False)
         tolerance = _float_param(params, "tolerance")
-        # The validator is a pure function of content-addressed keys, so a
-        # revalidation can 304 before any embedding trains or measure runs.
-        etag = await loop.run_in_executor(
-            None,
-            bind(lambda: self.service.measure_etag(
-                str(algorithm), dim, precision, seed,
-                measures=measures, fast=fast, fast_tolerance=tolerance,
-            )),
+        # The validator is a pure function of content-addressed keys,
+        # memoised after a cell's first request, so it is derived right here
+        # and a revalidation answers 304 before any numerical work happens.
+        etag = self.service.measure_etag(
+            algorithm, dim, precision, seed,
+            measures=measures, fast=fast, fast_tolerance=tolerance,
         )
         headers = {"ETag": f'"{etag}"'}
         if _etag_matches(request.headers.get("if-none-match"), etag):
-            return _JSONResponse(304, None, headers)
+            return _RawResponse(304, b"", "application/json", headers)
+        # The answer is a pure function of its ETag too, so a stored body is
+        # written as it is: no thread hop, no service call, no JSON encode.
+        stored = self._measure_bodies.get(etag)
+        if stored is not None:
+            self._measure_bodies.move_to_end(etag)
+            body, escalated = stored
+            self.service.count_measure_body_hit(escalated)
+            return _RawResponse(200, body, "application/json", headers)
+        # The service blocks (possibly training) and its pool waits on its
+        # own submits, so the call goes to the default executor.
+        loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(
             None,
             bind(lambda: self.service.measure(
-                str(algorithm), dim, precision, seed,
+                algorithm, dim, precision, seed,
                 measures=measures, fast=fast, fast_tolerance=tolerance,
             )),
         )
-        return _JSONResponse(200, payload, headers)
+        body = _json_body(payload)
+        self._measure_bodies[etag] = (body, payload.get("escalated"))
+        while len(self._measure_bodies) > _MEASURE_BODY_ENTRIES:
+            self._measure_bodies.popitem(last=False)
+        return _RawResponse(200, body, "application/json", headers)
 
     async def _handle_select(self, request: _Request) -> dict:
         params = request.params

@@ -116,8 +116,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        if not self.fast_tolerance > 0:
-            raise ValueError(f"fast_tolerance must be positive, got {self.fast_tolerance}")
+        _positive_tolerance(self.fast_tolerance)
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError(f"trace_sample must be in [0, 1], got {self.trace_sample}")
         if self.trace_slow_ms < 0:
@@ -206,6 +205,7 @@ class StabilityService:
             "grids_cancelled": 0,
             "fast_hits": 0,
             "fast_escalations": 0,
+            "measure_body_hits": 0,
         }
         self._closed = False
         #: Online instability monitor; ``None`` until :meth:`enable_monitor`.
@@ -298,6 +298,12 @@ class StabilityService:
             with self._lock:
                 self._inflight.pop(key, None)
 
+    def _fast_tolerance(self, override: float | None) -> float:
+        """The escalation tolerance of one fast request: ``override`` or the default."""
+        return _positive_tolerance(
+            self.config.fast_tolerance if override is None else override
+        )
+
     # -- queries ---------------------------------------------------------------
 
     def measure(
@@ -334,9 +340,7 @@ class StabilityService:
         )
 
         if fast:
-            tolerance = float(
-                self.config.fast_tolerance if fast_tolerance is None else fast_tolerance
-            )
+            tolerance = self._fast_tolerance(fast_tolerance)
             fast_key = self.pipeline.fast_measures_key(
                 algorithm, dim, precision, seed, measures=measures
             )
@@ -436,13 +440,31 @@ class StabilityService:
                 algorithm, int(dim), int(precision), int(seed), measures=measures
             )
             return f"{key}:exact"
-        tolerance = float(
-            self.config.fast_tolerance if fast_tolerance is None else fast_tolerance
-        )
+        tolerance = self._fast_tolerance(fast_tolerance)
         fast_key = self.pipeline.fast_measures_key(
             algorithm, int(dim), int(precision), int(seed), measures=measures
         )
         return f"{fast_key}:fast:{tolerance!r}"
+
+    def count_measure_body_hit(self, escalated: bool | None) -> None:
+        """Account for a :meth:`measure` answer the HTTP layer served from bytes.
+
+        ``escalated`` is the stored answer's field of that name (``None`` for
+        an exact request).  Counters and root-span annotations read as they
+        did when :meth:`measure` computed the answer, plus
+        ``measure_body_hits`` and ``cached=True``.
+        """
+        with self._lock:
+            self._counters["requests_measure"] += 1
+            self._counters["measure_body_hits"] += 1
+            if escalated is not None:
+                self._counters["fast_escalations" if escalated else "fast_hits"] += 1
+        if escalated is None:
+            annotate(cached=True)
+        elif escalated:
+            annotate(escalated=True, cached=True)
+        else:
+            annotate(fast=True, cached=True)
 
     def select(
         self,
@@ -769,6 +791,14 @@ class _CancellableStream:
 
 def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
+
+
+def _positive_tolerance(value: float) -> float:
+    """``value`` as a float, rejecting NaN and non-positive tolerances."""
+    tolerance = float(value)
+    if not tolerance > 0:
+        raise ValueError(f"fast_tolerance must be positive, got {tolerance!r}")
+    return tolerance
 
 
 #: Measures whose values live in a bounded range, so their error bounds are

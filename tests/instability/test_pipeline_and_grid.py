@@ -76,6 +76,14 @@ class TestPipeline:
         measures = tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=("eis",))
         assert set(measures) == {"eis"}
 
+    @pytest.mark.parametrize("names", [("bogus",), ("eis", "bogus"), ("EIS",)])
+    def test_unknown_measure_name_raises_before_the_store(self, tiny_pipeline, names):
+        stats = tiny_pipeline.store.stat("measures")
+        before = (stats.lookups, stats.puts)
+        with pytest.raises(KeyError, match="known"):
+            tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=names)
+        assert (stats.lookups, stats.puts) == before
+
     def test_evaluate_caches_results(self, tiny_pipeline):
         a = tiny_pipeline.evaluate("sst2", "svd", 6, 1, 0)
         b = tiny_pipeline.evaluate("sst2", "svd", 6, 1, 0)

@@ -38,6 +38,7 @@ def live_server(service, **kwargs):
         asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
+        loop.close()
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +107,16 @@ class TestMeasure:
         status, payload = get_json(server, "/measure?algorithm=nope&dim=4&precision=1")
         assert status == 400
         assert "nope" in payload["error"]
+
+    @pytest.mark.parametrize("names", ["bogus", "eis,bogus"])
+    def test_unknown_measure_name_is_400(self, server, names):
+        puts = server.service.store.stat("measures").puts
+        status, payload = get_json(
+            server, f"/measure?algorithm=svd&dim=4&precision=1&measures={names}"
+        )
+        assert status == 400
+        assert "bogus" in payload["error"] and "known" in payload["error"]
+        assert server.service.store.stat("measures").puts == puts
 
 
 class TestSelect:
@@ -556,9 +567,11 @@ class TestMeasureFastAndETag:
         assert metrics["serving"]["fast_hits"] >= 1
         assert metrics["serving"]["fast_escalations"] >= 1
 
-    def test_bad_tolerance_is_400(self, server):
+    @pytest.mark.parametrize("tolerance", ["nope", "nan", "0", "-1"])
+    def test_bad_tolerance_is_400(self, server, tolerance):
         status, payload = get_json(
-            server, "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=nope"
+            server,
+            f"/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance={tolerance}",
         )
         assert status == 400
         assert "tolerance" in payload["error"]

@@ -55,11 +55,10 @@ class TestTraceHeaders:
 
 class TestTraceEndpoints:
     def test_measure_trace_contains_pipeline_spans(self, server):
+        # No other test of this module computes this cell: it is cold here.
+        path = "/measure?algorithm=svd&dim=4&precision=1&seed=0"
         trace_id = "ab" * 16
-        response, _ = request(
-            server, "/measure?algorithm=svd&dim=4&precision=1&seed=0",
-            headers={"X-Trace-Id": trace_id},
-        )
+        response, _ = request(server, path, headers={"X-Trace-Id": trace_id})
         assert response.status == 200
         response, body = request(server, f"/trace/{trace_id}")
         assert response.status == 200
@@ -67,15 +66,28 @@ class TestTraceEndpoints:
         rows = [json.loads(line) for line in body.decode().strip().splitlines()]
         names = {row["name"] for row in rows}
         assert "GET /measure" in names
-        assert {"service.ancestry_wait"} <= names
-        # A cold cell also trains; a warm rerun of this test still has the
-        # root + ancestry spans, so only assert the tree is well-formed.
+        # The cold answer is computed by one uncoalesced service call.
+        assert {name for name in names if name.startswith("service.")} == {
+            "service.ancestry_wait"
+        }
+        assert "pipeline.measures" in names
         by_id = {row["span_id"]: row for row in rows}
         root = next(r for r in rows if r["parent_id"] is None)
+        assert "cached" not in root["attrs"]
         for row in rows:
             if row is not root and row["parent_id"] is not None:
                 assert row["parent_id"] in by_id or row["parent_id"] == root["span_id"]
         assert all(row["trace_id"] == trace_id for row in rows)
+
+        # The warm repeat is written from the stored bytes: its trace is the
+        # root span alone, marked cached.
+        warm_id = "cd" * 16
+        response, _ = request(server, path, headers={"X-Trace-Id": warm_id})
+        assert response.status == 200
+        _, body = request(server, f"/trace/{warm_id}")
+        (row,) = [json.loads(line) for line in body.decode().strip().splitlines()]
+        assert row["name"] == "GET /measure" and row["parent_id"] is None
+        assert row["attrs"]["cached"] is True
 
     def test_recent_lists_newest_first_with_counters(self, server):
         request(server, "/healthz", headers={"X-Trace-Id": "11" * 16})
@@ -155,6 +167,28 @@ class TestAccessLog:
         assert health["trace_id"] == "ba" * 16
         assert health["duration_ms"] >= 0
         assert by_path["/nope"]["status"] == 404
+
+    def test_stored_measure_answer_is_flagged_cached(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            service = StabilityService(quick_serve_config())
+        try:
+            with live_server(service, access_log=True) as api:
+                for _ in range(2):
+                    request(
+                        api,
+                        "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=10",
+                    )
+            lines = [
+                json.loads(line)
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("{")
+            ]
+        finally:
+            service.close()
+        computed, stored = [entry for entry in lines if entry["path"] == "/measure"]
+        assert computed["fast"] is True and "cached" not in computed
+        assert stored["fast"] is True and stored["cached"] is True
 
     def test_silent_by_default(self, capsys):
         with warnings.catch_warnings():
