@@ -9,7 +9,10 @@ speedups over the cold serial baseline (the seed repository's only mode):
 3. ``parallel / cold`` -- fresh store, ``--workers`` processes (asserts the
    records are bit-identical to the serial run);
 4. ``batch-off``       -- serial cold with per-measure (non-batched) measure
-   evaluation, quantifying what the shared-decomposition batch saves.
+   evaluation, quantifying what the shared-decomposition batch saves.  Its
+   downstream models train through the engine's own group evaluation
+   (``evaluate_group``, one lockstep fit per task and group), so the row
+   differs from ``serial / cold`` only in measure batching.
 
 Usage::
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 import tempfile
 import time
 import warnings
@@ -37,6 +41,7 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
 from repro.analysis.reporting import format_table  # noqa: E402
 from repro.corpus.synthetic import SyntheticCorpusConfig  # noqa: E402
 from repro.engine import ArtifactStore, GridEngine  # noqa: E402
+from repro.engine import evaluate_group, plan_grid  # noqa: E402
 from repro.engine import stats as engine_stats  # noqa: E402
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig  # noqa: E402
 
@@ -125,23 +130,19 @@ def run_benchmark(quick: bool, workers: int, cache_dir: str | None):
     assert parallel_records == serial_records, "parallel records diverged from serial"
 
     # 4. Serial cold without the shared-decomposition measure batch, for
-    #    comparison with the engine's batched measure path.
+    #    comparison with the engine's batched measure path.  Downstream
+    #    training goes through the same group evaluation as run() does.
     unbatched_pipeline = InstabilityPipeline(config, store=ArtifactStore())
     start = time.perf_counter()
-    for algorithm in config.algorithms:
-        for dim in config.dimensions:
-            for precision in config.precisions:
-                for seed in config.seeds:
-                    emb_a, emb_b = unbatched_pipeline.compressed_pair(
-                        algorithm, dim, precision, seed
-                    )
-                    suite = unbatched_pipeline.measure_suite(algorithm, seed)
-                    for measure in suite.values():
-                        measure.compute_embeddings(
-                            emb_a, emb_b, top_k=config.measure_top_k
-                        )
-                    for task in config.tasks:
-                        unbatched_pipeline.evaluate(task, algorithm, dim, precision, seed)
+    for group in plan_grid(config, with_measures=True).groups:
+        for precision in group.precisions:
+            emb_a, emb_b = unbatched_pipeline.compressed_pair(
+                group.algorithm, group.dim, precision, group.seed
+            )
+            suite = unbatched_pipeline.measure_suite(group.algorithm, group.seed)
+            for measure in suite.values():
+                measure.compute_embeddings(emb_a, emb_b, top_k=config.measure_top_k)
+        evaluate_group(unbatched_pipeline, replace(group, with_measures=False))
     unbatched_time = time.perf_counter() - start
     rows.append(
         {"mode": "serial / batch off", "seconds": round(unbatched_time, 3),

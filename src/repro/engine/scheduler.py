@@ -17,6 +17,12 @@ anchor pair that defines the EIS measure.  The scheduler therefore:
 4. reassembles records in the canonical axis-product order, so callers see
    the same ordering regardless of execution strategy.
 
+Within a group, :func:`evaluate_group` evaluates every cell through one
+:meth:`~repro.instability.pipeline.InstabilityPipeline.evaluate_many` call:
+the downstream models still to train are bucketed by task and training
+config, and each bucket -- the 2 x |precisions| models of a task -- trains
+as one lockstep stack instead of model by model.
+
 Worker processes rebuild the pipeline from its configuration, so only
 config-reconstructible pipelines can run in parallel; pipelines built around a
 custom corpus fall back to serial execution with a warning.  Handing the
@@ -188,35 +194,43 @@ def plan_grid(
 
 
 def evaluate_group(pipeline: "InstabilityPipeline", group: CellGroup) -> list["GridRecord"]:
-    """Evaluate every cell of one group against a pipeline."""
+    """Evaluate every cell of one group against a pipeline.
+
+    The group's downstream models go through one
+    :meth:`~repro.instability.pipeline.InstabilityPipeline.evaluate_many`
+    call, so every model of a task that still needs training trains in one
+    lockstep stack; records come back in (precision, task) order.
+    """
     from repro.instability.grid import GridRecord
 
-    records: list[GridRecord] = []
-    for precision in group.precisions:
-        measures = (
+    measures = {
+        precision: (
             pipeline.compute_measures(group.algorithm, group.dim, precision, group.seed)
             if group.with_measures
             else {}
         )
-        for task in group.tasks:
-            result = pipeline.evaluate(
-                task, group.algorithm, group.dim, precision, group.seed,
-                model_type=group.model_type,
-            )
-            records.append(
-                GridRecord(
-                    algorithm=group.algorithm,
-                    task=task,
-                    dim=group.dim,
-                    precision=precision,
-                    seed=group.seed,
-                    disagreement=result.disagreement,
-                    accuracy_a=result.accuracy_a,
-                    accuracy_b=result.accuracy_b,
-                    measures=measures,
-                )
-            )
-    return records
+        for precision in group.precisions
+    }
+    cells = [
+        (task, group.algorithm, group.dim, precision, group.seed)
+        for precision in group.precisions
+        for task in group.tasks
+    ]
+    results = pipeline.evaluate_many(cells, model_type=group.model_type)
+    return [
+        GridRecord(
+            algorithm=group.algorithm,
+            task=task,
+            dim=group.dim,
+            precision=precision,
+            seed=group.seed,
+            disagreement=result.disagreement,
+            accuracy_a=result.accuracy_a,
+            accuracy_b=result.accuracy_b,
+            measures=measures[precision],
+        )
+        for (task, _, _, precision, _), result in zip(cells, results)
+    ]
 
 
 # -- multiprocessing workers ----------------------------------------------------

@@ -37,12 +37,9 @@ class _FeatureClassifier(BowClassifier):
     single 'word' pointing at its own row.
     """
 
-    def __init__(self, features: np.ndarray, num_classes: int = 2, *, config=None):
-        super().__init__(features, num_classes, config=config)
-
     def _document_features(self, documents):  # documents are row-index arrays
         rows = np.asarray([int(d[0]) for d in documents], dtype=np.int64)
-        return Tensor(self.embedding.weight.data[rows])
+        return Tensor(np.take(self.embedding.weight.data, rows, axis=1))
 
 
 def _as_row_dataset(dataset: TextClassificationDataset, offset: int = 0) -> TextClassificationDataset:
@@ -109,17 +106,14 @@ def run(
 
 def _disagreement_for(features, splits, precision: int, seed: int) -> float:
     cfg = TrainingConfig(learning_rate=0.05, epochs=12, optimizer="adam", patience=4).with_seed(seed)
-    predictions = {}
+    tables = []
     for name in ("a", "b"):
-        train_feats = uniform_quantize(features[name]["train"], precision)
-        val_feats = uniform_quantize(features[name]["val"], precision)
-        test_feats = uniform_quantize(features[name]["test"], precision)
-        stacked = np.vstack([train_feats, val_feats, test_feats])
-        n_train, n_val = len(train_feats), len(val_feats)
-        model = _FeatureClassifier(stacked, config=cfg)
-        model.fit(
-            _as_row_dataset(splits.train, 0),
-            _as_row_dataset(splits.val, n_train),
-        )
-        predictions[name] = model.predict(_as_row_dataset(splits.test, n_train + n_val))
-    return prediction_disagreement(predictions["a"], predictions["b"])
+        quantized = [uniform_quantize(features[name][split], precision)
+                     for split in ("train", "val", "test")]
+        tables.append(np.vstack(quantized))
+    n_train, n_val = len(splits.train), len(splits.val)
+    # Both classifiers share their config, so they train as one lockstep stack.
+    model = _FeatureClassifier(tables, config=cfg)
+    model.fit(_as_row_dataset(splits.train, 0), _as_row_dataset(splits.val, n_train))
+    predictions_a, predictions_b = model.predict(_as_row_dataset(splits.test, n_train + n_val))
+    return prediction_disagreement(predictions_a, predictions_b)

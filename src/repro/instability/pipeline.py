@@ -8,7 +8,8 @@ Reproduces the paper's experimental pipeline (Appendix A.5):
 3. uniformly quantize the pair to a precision (sharing the clipping
    threshold);
 4. train downstream models on each embedding with tied seeds and measure the
-   prediction disagreement on the task's test split;
+   prediction disagreement on the task's test split -- the models that share
+   a training config train in one lockstep stack (:meth:`evaluate_many`);
 5. compute the embedding distance measures between the pair.
 
 Everything is cached aggressively because the grid study reuses the same
@@ -33,7 +34,7 @@ from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.alignment import align_pair
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
 from repro.engine.store import ArtifactStore, config_hash, default_store
-from repro.instability.downstream import classification_disagreement, tagging_disagreement
+from repro.instability.downstream import prediction_disagreement
 from repro.linalg import KERNEL_DTYPES, SVD_METHODS, KernelPolicy, default_policy
 from repro.measures.base import DecompositionCache
 from repro.measures.batch import compute_measure_batch
@@ -51,6 +52,7 @@ from repro.models.bilstm_tagger import BiLSTMTagger
 from repro.models.bow_classifier import BowClassifier
 from repro.models.cnn_classifier import CNNClassifier
 from repro.models.trainer import TrainingConfig
+from repro.nn.data import BatchIterator
 from repro.tasks.datasets import DatasetSplits, train_val_test_split
 from repro.tasks.lexicons import build_task_lexicons
 from repro.tasks.ner import NERTaskConfig, generate_ner_dataset
@@ -226,13 +228,22 @@ class DownstreamResult:
         return 0.5 * (self.accuracy_a + self.accuracy_b)
 
 
-def _fit_summary(history: dict[str, list[float]]) -> dict:
-    """Span attributes that let a slow downstream fit explain itself."""
-    losses, val = history["train_loss"], history["val_accuracy"]
+def _fit_summary(
+    histories: list[dict[str, list[float]]], config: TrainingConfig, n_train: int
+) -> dict:
+    """Span attributes that let a slow lockstep fit explain itself, one list
+    entry per model in stack order."""
+    epochs = [len(history["train_loss"]) for history in histories]
     return {
-        "epochs_run": len(losses),
-        "final_train_loss": losses[-1] if losses else None,
-        "best_val_accuracy": max(val) if val else None,
+        "models": len(histories),
+        "batches_per_epoch": len(BatchIterator(n_train, config.batch_size)),
+        "epochs_run": epochs,
+        # Epochs are counted from 1; None when every epoch ran.
+        "stopped_epoch": [n if n < config.epochs else None for n in epochs],
+        "final_train_loss": [h["train_loss"][-1] if h["train_loss"] else None for h in histories],
+        "best_val_accuracy": [
+            max(h["val_accuracy"]) if h["val_accuracy"] else None for h in histories
+        ],
     }
 
 
@@ -730,79 +741,123 @@ class InstabilityPipeline:
 
     # -- downstream models ----------------------------------------------------------
 
-    def _sentiment_config(self, seed: int, *, learning_rate: float | None = None) -> TrainingConfig:
-        return TrainingConfig(
-            learning_rate=learning_rate or self.config.sentiment_learning_rate,
-            epochs=self.config.downstream_epochs,
-            optimizer="adam",
-            patience=4,
-            fine_tune_embeddings=self.config.fine_tune_embeddings,
-        ).with_seed(seed)
-
-    def _ner_config(self, seed: int, *, learning_rate: float | None = None) -> TrainingConfig:
-        return TrainingConfig(
-            learning_rate=learning_rate or self.config.ner_learning_rate,
-            epochs=self.config.ner_epochs,
-            optimizer=self.config.ner_optimizer,
-            patience=None,
-            anneal_factor=0.5,
-            fine_tune_embeddings=self.config.fine_tune_embeddings,
-        ).with_seed(seed)
-
-    def _train_classifier(
-        self, embedding: Embedding, task: str, seed: int,
-        *, model_type: str = "bow", learning_rate: float | None = None,
+    def training_config(
+        self, task: str, seed: int, *, learning_rate: float | None = None,
         init_seed: int | None = None, sampling_seed: int | None = None,
-    ):
-        splits = self.dataset(task)
-        cfg = self._sentiment_config(seed, learning_rate=learning_rate)
-        if init_seed is not None or sampling_seed is not None:
-            from dataclasses import replace
+    ) -> TrainingConfig:
+        """The resolved training configuration of one downstream model.
 
-            cfg = replace(
-                cfg,
-                init_seed=init_seed if init_seed is not None else cfg.init_seed,
-                sampling_seed=sampling_seed if sampling_seed is not None else cfg.sampling_seed,
+        Both seeds default to ``seed`` (the paper's tied seeds); ``init_seed``
+        and ``sampling_seed`` untie them.  Models whose resolved configs are
+        equal train in one lockstep stack.
+        """
+        ner = task == NER_TASK_NAME
+        default_lr = self.config.ner_learning_rate if ner else self.config.sentiment_learning_rate
+        return TrainingConfig(
+            learning_rate=default_lr if learning_rate is None else learning_rate,
+            epochs=self.config.ner_epochs if ner else self.config.downstream_epochs,
+            optimizer=self.config.ner_optimizer if ner else "adam",
+            patience=None if ner else 4,
+            anneal_factor=0.5 if ner else None,
+            fine_tune_embeddings=self.config.fine_tune_embeddings,
+            init_seed=int(seed if init_seed is None else init_seed),
+            sampling_seed=int(seed if sampling_seed is None else sampling_seed),
+        )
+
+    def fit_downstream(
+        self, task: str, config: TrainingConfig, embeddings: list[Embedding],
+        *, model_type: str = "bow", use_crf: bool = False,
+    ) -> tuple[list[np.ndarray], list[float]]:
+        """Train one downstream model per embedding, all in one lockstep fit.
+
+        Returns each model's test-split predictions (flattened over tokens
+        for NER) and its test score (accuracy; entity F1 for NER).  CNN and
+        CRF models take one embedding per call.
+        """
+        splits = self.dataset(task)
+        if task == NER_TASK_NAME:
+            label = "bilstm"
+            model = BiLSTMTagger(
+                embeddings, num_tags=splits.train.num_tags,
+                hidden_dim=self.config.ner_hidden_dim, use_crf=use_crf, config=config,
             )
-        if model_type == "bow":
-            model = BowClassifier(embedding, num_classes=2, config=cfg)
+        elif model_type == "bow":
+            label, model = "bow", BowClassifier(embeddings, num_classes=2, config=config)
         elif model_type == "cnn":
-            model = CNNClassifier(embedding, num_classes=2, config=cfg)
+            (embedding,) = embeddings
+            label, model = "cnn", CNNClassifier(embedding, num_classes=2, config=config)
         else:
             raise ValueError(f"unknown classifier type {model_type!r}")
         with span("pipeline.downstream_train", metric="phase", label="downstream",
-                  task=task, model=model_type, seed=int(seed)) as handle:
-            handle.set(**_fit_summary(model.fit(splits.train, splits.val)))
-        self.downstream_train_count += 1
-        return model
+                  task=task, model=label, seed=config.init_seed) as handle:
+            histories = model.fit(splits.train, splits.val)
+            histories = [histories] if label == "cnn" else histories
+            handle.set(**_fit_summary(histories, config, len(splits.train)))
+        self.downstream_train_count += len(embeddings)
+        if label == "cnn":
+            return [model.predict(splits.test)], [model.accuracy(splits.test)]
+        if label == "bow":
+            return list(model.predict(splits.test)), model.accuracy(splits.test)
+        predictions = [np.concatenate(tags) for tags in model.predict(splits.test)]
+        return predictions, model.entity_f1(splits.test)
 
-    def _train_tagger(
-        self, embedding: Embedding, seed: int,
-        *, use_crf: bool = False, learning_rate: float | None = None,
-        init_seed: int | None = None, sampling_seed: int | None = None,
-    ) -> BiLSTMTagger:
-        splits = self.dataset(NER_TASK_NAME)
-        cfg = self._ner_config(seed, learning_rate=learning_rate)
-        if init_seed is not None or sampling_seed is not None:
-            from dataclasses import replace
+    def downstream_results(
+        self,
+        task: str,
+        pairs: list[tuple[Embedding, Embedding]],
+        seed: int,
+        *,
+        model_type: str = "bow",
+        use_crf: bool = False,
+        learning_rate: float | None = None,
+        init_seed_b: int | None = None,
+        sampling_seed_b: int | None = None,
+    ) -> list[DownstreamResult]:
+        """Train the downstream model pair of every embedding pair and measure
+        each pair's prediction disagreement.
 
-            cfg = replace(
-                cfg,
-                init_seed=init_seed if init_seed is not None else cfg.init_seed,
-                sampling_seed=sampling_seed if sampling_seed is not None else cfg.sampling_seed,
-            )
-        tagger = BiLSTMTagger(
-            embedding,
-            num_tags=splits.train.num_tags,
-            hidden_dim=self.config.ner_hidden_dim,
-            use_crf=use_crf,
-            config=cfg,
+        The models are bucketed by resolved training config and table shape,
+        and each bucket trains as one lockstep stack (:meth:`fit_downstream`);
+        CNN and CRF models train alone.  ``init_seed_b`` / ``sampling_seed_b``
+        override the seeds of the second model of each pair only, reproducing
+        the "relaxed seed constraint" study of Appendix E.3 / Figure 14a.
+        """
+        config_a = self.training_config(task, seed, learning_rate=learning_rate)
+        config_b = self.training_config(
+            task, seed, learning_rate=learning_rate,
+            init_seed=init_seed_b, sampling_seed=sampling_seed_b,
         )
-        with span("pipeline.downstream_train", metric="phase", label="downstream",
-                  task=NER_TASK_NAME, model="bilstm", seed=int(seed)) as handle:
-            handle.set(**_fit_summary(tagger.fit(splits.train, splits.val)))
-        self.downstream_train_count += 1
-        return tagger
+        models = [(config, emb) for pair in pairs for config, emb in zip((config_a, config_b), pair)]
+        alone = use_crf or (task != NER_TASK_NAME and model_type == "cnn")
+        buckets: dict[object, list[int]] = {}
+        for index, (config, emb) in enumerate(models):
+            key = index if alone else (config, emb.vectors.shape)
+            buckets.setdefault(key, []).append(index)
+        predictions: list = [None] * len(models)
+        scores: list = [None] * len(models)
+        for indices in buckets.values():
+            bucket_predictions, bucket_scores = self.fit_downstream(
+                task, models[indices[0]][0], [models[i][1] for i in indices],
+                model_type=model_type, use_crf=use_crf,
+            )
+            for i, prediction, score in zip(indices, bucket_predictions, bucket_scores):
+                predictions[i], scores[i] = prediction, score
+        # NER instability counts gold-entity tokens only.
+        mask = (
+            np.concatenate(self.dataset(task).test.entity_token_mask())
+            if task == NER_TASK_NAME else None
+        )
+        return [
+            DownstreamResult(
+                task=task,
+                disagreement=prediction_disagreement(
+                    predictions[2 * k], predictions[2 * k + 1], mask=mask
+                ),
+                accuracy_a=scores[2 * k],
+                accuracy_b=scores[2 * k + 1],
+            )
+            for k in range(len(pairs))
+        ]
 
     def downstream_result(
         self,
@@ -817,53 +872,19 @@ class InstabilityPipeline:
         init_seed_b: int | None = None,
         sampling_seed_b: int | None = None,
     ) -> DownstreamResult:
-        """Train the downstream model pair and measure prediction disagreement.
+        """Train the downstream model pair of one embedding pair and measure
+        their prediction disagreement (see :meth:`downstream_results`)."""
+        (result,) = self.downstream_results(
+            task, [(emb_a, emb_b)], seed, model_type=model_type, use_crf=use_crf,
+            learning_rate=learning_rate, init_seed_b=init_seed_b,
+            sampling_seed_b=sampling_seed_b,
+        )
+        return result
 
-        ``init_seed_b`` / ``sampling_seed_b`` override the seeds of the second
-        model only, reproducing the "relaxed seed constraint" study of
-        Appendix E.3 / Figure 14a.
-        """
-        splits = self.dataset(task)
-        if task == NER_TASK_NAME:
-            tagger_a = self._train_tagger(emb_a, seed, use_crf=use_crf, learning_rate=learning_rate)
-            tagger_b = self._train_tagger(
-                emb_b, seed, use_crf=use_crf, learning_rate=learning_rate,
-                init_seed=init_seed_b, sampling_seed=sampling_seed_b,
-            )
-            disagreement = tagging_disagreement(tagger_a, tagger_b, splits.test, entity_only=True)
-            return DownstreamResult(
-                task=task,
-                disagreement=disagreement,
-                accuracy_a=tagger_a.entity_f1(splits.test),
-                accuracy_b=tagger_b.entity_f1(splits.test),
-            )
-        model_a = self._train_classifier(
-            emb_a, task, seed, model_type=model_type, learning_rate=learning_rate
-        )
-        model_b = self._train_classifier(
-            emb_b, task, seed, model_type=model_type, learning_rate=learning_rate,
-            init_seed=init_seed_b, sampling_seed=sampling_seed_b,
-        )
-        disagreement = classification_disagreement(model_a, model_b, splits.test)
-        return DownstreamResult(
-            task=task,
-            disagreement=disagreement,
-            accuracy_a=model_a.accuracy(splits.test),
-            accuracy_b=model_b.accuracy(splits.test),
-        )
-
-    def evaluate(
-        self,
-        task: str,
-        algorithm: str,
-        dim: int,
-        precision: int,
-        seed: int,
-        *,
-        model_type: str = "bow",
-        use_crf: bool = False,
-    ) -> DownstreamResult:
-        """Cached end-to-end evaluation of one grid point."""
+    def _downstream_key(
+        self, task: str, algorithm: str, dim: int, precision: int, seed: int,
+        model_type: str, use_crf: bool,
+    ) -> str:
         fields = self._quantized_fields(algorithm, dim, precision, seed)
         fields.update(
             kind="downstream",
@@ -882,26 +903,63 @@ class InstabilityPipeline:
             ner_learning_rate=self.config.ner_learning_rate,
             fine_tune=self.config.fine_tune_embeddings,
         )
-        key = config_hash(fields)
-        payload = self.store.get_json("downstream", key)
-        if payload is not None:
-            # Reconstruct once and memoise so repeated lookups keep identity.
-            result = self._downstream_results.get(key)
-            if result is None:
-                result = DownstreamResult(
+        return config_hash(fields)
+
+    def evaluate_many(
+        self,
+        cells: list[tuple[str, str, int, int, int]],
+        *,
+        model_type: str = "bow",
+        use_crf: bool = False,
+    ) -> list[DownstreamResult]:
+        """Cached end-to-end evaluation of many ``(task, algorithm, dim,
+        precision, seed)`` grid points, in order.
+
+        Cells whose result is stored are read back; the rest train through
+        one :meth:`downstream_results` call per (task, seed), so every
+        bucket of models sharing a training config trains in lockstep.  Each
+        result is stored under its cell's own key.
+        """
+        keys = [self._downstream_key(*cell, model_type, use_crf) for cell in cells]
+        missing: dict[tuple[str, int], dict[str, tuple]] = {}
+        for key, cell in zip(keys, cells):
+            payload = self.store.get_json("downstream", key)
+            if payload is None:
+                task, seed = cell[0], cell[4]
+                missing.setdefault((task, seed), {})[key] = cell
+            elif key not in self._downstream_results:
+                # Reconstruct once and memoise so repeated lookups keep identity.
+                self._downstream_results[key] = DownstreamResult(
                     task=payload["task"],
                     disagreement=payload["disagreement"],
                     accuracy_a=payload["accuracy_a"],
                     accuracy_b=payload["accuracy_b"],
                 )
+        for (task, seed), todo in missing.items():
+            pairs = [self.compressed_pair(*cell[1:]) for cell in todo.values()]
+            results = self.downstream_results(
+                task, pairs, seed, model_type=model_type, use_crf=use_crf
+            )
+            for key, result in zip(todo, results):
                 self._downstream_results[key] = result
-            return result
-        emb_a, emb_b = self.compressed_pair(algorithm, dim, precision, seed)
-        result = self.downstream_result(
-            task, emb_a, emb_b, seed, model_type=model_type, use_crf=use_crf
+                self.store.put_json("downstream", key, result)
+        return [self._downstream_results[key] for key in keys]
+
+    def evaluate(
+        self,
+        task: str,
+        algorithm: str,
+        dim: int,
+        precision: int,
+        seed: int,
+        *,
+        model_type: str = "bow",
+        use_crf: bool = False,
+    ) -> DownstreamResult:
+        """Cached end-to-end evaluation of one grid point."""
+        (result,) = self.evaluate_many(
+            [(task, algorithm, dim, precision, seed)], model_type=model_type, use_crf=use_crf
         )
-        self._downstream_results[key] = result
-        self.store.put_json("downstream", key, result)
         return result
 
     # -- bookkeeping ------------------------------------------------------------------

@@ -11,12 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.embeddings.base import Embedding as WordEmbedding
-from repro.models.trainer import EarlyStopper, TrainingConfig
+from repro.models.trainer import TrainingConfig, fit_lockstep
 from repro.nn import functional as F
 from repro.nn.conv import Conv1d, max_over_time
-from repro.nn.data import BatchIterator
 from repro.nn.layers import Dropout, Embedding as EmbeddingLayer, Linear, Module
-from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.tasks.datasets import TextClassificationDataset
 
@@ -91,39 +89,14 @@ class CNNClassifier(Module):
         train: TextClassificationDataset,
         val: TextClassificationDataset | None = None,
     ) -> dict:
-        cfg = self.config
-        params = list(self.parameters())
-        optimizer = (
-            Adam(params, lr=cfg.learning_rate)
-            if cfg.optimizer == "adam"
-            else SGD(params, lr=cfg.learning_rate)
+        def batch_loss(batch_idx: np.ndarray) -> Tensor:
+            logits = self.forward([train.documents[i] for i in batch_idx])
+            return F.cross_entropy(logits, train.labels[batch_idx])
+
+        (history,) = fit_lockstep(
+            self, self.config, len(train), batch_loss,
+            (lambda: [self.accuracy(val)]) if val is not None and len(val) else None,
         )
-        stopper = EarlyStopper(cfg.patience)
-        history: dict[str, list[float]] = {"train_loss": [], "val_accuracy": []}
-
-        for epoch in range(cfg.epochs):
-            self.train()
-            iterator = BatchIterator(len(train), cfg.batch_size, seed=cfg.sampling_seed + epoch)
-            epoch_loss, n_batches = 0.0, 0
-            for batch_idx in iterator:
-                docs = [train.documents[i] for i in batch_idx]
-                logits = self.forward(docs)
-                loss = F.cross_entropy(logits, train.labels[batch_idx])
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
-                n_batches += 1
-            history["train_loss"].append(epoch_loss / max(n_batches, 1))
-
-            if val is not None and len(val):
-                val_acc = self.accuracy(val)
-                history["val_accuracy"].append(val_acc)
-                if stopper.update(val_acc, self.state_dict()):
-                    break
-
-        if stopper.best_state is not None:
-            self.load_state_dict(stopper.best_state)
         return history
 
     # -- inference ---------------------------------------------------------------------

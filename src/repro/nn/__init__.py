@@ -12,7 +12,8 @@ node per call instead of a dozen tensors per step
 (:mod:`repro.nn.recurrent`), and :func:`functional.cross_entropy` is one
 node instead of the ``nll_loss(log_softmax(.))`` chain.  Both are
 bit-identical to the per-op graphs they replace; :class:`LSTMCell` remains
-the per-step op.
+the per-step op.  Layers, the cross-entropy and the optimisers also take a
+leading model axis, on which the downstream models train in lockstep.
 """
 
 from repro.nn.tensor import Tensor, no_grad

@@ -41,26 +41,30 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy between ``(n, c)`` logits and integer targets.
+    """Mean softmax cross-entropy between ``(..., n, c)`` logits and ``(n,)`` targets.
 
-    One graph node.  Its forward and its closed-form backward reproduce, bit
-    for bit, the loss and logit gradient of
+    One graph node.  Leading axes are independent models sharing the
+    targets: the loss has their shape (a scalar for ``(n, c)`` logits).
+    Its forward and its closed-form backward reproduce, bit for bit, each
+    model's loss and logit gradient of
     ``nll_loss(log_softmax(logits), targets)``: the same numpy expressions in
     the same order, including the clips in ``exp`` and ``log``.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(logits.shape[0])
+    rows = np.arange(logits.shape[-2])
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exp = np.exp(np.clip(shifted, -500, 500))
     total = np.clip(exp.sum(axis=-1, keepdims=True), 1e-300, None)
-    picked = (shifted - np.log(total))[rows, targets]
-    scale = 1.0 / picked.size
-    loss = -(picked.sum() * scale)
+    # Fancy indexing after a leading axis yields a strided array; a contiguous
+    # copy keeps each model's sum the pairwise sum of one model's losses.
+    picked = np.ascontiguousarray((shifted - np.log(total))[..., rows, targets])
+    scale = 1.0 / rows.size
+    loss = -(picked.sum(axis=-1) * scale)
 
     def backward(grad: np.ndarray) -> None:
-        picked_grad = -grad * scale
-        dlogits = -picked_grad / total * exp
-        dlogits[rows, targets] += picked_grad
+        picked_grad = -np.asarray(grad) * scale
+        dlogits = -picked_grad[..., None, None] / total * exp
+        dlogits[..., rows, targets] += picked_grad[..., None]
         logits._accumulate(dlogits)
 
     return logits._make(loss, (logits,), backward)

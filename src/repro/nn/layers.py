@@ -106,17 +106,29 @@ def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndar
 
 
 class Linear(Module):
-    """Affine layer ``y = x W + b``."""
+    """Affine layer ``y = x W + b``.
 
-    def __init__(self, in_features: int, out_features: int, *, bias: bool = True, seed: int = 0):
+    With ``models=M`` the layer holds ``M`` copies of its parameters on a
+    leading model axis -- ``(M, in, out)`` weights and ``(M, 1, out)`` biases,
+    each copy initialised like the single layer -- and maps inputs of shape
+    ``(..., M, batch, in)``.  Every model's product is its own matmul slice.
+    """
+
+    def __init__(
+        self, in_features: int, out_features: int, *, bias: bool = True, seed: int = 0,
+        models: int | None = None,
+    ):
         super().__init__()
         rng = check_random_state(seed)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(_init_weight(rng, in_features, out_features), requires_grad=True)
-        self.bias = (
-            Tensor(np.zeros(out_features), requires_grad=True) if bias else None
-        )
+        weight = _init_weight(rng, in_features, out_features)
+        bias_shape = (out_features,)
+        if models is not None:
+            weight = np.repeat(weight[None], models, axis=0)
+            bias_shape = (models, 1, out_features)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(bias_shape), requires_grad=True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -131,7 +143,9 @@ class Embedding(Module):
     Parameters
     ----------
     weight:
-        Initial ``(num_embeddings, dim)`` matrix (e.g. pre-trained vectors).
+        Initial ``(num_embeddings, dim)`` matrix (e.g. pre-trained vectors), or
+        a ``(models, num_embeddings, dim)`` stack of such tables: a lookup then
+        gathers the same ids from every table at once.
     trainable:
         Whether the table receives gradients (the paper's default pipeline
         freezes it; Appendix E.4 fine-tunes it).
@@ -140,9 +154,9 @@ class Embedding(Module):
     def __init__(self, weight: np.ndarray, *, trainable: bool = False):
         super().__init__()
         weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 2:
-            raise ValueError("embedding weight must be 2-D")
-        self.num_embeddings, self.dim = weight.shape
+        if weight.ndim not in (2, 3):
+            raise ValueError("embedding weight must be 2-D (or a 3-D stack of tables)")
+        self.num_embeddings, self.dim = weight.shape[-2:]
         self.trainable = bool(trainable)
         if self.trainable:
             self.weight = Tensor(weight.copy(), requires_grad=True)
@@ -150,15 +164,18 @@ class Embedding(Module):
             self.weight = Tensor(weight.copy())
 
     def forward(self, indices: np.ndarray) -> Tensor:
+        """Rows of ``indices``: ``(*indices.shape, dim)``, after the model axis if stacked."""
         indices = np.asarray(indices, dtype=np.int64)
+        if self.weight.ndim == 3:
+            return self.weight[:, indices]
         return self.weight[indices]
 
     def mean_of(self, indices: np.ndarray) -> Tensor:
         """Mean embedding of a bag of word ids (empty bags map to zeros)."""
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
-            return Tensor(np.zeros(self.dim))
-        return self.forward(indices).mean(axis=0)
+            return Tensor(np.zeros(self.weight.shape[:-2] + (self.dim,)))
+        return self.forward(indices).mean(axis=-2)
 
 
 class Dropout(Module):

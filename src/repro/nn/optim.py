@@ -3,6 +3,14 @@
 The paper trains the sentiment models with Adam and the NER BiLSTM with
 vanilla SGD plus learning-rate annealing on validation plateaus; both are
 provided here.
+
+An optimiser steps ``models`` independent models at once: the downstream
+models train in lockstep on a leading model axis (see
+:func:`repro.models.trainer.fit_lockstep`), so every parameter is read as
+``models`` rows.  Each model has its own learning rate and its own gradient
+clipping norm; every update is elementwise, so a model's rows change exactly
+as they would in an optimiser of its own.  With ``models=1`` (the default)
+a parameter of any shape is one row.
 """
 
 from __future__ import annotations
@@ -17,13 +25,16 @@ __all__ = ["Optimizer", "SGD", "Adam"]
 class Optimizer:
     """Base optimiser over a list of parameters."""
 
-    def __init__(self, parameters, lr: float) -> None:
+    def __init__(self, parameters, lr: float, *, models: int = 1) -> None:
         self.parameters: list[Tensor] = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = float(lr)
+        if models < 1:
+            raise ValueError("models must be positive")
+        self.models = int(models)
+        #: One learning rate per model.
+        self.lr = np.empty(self.models)
+        self.set_lr(lr)
 
     def zero_grad(self) -> None:
         for p in self.parameters:
@@ -32,17 +43,28 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def set_lr(self, lr: float) -> None:
+    def set_lr(self, lr: float, *, model: int | None = None) -> None:
+        """Set the learning rate of one model, or of every model."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
-        self.lr = float(lr)
+        if model is None:
+            self.lr[:] = lr
+        else:
+            self.lr[model] = lr
+
+    def _rate(self, p: Tensor) -> np.ndarray:
+        """The learning rates, shaped to broadcast over ``p``'s model rows."""
+        return self.lr.reshape((self.models,) + (1,) * (p.data.ndim - 1))
 
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and gradient clipping."""
 
-    def __init__(self, parameters, lr: float, *, momentum: float = 0.0, clip_norm: float | None = 5.0):
-        super().__init__(parameters, lr)
+    def __init__(
+        self, parameters, lr: float, *, momentum: float = 0.0, clip_norm: float | None = 5.0,
+        models: int = 1,
+    ):
+        super().__init__(parameters, lr, models=models)
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = float(momentum)
@@ -51,16 +73,16 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         if self.clip_norm is not None:
-            _clip_gradients(self.parameters, self.clip_norm)
+            _clip_gradients(self.parameters, self.clip_norm, self.models)
         for p, v in zip(self.parameters, self._velocity):
             if p.grad is None:
                 continue
             if self.momentum > 0:
                 v *= self.momentum
                 v += p.grad
-                p.data -= self.lr * v
+                p.data -= self._rate(p) * v
             else:
-                p.data -= self.lr * p.grad
+                p.data -= self._rate(p) * p.grad
 
 
 class Adam(Optimizer):
@@ -74,8 +96,9 @@ class Adam(Optimizer):
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         clip_norm: float | None = None,
+        models: int = 1,
     ):
-        super().__init__(parameters, lr)
+        super().__init__(parameters, lr, models=models)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.clip_norm = clip_norm
@@ -85,7 +108,7 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         if self.clip_norm is not None:
-            _clip_gradients(self.parameters, self.clip_norm)
+            _clip_gradients(self.parameters, self.clip_norm, self.models)
         self._step += 1
         bias1 = 1.0 - self.beta1**self._step
         bias2 = 1.0 - self.beta2**self._step
@@ -98,19 +121,26 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * (p.grad**2)
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self._rate(p) * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _clip_gradients(parameters: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = 0.0
+def _clip_gradients(parameters: list[Tensor], max_norm: float, models: int = 1) -> np.ndarray:
+    """Scale each model's gradients so their global L2 norm is at most ``max_norm``.
+
+    A model's squared norm is summed parameter by parameter, each parameter's
+    row summed on its own, so it equals the norm of that model's gradients
+    alone.  Returns the per-model norms before clipping.
+    """
+    total = np.zeros(models)
     for p in parameters:
         if p.grad is not None:
-            total += float(np.sum(p.grad**2))
+            total += np.sum((p.grad**2).reshape(models, -1), axis=1)
     norm = np.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
+    clipped = (norm > max_norm) & (norm > 0)
+    if clipped.any():
+        scale = np.ones(models)
+        np.divide(max_norm, norm, out=scale, where=clipped)
         for p in parameters:
             if p.grad is not None:
-                p.grad *= scale
-    return float(norm)
+                p.grad *= scale.reshape((models,) + (1,) * (p.grad.ndim - 1))
+    return norm

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig
+from repro.engine import ArtifactStore
 from repro.instability.grid import GridRunner, average_over_seeds, records_to_rows
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
 from repro.models.bilstm_tagger import BiLSTMTagger
@@ -108,27 +109,61 @@ class TestPipeline:
     @pytest.mark.parametrize("model", ["bilstm", "bow"])
     def test_downstream_train_span_reads_the_fit_history(self, tiny_pipeline, model, monkeypatch):
         model_class = BiLSTMTagger if model == "bilstm" else BowClassifier
-        histories = []
+        task = "conll" if model == "bilstm" else "sst2"
+        fits = []
         fit = model_class.fit
 
         def recording_fit(self, *args, **kwargs):
-            histories.append(fit(self, *args, **kwargs))
-            return histories[-1]
+            fits.append(fit(self, *args, **kwargs))
+            return fits[-1]
 
         monkeypatch.setattr(model_class, "fit", recording_fit)
-        embedding = tiny_pipeline.embedding_pair("svd", 6, 0)[0]
-        trace = Trace("test")
-        with trace.active():
-            if model == "bilstm":
-                tiny_pipeline._train_tagger(embedding, 0)
-            else:
-                tiny_pipeline._train_classifier(embedding, "sst2", 0)
-        (row,) = [r for r in trace.span_rows() if r["name"] == "pipeline.downstream_train"]
-        (history,) = histories
-        assert row["attrs"]["model"] == model
-        assert row["attrs"]["epochs_run"] == len(history["train_loss"]) > 0
-        assert row["attrs"]["final_train_loss"] == history["train_loss"][-1]
-        assert row["attrs"]["best_val_accuracy"] == max(history["val_accuracy"])
+        tables = [
+            emb for precision in (1, 32)
+            for emb in tiny_pipeline.compressed_pair("svd", 6, precision, 0)
+        ]
+        config = tiny_pipeline.training_config(task, 0)
+        n_train = len(tiny_pipeline.dataset(task).train)
+        for embeddings in (tables[:1], tables):
+            fits.clear()
+            trace = Trace("test")
+            with trace.active():
+                tiny_pipeline.fit_downstream(task, config, embeddings)
+            (row,) = [r for r in trace.span_rows() if r["name"] == "pipeline.downstream_train"]
+            (histories,) = fits
+            attrs = row["attrs"]
+            assert attrs["model"] == model and attrs["models"] == len(embeddings)
+            assert attrs["batches_per_epoch"] == -(-n_train // config.batch_size)
+            epochs = [len(history["train_loss"]) for history in histories]
+            assert attrs["epochs_run"] == epochs and min(epochs) > 0
+            assert attrs["stopped_epoch"] == [n if n < config.epochs else None for n in epochs]
+            assert attrs["final_train_loss"] == [h["train_loss"][-1] for h in histories]
+            assert attrs["best_val_accuracy"] == [max(h["val_accuracy"]) for h in histories]
+
+    def test_evaluate_many_equals_cell_by_cell(self, tiny_pipeline):
+        cells = [
+            (task, "svd", dim, precision, 0)
+            for dim in (6, 12) for precision in (1, 32) for task in ("sst2", "conll")
+        ]
+        grouped = InstabilityPipeline(tiny_pipeline.config, store=ArtifactStore())
+        one_by_one = InstabilityPipeline(tiny_pipeline.config, store=ArtifactStore())
+        assert grouped.evaluate_many(cells) == [one_by_one.evaluate(*cell) for cell in cells]
+        assert grouped.downstream_train_count == one_by_one.downstream_train_count == 16
+
+    def test_explicit_zero_learning_rate_is_rejected(self, tiny_pipeline):
+        for task in ("sst2", "conll"):
+            with pytest.raises(ValueError, match="learning_rate"):
+                tiny_pipeline.training_config(task, 0, learning_rate=0.0)
+        emb_a, emb_b = tiny_pipeline.embedding_pair("svd", 6, 0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            tiny_pipeline.downstream_result("sst2", emb_a, emb_b, 0, learning_rate=0.0)
+
+    def test_training_config_ties_seeds_unless_overridden(self, tiny_pipeline):
+        tied = tiny_pipeline.training_config("sst2", 3)
+        assert (tied.init_seed, tied.sampling_seed) == (3, 3)
+        relaxed = tiny_pipeline.training_config("conll", 3, init_seed=9, sampling_seed=11)
+        assert (relaxed.init_seed, relaxed.sampling_seed) == (9, 11)
+        assert relaxed.optimizer == tiny_pipeline.config.ner_optimizer
 
 
 class TestGridRunner:

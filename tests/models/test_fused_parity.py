@@ -1,9 +1,14 @@
-"""Whole fits with the fused kernels equal fits on the per-op autograd path.
+"""Whole fits as shipped equal their reference fits, bit for bit.
 
-Each model is trained twice from the same seeds: as shipped, and with the
-per-op references of ``tests/nn/reference.py`` monkeypatched in for
-``BiLSTM.forward`` and ``functional.cross_entropy``.  The histories and
-every trained parameter must be bitwise equal.
+Fused kernels: each model is trained twice from the same seeds, as shipped
+and with the per-op references of ``tests/nn/reference.py`` monkeypatched in
+for ``BiLSTM.forward`` and ``functional.cross_entropy``.
+
+Lockstep stacks: a model built on ``M`` embedding tables is trained twice,
+as shipped (all ``M`` in lockstep) and through the one-model-at-a-time fit
+of ``tests/models/reference.py``.
+
+Either way the histories and every trained parameter must be bitwise equal.
 """
 
 from collections import Counter
@@ -15,7 +20,9 @@ from repro.models.bilstm_tagger import BiLSTMTagger
 from repro.models.bow_classifier import BowClassifier
 from repro.models.cnn_classifier import CNNClassifier
 from repro.models.trainer import TrainingConfig
+from repro.nn import optim
 from repro.tasks.datasets import train_val_test_split
+from tests.models.reference import patch_one_at_a_time
 from tests.nn.reference import patch_per_op
 
 
@@ -93,3 +100,151 @@ def test_bow_fit_computes_frozen_features_once(embedding, sentiment_splits, monk
     assert len(history["val_accuracy"]) == 5
     # Once for the training set and once for the validation set.
     assert documents_seen == [len(sentiment_splits.train), len(sentiment_splits.val)]
+
+
+# -- lockstep stacks against one-model-at-a-time fits ---------------------------
+
+
+def _tables(embedding, models, *, seed=0):
+    """``models`` distinct tables around ``embedding``, each a scaled and
+    perturbed copy so the models train (and stop) differently."""
+    rng = np.random.default_rng(seed)
+    base = embedding.vectors
+    return [
+        base * (0.2 + 0.3 * m) + rng.normal(scale=0.05 * m, size=base.shape)
+        for m in range(models)
+    ]
+
+
+def _assert_stack_parity(build, train, val, monkeypatch):
+    """A lockstep fit of ``build()`` equals fitting its tables one at a time."""
+    stack = build()
+    histories = stack.fit(train, val)
+    calls: Counter = Counter()
+    with monkeypatch.context() as patch:
+        patch_one_at_a_time(patch, calls)
+        reference = build()
+        reference_histories = reference.fit(train, val)
+    assert calls["one_at_a_time"] == stack.models == len(histories)
+    assert histories == reference_histories
+    state, reference_state = stack.state_dict(), reference.state_dict()
+    assert state.keys() == reference_state.keys()
+    for name, value in state.items():
+        assert np.array_equal(value, reference_state[name]), name
+    return histories
+
+
+@pytest.mark.parametrize("models", [1, 4, 10])
+def test_bilstm_stack_with_adam_matches_one_at_a_time(embedding, ner_splits, models, monkeypatch):
+    config = TrainingConfig(
+        optimizer="adam", learning_rate=0.02, epochs=3, patience=None, batch_size=7,
+    ).with_seed(4)
+    tables = _tables(embedding, models)
+
+    def build():
+        return BiLSTMTagger(tables, ner_splits.train.num_tags, hidden_dim=8, config=config)
+
+    # 36 training sentences in batches of 7: a short final batch of one.
+    assert len(ner_splits.train) % config.batch_size == 1
+    _assert_stack_parity(build, ner_splits.train, ner_splits.val, monkeypatch)
+
+
+@pytest.mark.parametrize("models", [1, 4, 10])
+def test_bilstm_stack_with_clipped_sgd_matches_one_at_a_time(
+    embedding, ner_splits, models, monkeypatch
+):
+    config = TrainingConfig(
+        optimizer="sgd", learning_rate=0.5, epochs=6, patience=3, anneal_factor=0.5,
+        batch_size=10,
+    ).with_seed(6)
+    # Tables 1/16x to 4**7x the embedding, clipped at 0.5 instead of SGD's 5.0:
+    # in one step some models' gradient norms exceed the bound and are scaled
+    # down while others are not.
+    tables = [embedding.vectors * 4.0 ** (m - 2) for m in range(models)]
+    norms = []
+    clip = optim._clip_gradients
+
+    def recording_clip(parameters, max_norm, models=1):
+        norms.append(clip(parameters, 0.5, models))
+        return norms[-1]
+
+    def build():
+        return BiLSTMTagger(tables, ner_splits.train.num_tags, hidden_dim=6, config=config)
+
+    monkeypatch.setattr(optim, "_clip_gradients", recording_clip)
+    _assert_stack_parity(build, ner_splits.train, ner_splits.val, monkeypatch)
+    stacked = np.array([n for n in norms if n.size == models])
+    assert (stacked > 0.5).any()
+    if models > 1:
+        assert ((stacked > 0.5) & (stacked <= 0.5).any(axis=1, keepdims=True)).any()
+
+
+@pytest.mark.parametrize("models", [1, 4, 10])
+def test_fine_tuned_bilstm_stack_matches_one_at_a_time(embedding, ner_splits, models, monkeypatch):
+    config = TrainingConfig(
+        optimizer="adam", learning_rate=0.02, epochs=2, patience=None,
+        fine_tune_embeddings=True, batch_size=16,
+    ).with_seed(3)
+    tables = _tables(embedding, models)
+
+    def build():
+        return BiLSTMTagger(tables, ner_splits.train.num_tags, hidden_dim=8, config=config)
+
+    _assert_stack_parity(build, ner_splits.train, ner_splits.val, monkeypatch)
+
+
+@pytest.mark.parametrize("models", [1, 4, 10])
+def test_bow_stack_with_early_stopping_matches_one_at_a_time(
+    embedding, sentiment_splits, models, monkeypatch
+):
+    config = TrainingConfig(
+        learning_rate=0.01, epochs=25, patience=2, batch_size=9,
+    ).with_seed(2)
+    tables = _tables(embedding, models, seed=10)
+
+    def build():
+        return BowClassifier(tables, config=config)
+
+    assert len(sentiment_splits.train) % config.batch_size != 0
+    histories = _assert_stack_parity(build, sentiment_splits.train, sentiment_splits.val, monkeypatch)
+    stops = [len(history["train_loss"]) for history in histories]
+    assert max(stops) < config.epochs
+    if models > 1:
+        # Models leave the stack at different epochs.
+        assert len(set(stops)) > 1
+
+
+@pytest.mark.parametrize("models", [1, 4, 10])
+def test_fine_tuned_bow_stack_with_a_batch_of_one_matches_one_at_a_time(
+    embedding, sentiment_splits, models, monkeypatch
+):
+    config = TrainingConfig(
+        learning_rate=0.05, epochs=2, patience=None, batch_size=8, fine_tune_embeddings=True,
+    ).with_seed(1)
+    tables = _tables(embedding, models)
+    train = sentiment_splits.train.subset(np.arange(17))
+
+    def build():
+        return BowClassifier(tables, config=config)
+
+    _assert_stack_parity(build, train, sentiment_splits.val, monkeypatch)
+
+
+def test_stack_results_are_per_model(embedding, sentiment_splits):
+    config = TrainingConfig(epochs=2, patience=None).with_seed(0)
+    tables = _tables(embedding, 3)
+    stack = BowClassifier(tables, config=config)
+    histories = stack.fit(sentiment_splits.train)
+    assert len(histories) == 3
+    predictions = stack.predict(sentiment_splits.test)
+    assert predictions.shape == (3, len(sentiment_splits.test))
+    for m, table in enumerate(tables):
+        single = BowClassifier(table, config=config)
+        assert single.fit(sentiment_splits.train) == histories[m]
+        assert np.array_equal(single.predict(sentiment_splits.test), predictions[m])
+        assert single.accuracy(sentiment_splits.test) == stack.accuracy(sentiment_splits.test)[m]
+
+
+def test_crf_tagger_takes_one_table(embedding, ner_splits):
+    with pytest.raises(ValueError, match="one embedding table"):
+        BiLSTMTagger(_tables(embedding, 2), ner_splits.train.num_tags, use_crf=True)

@@ -3,9 +3,9 @@
 ``unrolled_lstm``/``unrolled_bilstm`` unroll :meth:`LSTMCell.forward`
 through the autograd engine step by step, collecting hidden states with
 ``Tensor.stack`` and joining directions with ``Tensor.concatenate``;
-``per_op_cross_entropy`` chains ``nll_loss(log_softmax(.))``.  Their
-signatures match the methods they stand in for, so ``patch_per_op`` can
-monkeypatch them in.
+``per_op_cross_entropy`` chains ``nll_loss(log_softmax(.))``, once per model
+when the logits carry a leading model axis.  Their signatures match the
+methods they stand in for, so ``patch_per_op`` can monkeypatch them in.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.nn.tensor import Tensor
 
 def unrolled_lstm(lstm: LSTM, inputs: Tensor, *, reverse: bool = False) -> Tensor:
     cell = lstm.cell
-    seq_len, batch = inputs.shape[0], inputs.shape[1]
+    seq_len, batch = inputs.shape[0], inputs.shape[-2]
     state = cell.initial_state(batch)
     order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
     outputs: list[Tensor | None] = [None] * seq_len
@@ -39,7 +39,9 @@ def unrolled_bilstm(bilstm: BiLSTM, inputs: Tensor) -> Tensor:
 
 
 def per_op_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    return F.nll_loss(F.log_softmax(logits, axis=-1), targets)
+    if logits.ndim == 2:
+        return F.nll_loss(F.log_softmax(logits, axis=-1), targets)
+    return Tensor.stack([per_op_cross_entropy(logits[m], targets) for m in range(len(logits.data))])
 
 
 def patch_per_op(monkeypatch, calls: Counter) -> None:

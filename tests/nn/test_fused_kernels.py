@@ -74,7 +74,9 @@ def _check_lstm(seq_len, batch, dim, hidden, *, reverse, input_grad, seed=0):
 class TestFusedBiLSTM:
     @pytest.mark.parametrize(
         "seq_len,batch,dim,half",
-        [(1, 4, 5, 3), (6, 1, 7, 4), (1, 1, 3, 2), (9, 32, 12, 8), (14, 32, 8, 8)],
+        # dim 1 makes the input-weight gradient a matrix-vector product, whose
+        # rounding depends on the input vector's stride.
+        [(1, 4, 5, 3), (6, 1, 7, 4), (1, 1, 3, 2), (9, 32, 12, 8), (14, 32, 8, 8), (2, 2, 1, 1)],
     )
     @pytest.mark.parametrize("input_grad", [False, True])
     def test_bitwise_equal_to_unrolled_cells(self, seq_len, batch, dim, half, input_grad):
@@ -193,3 +195,69 @@ class TestFusedCrossEntropy:
         with no_grad():
             loss = F.cross_entropy(x, np.array([0, 1, 2, 0, 1]))
         assert not loss.requires_grad and loss._prev == ()
+
+
+class TestModelAxis:
+    """A layer with ``models=M`` equals ``M`` single layers, slice by slice."""
+
+    @pytest.mark.parametrize(
+        "seq_len,batch,dim,half,models",
+        [(1, 1, 3, 2, 1), (6, 1, 7, 4, 3), (9, 5, 12, 3, 4), (14, 32, 8, 8, 10)],
+    )
+    @pytest.mark.parametrize("input_grad", [False, True])
+    def test_stacked_bilstm_equals_single_bilstms(
+        self, seq_len, batch, dim, half, models, input_grad
+    ):
+        rng = np.random.default_rng(seq_len + batch)
+        stacked = BiLSTM(dim, 2 * half, seed=3, models=models)
+        for param in stacked.parameters():  # make the models differ
+            param.data = param.data + 0.1 * rng.standard_normal(param.shape)
+        data = rng.standard_normal((batch, seq_len, models, dim)).transpose(1, 2, 0, 3)
+        out_grad = rng.standard_normal((seq_len, models, batch, 2 * half))
+        out, _, grads, x_grad = _run(stacked, stacked, data, out_grad, input_grad=input_grad)
+        for m in range(models):
+            single = BiLSTM(dim, 2 * half, seed=3)
+            for param, stacked_param in zip(single.parameters(), stacked.parameters()):
+                param.data = stacked_param.data[m].reshape(param.shape).copy()
+            ref_out, _, ref_grads, ref_x_grad = _run(
+                single, single, data[:, m], out_grad[:, m], input_grad=input_grad
+            )
+            assert np.array_equal(out[:, m], ref_out)
+            for grad, ref_grad in zip(grads, ref_grads):
+                assert np.array_equal(grad[m].reshape(ref_grad.shape), ref_grad)
+            if input_grad:
+                assert np.array_equal(x_grad[:, m], ref_x_grad)
+
+    def test_stacked_cells_step_like_the_fused_scan(self, rng):
+        stacked = BiLSTM(5, 6, seed=1, models=3)
+        data = rng.standard_normal((4, 3, 2, 5))
+        out_grad = rng.standard_normal((4, 3, 2, 6))
+        fused = _run(stacked, stacked, data, out_grad, input_grad=True)
+        reference = _run(
+            stacked, lambda x: unrolled_bilstm(stacked, x), data, out_grad, input_grad=True
+        )
+        _assert_bitwise(fused, reference, input_grad=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        models=st.integers(1, 10),
+        n=st.integers(1, 64),
+        classes=st.integers(2, 9),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_cross_entropy_equals_one_per_model(self, models, n, classes, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((models, n, classes)) * scale
+        targets = rng.integers(0, classes, n)
+        upstream = rng.standard_normal(models)
+        x = Tensor(logits, requires_grad=True)
+        loss = F.cross_entropy(x, targets)
+        assert loss.shape == (models,)
+        loss.backward(upstream)
+        for m in range(models):
+            single = Tensor(logits[m], requires_grad=True)
+            single_loss = F.cross_entropy(single, targets)
+            single_loss.backward(upstream[m])
+            assert np.array_equal(loss.data[m], single_loss.data)
+            assert np.array_equal(x.grad[m], single.grad)
