@@ -24,7 +24,7 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the complex-downstream-model sweep (Figure 13)."""
     pipe = resolve_pipeline(pipeline)
-    dims = dimensions or tuple(sorted(pipe.config.dimensions)[:2] + (max(pipe.config.dimensions),))
+    dims = dimensions or (*sorted(pipe.config.dimensions)[:2], max(pipe.config.dimensions))
 
     rows = []
     for dim in sorted(set(dims)):

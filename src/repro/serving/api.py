@@ -63,17 +63,21 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   (snapshot cut, retrain started, measures ready, drift alert) as NDJSON --
   ``since=<seq>`` replays buffered events, ``follow=true`` tails.
 
-Built on ``asyncio.start_server`` and nothing else -- no third-party web
-framework -- so the serving layer runs anywhere the reproduction runs.
-Blocking numerical work happens on the service's bounded thread pool; the
-event loop only parses requests, derives ``/measure`` tags and shuttles
-bytes.  Connections are **keep-alive** (HTTP/1.1 semantics) so a peer's
-store tier reuses one TCP connection across artifact fetches, and every
-non-streaming request is bounded by a per-request timeout
-(``--request-timeout``).  Request *reads* are separately bounded: headers
-and body must arrive within a read timeout once the request line lands, and
-concurrent connections are capped (503 beyond the cap), so slow clients
-cannot pin memory or connection tasks.
+The HTTP core is one :class:`asyncio.Protocol` per connection (no
+third-party web framework), so the serving layer runs anywhere the
+reproduction runs.  It parses requests straight from the bytes the socket
+delivered.  A stored ``/measure`` body or a ``304`` revalidation is written
+within that same event-loop turn -- parse, trace, histogram sample, access
+log and write, with no task, executor hop or timer of its own.  Every other
+request runs as one coroutine; blocking numerical work happens on the
+service's bounded thread pool, and the requests pipelined behind it on the
+same connection wait their turn.  Connections are **keep-alive** (HTTP/1.1
+semantics) so a peer's store tier reuses one TCP connection across artifact
+fetches, and every non-streaming request is bounded by a per-request
+timeout (``--request-timeout``).  Request *reads* are separately bounded:
+headers and body must arrive within a read timeout once the request line
+lands, and concurrent connections are capped (503 beyond the cap), so slow
+clients cannot pin memory or connections.
 
 Run it::
 
@@ -94,10 +98,10 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from contextvars import ContextVar
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Iterator
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.corpus.synthetic import SyntheticCorpusConfig
@@ -114,17 +118,22 @@ __all__ = ["StabilityAPIServer", "quick_serve_config", "main"]
 
 _REASONS = {
     200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
+    405: "Method Not Allowed", 413: "Payload Too Large", 414: "URI Too Long",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+#: Longest request line, without its line ending.
+_MAX_REQUEST_LINE = 1 << 16
 #: Total header bytes per request; a fast client must not be able to buffer
 #: unbounded header lines for the whole read-timeout window.
 _MAX_HEADER_BYTES = 1 << 14
 _MAX_BODY_BYTES = 1 << 20
 #: Raw /artifacts payloads (npz embedding pairs) dwarf JSON request bodies.
 _MAX_ARTIFACT_BYTES = 1 << 28
+#: Bytes a connection buffers while it serves a request; beyond them it
+#: stops reading the socket until it gets back to parsing.
+_MAX_PIPELINED_BYTES = 1 << 17
 #: Computed ``/measure`` bodies one server keeps (least recently used
 #: evicted first); at 0.5-1 KB a body the table stays at a few MB.
 _MEASURE_BODY_ENTRIES = 4096
@@ -133,13 +142,8 @@ _MEASURE_BODY_ENTRIES = 4096
 _ARTIFACT_PATH = re.compile(
     r"^/artifacts/([A-Za-z0-9_\-]{1,64})/([A-Za-z0-9_\-]{1,128}\.(?:json|npz))$"
 )
-#: Trace id of the request being dispatched -- echoed as ``X-Trace-Id`` on
-#: every response written for it (including untraced/NullTrace requests,
-#: whose id still lets a client correlate logs) -- and the last status
-#: written, read by the access log after the handler returns.  Both are
-#: per-task, so concurrent connections never see each other's values.
-_RESPONSE_TRACE: ContextVar[str | None] = ContextVar("repro_api_trace", default=None)
-_LAST_STATUS: ContextVar[int] = ContextVar("repro_api_status", default=200)
+#: Paths answered with a chunked NDJSON stream that ends the connection.
+_STREAMS = ("/grid", "/monitor/events")
 
 
 class APIError(Exception):
@@ -167,8 +171,9 @@ class _RawResponse:
     """A handler result carrying ready bytes and its own status and headers.
 
     Handlers normally return a plain payload dict (written as a 200 JSON
-    body); ones serving Prometheus text or stored ``/measure`` bytes, or a
-    conditional ``304 Not Modified`` with an empty body, return this.
+    body); ones serving Prometheus text, NDJSON trace rows, artifact bytes
+    or a ``/measure`` answer with its ETag, or a conditional ``304 Not
+    Modified`` with an empty body, return this.
     """
 
     status: int
@@ -177,49 +182,22 @@ class _RawResponse:
     headers: dict[str, str] = field(default_factory=dict)
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-    idle_timeout: float | None = None,
-    read_timeout: float | None = None,
-) -> _Request | None:
-    """Parse one HTTP/1.1 request (request line, headers, optional body).
+def _parse_head(line: bytes, block: bytes) -> tuple[_Request, int]:
+    """The request of a request line and header block, and its body length.
 
-    Two clocks bound the read.  ``idle_timeout`` covers only the wait for
-    the request line -- the keep-alive idle gap.  ``read_timeout`` covers
-    everything after it: a client must deliver its complete headers and
-    body (up to 256 MB on /artifacts PUTs) within that window, so slow or
-    malicious clients cannot pin buffered bytes and a connection task
-    indefinitely by trickling a request.  Either expiry raises
-    ``asyncio.TimeoutError`` to the caller, which closes the connection.
-    JSON bodies merge into the query parameters (body wins); ``/artifacts``
-    bodies stay raw bytes -- they are opaque store payloads.
+    ``block`` holds the header lines, each with its line ending (CRLF or a
+    bare LF).  Raises :class:`APIError` for an unparseable request line or
+    ``Content-Length``, and for a body over its limit: 1 MB of JSON that
+    merges into the query parameters, or 256 MB of raw ``/artifacts``
+    payload.
     """
-    line = await asyncio.wait_for(reader.readline(), timeout=idle_timeout)
-    if not line:
-        return None
-    return await asyncio.wait_for(
-        _read_request_rest(reader, line), timeout=read_timeout
-    )
-
-
-async def _read_request_rest(
-    reader: asyncio.StreamReader, line: bytes
-) -> _Request:
-    """Headers and body of one request whose request line is ``line``."""
     try:
         method, target, version = line.decode("latin1").split(" ", 2)
     except ValueError as error:
         raise APIError(400, f"malformed request line: {error}") from error
     headers: dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        header_bytes += len(header)
-        if header_bytes > _MAX_HEADER_BYTES:
-            raise APIError(431, f"request headers over {_MAX_HEADER_BYTES} bytes")
-        name, _, value = header.decode("latin1").partition(":")
+    for header in block.decode("latin1").split("\n")[:-1]:
+        name, _, value = header.partition(":")
         headers[name.strip().lower()] = value.strip()
 
     split = urlsplit(target)
@@ -227,8 +205,7 @@ async def _read_request_rest(
     params: dict[str, str | object] = {
         key: values[-1] for key, values in parse_qs(split.query).items()
     }
-    raw = path.startswith("/artifacts/")
-    limit = _MAX_ARTIFACT_BYTES if raw else _MAX_BODY_BYTES
+    limit = _MAX_ARTIFACT_BYTES if path.startswith("/artifacts/") else _MAX_BODY_BYTES
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:
@@ -237,25 +214,16 @@ async def _read_request_rest(
         raise APIError(400, "malformed Content-Length header")
     if length > limit:
         raise APIError(413, f"request body over {limit} bytes")
-    body = await reader.readexactly(length) if length else b""
-    if body and not raw:
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as error:
-            raise APIError(400, f"request body is not valid JSON: {error}") from error
-        if not isinstance(payload, dict):
-            raise APIError(400, "JSON request body must be an object")
-        params.update(payload)
-        body = b""
     connection = headers.get("connection", "").lower()
     keep_alive = (
         connection == "keep-alive"
         or (version.strip().upper() == "HTTP/1.1" and connection != "close")
     )
-    return _Request(
+    request = _Request(
         method=method.upper(), path=path, params=params,
-        headers=headers, body=body, keep_alive=keep_alive,
+        headers=headers, keep_alive=keep_alive,
     )
+    return request, length
 
 
 # -- parameter coercion ---------------------------------------------------------
@@ -338,6 +306,312 @@ def _etag_matches(if_none_match: str | None, name: str) -> bool:
     return False
 
 
+# -- the connection --------------------------------------------------------------
+
+
+class _Connection(asyncio.Protocol):
+    """One client socket: requests parsed from its buffer, answered in order.
+
+    ``data_received`` parses every complete request in the buffer.  A
+    stored ``/measure`` body or a 304 is written right there (see
+    :meth:`StabilityAPIServer._answer_now`); any other request runs as one
+    coroutine, and the requests behind it wait in the buffer until it has
+    answered.  Nothing is parsed while the transport has paused writing.
+
+    One timer bounds the waits: ``keepalive_timeout`` for the request line
+    of the next request, then ``read_timeout`` for the headers and body of
+    a request whose line has arrived -- armed once per request, so a client
+    trickling bytes does not extend it.  Expiry drops the connection
+    without an answer.  No read deadline runs while a request is served;
+    ``request_timeout`` bounds handlers instead.
+    """
+
+    def __init__(self, server: "StabilityAPIServer") -> None:
+        self.server = server
+        self.loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: A request whose head is parsed and whose body is still arriving:
+        #: the request, where its body starts in the buffer, and its length.
+        self.head: tuple[_Request, int, int] | None = None
+        #: The coroutine serving the current request, if one is.
+        self.task: asyncio.Task | None = None
+        #: When the connection is dropped (loop time), or None while serving.
+        self.deadline: float | None = None
+        self.timer: asyncio.TimerHandle | None = None
+        self.timer_at = 0.0
+        #: Whether the read deadline of the request under way is armed.
+        self.reading = False
+        self.writing_paused = False
+        self.reading_paused = False
+        self.eof = False
+        self.closed = False
+        self.drained: asyncio.Future | None = None
+        #: Cancels the NDJSON stream on this connection once the client
+        #: hangs up (see :meth:`watch`).
+        self.on_abandon: Callable[[], None] | None = None
+        #: ``X-Trace-Id`` of the responses to the current request, and the
+        #: status last written (read by the access log).
+        self.trace_id: str | None = None
+        self.status = 200
+
+    # -- protocol callbacks ------------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        server = self.server
+        cap = server.max_connections
+        if cap is not None and len(server._connections) >= cap:
+            self.respond_json(
+                503, {"error": f"over {cap} concurrent connections"}, close=True
+            )
+            transport.close()
+            return
+        server._connections.add(self)
+        self._arm(server.keepalive_timeout)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.on_abandon is not None:
+            self._abandon()                  # stray bytes on a stream
+        elif self.task is None and not self.writing_paused:
+            self._process()
+        elif len(self.buffer) > _MAX_PIPELINED_BYTES and not self.reading_paused:
+            self.reading_paused = True
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.on_abandon is not None:
+            self._abandon()
+        elif self.task is None and not self.writing_paused:
+            self._process()                  # closes once no request is left
+        # Keep the transport open: answers still to come get written.
+        return True
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self.server._connections.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self._abandon()
+        self._wake()
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self._wake()
+        if self.task is None:
+            self._process()
+
+    # -- requests ------------------------------------------------------------------
+
+    def _process(self) -> None:
+        """Answer the buffered requests in order, until one needs a coroutine."""
+        if self.reading_paused:
+            self.reading_paused = False
+            self.transport.resume_reading()
+        while (
+            self.task is None and not self.writing_paused
+            and not self.transport.is_closing()
+        ):
+            try:
+                request = self._parse()
+                if request is None:
+                    if self.eof:
+                        self.transport.close()
+                    return
+                if not self.server._answer_now(request, self):
+                    self.task = self.loop.create_task(self._serve(request))
+                    return
+            except APIError as error:
+                # Framing errors leave the stream unparseable: answer, close.
+                self.respond_json(error.status, {"error": str(error)}, close=True)
+                self.transport.close()
+                return
+            except Exception:  # pragma: no cover - last-resort guard
+                self._fail()
+                return
+            if not request.keep_alive:
+                self.transport.close()
+                return
+            self._arm(self.server.keepalive_timeout)
+
+    def _parse(self) -> _Request | None:
+        """The next complete request, taken from the buffer, or None."""
+        buffer = self.buffer
+        if self.head is None:
+            line_end = buffer.find(b"\n", 0, _MAX_REQUEST_LINE + 1)
+            if line_end < 0:
+                if len(buffer) > _MAX_REQUEST_LINE:
+                    raise APIError(414, f"request line over {_MAX_REQUEST_LINE} bytes")
+                return None
+            # The blank line after the headers; like every line, it may end
+            # in CRLF or a bare LF.  Past the header cap, stop looking.
+            limit = line_end + _MAX_HEADER_BYTES + 3
+            crlf = buffer.find(b"\n\r\n", line_end, limit)
+            lf = buffer.find(b"\n\n", line_end, limit)
+            end = min(crlf, lf) if crlf >= 0 and lf >= 0 else max(crlf, lf)
+            if end - line_end > _MAX_HEADER_BYTES or (end < 0 and len(buffer) >= limit):
+                raise APIError(431, f"request headers over {_MAX_HEADER_BYTES} bytes")
+            if end < 0:
+                self._reading()
+                return None
+            request, length = _parse_head(
+                bytes(buffer[:line_end]), bytes(buffer[line_end + 1:end + 1])
+            )
+            self.head = (request, end + (3 if end == crlf else 2), length)
+        request, start, length = self.head
+        if len(buffer) < start + length:
+            self._reading()
+            return None
+        body = bytes(buffer[start:start + length])
+        del buffer[:start + length]
+        self.head = None
+        self.reading = False
+        self.deadline = None
+        if body and not request.path.startswith("/artifacts/"):
+            # JSON bodies merge into the query parameters (body wins);
+            # /artifacts bodies stay raw bytes -- opaque store payloads.
+            try:
+                payload = json.loads(body)
+            except json.JSONDecodeError as error:
+                raise APIError(400, f"request body is not valid JSON: {error}") from error
+            if not isinstance(payload, dict):
+                raise APIError(400, "JSON request body must be an object")
+            request.params.update(payload)
+        else:
+            request.body = body
+        return request
+
+    async def _serve(self, request: _Request) -> None:
+        """Serve one request as a coroutine, then go on with the buffer."""
+        try:
+            await self.server._dispatch(request, self)
+        except Exception:  # pragma: no cover - last-resort guard
+            self._fail()
+            return
+        finally:
+            self.task = None
+        if request.keep_alive and not self.transport.is_closing():
+            self._arm(self.server.keepalive_timeout)
+            self._process()
+        else:
+            self.transport.close()
+
+    def _fail(self) -> None:
+        logger.exception("unhandled error serving a request")
+        self.respond_json(500, {"error": "internal server error"}, close=True)
+        self.transport.close()
+
+    # -- deadlines -----------------------------------------------------------------
+
+    def _reading(self) -> None:
+        """Arm the read deadline, once per request, when its line is in."""
+        if not self.reading:
+            self.reading = True
+            self._arm(self.server.read_timeout)
+
+    def _arm(self, timeout: float | None) -> None:
+        """Drop the connection ``timeout`` seconds from now (None: never)."""
+        if timeout is None:
+            self.deadline = None
+            return
+        self.deadline = deadline = self.loop.time() + timeout
+        # A later deadline reuses the pending timer, which re-arms itself
+        # when it fires early; only an earlier one replaces it.
+        if self.timer is None or deadline < self.timer_at:
+            if self.timer is not None:
+                self.timer.cancel()
+            self.timer_at = deadline
+            self.timer = self.loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        self.timer = None
+        if self.deadline is None:
+            return
+        if self.deadline > self.timer_at:
+            self.timer_at = self.deadline
+            self.timer = self.loop.call_at(self.deadline, self._expire)
+            return
+        # An idle keep-alive connection, or a client too slow to deliver
+        # the request it started: drop it either way.
+        self.transport.close()
+
+    # -- writing -------------------------------------------------------------------
+
+    def respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict[str, str] | None = None,
+        *,
+        close: bool = False,
+    ) -> None:
+        """Write one response, echoing the current request's trace id."""
+        self.status = status
+        headers = dict(headers or {})
+        if self.trace_id and TRACE_HEADER not in headers:
+            headers[TRACE_HEADER] = self.trace_id
+        extras = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{extras}"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
+        ).encode("latin1")
+        self.transport.write(head + body)
+
+    def respond_json(self, status: int, payload: dict, *, close: bool = False) -> None:
+        self.respond(status, _json_body(payload), "application/json", close=close)
+
+    def start_stream(self) -> None:
+        """The committed 200 head of a chunked NDJSON stream."""
+        self.status = 200
+        head = (
+            "HTTP/1.1 200 OK\r\n"
+            "Content-Type: application/x-ndjson\r\n"
+            "Transfer-Encoding: chunked\r\n"
+        )
+        if self.trace_id:
+            head += f"{TRACE_HEADER}: {self.trace_id}\r\n"
+        self.transport.write((head + "Connection: close\r\n\r\n").encode("latin1"))
+
+    async def drain(self) -> None:
+        """Wait until the transport takes writes again; raise once it is gone."""
+        if self.writing_paused and not self.closed:
+            self.drained = self.loop.create_future()
+            await self.drained
+        if self.closed:
+            raise ConnectionResetError("connection lost")
+
+    def _wake(self) -> None:
+        if self.drained is not None and not self.drained.done():
+            self.drained.set_result(None)
+
+    # -- streams -------------------------------------------------------------------
+
+    def watch(self, cancel: Callable[[], None] | None) -> None:
+        """Call ``cancel`` once the client hangs up or sends anything more.
+
+        A stream's client sends nothing after its request, so EOF, stray
+        bytes or a lost connection all mean it abandoned the stream.
+        """
+        self.on_abandon = cancel
+        if self.buffer or self.eof or self.closed:
+            self._abandon()
+
+    def _abandon(self) -> None:
+        cancel, self.on_abandon = self.on_abandon, None
+        if cancel is not None:
+            cancel()
+
+
 class StabilityAPIServer:
     """Asyncio HTTP server routing requests to a :class:`StabilityService`.
 
@@ -379,12 +653,12 @@ class StabilityAPIServer:
         #: One structured JSON line per request on stdout (silent by default).
         self.access_log = access_log
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         #: ETag -> (200 body, the answer's ``escalated`` field) of computed
         #: /measure answers, least recently used first.  Only the event
         #: loop touches it, so it needs no lock.
         self._measure_bodies: OrderedDict[str, tuple[bytes, bool | None]] = OrderedDict()
-        self._routes: dict[str, Callable[[_Request], Awaitable[dict]]] = {
+        self._routes: dict[str, Callable[[_Request], Awaitable[dict | _RawResponse]]] = {
             "/healthz": self._handle_healthz,
             "/metrics": self._handle_metrics,
             "/measure": self._handle_measure,
@@ -401,8 +675,9 @@ class StabilityAPIServer:
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         logger.info("repro-serve listening on http://%s:%d", self.host, self.port)
@@ -410,97 +685,65 @@ class StabilityAPIServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Idle keep-alive connections would otherwise linger until their
+        # timeout; close them and cancel what they serve, so shutdown is
+        # prompt and the event loop tears down clean.
+        tasks = [conn.task for conn in self._connections if conn.task is not None]
+        for task in tasks:
+            task.cancel()
+        for conn in list(self._connections):
+            conn.transport.close()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        self._connections.clear()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        # Idle keep-alive connections would otherwise linger until their
-        # timeout; cancel their handler tasks so shutdown is prompt and the
-        # event loop tears down clean.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
 
-    # -- connection handling ----------------------------------------------------
+    # -- dispatch ----------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+    def _answer_now(self, request: _Request, conn: _Connection) -> bool:
+        """Write a stored ``/measure`` answer or a 304 in the current loop turn.
+
+        The answer, its root span, histogram sample, trace id echo and
+        access-log line are the ones :meth:`_dispatch` would produce.
+        Returns False, having written nothing, for any other request --
+        including a malformed ``/measure``, whose error the coroutine path
+        answers under the request's trace.
+        """
+        if request.path != "/measure" or request.method not in ("GET", "POST"):
+            return False
+        started = time.perf_counter()
         try:
-            if (
-                self.max_connections is not None
-                and len(self._connections) > self.max_connections
-            ):
-                self._write_json(
-                    writer, 503,
-                    {"error": f"over {self.max_connections} concurrent connections"},
-                    close=True,
-                )
-                await writer.drain()
-                return
-            # Keep-alive loop: serve requests on this socket until the client
-            # closes, asks to close, streams a /grid, or goes idle too long.
-            while True:
-                try:
-                    request = await _read_request(
-                        reader, self.keepalive_timeout, self.read_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # Idle keep-alive connection, or a client too slow to
-                    # deliver the request it started: drop it either way.
-                    break
-                except APIError as error:
-                    # Framing errors leave the stream unparseable: answer, close.
-                    self._write_json(
-                        writer, error.status, {"error": str(error)}, close=True
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                keep_alive = request.keep_alive and request.path not in (
-                    "/grid", "/monitor/events",
-                )
-                await self._dispatch(request, reader, writer, keep_alive=keep_alive)
-                # A handler may force the connection shut (e.g. a 504).
-                if not (keep_alive and request.keep_alive):
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to answer
-        except Exception:  # pragma: no cover - last-resort guard
-            logger.exception("unhandled error serving a request")
-            try:
-                self._write_json(writer, 500, {"error": "internal server error"}, close=True)
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        except asyncio.CancelledError:
-            pass  # server shutdown; the finally block closes the socket
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+            etag, _ = self._measure_query(request.params)
+        except Exception:
+            return False
+        revalidated = _etag_matches(request.headers.get("if-none-match"), etag)
+        stored = None if revalidated else self._measure_bodies.get(etag)
+        if not revalidated and stored is None:
+            return False
+        headers = {"ETag": f'"{etag}"'}
+        with self._exchange(request, conn, started):
+            close = not request.keep_alive
+            if revalidated:
+                conn.respond(304, b"", "application/json", headers, close=close)
+            else:
+                # The answer is a pure function of its ETag too, so a stored
+                # body is written as it is: no thread hop, no service call,
+                # no JSON encode.
+                self._measure_bodies.move_to_end(etag)
+                body, escalated = stored
+                self.service.count_measure_body_hit(escalated)
+                conn.respond(200, body, "application/json", headers, close=close)
+        return True
 
-    async def _dispatch(
-        self,
-        request: _Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        keep_alive: bool = False,
-    ) -> None:
-        """Trace, time, and access-log one request around the real dispatch.
+    @contextmanager
+    def _exchange(self, request: _Request, conn: _Connection, started: float):
+        """Trace, time, and access-log one request around its answer.
 
         Every request gets a root span in the service's trace ring (inbound
         ``X-Trace-Id``/``X-Request-Id`` joins the caller's trace) and a
@@ -510,24 +753,87 @@ class StabilityAPIServer:
         stream, so worker spans arriving mid-run stitch into it.
         """
         trace_id, parent_id = context_from_headers(request.headers)
-        started = time.perf_counter()
-        _LAST_STATUS.set(200)
+        conn.status = 200
         with self.service.traces.request(
             f"{request.method} {request.path}",
             trace_id=trace_id, parent_id=parent_id,
             method=request.method, path=request.path,
         ) as trace:
-            _RESPONSE_TRACE.set(trace.trace_id)
+            conn.trace_id = trace.trace_id
             try:
-                await self._dispatch_inner(
-                    request, reader, writer, keep_alive=keep_alive
-                )
+                yield
             finally:
-                _RESPONSE_TRACE.set(None)
+                conn.trace_id = None
                 duration_ms = (time.perf_counter() - started) * 1e3
                 REGISTRY.observe("request", self._route_label(request.path), duration_ms)
                 if self.access_log:
-                    self._log_access(request, trace, duration_ms)
+                    self._log_access(request, trace, duration_ms, conn.status)
+
+    async def _dispatch(self, request: _Request, conn: _Connection) -> None:
+        """Route one request to its handler and write the answer."""
+        with self._exchange(request, conn, time.perf_counter()):
+            path = request.path
+            if path in _STREAMS:
+                request.keep_alive = False
+            close = not request.keep_alive
+            if path.startswith("/trace/"):
+                answer = self._handle_trace(request)
+            elif path.startswith("/artifacts/"):
+                answer = self._handle_artifacts(request)
+            elif request.method not in ("GET", "POST"):
+                conn.respond_json(
+                    405, {"error": f"method {request.method} not allowed"}, close=close
+                )
+                return
+            elif path == "/grid":
+                answer = self._handle_grid_stream(request, conn)
+            elif path == "/monitor/events":
+                answer = self._handle_monitor_events(request, conn)
+            elif path in self._routes:
+                answer = self._routes[path](request)
+            else:
+                conn.respond_json(
+                    404,
+                    {"error": f"unknown path {path!r}",
+                     "paths": sorted(
+                         [*self._routes, "/artifacts", *_STREAMS, "/trace/recent"]
+                     )},
+                    close=close,
+                )
+                return
+            if path not in _STREAMS:
+                # Streams run until done or abandoned.
+                answer = asyncio.wait_for(answer, self.request_timeout)
+            try:
+                payload = await answer
+            except asyncio.TimeoutError:
+                # The worker thread keeps running, but the client stops
+                # waiting; close so a retry lands on a fresh connection.
+                conn.respond_json(
+                    504, {"error": f"request exceeded {self.request_timeout:.0f}s"},
+                    close=True,
+                )
+                request.keep_alive = False
+            except APIError as error:
+                conn.respond_json(error.status, {"error": str(error)}, close=close)
+            except (ValueError, KeyError) as error:
+                # Domain validation: unknown algorithm/task/criterion names
+                # raise KeyError from the registries, bad values ValueError.
+                message = error.args[0] if error.args else str(error)
+                conn.respond_json(400, {"error": str(message)}, close=close)
+            except Exception as error:  # pragma: no cover - defensive
+                logger.exception("request to %s failed", path)
+                conn.respond_json(
+                    500, {"error": f"{type(error).__name__}: {error}"}, close=close
+                )
+            else:
+                if isinstance(payload, _RawResponse):
+                    conn.respond(
+                        payload.status, payload.body, payload.content_type,
+                        payload.headers, close=close,
+                    )
+                elif payload is not None:        # a stream wrote its own answer
+                    conn.respond_json(200, payload, close=close)
 
     def _route_label(self, path: str) -> str:
         """A bounded-cardinality histogram label for one request path."""
@@ -535,16 +841,18 @@ class StabilityAPIServer:
             return "/artifacts"
         if path.startswith("/trace"):
             return "/trace"
-        if path in self._routes or path in ("/grid", "/monitor/events"):
+        if path in self._routes or path in _STREAMS:
             return path
         return "other"
 
-    def _log_access(self, request: _Request, trace, duration_ms: float) -> None:
+    def _log_access(
+        self, request: _Request, trace, duration_ms: float, status: int
+    ) -> None:
         entry = {
             "ts": round(time.time(), 3),
             "method": request.method,
             "path": request.path,
-            "status": _LAST_STATUS.get(),
+            "status": status,
             "duration_ms": round(duration_ms, 3),
             "trace_id": trace.trace_id,
         }
@@ -558,154 +866,29 @@ class StabilityAPIServer:
                 entry[flag] = attrs[flag]
         print(json.dumps(entry, sort_keys=True), flush=True)
 
-    async def _dispatch_inner(
-        self,
-        request: _Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        keep_alive: bool = False,
-    ) -> None:
-        close = not keep_alive
-        if request.path == "/trace/recent" or request.path.startswith("/trace/"):
-            await self._handle_trace(request, writer, close=close)
-            return
-        if request.path.startswith("/artifacts/"):
-            await self._handle_artifacts(request, writer, close=close)
-            return
-        if request.method not in ("GET", "POST"):
-            self._write_json(
-                writer, 405, {"error": f"method {request.method} not allowed"},
-                close=close,
-            )
-            await writer.drain()
-            return
-        if request.path == "/grid":
-            await self._handle_grid_stream(request, reader, writer)
-            return
-        if request.path == "/monitor/events":
-            await self._handle_monitor_events(request, reader, writer)
-            return
-        handler = self._routes.get(request.path)
-        if handler is None:
-            self._write_json(
-                writer, 404,
-                {"error": f"unknown path {request.path!r}",
-                 "paths": sorted(
-                     [*self._routes, "/artifacts", "/grid", "/monitor/events",
-                      "/trace/recent"]
-                 )},
-                close=close,
-            )
-            await writer.drain()
-            return
-        try:
-            payload = await asyncio.wait_for(handler(request), self.request_timeout)
-        except asyncio.TimeoutError:
-            # The worker thread keeps running, but the client stops waiting;
-            # close so a retry lands on a fresh connection.
-            self._write_json(
-                writer, 504,
-                {"error": f"request exceeded {self.request_timeout:.0f}s"},
-                close=True,
-            )
-            request.keep_alive = False
-        except APIError as error:
-            self._write_json(writer, error.status, {"error": str(error)}, close=close)
-        except (ValueError, KeyError) as error:
-            # Domain validation: unknown algorithm/task/criterion names raise
-            # KeyError from the registries, bad values raise ValueError.
-            message = error.args[0] if error.args else str(error)
-            self._write_json(writer, 400, {"error": str(message)}, close=close)
-        except Exception as error:  # pragma: no cover - defensive
-            logger.exception("request to %s failed", request.path)
-            self._write_json(
-                writer, 500, {"error": f"{type(error).__name__}: {error}"}, close=close
-            )
-        else:
-            if isinstance(payload, _RawResponse):
-                self._write_response(
-                    writer, payload.status, payload.body, payload.content_type,
-                    close=close, extra_headers=payload.headers or None,
-                )
-            else:
-                self._write_json(writer, 200, payload, close=close)
-        await writer.drain()
-
-    @staticmethod
-    def _write_json(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        *,
-        close: bool = False,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        StabilityAPIServer._write_response(
-            writer, status, _json_body(payload), "application/json",
-            close=close, extra_headers=extra_headers,
-        )
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        content_type: str,
-        *,
-        close: bool = False,
-        include_body: bool = True,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        _LAST_STATUS.set(status)
-        headers = dict(extra_headers or {})
-        trace_id = _RESPONSE_TRACE.get()
-        if trace_id and TRACE_HEADER not in headers:
-            headers[TRACE_HEADER] = trace_id
-        extras = "".join(
-            f"{name}: {value}\r\n" for name, value in headers.items()
-        )
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extras}"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
-        ).encode("latin1")
-        writer.write(head + body if include_body else head)
-
     async def _offload(self, fn, *args):
-        """Run blocking store work on the service's bounded pool, time-bounded.
+        """Run blocking store work on the service's bounded pool.
 
         /artifacts traffic (disk reads, on-the-fly npz encoding of
         memory-only pairs) goes through the same ``max_concurrency`` pool as
         the numerical endpoints, so peer fetches cannot spawn unbounded
         default-executor threads around the service's concurrency limit.
+        The request timeout bounds the wait.
         """
         loop = asyncio.get_running_loop()
-        return await asyncio.wait_for(
-            loop.run_in_executor(self.service.executor, bind(fn), *args),
-            self.request_timeout,
-        )
+        return await loop.run_in_executor(self.service.executor, bind(fn), *args)
 
     # -- /artifacts: the store's byte-level peer API ----------------------------
 
-    async def _handle_artifacts(
-        self, request: _Request, writer: asyncio.StreamWriter, *, close: bool
-    ) -> None:
+    async def _handle_artifacts(self, request: _Request) -> dict | _RawResponse:
         """Serve raw store payloads so peers can use this node as a tier."""
         if unquote(request.path) == "/artifacts/batch":
-            await self._handle_artifacts_batch(request, writer, close=close)
-            return
+            return await self._handle_artifacts_batch(request)
         match = _ARTIFACT_PATH.match(unquote(request.path))
         if match is None:
-            self._write_json(
-                writer, 404,
-                {"error": "artifact paths look like /artifacts/<kind>/<key>.{json,npz}"},
-                close=close,
+            raise APIError(
+                404, "artifact paths look like /artifacts/<kind>/<key>.{json,npz}"
             )
-            await writer.drain()
-            return
         kind, name = match.group(1), match.group(2)
         store = self.service.store
         # The name IS a content hash: any cached copy under it is current
@@ -715,73 +898,39 @@ class StabilityAPIServer:
             "ETag": f'"{name}"',
             "Cache-Control": "public, max-age=31536000, immutable",
         }
-        try:
-            # Store tiers touch the disk: off the event loop, bounded.
-            if request.method in ("GET", "HEAD") and _etag_matches(
-                request.headers.get("if-none-match"), name
-            ):
-                found = await self._offload(store.contains_bytes, kind, name)
-                if found:
-                    self._write_response(
-                        writer, 304, b"", "application/octet-stream",
-                        close=close, extra_headers=cache_headers,
-                    )
-                else:
-                    self._write_json(
-                        writer, 404, {"error": f"no artifact {kind}/{name}"}, close=close
-                    )
-            elif request.method == "GET":
-                payload = await self._offload(store.get_bytes, kind, name)
-                if payload is None:
-                    self._write_json(
-                        writer, 404, {"error": f"no artifact {kind}/{name}"}, close=close
-                    )
-                else:
-                    self._write_response(
-                        writer, 200, payload, "application/octet-stream",
-                        close=close, extra_headers=cache_headers,
-                    )
-            elif request.method == "HEAD":
-                found = await self._offload(store.contains_bytes, kind, name)
-                self._write_response(
-                    writer, 200 if found else 404, b"", "application/octet-stream",
-                    close=close, extra_headers=cache_headers if found else None,
-                )
-            elif request.method == "PUT":
-                if not request.body:
-                    self._write_json(
-                        writer, 400, {"error": "PUT needs a request body"}, close=close
-                    )
-                else:
-                    await self._offload(store.put_bytes, kind, name, request.body)
-                    self._write_json(
-                        writer, 200,
-                        {"stored": f"{kind}/{name}", "bytes": len(request.body)},
-                        close=close,
-                    )
-            elif request.method == "DELETE":
-                await self._offload(store.delete_bytes, kind, name)
-                self._write_json(writer, 200, {"deleted": f"{kind}/{name}"}, close=close)
-            else:
-                self._write_json(
-                    writer, 405, {"error": f"method {request.method} not allowed"},
-                    close=close,
-                )
-        except asyncio.TimeoutError:
-            self._write_json(
-                writer, 504,
-                {"error": f"artifact request exceeded {self.request_timeout:.0f}s"},
-                close=True,
+        # Store tiers touch the disk: off the event loop.
+        method = request.method
+        if method in ("GET", "HEAD") and _etag_matches(
+            request.headers.get("if-none-match"), name
+        ):
+            if not await self._offload(store.contains_bytes, kind, name):
+                raise APIError(404, f"no artifact {kind}/{name}")
+            return _RawResponse(304, b"", "application/octet-stream", cache_headers)
+        if method == "GET":
+            payload = await self._offload(store.get_bytes, kind, name)
+            if payload is None:
+                raise APIError(404, f"no artifact {kind}/{name}")
+            return _RawResponse(200, payload, "application/octet-stream", cache_headers)
+        if method == "HEAD":
+            found = await self._offload(store.contains_bytes, kind, name)
+            return _RawResponse(
+                200 if found else 404, b"", "application/octet-stream",
+                cache_headers if found else {},
             )
-            request.keep_alive = False
-        await writer.drain()
+        if method == "PUT":
+            if not request.body:
+                raise APIError(400, "PUT needs a request body")
+            await self._offload(store.put_bytes, kind, name, request.body)
+            return {"stored": f"{kind}/{name}", "bytes": len(request.body)}
+        if method == "DELETE":
+            await self._offload(store.delete_bytes, kind, name)
+            return {"deleted": f"{kind}/{name}"}
+        raise APIError(405, f"method {method} not allowed")
 
     #: Upper bound on one batch manifest; a peer warming a whole grid paginates.
     _MAX_BATCH_ITEMS = 256
 
-    async def _handle_artifacts_batch(
-        self, request: _Request, writer: asyncio.StreamWriter, *, close: bool
-    ) -> None:
+    async def _handle_artifacts_batch(self, request: _Request) -> _RawResponse:
         """Multi-get: one round trip for many artifacts (``POST`` a manifest).
 
         The response is a framed byte stream, one frame per requested item in
@@ -792,38 +941,16 @@ class StabilityAPIServer:
         split its fetches into found/missing in a single pass.
         """
         if request.method != "POST":
-            self._write_json(
-                writer, 405, {"error": "batch fetches POST a JSON manifest"},
-                close=close,
-            )
-            await writer.drain()
-            return
+            raise APIError(405, "batch fetches POST a JSON manifest")
         try:
             manifest = json.loads(request.body or b"")
         except json.JSONDecodeError as error:
-            self._write_json(
-                writer, 400, {"error": f"manifest is not valid JSON: {error}"},
-                close=close,
-            )
-            await writer.drain()
-            return
+            raise APIError(400, f"manifest is not valid JSON: {error}") from error
         items = manifest.get("items") if isinstance(manifest, dict) else None
         if not isinstance(items, list) or not items:
-            self._write_json(
-                writer, 400,
-                {"error": "manifest must be {'items': [{'kind', 'name'}, ...]}"},
-                close=close,
-            )
-            await writer.drain()
-            return
+            raise APIError(400, "manifest must be {'items': [{'kind', 'name'}, ...]}")
         if len(items) > self._MAX_BATCH_ITEMS:
-            self._write_json(
-                writer, 413,
-                {"error": f"batch over {self._MAX_BATCH_ITEMS} items; paginate"},
-                close=close,
-            )
-            await writer.drain()
-            return
+            raise APIError(413, f"batch over {self._MAX_BATCH_ITEMS} items; paginate")
         requested: list[tuple[str, str]] = []
         for item in items:
             kind = item.get("kind") if isinstance(item, dict) else None
@@ -835,40 +962,24 @@ class StabilityAPIServer:
                 not isinstance(kind, str) or not isinstance(name, str)
                 or _ARTIFACT_PATH.match(f"/artifacts/{kind}/{name}") is None
             ):
-                self._write_json(
-                    writer, 400,
-                    {"error": f"bad batch item {item!r}: wants "
-                              "{'kind': <identifier>, 'name': <key>.{json,npz}}"},
-                    close=close,
+                raise APIError(
+                    400,
+                    f"bad batch item {item!r}: wants "
+                    "{'kind': <identifier>, 'name': <key>.{json,npz}}",
                 )
-                await writer.drain()
-                return
             requested.append((kind, name))
         store = self.service.store
         frames: list[bytes] = []
-        try:
-            for kind, name in requested:
-                payload = await self._offload(store.get_bytes, kind, name)
-                found = payload is not None
-                header = json.dumps(
-                    {"kind": kind, "name": name, "found": found,
-                     "bytes": len(payload) if found else 0},
-                    sort_keys=True,
-                ).encode("utf-8")
-                frames.append(header + b"\n" + (payload or b"") + b"\n")
-        except asyncio.TimeoutError:
-            self._write_json(
-                writer, 504,
-                {"error": f"batch request exceeded {self.request_timeout:.0f}s"},
-                close=True,
-            )
-            request.keep_alive = False
-            await writer.drain()
-            return
-        self._write_response(
-            writer, 200, b"".join(frames), "application/octet-stream", close=close
-        )
-        await writer.drain()
+        for kind, name in requested:
+            payload = await self._offload(store.get_bytes, kind, name)
+            found = payload is not None
+            header = json.dumps(
+                {"kind": kind, "name": name, "found": found,
+                 "bytes": len(payload) if found else 0},
+                sort_keys=True,
+            ).encode("utf-8")
+            frames.append(header + b"\n" + (payload or b"") + b"\n")
+        return _RawResponse(200, b"".join(frames), "application/octet-stream")
 
     # -- plain JSON endpoints ----------------------------------------------------
 
@@ -891,95 +1002,58 @@ class StabilityAPIServer:
 
     # -- /trace: the distributed-tracing ring -------------------------------------
 
-    async def _handle_trace(
-        self, request: _Request, writer: asyncio.StreamWriter, *, close: bool
-    ) -> None:
+    async def _handle_trace(self, request: _Request) -> dict | _RawResponse:
         """Serve the trace ring: summaries, or one trace's spans as NDJSON."""
         if request.method != "GET":
-            self._write_json(
-                writer, 405, {"error": "trace endpoints are read-only; use GET"},
-                close=close,
-            )
-            await writer.drain()
-            return
+            raise APIError(405, "trace endpoints are read-only; use GET")
         buffer = self.service.traces
         if request.path == "/trace/recent":
-            try:
-                limit = _int_param(request.params, "limit", 50) or 50
-            except APIError as error:
-                self._write_json(
-                    writer, error.status, {"error": str(error)}, close=close
-                )
-                await writer.drain()
-                return
-            self._write_json(
-                writer, 200,
-                {"traces": buffer.recent(limit), "counters": buffer.counters()},
-                close=close,
-            )
-            await writer.drain()
-            return
+            limit = _int_param(request.params, "limit", 50) or 50
+            return {"traces": buffer.recent(limit), "counters": buffer.counters()}
         trace_id = unquote(request.path[len("/trace/"):])
         rows = buffer.get(trace_id) if trace_id else None
         if rows is None:
-            self._write_json(
-                writer, 404, {"error": f"no retained trace {trace_id!r}"},
-                close=close,
-            )
-        else:
-            body = "".join(
-                json.dumps(row, sort_keys=True) + "\n" for row in rows
-            ).encode("utf-8")
-            self._write_response(
-                writer, 200, body, "application/x-ndjson", close=close
-            )
-        await writer.drain()
+            raise APIError(404, f"no retained trace {trace_id!r}")
+        body = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        return _RawResponse(200, body.encode("utf-8"), "application/x-ndjson")
 
-    async def _handle_measure(self, request: _Request) -> _RawResponse:
-        params = request.params
+    # -- /measure ----------------------------------------------------------------
+
+    def _measure_query(self, params: dict) -> tuple[str, dict]:
+        """The ETag of a ``/measure`` request, and the arguments computing it.
+
+        The validator is a pure function of content-addressed keys, memoised
+        after a cell's first request, so it is derived on the event loop and
+        a revalidation answers 304 before any numerical work happens.
+        """
         algorithm = params.get("algorithm")
         if not algorithm:
             raise APIError(400, "missing required parameter 'algorithm'")
-        algorithm = str(algorithm)
-        measures = _tuple_param(params, "measures", cast=str)
-        dim = _int_param(params, "dim", required=True)
-        precision = _int_param(params, "precision", required=True)
-        seed = _int_param(params, "seed", 0)
-        fast = _bool_param(params, "fast", False)
-        tolerance = _float_param(params, "tolerance")
-        # The validator is a pure function of content-addressed keys,
-        # memoised after a cell's first request, so it is derived right here
-        # and a revalidation answers 304 before any numerical work happens.
-        etag = self.service.measure_etag(
-            algorithm, dim, precision, seed,
-            measures=measures, fast=fast, fast_tolerance=tolerance,
-        )
-        headers = {"ETag": f'"{etag}"'}
-        if _etag_matches(request.headers.get("if-none-match"), etag):
-            return _RawResponse(304, b"", "application/json", headers)
-        # The answer is a pure function of its ETag too, so a stored body is
-        # written as it is: no thread hop, no service call, no JSON encode.
-        stored = self._measure_bodies.get(etag)
-        if stored is not None:
-            self._measure_bodies.move_to_end(etag)
-            body, escalated = stored
-            self.service.count_measure_body_hit(escalated)
-            return _RawResponse(200, body, "application/json", headers)
+        query = {
+            "algorithm": str(algorithm),
+            "measures": _tuple_param(params, "measures", cast=str),
+            "dim": _int_param(params, "dim", required=True),
+            "precision": _int_param(params, "precision", required=True),
+            "seed": _int_param(params, "seed", 0),
+            "fast": _bool_param(params, "fast", False),
+            "fast_tolerance": _float_param(params, "tolerance"),
+        }
+        return self.service.measure_etag(**query), query
+
+    async def _handle_measure(self, request: _Request) -> _RawResponse:
+        """Compute and store an answer :meth:`_answer_now` did not have."""
+        etag, query = self._measure_query(request.params)
         # The service blocks (possibly training) and its pool waits on its
         # own submits, so the call goes to the default executor.
         loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(
-            None,
-            bind(lambda: self.service.measure(
-                algorithm, dim, precision, seed,
-                measures=measures, fast=fast, fast_tolerance=tolerance,
-            )),
+            None, bind(lambda: self.service.measure(**query))
         )
         body = _json_body(payload)
         self._measure_bodies[etag] = (body, payload.get("escalated"))
         while len(self._measure_bodies) > _MEASURE_BODY_ENTRIES:
             self._measure_bodies.popitem(last=False)
-        return _RawResponse(200, body, "application/json", headers)
+        return _RawResponse(200, body, "application/json", {"ETag": f'"{etag}"'})
 
     async def _handle_select(self, request: _Request) -> dict:
         params = request.params
@@ -1118,238 +1192,141 @@ class StabilityAPIServer:
     async def _handle_monitor_status(self, request: _Request) -> dict:
         return self._monitor().snapshot()
 
-    async def _handle_monitor_events(
-        self, request: _Request, reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _handle_monitor_events(self, request: _Request, conn: _Connection) -> None:
         """Stream monitor lifecycle events as NDJSON (one event per line).
 
         ``since=<seq>`` starts after that sequence number (default 0: replay
         everything still buffered).  Without ``follow`` the buffered events
         are dumped and the stream ends -- the curl-friendly poll; with
         ``follow=true`` the connection tails new events until the client
-        disconnects (the same EOF watchdog as ``/grid``).
+        disconnects.
         """
-        monitor = self.service.monitor
-        try:
-            if monitor is None:
-                raise APIError(
-                    503, "monitor not enabled; start with repro-serve --monitor"
-                )
-            since = _int_param(request.params, "since", 0) or 0
-            follow = _bool_param(request.params, "follow", False)
-        except APIError as error:
-            self._write_json(writer, error.status, {"error": str(error)})
-            await writer.drain()
-            return
-
-        self._write_stream_head(writer)
-        await writer.drain()
-
-        loop = asyncio.get_running_loop()
-        queue: asyncio.Queue[tuple[str, object]] = asyncio.Queue()
+        monitor = self._monitor()
+        since = _int_param(request.params, "since", 0) or 0
+        follow = _bool_param(request.params, "follow", False)
         cancelled = threading.Event()
 
-        def produce() -> None:
+        def events() -> Iterator[dict]:
             last = since
-            try:
-                while not cancelled.is_set():
-                    fresh = (
-                        monitor.events.wait(last, 0.5)
-                        if follow
-                        else monitor.events.events(last)
-                    )
-                    for event in fresh:
-                        last = max(last, int(event["seq"]))
-                        loop.call_soon_threadsafe(queue.put_nowait, ("event", event))
-                    if not follow:
-                        break
-            finally:
-                try:
-                    loop.call_soon_threadsafe(queue.put_nowait, ("done", None))
-                except RuntimeError:  # pragma: no cover - loop already closed
-                    pass
+            while not cancelled.is_set():
+                fresh = (
+                    monitor.events.wait(last, 0.5) if follow
+                    else monitor.events.events(last)
+                )
+                for event in fresh:
+                    last = max(last, int(event["seq"]))
+                    yield event
+                if not follow:
+                    return
 
-        thread = threading.Thread(target=produce, name="monitor-events", daemon=True)
-        thread.start()
-        watchdog = asyncio.ensure_future(reader.read(1))
-
-        def on_watchdog_done(task: "asyncio.Task") -> None:
-            if not task.cancelled():
-                task.exception()
-            cancelled.set()
-
-        watchdog.add_done_callback(on_watchdog_done)
-        try:
-            while True:
-                kind, item = await queue.get()
-                if kind == "event":
-                    self._write_chunk(writer, json.dumps(item, sort_keys=True) + "\n")
-                    await writer.drain()
-                else:  # done
-                    self._end_chunks(writer)
-                    break
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            cancelled.set()
-            if not watchdog.done():
-                watchdog.cancel()
+        await self._stream_ndjson(conn, events(), lambda event: event, cancelled)
 
     # -- streaming /grid ---------------------------------------------------------
 
-    async def _handle_grid_stream(
-        self, request: _Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle_grid_stream(self, request: _Request, conn: _Connection) -> None:
         """Run a grid and stream NDJSON records as cells complete.
 
-        The blocking record generator runs on a dedicated thread feeding an
-        asyncio queue; each record becomes one chunked-transfer NDJSON line
-        the moment its cell finishes.  A watchdog task reads the (otherwise
-        silent) connection: EOF means the client abandoned the stream, which
-        cancels the grid -- the producer stops at the next record boundary,
-        the record iterator is closed (releasing the service's stream slot
-        and, for distributed runs, cancelling the run at the coordinator),
-        and no further cells are submitted.
+        A client hanging up cancels the grid: the producer stops at the next
+        record boundary, and the record iterator is closed, which releases
+        the service's stream slot and, for distributed runs, cancels the run
+        at the coordinator -- no further cells are submitted.
         """
         params = request.params
+        config = params.get("config")
+        if config is not None and not isinstance(config, dict):
+            raise APIError(400, "parameter 'config' must be a JSON object")
+        kwargs = {
+            "algorithms": _tuple_param(params, "algorithms", cast=str),
+            "tasks": _tuple_param(params, "tasks", cast=str),
+            "dimensions": _tuple_param(params, "dims")
+            or _tuple_param(params, "dimensions"),
+            "precisions": _tuple_param(params, "precisions"),
+            "seeds": _tuple_param(params, "seeds"),
+            "with_measures": _bool_param(params, "with_measures", True),
+            "ordered": _bool_param(params, "ordered", True),
+            "n_workers": _int_param(params, "workers", None),
+            "model_type": str(params.get("model_type", "bow")),
+            "distributed": _bool_param(params, "distributed", False),
+            "config": config,
+            "run_id": str(params["run_id"]) if params.get("run_id") else None,
+        }
+        # grid_iter validates axes eagerly, so a bad request is rejected
+        # with a clean 400 *before* the streaming 200 is committed.
         try:
-            config = params.get("config")
-            if config is not None and not isinstance(config, dict):
-                raise APIError(400, "parameter 'config' must be a JSON object")
-            kwargs = {
-                "algorithms": _tuple_param(params, "algorithms", cast=str),
-                "tasks": _tuple_param(params, "tasks", cast=str),
-                "dimensions": _tuple_param(params, "dims")
-                or _tuple_param(params, "dimensions"),
-                "precisions": _tuple_param(params, "precisions"),
-                "seeds": _tuple_param(params, "seeds"),
-                "with_measures": _bool_param(params, "with_measures", True),
-                "ordered": _bool_param(params, "ordered", True),
-                "n_workers": _int_param(params, "workers", None),
-                "model_type": str(params.get("model_type", "bow")),
-                "distributed": _bool_param(params, "distributed", False),
-                "config": config,
-                "run_id": str(params["run_id"]) if params.get("run_id") else None,
-            }
-            # grid_iter validates axes eagerly, so a bad request is rejected
-            # with a clean 400 *before* the streaming 200 is committed.
             records = self.service.grid_iter(**kwargs)
-        except APIError as error:
-            self._write_json(writer, error.status, {"error": str(error)})
-            await writer.drain()
-            return
-        except (ValueError, KeyError, TypeError) as error:
-            message = error.args[0] if error.args else str(error)
-            self._write_json(writer, 400, {"error": str(message)})
-            await writer.drain()
-            return
+        except TypeError as error:           # e.g. an unknown config field
+            raise APIError(400, str(error.args[0] if error.args else error)) from None
+        await self._stream_ndjson(
+            conn, records, lambda record: record.to_row(), threading.Event()
+        )
 
-        self._write_stream_head(writer)
-        await writer.drain()
+    async def _stream_ndjson(
+        self,
+        conn: _Connection,
+        items: Iterator,
+        to_row: Callable[[object], dict],
+        cancelled: threading.Event,
+    ) -> None:
+        """Stream ``to_row(item)`` of every item as one chunked NDJSON line.
 
+        ``items`` blocks (cells complete, events arrive), so a thread
+        iterates it and hands each line to the event loop, which writes it
+        as one chunk and waits for the socket to drain.  When the client
+        hangs up (see :meth:`_Connection.watch`) the stream is cancelled:
+        ``cancelled`` is set, which the producer checks between items, and
+        ``items`` is closed from the event loop's thread, so its ``close()``
+        must be thread-safe or refuse with ``ValueError``.  A producer
+        exception ends the stream with an ``{"error": ...}`` line.
+        """
         loop = asyncio.get_running_loop()
-        queue: asyncio.Queue[tuple[str, object]] = asyncio.Queue()
-        cancelled = threading.Event()
+        lines: asyncio.Queue[bytes | None] = asyncio.Queue()
 
-        def cancel_stream() -> None:
-            """Stop the grid for this request (thread-safe, idempotent).
-
-            Sets the flag the producer checks at every record boundary and
-            closes the record iterator: the service releases the stream's
-            slot, a distributed run is cancelled at the coordinator, and a
-            local parallel run tears its worker pool down.  A plain
-            generator refuses ``close()`` while the producer thread is
-            inside it -- the boundary check covers that case.
-            """
+        def cancel() -> None:
             cancelled.set()
             try:
-                records.close()
+                items.close()
             except ValueError:
-                pass
+                pass   # the producer is inside ``items``; it stops at the boundary
+
+        def finish(error_line: bytes | None) -> None:
+            if error_line is not None:
+                lines.put_nowait(error_line)
+            lines.put_nowait(None)
 
         def produce() -> None:
-            outcome: tuple[str, object] = ("done", None)
+            error_line = None
             try:
                 try:
-                    for record in records:
+                    for item in items:
                         if cancelled.is_set():
                             break
-                        loop.call_soon_threadsafe(
-                            queue.put_nowait, ("record", record.to_row())
-                        )
+                        line = json.dumps(to_row(item), sort_keys=True) + "\n"
+                        loop.call_soon_threadsafe(lines.put_nowait, line.encode("utf-8"))
                 finally:
-                    records.close()
-            except Exception as error:  # surfaced as a terminal NDJSON line
-                outcome = ("error", f"{type(error).__name__}: {error}")
+                    items.close()
+            except Exception as error:       # surfaced as a terminal NDJSON line
+                line = json.dumps({"error": f"{type(error).__name__}: {error}"}) + "\n"
+                error_line = line.encode("utf-8")
             try:
-                loop.call_soon_threadsafe(queue.put_nowait, outcome)
+                loop.call_soon_threadsafe(finish, error_line)
             except RuntimeError:  # pragma: no cover - loop already closed
                 pass
 
+        conn.start_stream()
         # bind(): the producer thread must see this request's trace context
         # so a distributed run's create_run captures it into the lease.
-        thread = threading.Thread(
-            target=bind(produce), name="grid-stream", daemon=True
-        )
-        thread.start()
-        # Abandoned-stream detection: /grid connections are Connection:close,
-        # so the client sends nothing after its request -- a readable EOF
-        # (or stray bytes) means it hung up.  Without this watch a client
-        # disconnect would only surface once enough unread records
-        # back-pressured a write, cells after cells burning compute for a
-        # stream nobody reads.
-        watchdog = asyncio.ensure_future(reader.read(1))
-
-        def on_watchdog_done(task: "asyncio.Task") -> None:
-            if not task.cancelled():
-                task.exception()      # retrieve, e.g. a connection reset
-            cancel_stream()           # idempotent; benign after a clean finish
-
-        watchdog.add_done_callback(on_watchdog_done)
+        threading.Thread(target=bind(produce), name="ndjson-stream", daemon=True).start()
+        conn.watch(cancel)
         try:
-            while True:
-                kind, item = await queue.get()
-                if kind == "record":
-                    self._write_chunk(writer, json.dumps(item, sort_keys=True) + "\n")
-                elif kind == "error":
-                    self._write_chunk(writer, json.dumps({"error": item}) + "\n")
-                    self._end_chunks(writer)
-                    break
-                else:  # done
-                    self._end_chunks(writer)
-                    break
-                await writer.drain()
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            cancel_stream()
+            while (line := await lines.get()) is not None:
+                conn.transport.write(b"%x\r\n%s\r\n" % (len(line), line))
+                await conn.drain()
+            conn.transport.write(b"0\r\n\r\n")            # the last chunk
+        except ConnectionError:
+            pass
         finally:
-            if not watchdog.done():
-                watchdog.cancel()
-
-    @staticmethod
-    def _write_stream_head(writer: asyncio.StreamWriter) -> None:
-        """The committed 200 head of a chunked NDJSON stream."""
-        _LAST_STATUS.set(200)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-        )
-        trace_id = _RESPONSE_TRACE.get()
-        if trace_id:
-            head += f"{TRACE_HEADER}: {trace_id}\r\n"
-        writer.write((head + "Connection: close\r\n\r\n").encode("latin1"))
-
-    @staticmethod
-    def _write_chunk(writer: asyncio.StreamWriter, text: str) -> None:
-        data = text.encode("utf-8")
-        writer.write(f"{len(data):x}\r\n".encode("latin1") + data + b"\r\n")
-
-    @staticmethod
-    def _end_chunks(writer: asyncio.StreamWriter) -> None:
-        writer.write(b"0\r\n\r\n")
+            conn.watch(None)
+            cancel()                         # idempotent; benign after a clean finish
 
 
 # -- entrypoint ------------------------------------------------------------------

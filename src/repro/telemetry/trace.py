@@ -30,6 +30,7 @@ import random
 import threading
 import time
 import uuid
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
@@ -394,8 +395,9 @@ class TraceBuffer:
         self._rng = rng or random.Random()
         self._lock = threading.Lock()
         self._open: dict[str, Trace] = {}
-        self._recent: list[Trace] = []
-        self._slow: list[Trace] = []
+        #: Each finished trace enters at most one ring, once.
+        self._recent: deque[Trace] = deque()
+        self._slow: deque[Trace] = deque()
         self._by_id: dict[str, Trace] = {}
         self._counters = {
             "started": 0, "untraced": 0, "joined": 0, "kept": 0,
@@ -462,14 +464,14 @@ class TraceBuffer:
         finally:
             self.finish(trace, (time.perf_counter() - start) * 1e3)
 
-    def _keep_locked(self, ring: list[Trace], capacity: int, trace: Trace) -> None:
+    def _keep_locked(self, ring: deque[Trace], capacity: int, trace: Trace) -> None:
         ring.append(trace)
         self._by_id[trace.trace_id] = trace
         while len(ring) > capacity:
-            evicted = ring.pop(0)
-            current = self._by_id.get(evicted.trace_id)
-            if current is evicted and not any(
-                    t is evicted for other in (self._recent, self._slow) for t in other):
+            evicted = ring.popleft()
+            # A later trace may have been kept under the same id (two
+            # requests that opened it concurrently); it stays retrievable.
+            if self._by_id.get(evicted.trace_id) is evicted:
                 del self._by_id[evicted.trace_id]
 
     # -- stitching ---------------------------------------------------------
@@ -517,8 +519,8 @@ class TraceBuffer:
 
     def recent(self, limit: int = 50) -> list[dict]:
         with self._lock:
-            traces = {id(t): t for t in self._recent + self._slow}
-        ordered = sorted(traces.values(), key=lambda t: t.root.start, reverse=True)
+            traces = [*self._recent, *self._slow]
+        ordered = sorted(traces, key=lambda t: t.root.start, reverse=True)
         return [t.summary() for t in ordered[:max(1, int(limit))]]
 
     def counters(self) -> dict:

@@ -14,11 +14,13 @@ import asyncio
 import http.client
 import json
 import threading
+import time
 import warnings
 
 import pytest
 
 from repro.cluster import ClusterWorker, config_wire_payload
+from repro.cluster import worker as worker_module
 from repro.engine import GridEngine
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
@@ -183,8 +185,24 @@ def scripted_lease(config_payload, *, ttl=30.0, group=None):
     }
 
 
+@pytest.fixture()
+def slow_groups(monkeypatch):
+    """Group execution that outlasts a 0.15 s lease's heartbeat interval.
+
+    A quick group can finish before the first heartbeat is due on a fast
+    machine; the sleep makes the heartbeat fire during execution anywhere.
+    """
+    evaluate_group = worker_module.evaluate_group
+
+    def slow(pipeline, group):
+        time.sleep(0.3)
+        return evaluate_group(pipeline, group)
+
+    monkeypatch.setattr(worker_module, "evaluate_group", slow)
+
+
 class TestWorkerMechanics:
-    def test_step_executes_a_lease_and_reports_rows_and_stats(self):
+    def test_step_executes_a_lease_and_reports_rows_and_stats(self, slow_groups):
         payload = config_wire_payload(quick_serve_config())
         client = ScriptedClient([scripted_lease(payload, ttl=0.15)])
         worker = ClusterWorker("http://127.0.0.1:9", worker_id="t", client=client)
@@ -333,7 +351,7 @@ class BlockedHeartbeatClient(ScriptedClient):
 
 
 class TestHeartbeatShutdown:
-    def test_stuck_heartbeat_is_aborted_not_awaited_forever(self):
+    def test_stuck_heartbeat_is_aborted_not_awaited_forever(self, slow_groups):
         # The short TTL makes the heartbeat fire during execution and hang;
         # the bounded join must give up and abort the client's connections
         # instead of blocking the lease (and the whole worker) for 10s.

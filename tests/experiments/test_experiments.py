@@ -9,6 +9,7 @@ from repro.experiments import (
     fig1_dimension,
     fig2_memory,
     fig3_kge,
+    fig13_complex_models,
     proposition1,
     quick_pipeline_config,
     run_experiment,
@@ -108,6 +109,16 @@ class TestGridBackedExperiments:
         sources = {r["source"] for r in result.rows}
         assert "embedding-training-data" in sources
         assert "model-initialization-seed" in sources
+
+    def test_fig13_default_dimensions(self, fast_pipeline):
+        # Unset, the sweep takes the two smallest served dimensions and the
+        # largest: {6, 12} here.
+        result = fig13_complex_models.run(
+            fast_pipeline, algorithm="svd", precisions=(1,), include_crf=False
+        )
+        assert [(r["model"], r["dimension"]) for r in result.rows] == [
+            ("cnn", 6), ("cnn", 12),
+        ]
 
 
 class TestStandaloneExperiments:

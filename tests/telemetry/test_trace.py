@@ -178,6 +178,30 @@ class TestTraceBuffer:
         assert names == ["r2", "r3", "r4"]
         assert buffer.counters()["retained"] == 3
 
+    def test_full_rings_with_a_reused_id_retain_exactly(self):
+        buffer = TraceBuffer(capacity=2, slow_capacity=1, sample=1.0, slow_ms=50.0)
+
+        def finish(trace_id: str, duration_ms: float) -> None:
+            buffer.finish(buffer.start(trace_id, trace_id=trace_id), duration_ms)
+
+        finish("a", 1.0)
+        finish("b", 1.0)
+        finish("s", 80.0)                         # slow ring: [s]
+        assert buffer.counters()["retained"] == 3
+        finish("c", 1.0)                          # recent ring: [b, c]
+        assert buffer.get("a") is None
+        finish("a", 1.0)                          # "a" again, a new trace: [c, a]
+        assert buffer.get("b") is None
+        assert [row["name"] for row in buffer.get("a")] == ["a"]
+        finish("t", 90.0)                         # slow ring: [t]
+        assert buffer.get("s") is None
+        assert buffer.counters()["retained"] == 3
+        finish("d", 1.0)
+        finish("e", 1.0)                          # recent ring: [d, e]
+        assert buffer.get("a") is None and buffer.get("c") is None
+        assert buffer.counters()["retained"] == 3
+        assert sorted(s["trace_id"] for s in buffer.recent()) == ["d", "e", "t"]
+
     def test_ingest_stitches_remote_rows_into_open_trace(self):
         buffer = TraceBuffer(sample=1.0, slow_ms=0.0)
         with buffer.request("GET /grid", trace_id="b" * 32) as trace:
