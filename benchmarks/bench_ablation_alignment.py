@@ -1,4 +1,4 @@
-"""Ablations called out in DESIGN.md: Procrustes alignment and shared clip thresholds.
+"""Two ablations of pair compression: Procrustes alignment and shared clip thresholds.
 
 Appendix C.2 of the paper reports that aligning the Wiki'18 embedding to the
 Wiki'17 embedding before compression reduces instability (especially at high

@@ -31,7 +31,6 @@ from repro.cluster.coordinator import (
     plan_from_wire,
     plan_wire_payload,
 )
-from repro.cluster.worker import ClusterWorker, CoordinatorClient
 
 __all__ = [
     "ClusterCoordinator",
@@ -47,3 +46,17 @@ __all__ = [
     "plan_wire_payload",
     "stream_remote_grid",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy: ``repro.cluster.worker`` is also the ``python -m`` entry point,
+    # and runpy executes it a second time if this package imported it.
+    if name in ("ClusterWorker", "CoordinatorClient"):
+        from repro.cluster import worker
+
+        return getattr(worker, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

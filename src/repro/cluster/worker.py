@@ -41,6 +41,7 @@ import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+from repro import options
 from repro.cluster.coordinator import group_from_wire
 from repro.cluster.client import open_json_connection
 from repro.engine.scheduler import evaluate_group
@@ -569,16 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--worker-id", default=None, help="stable worker identity (default host-pid)"
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="local disk store tier (in addition to the coordinator tier)",
-    )
-    parser.add_argument(
-        "--store-replicas", default=None,
-        help="comma-separated replica targets (peer URLs and/or directories) "
-             "mounted as one N-way replicated store tier instead of the "
-             "coordinator tier (read-repair + hinted handoff)",
-    )
+    options.add_options(parser, ("--cache-dir", "--store-replicas"))
     parser.add_argument(
         "--poll-interval", type=float, default=0.5,
         help="seconds between lease polls when idle",
@@ -603,12 +595,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     configure_logging()
-    replicas = [entry for entry in (args.store_replicas or "").split(",") if entry]
     worker = ClusterWorker(
         args.coordinator,
         worker_id=args.worker_id,
         cache_dir=args.cache_dir,
-        store_replicas=replicas or None,
+        store_replicas=options.store_replicas(args),
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
         backoff_max=args.backoff_max,

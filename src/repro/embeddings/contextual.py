@@ -19,7 +19,7 @@ so :class:`MiniBertEncoder` factors the model as
 
 The output is a context-dependent feature per token with a configurable
 output dimension, which downstream models consume exactly like the paper's
-frozen BERT features.  DESIGN.md records this substitution.
+frozen BERT features.
 """
 
 from __future__ import annotations

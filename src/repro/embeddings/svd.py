@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.corpus.cooccurrence import build_cooccurrence, ppmi_matrix
 from repro.corpus.synthetic import Corpus
@@ -81,6 +80,10 @@ class PPMISVDModel(EmbeddingAlgorithm):
                 seed=self.seed,
             )
         else:
+            # Imported here: scipy.sparse.linalg (and the scipy.linalg under
+            # it) is the largest import no other path needs.
+            import scipy.sparse.linalg as spla
+
             rng = np.random.default_rng(self.seed)
             v0 = rng.standard_normal(min(ppmi.shape))
             U, S, _ = spla.svds(sp.csr_matrix(ppmi), k=k, v0=v0)

@@ -672,10 +672,10 @@ class ArtifactStore:
 
 # -- process-wide default store ------------------------------------------------
 #
-# ``repro.experiments.runner --cache-dir/--store-shards/--store-url`` configures
-# the default construction here once, and every pipeline constructed afterwards
-# without an explicit store uses it; the default without configuration stays a
-# private in-memory store per pipeline, matching the seed behaviour.
+# The store flags of ``repro-serve`` and the runner (:mod:`repro.options`)
+# configure the default construction here once, and every pipeline built
+# afterwards without an explicit store uses it; the default without
+# configuration stays a private in-memory store per pipeline.
 
 _DEFAULT_ROOT: Path | None = None
 _DEFAULT_SHARDS: int | None = None

@@ -33,7 +33,6 @@ from repro.experiments import (
     table8_hyperparams,
     table13_randomness,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 __all__ = [
     "EXPERIMENTS",
@@ -60,3 +59,17 @@ __all__ = [
     "table8_hyperparams",
     "table13_randomness",
 ]
+
+
+def __getattr__(name: str):
+    # Lazy: ``repro.experiments.runner`` is also the ``python -m`` entry
+    # point, and runpy executes it a second time if this package imported it.
+    if name in ("EXPERIMENTS", "run_experiment"):
+        from repro.experiments import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,8 +4,8 @@ Section 6.2 of the paper pre-trains shallow BERT feature extractors on
 sub-sampled Wiki'17 and Wiki'18 dumps, varies the transformer output dimension
 and the precision of the extracted features, and measures the prediction
 disagreement of linear sentiment classifiers trained on the frozen features.
-Here the contextual extractor is :class:`~repro.embeddings.contextual.MiniBertEncoder`
-(see DESIGN.md for the substitution).
+Here the contextual extractor is :class:`~repro.embeddings.contextual.MiniBertEncoder`;
+the :mod:`repro.embeddings.contextual` docstring describes the substitution.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 with quick settings and prints its table; ``--all`` runs the full suite and
 writes one CSV per experiment under ``results/``.  ``--serve`` boots the
 online stability-query service instead (see :mod:`repro.serving.api`),
-reusing the runner's engine flags (``--workers``, ``--cache-dir``,
-``--kernel-policy``, ``--dtype``).
+handing it ``--workers`` and the store and kernel flags of
+:mod:`repro.options`.
 """
 
 from __future__ import annotations
@@ -16,28 +16,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from repro.engine.store import configure_default_store
-from repro.linalg import KERNEL_DTYPES, SVD_METHODS, configure_default_policy
-
-from repro.experiments import (
-    fig1_dimension,
-    fig1_precision,
-    fig2_memory,
-    fig3_kge,
-    fig4_6_sentiment,
-    fig7_8_quality,
-    fig11_contextual,
-    fig12_subword,
-    fig13_complex_models,
-    fig14_finetune,
-    fig15_learning_rate,
-    proposition1,
-    table1_correlation,
-    table2_selection,
-    table3_budget,
-    table8_hyperparams,
-    table13_randomness,
-)
+from repro import experiments, options
 from repro.experiments.base import ExperimentResult
 from repro.utils.io import save_json
 from repro.utils.logging import configure_logging
@@ -46,23 +25,23 @@ __all__ = ["EXPERIMENTS", "run_experiment", "main"]
 
 #: Registry: experiment name -> zero/one-argument callable returning an ExperimentResult.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "figure-1-dimension": fig1_dimension.run,
-    "figure-1-precision": fig1_precision.run,
-    "figure-2-memory": fig2_memory.run,
-    "figure-3-kge": fig3_kge.run,
-    "figures-4-6-sentiment": fig4_6_sentiment.run,
-    "figures-7-8-quality": fig7_8_quality.run,
-    "figure-11-contextual": fig11_contextual.run,
-    "figure-12-subword": fig12_subword.run,
-    "figure-13-complex-models": fig13_complex_models.run,
-    "figure-14b-finetune": fig14_finetune.run,
-    "figure-15-learning-rate": fig15_learning_rate.run,
-    "table-1-correlation": table1_correlation.run,
-    "table-2-selection": table2_selection.run,
-    "table-3-budget": table3_budget.run,
-    "table-8-hyperparameters": table8_hyperparams.run,
-    "table-13-randomness": table13_randomness.run,
-    "proposition-1": proposition1.run,
+    "figure-1-dimension": experiments.fig1_dimension.run,
+    "figure-1-precision": experiments.fig1_precision.run,
+    "figure-2-memory": experiments.fig2_memory.run,
+    "figure-3-kge": experiments.fig3_kge.run,
+    "figures-4-6-sentiment": experiments.fig4_6_sentiment.run,
+    "figures-7-8-quality": experiments.fig7_8_quality.run,
+    "figure-11-contextual": experiments.fig11_contextual.run,
+    "figure-12-subword": experiments.fig12_subword.run,
+    "figure-13-complex-models": experiments.fig13_complex_models.run,
+    "figure-14b-finetune": experiments.fig14_finetune.run,
+    "figure-15-learning-rate": experiments.fig15_learning_rate.run,
+    "table-1-correlation": experiments.table1_correlation.run,
+    "table-2-selection": experiments.table2_selection.run,
+    "table-3-budget": experiments.table3_budget.run,
+    "table-8-hyperparameters": experiments.table8_hyperparams.run,
+    "table-13-randomness": experiments.table13_randomness.run,
+    "proposition-1": experiments.proposition1.run,
 }
 
 
@@ -95,45 +74,12 @@ def main(argv: list[str] | None = None) -> int:
         "--workers", type=int, default=0,
         help="process fan-out for grid sweeps (0 = serial)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist the engine's artifact store here; reruns skip retraining",
-    )
-    parser.add_argument(
-        "--store-shards", type=int, default=None,
-        help="split the local artifact store into N consistent-hashed shard "
-             "directories under --cache-dir",
-    )
-    parser.add_argument(
-        "--store-url", default=None,
-        help="peer repro-serve base URL used as a remote artifact-store tier; "
-             "warm artifacts are fetched instead of recomputed",
-    )
-    parser.add_argument(
-        "--store-replicas", default=None,
-        help="comma-separated replica targets (peer URLs and/or directories) "
-             "used as one N-way replicated store tier with read-repair and "
-             "hinted handoff; mutually exclusive with --store-url",
-    )
-    parser.add_argument(
-        "--store-mmap", action="store_true",
-        help="memory-map disk-tier npz artifacts on read instead of copying "
-             "them into private memory (warm reruns share page-cache pages)",
-    )
+    options.add_options(parser)
     parser.add_argument(
         "--coordinator", default=None,
         help="cluster coordinator base URL (a repro-serve instance); grid "
              "sweeps are executed by its repro-worker fleet instead of "
              "locally, streaming back bit-identical records",
-    )
-    parser.add_argument(
-        "--kernel-policy", choices=SVD_METHODS, default=None,
-        help="SVD kernel selection for every decomposition (default: exact; "
-             "'auto' switches large truncated decompositions to randomized)",
-    )
-    parser.add_argument(
-        "--dtype", choices=KERNEL_DTYPES, default=None,
-        help="working precision of the measure kernels (default: float64)",
     )
     parser.add_argument(
         "--serve", action="store_true",
@@ -156,13 +102,7 @@ def main(argv: list[str] | None = None) -> int:
              "(implies --monitor)",
     )
     args = parser.parse_args(argv)
-    if args.store_shards is not None and args.cache_dir is None:
-        parser.error("--store-shards requires --cache-dir (it shards the local store)")
-    if args.store_url and args.store_replicas:
-        parser.error("--store-url and --store-replicas are mutually exclusive")
-    if args.store_mmap and not (args.cache_dir or args.store_url or args.store_replicas):
-        parser.error("--store-mmap requires a store to map (--cache-dir or replicas)")
-    replicas = [entry for entry in (args.store_replicas or "").split(",") if entry]
+    options.check(parser, args)
 
     configure_logging()
     if args.list:
@@ -174,21 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serving.api import main as serve_main
 
         serve_argv = ["--host", args.host, "--port", str(args.port),
-                      "--workers", str(args.workers)]
-        if args.cache_dir is not None:
-            serve_argv += ["--cache-dir", args.cache_dir]
-        if args.store_shards is not None:
-            serve_argv += ["--store-shards", str(args.store_shards)]
-        if args.store_url is not None:
-            serve_argv += ["--store-url", args.store_url]
-        if args.store_replicas is not None:
-            serve_argv += ["--store-replicas", args.store_replicas]
-        if args.store_mmap:
-            serve_argv += ["--store-mmap"]
-        if args.kernel_policy is not None:
-            serve_argv += ["--kernel-policy", args.kernel_policy]
-        if args.dtype is not None:
-            serve_argv += ["--dtype", args.dtype]
+                      "--workers", str(args.workers), *options.forward(args)]
         if args.resume_runs:
             serve_argv += ["--resume-runs"]
         if args.monitor:
@@ -202,16 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
 
-    if args.cache_dir is not None or args.store_url is not None or replicas:
-        configure_default_store(
-            args.cache_dir,
-            shards=args.store_shards,
-            remote_url=args.store_url,
-            replicas=replicas or None,
-            mmap=args.store_mmap,
-        )
-    if args.kernel_policy is not None or args.dtype is not None:
-        configure_default_policy(svd=args.kernel_policy, dtype=args.dtype)
+    options.configure(args)
     if args.coordinator is not None:
         from repro.cluster import configure_default_coordinator
 

@@ -140,8 +140,8 @@ class KernelPolicy:
 
 # -- process-wide default policy ------------------------------------------------
 #
-# Mirrors ``repro.engine.store.configure_default_store``: the experiment
-# runner's ``--kernel-policy`` / ``--dtype`` flags configure the default once,
+# Mirrors ``repro.engine.store.configure_default_store``: the
+# ``--kernel-policy`` / ``--dtype`` flags (:mod:`repro.options`) set it once,
 # and every pipeline constructed without explicit policy fields picks it up.
 # The grid scheduler ships the parent's default to worker processes so spawned
 # workers resolve policies identically.

@@ -1,0 +1,115 @@
+"""The store and kernel command-line options, declared once for every entry point.
+
+``repro-serve``, the experiment runner and ``repro-worker`` take the same
+flags for the artifact store (``--cache-dir``, ``--store-shards``,
+``--store-url``, ``--store-replicas``, ``--store-mmap``) and the
+linear-algebra kernels (``--kernel-policy``, ``--dtype``).  Each flag, the
+rules on how they combine, and the process-wide store and kernel policy
+they configure are defined here; ``repro-worker`` takes only the two that
+apply to its per-run stores.  The runner's ``--serve`` hands the same flags
+on to ``repro-serve`` through :func:`forward`.
+"""
+
+from __future__ import annotations
+
+import argparse
+
+from repro.engine.store import configure_default_store
+from repro.linalg.policy import KERNEL_DTYPES, SVD_METHODS, configure_default_policy
+
+__all__ = ["add_options", "check", "configure", "forward", "store_replicas"]
+
+#: Flag -> its ``add_argument`` keywords, in the order :func:`forward` emits them.
+_OPTIONS: dict[str, dict] = {
+    "--cache-dir": dict(
+        default=None,
+        help="disk-backed artifact store tier; reruns and restarts reuse its "
+             "artifacts instead of retraining",
+    ),
+    "--store-shards": dict(
+        type=int, default=None,
+        help="split the local store into N consistent-hashed shard "
+             "directories under --cache-dir",
+    ),
+    "--store-url": dict(
+        default=None,
+        help="peer repro-serve base URL used as a remote artifact-store tier "
+             "(local misses are fetched from the peer's /artifacts API)",
+    ),
+    "--store-replicas": dict(
+        default=None,
+        help="comma-separated replica targets (peer URLs and/or directories) "
+             "used as one N-way replicated store tier with read-repair and "
+             "hinted handoff; mutually exclusive with --store-url (on "
+             "repro-worker it replaces the coordinator tier)",
+    ),
+    "--store-mmap": dict(
+        action="store_true",
+        help="memory-map disk-tier npz artifacts on read instead of copying "
+             "them into private memory (warm reruns share page-cache pages; "
+             "see store_io in /metrics)",
+    ),
+    "--kernel-policy": dict(
+        choices=SVD_METHODS, default=None,
+        help="SVD kernel selection for every decomposition (default: exact; "
+             "'auto' switches large truncated decompositions to randomized)",
+    ),
+    "--dtype": dict(
+        choices=KERNEL_DTYPES, default=None,
+        help="working precision of the measure kernels (default: float64)",
+    ),
+}
+
+
+def add_options(
+    parser: argparse.ArgumentParser, flags: tuple[str, ...] = tuple(_OPTIONS)
+) -> None:
+    """Declare ``flags`` (default: all seven) on ``parser``."""
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+
+
+def check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit with status 2 when the store flags do not describe one store."""
+    if args.store_shards is not None and args.cache_dir is None:
+        parser.error("--store-shards requires --cache-dir (it shards the local store)")
+    if args.store_url and args.store_replicas:
+        parser.error("--store-url and --store-replicas are mutually exclusive")
+    if args.store_mmap and not (args.cache_dir or args.store_url or args.store_replicas):
+        parser.error("--store-mmap requires a store to map (--cache-dir or replicas)")
+
+
+def store_replicas(args: argparse.Namespace) -> list[str] | None:
+    """The ``--store-replicas`` targets, or None when there are none."""
+    return [entry for entry in (args.store_replicas or "").split(",") if entry] or None
+
+
+def configure(args: argparse.Namespace) -> None:
+    """Make the parsed flags the process-wide store and kernel defaults.
+
+    Every pipeline built afterwards without an explicit store uses this
+    store construction; flags left unset leave the defaults alone.
+    """
+    replicas = store_replicas(args)
+    if args.cache_dir or args.store_url or replicas:
+        configure_default_store(
+            args.cache_dir,
+            shards=args.store_shards,
+            remote_url=args.store_url,
+            replicas=replicas,
+            mmap=args.store_mmap,
+        )
+    if args.kernel_policy is not None or args.dtype is not None:
+        configure_default_policy(svd=args.kernel_policy, dtype=args.dtype)
+
+
+def forward(args: argparse.Namespace) -> list[str]:
+    """The argv that sets the same flags on another entry point."""
+    argv: list[str] = []
+    for flag, spec in _OPTIONS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if spec.get("action") == "store_true":
+            argv += [flag] if value else []
+        elif value is not None:
+            argv += [flag, str(value)]
+    return argv

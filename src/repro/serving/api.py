@@ -104,9 +104,8 @@ from pathlib import Path
 from typing import Awaitable, Callable, Iterator
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from repro import options
 from repro.corpus.synthetic import SyntheticCorpusConfig
-from repro.engine.store import ArtifactStore
-from repro.linalg import KERNEL_DTYPES, SVD_METHODS, configure_default_policy
 from repro.serving.service import ServiceConfig, StabilityService
 from repro.telemetry.metrics import REGISTRY, render_prometheus
 from repro.telemetry.trace import TRACE_HEADER, bind, context_from_headers
@@ -1352,20 +1351,9 @@ def quick_serve_config() -> "PipelineConfig":
 
 
 async def _serve(args: argparse.Namespace) -> int:
-    config = quick_serve_config() if args.quick else None
-    store = None
-    replicas = [entry for entry in (args.store_replicas or "").split(",") if entry]
-    if args.cache_dir or args.store_url or replicas:
-        store = ArtifactStore(
-            args.cache_dir,
-            shards=args.store_shards,
-            remote_url=args.store_url,
-            replicas=replicas or None,
-            mmap=args.store_mmap,
-        )
+    # The store comes from the process-wide default that main() configured.
     service = StabilityService(
-        config,
-        store=store,
+        quick_serve_config() if args.quick else None,
         config=ServiceConfig(
             max_concurrency=args.max_concurrency, grid_workers=args.workers,
             lease_ttl=args.lease_ttl, run_gc_age=args.run_gc_age,
@@ -1453,31 +1441,7 @@ def main(argv: list[str] | None = None) -> int:
         "--max-concurrency", type=int, default=4,
         help="bounded thread pool computing requests",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="disk-backed artifact store; makes the service warm across restarts",
-    )
-    parser.add_argument(
-        "--store-shards", type=int, default=None,
-        help="split the local store into N consistent-hashed shard directories",
-    )
-    parser.add_argument(
-        "--store-url", default=None,
-        help="peer repro-serve base URL used as a remote artifact-store tier "
-             "(local misses are fetched from the peer's /artifacts API)",
-    )
-    parser.add_argument(
-        "--store-mmap", action="store_true",
-        help="memory-map disk-tier npz artifacts on read instead of copying "
-             "them into private memory (warm reruns share page-cache pages; "
-             "see store_io in /metrics)",
-    )
-    parser.add_argument(
-        "--store-replicas", default=None,
-        help="comma-separated replica targets (peer URLs and/or directories) "
-             "used as one N-way replicated store tier with read-repair and "
-             "hinted handoff; mutually exclusive with --store-url",
-    )
+    options.add_options(parser)
     parser.add_argument(
         "--request-timeout", type=float, default=300.0,
         help="per-request timeout in seconds for non-streaming endpoints "
@@ -1503,14 +1467,6 @@ def main(argv: list[str] | None = None) -> int:
         "--worker-ttl", type=float, default=300.0,
         help="seconds of silence before an idle cluster worker is evicted "
              "from the status table (0 disables)",
-    )
-    parser.add_argument(
-        "--kernel-policy", choices=SVD_METHODS, default=None,
-        help="SVD kernel selection (see repro.linalg)",
-    )
-    parser.add_argument(
-        "--dtype", choices=KERNEL_DTYPES, default=None,
-        help="working precision of the measure kernels",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -1565,16 +1521,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.monitor_webhook and not (args.monitor or args.monitor_distributed):
         parser.error("--monitor-webhook requires --monitor")
-    if args.store_shards is not None and args.cache_dir is None:
-        parser.error("--store-shards requires --cache-dir (it shards the local store)")
-    if args.store_mmap and not (args.cache_dir or args.store_url or args.store_replicas):
-        parser.error("--store-mmap requires a store to map (--cache-dir or replicas)")
-    if args.store_url and args.store_replicas:
-        parser.error("--store-url and --store-replicas are mutually exclusive")
+    options.check(parser, args)
 
     configure_logging()
-    if args.kernel_policy is not None or args.dtype is not None:
-        configure_default_policy(svd=args.kernel_policy, dtype=args.dtype)
+    options.configure(args)
     try:
         return asyncio.run(_serve(args))
     except KeyboardInterrupt:  # pragma: no cover - interactive
