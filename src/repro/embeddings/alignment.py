@@ -12,8 +12,8 @@ kernel layer (exact or seeded Halko randomized); the returned rotation is
 ``U V^T`` of whatever factorization ran, so it is exactly orthogonal either
 way -- a randomized policy perturbs *which* rotation is chosen, never its
 orthogonality.  :func:`alignment_residual` reports the relative Frobenius
-misfit of an alignment, the error estimate the fast serving path threads
-into its escalation logic.
+misfit of an alignment, which :func:`align_pair` records in the aligned
+embedding's metadata.
 """
 
 from __future__ import annotations

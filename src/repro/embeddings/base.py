@@ -182,8 +182,7 @@ class Embedding:
         order = np.asarray([index[w] for w in vocab.words], dtype=np.int64)
         vectors = np.asarray(vectors)
         # Arrays saved in vocabulary order (the store codecs always are)
-        # re-gather as the identity; skipping the fancy-index copy then lets
-        # a memory-mapped vector matrix flow through still mapped.
+        # re-gather as the identity, so the fancy-index copy is skipped.
         if not np.array_equal(order, np.arange(len(order))):
             vectors = vectors[order]
         return cls(

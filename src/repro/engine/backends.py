@@ -210,16 +210,6 @@ class StoreBackend:
     def _delete(self, kind: str, name: str) -> None:
         raise NotImplementedError
 
-    def open_path(self, kind: str, name: str) -> Path | None:
-        """On-disk location of a payload, for memory-mapped decoding.
-
-        ``None`` means the backend cannot expose one (memory, remote) or the
-        payload is absent; the store then falls back to :meth:`get`.  Probes
-        are not counted in :class:`TierStats` -- the store counts the hit
-        once a mapped decode actually succeeds.
-        """
-        return None
-
     # -- reconstruction / observability ---------------------------------------
 
     def spec(self) -> dict | None:
@@ -318,10 +308,6 @@ class DiskBackend(StoreBackend):
     def _delete(self, kind: str, name: str) -> None:
         self._path(kind, name).unlink(missing_ok=True)
 
-    def open_path(self, kind: str, name: str) -> Path | None:
-        path = self._path(kind, name)
-        return path if path.exists() else None
-
     def spec(self) -> dict:
         return {"backend": "disk", "root": str(self.root)}
 
@@ -393,9 +379,6 @@ class ShardedBackend(StoreBackend):
 
     def _delete(self, kind: str, name: str) -> None:
         self.shard_for(kind, name).delete(kind, name)
-
-    def open_path(self, kind: str, name: str) -> Path | None:
-        return self.shard_for(kind, name).open_path(kind, name)
 
     def spec(self) -> dict | None:
         shard_specs = [shard.spec() for shard in self.shards]
@@ -972,19 +955,6 @@ class ReplicatedBackend(StoreBackend):
         with self._hint_lock:
             for key in [k for k in self._hints if k[1] == kind and k[2] == name]:
                 del self._hints[key]
-
-    def open_path(self, kind: str, name: str) -> Path | None:
-        """First replica that can expose an on-disk copy (no read-repair).
-
-        Mapped reads bypass the repair machinery deliberately: they prove
-        nothing about the *other* replicas, and a mapped decode that later
-        fails falls back to :meth:`get`, which repairs as usual.
-        """
-        for replica in self.replicas:
-            path = replica.open_path(kind, name)
-            if path is not None:
-                return path
-        return None
 
     # -- reconstruction / observability ---------------------------------------
 

@@ -27,9 +27,6 @@ from __future__ import annotations
 
 import io
 import json
-import struct
-import zipfile
-from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
@@ -45,66 +42,8 @@ __all__ = [
     "JSON_CODEC",
     "ARRAYS_CODEC",
     "EMBEDDING_PAIR_CODEC",
-    "RAW_ARRAYS_CODEC",
-    "RAW_EMBEDDING_PAIR_CODEC",
     "codec_for_value",
-    "mmap_codec_variant",
-    "mmap_npz_member",
 ]
-
-
-def mmap_npz_member(path: str | Path, member: str) -> np.ndarray | None:
-    """Memory-map one ``.npy`` member of an on-disk ``.npz`` archive.
-
-    ``np.load(..., mmap_mode="r")`` silently ignores the mmap request for
-    zipped archives, so the member is mapped manually: locate the member's
-    data start through the zip local file header, parse the npy header for
-    dtype/shape/order, and hand the remaining extent to :class:`numpy.memmap`
-    read-only.  Only ``ZIP_STORED`` (uncompressed) members are mappable --
-    the store writes npz artifacts uncompressed when its mmap mode is on.
-    Returns ``None`` whenever the member cannot be mapped (compressed,
-    zero-size, malformed); callers fall back to a regular decode.
-    """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            info = archive.getinfo(member)
-            if info.compress_type != zipfile.ZIP_STORED:
-                return None
-            header_offset = info.header_offset
-        with open(path, "rb") as handle:
-            handle.seek(header_offset)
-            local_header = handle.read(30)
-            if len(local_header) != 30 or local_header[:4] != b"PK\x03\x04":
-                return None
-            name_len, extra_len = struct.unpack("<HH", local_header[26:30])
-            handle.seek(header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-            else:
-                return None
-            if dtype.hasobject or 0 in shape or shape == ():
-                return None
-            data_offset = handle.tell()
-        return np.memmap(
-            path, dtype=dtype, mode="r", offset=data_offset, shape=shape,
-            order="F" if fortran else "C",
-        )
-    except Exception:
-        return None
-
-
-def _stored_members_only(path: str | Path) -> bool:
-    """Whether every archive member is uncompressed (``ZIP_STORED``)."""
-    try:
-        with zipfile.ZipFile(path) as archive:
-            return all(
-                info.compress_type == zipfile.ZIP_STORED for info in archive.infolist()
-            )
-    except Exception:
-        return False
 
 
 class ArtifactCodec:
@@ -124,16 +63,6 @@ class ArtifactCodec:
     def decode(self, payload: bytes) -> Any:
         raise NotImplementedError
 
-    def decode_path(self, path: str | Path) -> "tuple[Any, int, int] | None":
-        """Decode straight from an on-disk payload, memory-mapping when possible.
-
-        Returns ``(value, mapped_bytes, copied_bytes)`` -- how many array
-        bytes stayed page-cache-backed versus privately materialised -- or
-        ``None`` when the codec cannot map this payload (callers fall back
-        to :meth:`decode` on the raw bytes).
-        """
-        return None
-
 
 class JsonCodec(ArtifactCodec):
     """JSON-able artifacts (measure values, downstream results)."""
@@ -149,55 +78,19 @@ class JsonCodec(ArtifactCodec):
 
 
 class ArraysCodec(ArtifactCodec):
-    """Dicts of named numpy arrays (matrix decompositions).
-
-    ``compressed=False`` writes the members ``ZIP_STORED`` (still a valid
-    npz/zip, CRCs intact for :func:`~repro.engine.backends.payload_intact`)
-    so a disk tier in mmap mode can map them straight out of the page cache.
-    """
+    """Dicts of named numpy arrays (matrix decompositions)."""
 
     name = "arrays"
     suffix = ".npz"
 
-    def __init__(self, *, compressed: bool = True) -> None:
-        self.compressed = compressed
-
     def encode(self, value: Mapping[str, np.ndarray]) -> bytes:
         buffer = io.BytesIO()
-        savez = np.savez_compressed if self.compressed else np.savez
-        savez(buffer, **{k: np.asarray(v) for k, v in value.items()})
+        np.savez_compressed(buffer, **{k: np.asarray(v) for k, v in value.items()})
         return buffer.getvalue()
 
     def decode(self, payload: bytes) -> dict[str, np.ndarray]:
         with np.load(io.BytesIO(payload)) as data:
             return {name: data[name] for name in data.files}
-
-    def decode_path(self, path: str | Path) -> tuple[dict[str, np.ndarray], int, int] | None:
-        """Map every member read-only straight out of the archive on disk.
-
-        A compressed (legacy ``savez_compressed``) archive is not mappable at
-        all -- return ``None`` so the caller decodes the bytes as before.
-        Members that are individually unmappable (0-d scalars, empty arrays)
-        are loaded normally and counted as copied bytes; they are metadata
-        riding along with the matrices the mapping exists to share.
-        """
-        if not _stored_members_only(path):
-            return None
-        value: dict[str, np.ndarray] = {}
-        mapped = copied = 0
-        try:
-            with np.load(path) as data:
-                for name in data.files:
-                    array = mmap_npz_member(path, f"{name}.npy")
-                    if array is None:
-                        array = data[name]
-                        copied += array.nbytes
-                    else:
-                        mapped += array.nbytes
-                    value[name] = array
-        except Exception:
-            return None
-        return value, mapped, copied
 
 
 class EmbeddingPairCodec(ArtifactCodec):
@@ -217,9 +110,6 @@ class EmbeddingPairCodec(ArtifactCodec):
     name = "embedding_pair"
     suffix = ".npz"
 
-    def __init__(self, *, compressed: bool = True) -> None:
-        self.compressed = compressed
-
     def encode(self, value: tuple[Embedding, Embedding]) -> bytes:
         emb_a, emb_b = value
         payload = {
@@ -234,8 +124,7 @@ class EmbeddingPairCodec(ArtifactCodec):
             ),
         }
         buffer = io.BytesIO()
-        savez = np.savez_compressed if self.compressed else np.savez
-        savez(buffer, **payload)
+        np.savez_compressed(buffer, **payload)
         return buffer.getvalue()
 
     def decode(self, payload: bytes) -> tuple[Embedding, Embedding]:
@@ -250,58 +139,10 @@ class EmbeddingPairCodec(ArtifactCodec):
             ]
         return embeddings[0], embeddings[1]
 
-    def decode_path(self, path: str | Path) -> tuple[tuple[Embedding, Embedding], int, int] | None:
-        """Rebuild the pair with its vector matrices memory-mapped.
-
-        Vocabulary words/counts and metadata are tiny and always read
-        normally; only the two vector matrices matter for page sharing.  The
-        codec writes words in vocabulary order, so the rebuild's re-gather is
-        the identity permutation and :meth:`Embedding.from_word_arrays`
-        passes the mapped matrices through without copying them.
-        """
-        if not _stored_members_only(path):
-            return None
-        mapped = copied = 0
-        try:
-            with np.load(path) as data:
-                meta_a, meta_b = json.loads(str(data["metadata"]))
-                embeddings = []
-                for side, meta in (("a", meta_a), ("b", meta_b)):
-                    vectors = mmap_npz_member(path, f"vectors_{side}.npy")
-                    if vectors is None:
-                        vectors = data[f"vectors_{side}"]
-                    embedding = Embedding.from_word_arrays(
-                        data[f"words_{side}"], data[f"counts_{side}"],
-                        vectors, metadata=meta,
-                    )
-                    if np.may_share_memory(embedding.vectors, vectors) and isinstance(
-                        vectors, np.memmap
-                    ):
-                        mapped += embedding.vectors.nbytes
-                    else:
-                        copied += embedding.vectors.nbytes
-                    embeddings.append(embedding)
-        except Exception:
-            return None
-        return (embeddings[0], embeddings[1]), mapped, copied
-
 
 JSON_CODEC = JsonCodec()
 ARRAYS_CODEC = ArraysCodec()
 EMBEDDING_PAIR_CODEC = EmbeddingPairCodec()
-#: Uncompressed (``ZIP_STORED``) variants used by stores in mmap mode: the
-#: bytes they write are what :meth:`ArtifactCodec.decode_path` can map.
-RAW_ARRAYS_CODEC = ArraysCodec(compressed=False)
-RAW_EMBEDDING_PAIR_CODEC = EmbeddingPairCodec(compressed=False)
-
-
-def mmap_codec_variant(codec: ArtifactCodec) -> ArtifactCodec:
-    """The uncompressed twin of an npz-family codec (identity otherwise)."""
-    if isinstance(codec, EmbeddingPairCodec):
-        return RAW_EMBEDDING_PAIR_CODEC
-    if isinstance(codec, ArraysCodec):
-        return RAW_ARRAYS_CODEC
-    return codec
 
 
 def codec_for_value(value: Any) -> ArtifactCodec:

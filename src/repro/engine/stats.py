@@ -84,7 +84,7 @@ def stats(
             kind: asdict(stat) for kind, stat in sorted(store.stats.items())
         }
         snapshot["store_persistent"] = store.persistent
-        snapshot["store_io"] = store.io_counters()
+        snapshot["store_io"] = {"bytes_in_memory": store.bytes_in_memory()}
         snapshot["store_tiers"] = store.tier_stats()
         snapshot["store_replication"] = store.replication_stats()
         snapshot["store_replicas"] = store.replica_counters()

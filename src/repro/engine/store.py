@@ -38,7 +38,7 @@ import hashlib
 import io
 import json
 from pathlib import Path
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -59,7 +59,6 @@ from repro.engine.codecs import (
     JSON_CODEC,
     ArtifactCodec,
     codec_for_value,
-    mmap_codec_variant,
 )
 from repro.telemetry.trace import span
 from repro.utils.io import to_jsonable
@@ -70,7 +69,6 @@ logger = get_logger(__name__)
 __all__ = [
     "config_hash",
     "CacheStats",
-    "StoreIO",
     "ArtifactStore",
     "configure_default_store",
     "default_store",
@@ -106,45 +104,22 @@ class CacheStats:
         return self.hits + self.misses
 
 
-def _private_array_bytes(value: Any) -> int:
-    """Array bytes ``value`` holds in private memory (mapped arrays excluded).
+def _array_bytes(value: Any) -> int:
+    """Array bytes ``value`` holds.
 
     Understands the store's artifact families: embedding pairs, dicts of
     arrays, bare arrays.  JSON-able values count zero -- the gauge exists to
     show where the large matrices live, not to re-implement ``sys.getsizeof``.
     """
     if isinstance(value, np.ndarray):
-        base: Any = value
-        while base is not None:
-            if isinstance(base, np.memmap):
-                return 0
-            base = getattr(base, "base", None)
         return int(value.nbytes)
     if isinstance(value, Embedding):
-        return _private_array_bytes(value.vectors)
+        return _array_bytes(value.vectors)
     if isinstance(value, tuple):
-        return sum(_private_array_bytes(item) for item in value)
+        return sum(_array_bytes(item) for item in value)
     if isinstance(value, Mapping):
-        return sum(_private_array_bytes(item) for item in value.values())
+        return sum(_array_bytes(item) for item in value.values())
     return 0
-
-
-@dataclass
-class StoreIO:
-    """Array-byte accounting of npz-family artifact reads.
-
-    ``mapped_*`` counts decodes served as read-only memory maps of a disk
-    tier's file (page-cache pages shared across every co-located process);
-    ``copied_*`` counts decodes that materialised private copies of the
-    arrays.  The mmap benchmark and the ``/metrics`` endpoint read these to
-    show the fast path's memory win; a warm mmap rerun of the pipeline keeps
-    ``copied_reads`` at zero for its pair artifacts.
-    """
-
-    mapped_reads: int = 0
-    mapped_bytes: int = 0
-    copied_reads: int = 0
-    copied_bytes: int = 0
 
 
 class ArtifactStore:
@@ -188,13 +163,6 @@ class ArtifactStore:
         artifacts to the next worker.
     replication_queue:
         Entry bound of the async replication queue.
-    mmap:
-        Serve npz-family artifacts straight from the disk tier as read-only
-        memory maps instead of decoding private copies, and write them
-        uncompressed (``ZIP_STORED``) so future reads are mappable.  N
-        workers plus a serving instance on one host then share one
-        page-cache copy of each large pair.  Payloads written earlier with
-        compression keep working -- they just decode the copying way.
     """
 
     def __init__(
@@ -208,10 +176,8 @@ class ArtifactStore:
         remote_timeout: float = 10.0,
         async_replication: bool = False,
         replication_queue: int = 256,
-        mmap: bool = False,
     ) -> None:
         self.root = Path(root) if root is not None else None
-        self.mmap = bool(mmap)
         if backends is not None:
             if shards or remote_url or replicas:
                 raise ValueError(
@@ -251,11 +217,10 @@ class ArtifactStore:
         #: repeated fetches of the same memory-only artifact don't re-run
         #: savez_compressed; invalidated whenever the entry changes.
         self._encoded: dict[tuple[str, str], bytes] = {}
-        #: Private array bytes each memory-tier entry holds (mapped bytes are
-        #: excluded at record time); feeds the ``bytes_in_memory`` gauge.
+        #: Array bytes each memory-tier entry holds; feeds the
+        #: ``bytes_in_memory`` gauge.
         self._memory_bytes: dict[tuple[str, str], int] = {}
         self.stats: dict[str, CacheStats] = {}
-        self.io = StoreIO()
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -285,7 +250,7 @@ class ArtifactStore:
         touching the byte tiers (the parent persists its own copies).
         """
         self._memory[(kind, key)] = value
-        self._memory_bytes[(kind, key)] = _private_array_bytes(value)
+        self._memory_bytes[(kind, key)] = _array_bytes(value)
         self._encoded.pop((kind, key), None)
         self.stat(kind).preloads += 1
 
@@ -308,19 +273,11 @@ class ArtifactStore:
         return [tier.describe() for tier in self.tiers]
 
     def bytes_in_memory(self) -> int:
-        """Private bytes the object memory tier holds (mapped pages excluded).
-
-        Sums each entry's privately-materialised array bytes plus any byte
-        payloads memoised for peer serving.  With mmap mode on, large pairs
-        contribute nothing here -- that is the observable memory win.
-        """
+        """Bytes the object memory tier holds: each entry's array bytes plus
+        any byte payloads memoised for peer serving."""
         return sum(self._memory_bytes.values()) + sum(
             len(payload) for payload in self._encoded.values()
         )
-
-    def io_counters(self) -> dict:
-        """JSON-able mapped-vs-copied read accounting plus the memory gauge."""
-        return {**asdict(self.io), "bytes_in_memory": self.bytes_in_memory()}
 
     def replication_stats(self) -> dict | None:
         """Counters of the async replication queue (``None`` when synchronous)."""
@@ -396,7 +353,6 @@ class ArtifactStore:
         return {
             "root": str(self.root) if self.root is not None else None,
             "tiers": [spec for spec in tier_specs if spec is not None],
-            "mmap": self.mmap,
         }
 
     @classmethod
@@ -406,11 +362,10 @@ class ArtifactStore:
             return cls()
         if isinstance(spec, (str, Path)):
             return cls(spec)
-        mmap = bool(spec.get("mmap", False))
         tiers = [backend_from_spec(s) for s in spec.get("tiers", [])]
         if tiers:
-            return cls(spec.get("root"), backends=tiers, mmap=mmap)
-        return cls(spec.get("root"), mmap=mmap)
+            return cls(spec.get("root"), backends=tiers)
+        return cls(spec.get("root"))
 
     # -- generic tiered read/write -------------------------------------------
 
@@ -420,12 +375,7 @@ class ArtifactStore:
             self._record(kind, True)
             return memo
         name = key + codec.suffix
-        mappable = self.mmap and codec.suffix == ".npz"
         for index, tier in enumerate(self.tiers):
-            if mappable:
-                value = self._mapped_get(kind, key, name, tier, codec)
-                if value is not None:
-                    return value
             with span("store.get", metric="store", label=f"{tier.name}.get",
                       tier=tier.name, kind=kind) as tier_span:
                 payload = tier.get(kind, name)
@@ -442,9 +392,6 @@ class ArtifactStore:
                 )
                 self.stat(kind).corrupt += 1
                 continue
-            if codec.suffix == ".npz":
-                self.io.copied_reads += 1
-                self.io.copied_bytes += _private_array_bytes(value)
             # Read-through: promote the payload into every tier above the hit.
             for upper in self.tiers[:index]:
                 upper.put(kind, name, payload)
@@ -454,44 +401,12 @@ class ArtifactStore:
         self._record(kind, False)
         return None
 
-    def _mapped_get(
-        self, kind: str, key: str, name: str, tier: StoreBackend, codec: ArtifactCodec
-    ) -> Any | None:
-        """Try serving ``kind/name`` as a memory map of ``tier``'s file.
-
-        A mapped hit is counted on the tier like a byte hit, but is *not*
-        promoted into upper tiers -- promotion would materialise exactly the
-        private copy the mapping exists to avoid.
-        """
-        path = tier.open_path(kind, name)
-        if path is None:
-            return None
-        decoded = codec.decode_path(path)
-        if decoded is None:
-            return None
-        value, mapped_bytes, copied_bytes = decoded
-        tier.stats.hits += 1
-        self.io.mapped_reads += 1
-        self.io.mapped_bytes += mapped_bytes
-        self.io.copied_bytes += copied_bytes
-        self._memoize(kind, key, value, mmap_codec_variant(codec), nbytes=copied_bytes)
-        self._record(kind, True)
-        return value
-
-    def _memoize(
-        self, kind: str, key: str, value: Any, codec: ArtifactCodec,
-        nbytes: int | None = None,
-    ) -> None:
+    def _memoize(self, kind: str, key: str, value: Any, codec: ArtifactCodec) -> None:
         self._memory[(kind, key)] = value
         self._memory_codecs[(kind, key)] = codec
-        self._memory_bytes[(kind, key)] = (
-            _private_array_bytes(value) if nbytes is None else nbytes
-        )
+        self._memory_bytes[(kind, key)] = _array_bytes(value)
 
     def _put(self, kind: str, key: str, value: Any, codec: ArtifactCodec) -> None:
-        if self.mmap:
-            # Write npz artifacts uncompressed so later reads are mappable.
-            codec = mmap_codec_variant(codec)
         self._memoize(kind, key, value, codec)
         self._encoded.pop((kind, key), None)
         self.stat(kind).puts += 1
@@ -681,7 +596,6 @@ _DEFAULT_ROOT: Path | None = None
 _DEFAULT_SHARDS: int | None = None
 _DEFAULT_REMOTE_URL: str | None = None
 _DEFAULT_REPLICAS: tuple[str, ...] | None = None
-_DEFAULT_MMAP: bool = False
 
 
 def configure_default_store(
@@ -690,20 +604,17 @@ def configure_default_store(
     shards: int | None = None,
     remote_url: str | None = None,
     replicas: Sequence[str] | None = None,
-    mmap: bool = False,
 ) -> None:
     """Set (or clear, with all-``None``) the process-wide store construction."""
     global _DEFAULT_ROOT, _DEFAULT_SHARDS, _DEFAULT_REMOTE_URL, _DEFAULT_REPLICAS
-    global _DEFAULT_MMAP
     _DEFAULT_ROOT = Path(root) if root is not None else None
     _DEFAULT_SHARDS = shards
     _DEFAULT_REMOTE_URL = remote_url
     _DEFAULT_REPLICAS = tuple(replicas) if replicas else None
-    _DEFAULT_MMAP = bool(mmap)
     if _DEFAULT_ROOT is not None or remote_url is not None or replicas:
         logger.info(
-            "default artifact store: root=%s shards=%s remote=%s replicas=%s mmap=%s",
-            _DEFAULT_ROOT, shards, remote_url, _DEFAULT_REPLICAS, _DEFAULT_MMAP,
+            "default artifact store: root=%s shards=%s remote=%s replicas=%s",
+            _DEFAULT_ROOT, shards, remote_url, _DEFAULT_REPLICAS,
         )
 
 
@@ -714,5 +625,4 @@ def default_store() -> ArtifactStore:
         shards=_DEFAULT_SHARDS,
         remote_url=_DEFAULT_REMOTE_URL,
         replicas=_DEFAULT_REPLICAS,
-        mmap=_DEFAULT_MMAP,
     )

@@ -44,7 +44,6 @@ from repro.measures.eigenspace_instability import (
     anchor_factors,
 )
 from repro.measures.eigenspace_overlap import EigenspaceOverlapDistance
-from repro.measures.fastpath import build_fast_pair, evaluate_fast
 from repro.measures.knn import KNNDistance
 from repro.measures.pip_loss import PIPLoss
 from repro.measures.semantic_displacement import SemanticDisplacement
@@ -133,12 +132,8 @@ class PipelineConfig:
     knn_num_queries: int = 300
     #: Truncation rank of the EIS anchor factorization (``None`` = full-rank
     #: thin SVD, the exact paper behaviour).  With a randomized kernel policy
-    #: this turns the anchor SVD into a seeded Halko sketch; the factors then
-    #: carry residual estimates that feed the fast path's error bounds.
+    #: this turns the anchor SVD into a seeded Halko sketch.
     anchor_rank: int | None = None
-    #: Bit width of the quantized "fast pair" representation the serving
-    #: layer's quantized-first mode evaluates measures from.
-    fast_bits: int = 8
 
     # Numerical kernels (see repro.linalg).  ``None`` defers to the
     # process-wide default policy (the runner's --kernel-policy/--dtype
@@ -168,8 +163,6 @@ class PipelineConfig:
             )
         if self.anchor_rank is not None and self.anchor_rank < 1:
             raise ValueError(f"anchor_rank must be >= 1 or None, got {self.anchor_rank}")
-        if self.fast_bits < 1:
-            raise ValueError(f"fast_bits must be >= 1, got {self.fast_bits}")
         if self.snapshot_pair is not None:
             if (
                 len(self.snapshot_pair) != 2
@@ -508,23 +501,14 @@ class InstabilityPipeline:
                     words=tuple(ra.vocab.words), policy=policy,
                     rank=self.config.anchor_rank,
                 )
-            payload = {
+            self.store.put_arrays("decomposition", key, {
                 "P": factors.P, "Ra": factors.Ra,
                 "P_t": factors.P_t, "Ra_t": factors.Ra_t,
-            }
-            if self.config.anchor_rank is not None:
-                payload["residuals"] = np.array(
-                    [factors.residual, factors.residual_t], dtype=np.float64
-                )
-            self.store.put_arrays("decomposition", key, payload)
+            })
             return factors
-        # Older (full-rank) artifacts carry no residual member: exact factors
-        # have zero truncation residual by construction.
-        residuals = np.asarray(arrays.get("residuals", (0.0, 0.0)), dtype=np.float64)
         return AnchorFactors(
             P=arrays["P"], Ra=arrays["Ra"], P_t=arrays["P_t"], Ra_t=arrays["Ra_t"],
             words=words,
-            residual=float(residuals[0]), residual_t=float(residuals[1]),
         )
 
     def measure_suite(self, algorithm: str, seed: int) -> dict[str, object]:
@@ -557,9 +541,10 @@ class InstabilityPipeline:
         Public so callers that deduplicate work by artifact identity (the
         serving layer's single-flight coalescing) agree exactly with the
         store's caching: two requests with the same key are the same
-        computation.
+        computation.  A selection is keyed as the sorted set of its names,
+        so neither order nor repeats make a new key.
         """
-        selected = tuple(sorted(measures)) if measures is not None else None
+        selected = tuple(sorted(set(measures))) if measures is not None else None
 
         def fields_fn() -> dict:
             policy = self.config.resolved_kernel_policy()
@@ -595,14 +580,16 @@ class InstabilityPipeline:
         matrix is decomposed once for EIS, eigenspace overlap and PIP loss
         together; values are cached in the artifact store.  ``cache`` lets a
         long-lived caller (the serving layer) share one bounded decomposition
-        cache across many requests instead of one per batch.  A selection
-        naming a measure outside the suite raises ``KeyError`` before the
-        store is consulted.
+        cache across many requests instead of one per batch.  An empty
+        selection, or one naming a measure outside the suite, raises
+        ``KeyError`` before the store is consulted.
         """
         if measures is not None:
             unknown = [name for name in measures if name not in SUITE_MEASURES]
-            if unknown:
-                raise KeyError(f"cannot evaluate {unknown!r}; known: {SUITE_MEASURES}")
+            if unknown or not measures:
+                raise KeyError(
+                    f"cannot evaluate {unknown or 'no measures'}; known: {SUITE_MEASURES}"
+                )
         policy = self.config.resolved_kernel_policy()
         key = self.measures_key(algorithm, dim, precision, seed, measures=measures)
         cached = self.store.get_json("measures", key)
@@ -623,120 +610,6 @@ class InstabilityPipeline:
             )
             out = batch.values
             self.store.put_json("measures", key, out)
-        return out
-
-    # -- fast (quantized-first) measures ----------------------------------------
-
-    def fast_pair_key(self, algorithm: str, dim: int, precision: int, seed: int) -> str:
-        """Artifact key of the quantized fast-pair representation of one cell."""
-
-        def fields_fn() -> dict:
-            fields = self._quantized_fields(algorithm, dim, precision, seed)
-            fields.update(
-                kind="fast_pair",
-                fast_bits=self.config.fast_bits,
-                top_k=self.config.measure_top_k,
-                # The artifact embeds precomputed knn stats, so their
-                # parameters are part of its identity.
-                knn_k=self.config.knn_k,
-                knn_num_queries=self.config.knn_num_queries,
-            )
-            return fields
-
-        return self._memoised_key(
-            ("fast_pair", algorithm, int(dim), int(precision), int(seed)), fields_fn
-        )
-
-    def fast_pair(
-        self, algorithm: str, dim: int, precision: int, seed: int
-    ) -> dict[str, np.ndarray]:
-        """Quantized float32 snapshot of a cell's aligned pair (cached).
-
-        The snapshot (see :func:`~repro.measures.fastpath.build_fast_pair`)
-        bundles the ``fast_bits``-quantized matrices with exactly-computed
-        residual statistics; it is its own content-addressed artifact kind, so
-        warm serving processes evaluate fast measures without ever touching
-        the float64 pair.
-        """
-        key = self.fast_pair_key(algorithm, dim, precision, seed)
-        arrays = self.store.get_arrays("fast_pair", key)
-        if arrays is None:
-            emb_a, emb_b = self.compressed_pair(algorithm, dim, precision, seed)
-            with span("pipeline.fast_pair", metric="phase", label="fast_pair",
-                      algorithm=algorithm, dim=int(dim), precision=int(precision)):
-                arrays = build_fast_pair(
-                    emb_a, emb_b,
-                    top_k=self.config.measure_top_k,
-                    bits=self.config.fast_bits,
-                    share_threshold=self.config.share_clip_threshold,
-                    knn_k=self.config.knn_k,
-                    knn_num_queries=self.config.knn_num_queries,
-                )
-                self.store.put_arrays("fast_pair", key, arrays)
-        return arrays
-
-    def fast_measures_key(
-        self, algorithm: str, dim: int, precision: int, seed: int,
-        *, measures: tuple[str, ...] | None = None,
-    ) -> str:
-        """Artifact key of one fast (quantized-first) measure evaluation."""
-        selected = tuple(sorted(measures)) if measures is not None else None
-
-        def fields_fn() -> dict:
-            fields = self._quantized_fields(algorithm, dim, precision, seed)
-            fields.update(
-                kind="fast_measures",
-                measures=list(selected) if selected is not None else None,
-                fast_bits=self.config.fast_bits,
-                top_k=self.config.measure_top_k,
-                eis_alpha=self.config.eis_alpha,
-                knn_k=self.config.knn_k,
-                knn_num_queries=self.config.knn_num_queries,
-                anchor_dim=self.config.resolved_anchor_dim,
-            )
-            if self.config.anchor_rank is not None:
-                fields.update(anchor_rank=self.config.anchor_rank)
-            return fields
-
-        return self._memoised_key(
-            ("fast_measures", algorithm, int(dim), int(precision), int(seed), selected),
-            fields_fn,
-        )
-
-    def compute_measures_fast(
-        self, algorithm: str, dim: int, precision: int, seed: int,
-        *, measures: tuple[str, ...] | None = None,
-    ) -> dict[str, dict[str, float]]:
-        """Approximate measure values plus per-measure error bounds.
-
-        Evaluates the suite from the cell's quantized fast pair (see
-        :mod:`repro.measures.fastpath`); returns ``{"values": ..., "bounds":
-        ...}`` where every bound satisfies ``|fast - exact| <= bound`` against
-        :meth:`compute_measures` of the same cell.  The result is cached under
-        its own artifact kind -- it is tolerance-independent, so the serving
-        layer applies its escalation threshold on top without re-computing.
-        """
-        key = self.fast_measures_key(algorithm, dim, precision, seed, measures=measures)
-        cached = self.store.get_json("fast_measures", key)
-        if cached is not None:
-            return {k: dict(v) for k, v in cached.items()}
-        data = self.fast_pair(algorithm, dim, precision, seed)
-        selected = tuple(measures) if measures is not None else None
-        factors = None
-        if selected is None or "eis" in selected:
-            factors = self.anchor_decomposition(algorithm, seed)
-        with span("pipeline.fast_measures", metric="phase", label="fast_measures",
-                  algorithm=algorithm, dim=int(dim), precision=int(precision)):
-            values, bounds = evaluate_fast(
-                data,
-                measures=selected,
-                factors=factors,
-                alpha=self.config.eis_alpha,
-                knn_k=self.config.knn_k,
-                knn_num_queries=self.config.knn_num_queries,
-            )
-            out = {"values": values, "bounds": bounds}
-            self.store.put_json("fast_measures", key, out)
         return out
 
     # -- downstream models ----------------------------------------------------------

@@ -24,12 +24,7 @@ from repro.linalg.policy import (
     configure_default_policy,
     default_policy,
 )
-from repro.linalg.svd import (
-    compute_svd,
-    exact_svd,
-    randomized_svd,
-    svd_residual_estimate,
-)
+from repro.linalg.svd import compute_svd, exact_svd, randomized_svd
 from repro.linalg.kernels import (
     cosine_top_k,
     gram_frobenius_diff_sq,
@@ -52,5 +47,4 @@ __all__ = [
     "randomized_svd",
     "row_set_overlap",
     "scatter_add_rows",
-    "svd_residual_estimate",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.linalg.policy import KernelPolicy, default_policy
 
-__all__ = ["exact_svd", "randomized_svd", "compute_svd", "svd_residual_estimate"]
+__all__ = ["exact_svd", "randomized_svd", "compute_svd"]
 
 
 def exact_svd(
@@ -88,36 +88,6 @@ def randomized_svd(
     Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub
     return U[:, :rank], S[:rank], Vt[:rank]
-
-
-def svd_residual_estimate(
-    X: np.ndarray,
-    U: np.ndarray,
-    S: np.ndarray,
-    Vt: np.ndarray,
-    *,
-    n_probes: int = 8,
-    seed: int = 0,
-) -> float:
-    """Gaussian-probe estimate of the truncation residual ``||X - U S Vt||_F``.
-
-    Applies both ``X`` and its factored approximation to ``n_probes`` seeded
-    standard-normal probe vectors: ``E||(X - U S Vt) g||^2 = ||X - U S Vt||_F^2``
-    for ``g ~ N(0, I)``, so the probe average is an unbiased estimate of the
-    squared residual without ever materialising the residual matrix -- the
-    cost is ``n_probes`` matvecs instead of an ``(n, d)`` subtraction.  The
-    estimate is a deterministic function of ``(X, factors, n_probes, seed)``;
-    callers treating it as an error *bound* should inflate it (the square
-    root of an unbiased squared estimate is slightly biased low).
-    """
-    X = np.asarray(X)
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    dtype = X.dtype if np.issubdtype(X.dtype, np.floating) else np.dtype(np.float64)
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((X.shape[1], int(n_probes))).astype(dtype, copy=False)
-    residual = np.asarray(X @ G) - U @ (S[:, np.newaxis] * (Vt @ G))
-    return float(np.sqrt(np.sum(residual.astype(np.float64) ** 2) / int(n_probes)))
 
 
 def compute_svd(

@@ -21,7 +21,6 @@ from repro.measures.eigenspace_instability import (
     eigenspace_instability_exact,
 )
 from repro.measures.eigenspace_overlap import EigenspaceOverlapDistance, eigenspace_overlap
-from repro.measures.fastpath import FAST_MEASURES, build_fast_pair, evaluate_fast
 from repro.measures.knn import KNNDistance, knn_overlap
 from repro.measures.pip_loss import PIPLoss, pip_loss
 from repro.measures.semantic_displacement import SemanticDisplacement, semantic_displacement
@@ -32,7 +31,6 @@ __all__ = [
     "EigenspaceInstability",
     "EigenspaceOverlapDistance",
     "EmbeddingDistanceMeasure",
-    "FAST_MEASURES",
     "KNNDistance",
     "MEASURES",
     "MeasureBatchResult",
@@ -40,9 +38,7 @@ __all__ = [
     "PIPLoss",
     "SemanticDisplacement",
     "anchor_factors",
-    "build_fast_pair",
     "compute_measure_batch",
-    "evaluate_fast",
     "eigenspace_instability",
     "eigenspace_instability_exact",
     "eigenspace_overlap",

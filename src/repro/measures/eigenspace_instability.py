@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embeddings.base import Embedding
-from repro.linalg import KernelPolicy, compute_svd, svd_residual_estimate
+from repro.linalg import KernelPolicy, compute_svd
 from repro.measures.base import (
     DEFAULT_TOP_K,
     MEASURES,
@@ -63,11 +63,6 @@ class AnchorFactors:
     ``P``/``P_t`` are the left singular vectors of ``E``/``E~`` and
     ``Ra``/``Ra_t`` the singular values raised to ``alpha``.  ``words`` names
     the vocabulary rows the factors were computed over (``None`` = positional).
-    ``residual``/``residual_t`` estimate the Frobenius truncation error
-    ``||E - P diag(R) W^T||_F`` of each factorization (0.0 for exact
-    full-rank factors); the fast serving path folds them into its EIS error
-    bound, since a truncated ``Sigma`` drops at most ``residual^(2 alpha)``
-    of spectral-trace mass per side.
     """
 
     P: np.ndarray
@@ -75,24 +70,10 @@ class AnchorFactors:
     P_t: np.ndarray
     Ra_t: np.ndarray
     words: tuple[str, ...] | None = None
-    residual: float = 0.0
-    residual_t: float = 0.0
 
     @property
     def n_words(self) -> int:
         return int(self.P.shape[0])
-
-    def sigma_trace_error(self, alpha: float) -> float:
-        """Upper estimate of the nuclear-norm error of the truncated ``Sigma``.
-
-        Every singular value beyond the kept rank satisfies
-        ``s_i <= residual`` and the tail ``s_i^2`` sum to ``residual^2``, so
-        for ``alpha >= 1`` each tail term ``s_i^(2 alpha) = s_i^2 *
-        s_i^(2 alpha - 2)`` is bounded by ``s_i^2 * residual^(2 alpha - 2)``
-        and the whole tail by ``residual^(2 alpha)`` per side.
-        """
-        exponent = 2.0 * max(float(alpha), 1.0)
-        return float(self.residual**exponent + self.residual_t**exponent)
 
 
 def anchor_factors(
@@ -109,10 +90,7 @@ def anchor_factors(
     factorization is the full-rank thin SVD, which every policy resolves to
     exact LAPACK.  An explicit ``rank`` truncates the anchors to their top
     ``rank`` directions -- the hook that lets ``svd="randomized"`` policies
-    engage the seeded Halko kernel on the dominant anchor subspace -- and the
-    returned factors then carry seeded Gaussian-probe estimates of each
-    side's Frobenius truncation residual, which downstream error bounds (the
-    fast serving path) fold into their escalation decisions.
+    engage the seeded Halko kernel on the dominant anchor subspace.
     """
     if policy is not None:
         E, E_tilde = policy.cast(E), policy.cast(E_tilde)
@@ -122,17 +100,9 @@ def anchor_factors(
         raise ValueError("anchor embeddings must share a vocabulary")
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be >= 1 or None, got {rank}")
-    P, R, Vt = compute_svd(E, rank, policy=policy)
-    P_t, R_t, Vt_t = compute_svd(E_tilde, rank, policy=policy)
-    residual = residual_t = 0.0
-    if rank is not None and rank < min(E.shape + E_tilde.shape):
-        seed = policy.seed if policy is not None else 0
-        residual = svd_residual_estimate(E, P, R, Vt, seed=seed)
-        residual_t = svd_residual_estimate(E_tilde, P_t, R_t, Vt_t, seed=seed)
-    return AnchorFactors(
-        P=P, Ra=R**alpha, P_t=P_t, Ra_t=R_t**alpha, words=words,
-        residual=residual, residual_t=residual_t,
-    )
+    P, R, _ = compute_svd(E, rank, policy=policy)
+    P_t, R_t, _ = compute_svd(E_tilde, rank, policy=policy)
+    return AnchorFactors(P=P, Ra=R**alpha, P_t=P_t, Ra_t=R_t**alpha, words=words)
 
 
 def sigma_from_anchors(E: np.ndarray, E_tilde: np.ndarray, alpha: float = 3.0) -> np.ndarray:
@@ -268,8 +238,7 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
         Optional truncation rank of the anchor factorization (``None`` =
         full-rank thin SVD, the seed behaviour).  Combined with a
         ``svd="randomized"`` policy this turns the anchor SVD -- the dominant
-        setup cost of the measure -- into a seeded Halko sketch, and the
-        derived factors carry residual estimates for error accounting.
+        setup cost of the measure -- into a seeded Halko sketch.
     """
 
     name = "eis"

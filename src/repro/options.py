@@ -2,11 +2,11 @@
 
 ``repro-serve``, the experiment runner and ``repro-worker`` take the same
 flags for the artifact store (``--cache-dir``, ``--store-shards``,
-``--store-url``, ``--store-replicas``, ``--store-mmap``) and the
-linear-algebra kernels (``--kernel-policy``, ``--dtype``).  Each flag, the
-rules on how they combine, and the process-wide store and kernel policy
-they configure are defined here; ``repro-worker`` takes only the two that
-apply to its per-run stores.  The runner's ``--serve`` hands the same flags
+``--store-url``, ``--store-replicas``) and the linear-algebra kernels
+(``--kernel-policy``, ``--dtype``).  Each flag, the rules on how they
+combine, and the process-wide store and kernel policy they configure are
+defined here; ``repro-worker`` takes only the two that apply to its
+per-run stores.  The runner's ``--serve`` hands the same flags
 on to ``repro-serve`` through :func:`forward`.
 """
 
@@ -43,12 +43,6 @@ _OPTIONS: dict[str, dict] = {
              "hinted handoff; mutually exclusive with --store-url (on "
              "repro-worker it replaces the coordinator tier)",
     ),
-    "--store-mmap": dict(
-        action="store_true",
-        help="memory-map disk-tier npz artifacts on read instead of copying "
-             "them into private memory (warm reruns share page-cache pages; "
-             "see store_io in /metrics)",
-    ),
     "--kernel-policy": dict(
         choices=SVD_METHODS, default=None,
         help="SVD kernel selection for every decomposition (default: exact; "
@@ -64,7 +58,7 @@ _OPTIONS: dict[str, dict] = {
 def add_options(
     parser: argparse.ArgumentParser, flags: tuple[str, ...] = tuple(_OPTIONS)
 ) -> None:
-    """Declare ``flags`` (default: all seven) on ``parser``."""
+    """Declare ``flags`` (default: all six) on ``parser``."""
     for flag in flags:
         parser.add_argument(flag, **_OPTIONS[flag])
 
@@ -75,8 +69,6 @@ def check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
         parser.error("--store-shards requires --cache-dir (it shards the local store)")
     if args.store_url and args.store_replicas:
         parser.error("--store-url and --store-replicas are mutually exclusive")
-    if args.store_mmap and not (args.cache_dir or args.store_url or args.store_replicas):
-        parser.error("--store-mmap requires a store to map (--cache-dir or replicas)")
 
 
 def store_replicas(args: argparse.Namespace) -> list[str] | None:
@@ -97,7 +89,6 @@ def configure(args: argparse.Namespace) -> None:
             shards=args.store_shards,
             remote_url=args.store_url,
             replicas=replicas,
-            mmap=args.store_mmap,
         )
     if args.kernel_policy is not None or args.dtype is not None:
         configure_default_policy(svd=args.kernel_policy, dtype=args.dtype)
@@ -106,10 +97,8 @@ def configure(args: argparse.Namespace) -> None:
 def forward(args: argparse.Namespace) -> list[str]:
     """The argv that sets the same flags on another entry point."""
     argv: list[str] = []
-    for flag, spec in _OPTIONS.items():
+    for flag in _OPTIONS:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if spec.get("action") == "store_true":
-            argv += [flag] if value else []
-        elif value is not None:
+        if value is not None:
             argv += [flag, str(value)]
     return argv

@@ -12,18 +12,15 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   ``X-Trace-Id`` (or ``X-Request-Id``) joins the caller's trace, and the
   id is echoed back as ``X-Trace-Id`` on every response.
 * ``GET|POST /measure?algorithm=cbow&dim=16&precision=4&seed=0`` -- the
-  pairwise stability measures of one grid cell.  ``fast=true`` serves the
-  quantized-first approximation with per-measure error bounds, escalating
-  to the exact float64 path when any bound exceeds ``tolerance`` (default:
-  the service's ``fast_tolerance``).  Responses carry an ``ETag`` derived
-  from the cell's content-addressed measures key (plus the precision mode
-  and tolerance), so an ``If-None-Match`` revalidation answers ``304 Not
-  Modified`` *before any numerical work happens* -- the tag is computable
-  from keys alone, on the event loop.  The answer is a pure function of
-  its tag as well, so each server keeps the bytes of its most recently
-  used computed answers (``_MEASURE_BODY_ENTRIES``) under their tags and
-  writes a repeat straight from them: no thread hop, service call, store
-  lookup or JSON encode (``serving.measure_body_hits`` in ``/metrics``).
+  pairwise stability measures of one grid cell.  Responses carry an
+  ``ETag`` derived from the cell's content-addressed measures key, so an
+  ``If-None-Match`` revalidation answers ``304 Not Modified`` *before any
+  numerical work happens* -- the tag is computable from keys alone, on the
+  event loop.  The answer is a pure function of its tag as well, so each
+  server keeps the bytes of its most recently used computed answers
+  (``_MEASURE_BODY_ENTRIES``) under their tags and writes a repeat straight
+  from them: no thread hop, service call, store lookup or JSON encode
+  (``serving.measure_body_hits`` in ``/metrics``).
 * ``GET|POST /select?budget=128&criterion=eis`` -- dimension-precision
   recommendation under a memory budget (bits per word).
 * ``GET|POST /grid?dims=8,16&precisions=1,32&stream=...`` -- executes a grid
@@ -240,17 +237,6 @@ def _int_param(
         return int(params[name])
     except (TypeError, ValueError):
         raise APIError(400, f"parameter {name!r} must be an integer") from None
-
-
-def _float_param(
-    params: dict, name: str, default: float | None = None
-) -> float | None:
-    if params.get(name) is None:
-        return default
-    try:
-        return float(params[name])
-    except (TypeError, ValueError):
-        raise APIError(400, f"parameter {name!r} must be a number") from None
 
 
 def _bool_param(params: dict, name: str, default: bool) -> bool:
@@ -653,10 +639,9 @@ class StabilityAPIServer:
         self.access_log = access_log
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
-        #: ETag -> (200 body, the answer's ``escalated`` field) of computed
-        #: /measure answers, least recently used first.  Only the event
-        #: loop touches it, so it needs no lock.
-        self._measure_bodies: OrderedDict[str, tuple[bytes, bool | None]] = OrderedDict()
+        #: ETag -> 200 body of computed /measure answers, least recently
+        #: used first.  Only the event loop touches it, so it needs no lock.
+        self._measure_bodies: OrderedDict[str, bytes] = OrderedDict()
         self._routes: dict[str, Callable[[_Request], Awaitable[dict | _RawResponse]]] = {
             "/healthz": self._handle_healthz,
             "/metrics": self._handle_metrics,
@@ -722,8 +707,8 @@ class StabilityAPIServer:
         except Exception:
             return False
         revalidated = _etag_matches(request.headers.get("if-none-match"), etag)
-        stored = None if revalidated else self._measure_bodies.get(etag)
-        if not revalidated and stored is None:
+        body = None if revalidated else self._measure_bodies.get(etag)
+        if not revalidated and body is None:
             return False
         headers = {"ETag": f'"{etag}"'}
         with self._exchange(request, conn, started):
@@ -735,8 +720,7 @@ class StabilityAPIServer:
                 # body is written as it is: no thread hop, no service call,
                 # no JSON encode.
                 self._measure_bodies.move_to_end(etag)
-                body, escalated = stored
-                self.service.count_measure_body_hit(escalated)
+                self.service.count_measure_body_hit()
                 conn.respond(200, body, "application/json", headers, close=close)
         return True
 
@@ -856,11 +840,10 @@ class StabilityAPIServer:
             "trace_id": trace.trace_id,
         }
         # Serving-path flags annotated onto the root span (coalesced with
-        # another identical request, served from the quantized fast path,
-        # escalated to exact, written from stored /measure bytes) surface in
-        # the log line when set.
+        # another identical request, written from stored /measure bytes)
+        # surface in the log line when set.
         attrs = getattr(trace.root, "attrs", None) or {}
-        for flag in ("coalesced", "fast", "escalated", "cached", "error"):
+        for flag in ("coalesced", "cached", "error"):
             if flag in attrs:
                 entry[flag] = attrs[flag]
         print(json.dumps(entry, sort_keys=True), flush=True)
@@ -1034,8 +1017,6 @@ class StabilityAPIServer:
             "dim": _int_param(params, "dim", required=True),
             "precision": _int_param(params, "precision", required=True),
             "seed": _int_param(params, "seed", 0),
-            "fast": _bool_param(params, "fast", False),
-            "fast_tolerance": _float_param(params, "tolerance"),
         }
         return self.service.measure_etag(**query), query
 
@@ -1049,7 +1030,7 @@ class StabilityAPIServer:
             None, bind(lambda: self.service.measure(**query))
         )
         body = _json_body(payload)
-        self._measure_bodies[etag] = (body, payload.get("escalated"))
+        self._measure_bodies[etag] = body
         while len(self._measure_bodies) > _MEASURE_BODY_ENTRIES:
             self._measure_bodies.popitem(last=False)
         return _RawResponse(200, body, "application/json", {"ETag": f'"{etag}"'})

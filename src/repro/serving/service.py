@@ -95,12 +95,6 @@ class ServiceConfig:
     #: Straggler threshold multiplier for speculative re-leases; 0 disables
     #: speculation.
     speculation_factor: float = 2.0
-    #: Escalation threshold of the quantized-first (``fast=true``) measure
-    #: mode: a fast answer is served only while every per-measure error bound
-    #: (normalised for unbounded measures, see ``StabilityService.measure``)
-    #: stays at or below this tolerance; otherwise the request escalates to
-    #: the exact float64 path.  Per-request override via ``tolerance=``.
-    fast_tolerance: float = 0.05
     #: Probability a request is traced into the bounded trace ring
     #: (``repro-serve --trace-sample``).  With ``trace_sample=0`` and
     #: ``trace_slow_ms=0`` tracing is fully disabled: no spans are recorded.
@@ -116,7 +110,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        _positive_tolerance(self.fast_tolerance)
         if not 0.0 <= self.trace_sample <= 1.0:
             raise ValueError(f"trace_sample must be in [0, 1], got {self.trace_sample}")
         if self.trace_slow_ms < 0:
@@ -203,8 +196,6 @@ class StabilityService:
             "records_streamed": 0,
             "grids_inflight": 0,
             "grids_cancelled": 0,
-            "fast_hits": 0,
-            "fast_escalations": 0,
             "measure_body_hits": 0,
         }
         self._closed = False
@@ -298,12 +289,6 @@ class StabilityService:
             with self._lock:
                 self._inflight.pop(key, None)
 
-    def _fast_tolerance(self, override: float | None) -> float:
-        """The escalation tolerance of one fast request: ``override`` or the default."""
-        return _positive_tolerance(
-            self.config.fast_tolerance if override is None else override
-        )
-
     # -- queries ---------------------------------------------------------------
 
     def measure(
@@ -314,73 +299,17 @@ class StabilityService:
         seed: int = 0,
         *,
         measures: tuple[str, ...] | None = None,
-        fast: bool = False,
-        fast_tolerance: float | None = None,
     ) -> dict:
         """Pairwise stability measures of one grid cell (coalesced, cached).
 
         A repeated query against a warm store is pure cache: zero trainings,
         zero decompositions (pinned in the serving tests).
-
-        With ``fast=True`` the cell is first evaluated from its quantized
-        fast-pair representation (:meth:`InstabilityPipeline.compute_measures_fast`),
-        which returns approximate values *plus* sound per-measure error
-        bounds.  The fast answer is served -- with the bounds attached --
-        only while every normalised bound stays within the tolerance
-        (``fast_tolerance`` argument, else ``ServiceConfig.fast_tolerance``);
-        otherwise the request escalates to the exact path, whose result is
-        bit-identical to a ``fast=False`` request.  Bounds of range-limited
-        measures compare directly against the tolerance; the unbounded pip
-        loss compares ``bound / (1 + |value|)``.
         """
         self._count("requests_measure")
         dim, precision, seed = int(dim), int(precision), int(seed)
         key = self.pipeline.measures_key(
             algorithm, dim, precision, seed, measures=measures
         )
-
-        if fast:
-            tolerance = self._fast_tolerance(fast_tolerance)
-            fast_key = self.pipeline.fast_measures_key(
-                algorithm, dim, precision, seed, measures=measures
-            )
-
-            def compute_fast() -> dict:
-                lock = self._ancestry_lock(algorithm, seed)
-                with span("service.ancestry_wait", metric="phase",
-                          label="ancestry_wait", algorithm=algorithm, seed=seed):
-                    lock.acquire()
-                try:
-                    return self.pipeline.compute_measures_fast(
-                        algorithm, dim, precision, seed, measures=measures
-                    )
-                finally:
-                    lock.release()
-
-            result = self._single_flight(fast_key, compute_fast)
-            values, error_bounds = result["values"], result["bounds"]
-            if all(
-                _normalized_bound(name, bound, values[name]) <= tolerance
-                for name, bound in error_bounds.items()
-            ):
-                self._count("fast_hits")
-                annotate(fast=True)
-                return {
-                    "algorithm": algorithm,
-                    "dim": dim,
-                    "precision": precision,
-                    "seed": seed,
-                    "memory_bits_per_word": bits_per_word(dim, precision),
-                    "artifact_key": key,
-                    "fast_artifact_key": fast_key,
-                    "precision_mode": "fast",
-                    "escalated": False,
-                    "tolerance": tolerance,
-                    "measures": values,
-                    "error_bounds": error_bounds,
-                }
-            self._count("fast_escalations")
-            annotate(escalated=True)
 
         def compute() -> dict:
             # Ancestry-aware batching: requests sharing the (algorithm, seed)
@@ -400,7 +329,7 @@ class StabilityService:
             return values
 
         values = self._single_flight(key, compute)
-        response = {
+        return {
             "algorithm": algorithm,
             "dim": dim,
             "precision": precision,
@@ -409,10 +338,6 @@ class StabilityService:
             "artifact_key": key,
             "measures": values,
         }
-        if fast:
-            # The fast attempt's bounds document *why* the request escalated.
-            response.update(precision_mode="exact", escalated=True)
-        return response
 
     def measure_etag(
         self,
@@ -422,49 +347,31 @@ class StabilityService:
         seed: int = 0,
         *,
         measures: tuple[str, ...] | None = None,
-        fast: bool = False,
-        fast_tolerance: float | None = None,
     ) -> str:
         """Deterministic validator of a :meth:`measure` response, pre-compute.
 
         A measure response is a pure function of its content-addressed
-        artifact key plus, in fast mode, the escalation tolerance (the same
-        cached values/bounds either pass or fail a given tolerance
-        deterministically).  The tag is therefore computable *without*
-        computing the measures, which is what lets the HTTP layer answer
-        ``If-None-Match`` revalidations with ``304`` before any numerical
-        work happens.
+        artifact key, so the tag is computable *without* computing the
+        measures, which is what lets the HTTP layer answer ``If-None-Match``
+        revalidations with ``304`` before any numerical work happens.  The
+        ``:exact`` suffix stays so that validators clients hold keep matching.
         """
-        if not fast:
-            key = self.pipeline.measures_key(
-                algorithm, int(dim), int(precision), int(seed), measures=measures
-            )
-            return f"{key}:exact"
-        tolerance = self._fast_tolerance(fast_tolerance)
-        fast_key = self.pipeline.fast_measures_key(
+        key = self.pipeline.measures_key(
             algorithm, int(dim), int(precision), int(seed), measures=measures
         )
-        return f"{fast_key}:fast:{tolerance!r}"
+        return f"{key}:exact"
 
-    def count_measure_body_hit(self, escalated: bool | None) -> None:
+    def count_measure_body_hit(self) -> None:
         """Account for a :meth:`measure` answer the HTTP layer served from bytes.
 
-        ``escalated`` is the stored answer's field of that name (``None`` for
-        an exact request).  Counters and root-span annotations read as they
-        did when :meth:`measure` computed the answer, plus
-        ``measure_body_hits`` and ``cached=True``.
+        Counters and root-span annotations read as they did when
+        :meth:`measure` computed the answer, plus ``measure_body_hits`` and
+        ``cached=True``.
         """
         with self._lock:
             self._counters["requests_measure"] += 1
             self._counters["measure_body_hits"] += 1
-            if escalated is not None:
-                self._counters["fast_escalations" if escalated else "fast_hits"] += 1
-        if escalated is None:
-            annotate(cached=True)
-        elif escalated:
-            annotate(escalated=True, cached=True)
-        else:
-            annotate(fast=True, cached=True)
+        annotate(cached=True)
 
     def select(
         self,
@@ -791,26 +698,3 @@ class _CancellableStream:
 
 def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
-
-
-def _positive_tolerance(value: float) -> float:
-    """``value`` as a float, rejecting NaN and non-positive tolerances."""
-    tolerance = float(value)
-    if not tolerance > 0:
-        raise ValueError(f"fast_tolerance must be positive, got {tolerance!r}")
-    return tolerance
-
-
-#: Measures whose values live in a bounded range, so their error bounds are
-#: absolute quantities directly comparable against the tolerance.
-_RANGE_BOUNDED_MEASURES = frozenset(
-    {"eis", "1-knn", "1-eigenspace-overlap", "semantic-displacement"}
-)
-
-
-def _normalized_bound(name: str, bound: float, value: float) -> float:
-    """Error bound in tolerance units: absolute for range-bounded measures,
-    relative (``bound / (1 + |value|)``) for the unbounded pip loss."""
-    if name in _RANGE_BOUNDED_MEASURES:
-        return float(bound)
-    return float(bound) / (1.0 + abs(float(value)))

@@ -77,13 +77,25 @@ class TestPipeline:
         measures = tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=("eis",))
         assert set(measures) == {"eis"}
 
-    @pytest.mark.parametrize("names", [("bogus",), ("eis", "bogus"), ("EIS",)])
+    @pytest.mark.parametrize("names", [("bogus",), ("eis", "bogus"), ("EIS",), ()])
     def test_unknown_measure_name_raises_before_the_store(self, tiny_pipeline, names):
         stats = tiny_pipeline.store.stat("measures")
         before = (stats.lookups, stats.puts)
         with pytest.raises(KeyError, match="known"):
             tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=names)
         assert (stats.lookups, stats.puts) == before
+
+    @pytest.mark.parametrize("names, same_as", [
+        (("eis", "eis"), ("eis",)),
+        (("pip", "eis", "pip"), ("eis", "pip")),
+    ])
+    def test_a_selection_is_keyed_by_its_set_of_names(self, tiny_pipeline, names, same_as):
+        values = tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=same_as)
+        puts = tiny_pipeline.store.stat("measures").puts
+        key = tiny_pipeline.measures_key("svd", 6, 1, 0, measures=names)
+        assert key == tiny_pipeline.measures_key("svd", 6, 1, 0, measures=same_as)
+        assert tiny_pipeline.compute_measures("svd", 6, 1, 0, measures=names) == values
+        assert tiny_pipeline.store.stat("measures").puts == puts
 
     def test_evaluate_caches_results(self, tiny_pipeline):
         a = tiny_pipeline.evaluate("sst2", "svd", 6, 1, 0)

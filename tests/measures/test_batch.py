@@ -58,6 +58,27 @@ class TestDecompositionCache:
         )
 
 
+class TestDecompositionCacheGauge:
+    def test_bytes_in_memory_tracks_factor_arrays(self):
+        cache = DecompositionCache()
+        assert cache.stats["bytes_in_memory"] == 0
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 8))
+        U, S, Vt = cache.svd(X)
+        assert cache.stats["bytes_in_memory"] == U.nbytes + S.nbytes + Vt.nbytes
+
+    def test_bytes_in_memory_includes_cross_products(self):
+        cache = DecompositionCache()
+        rng = np.random.default_rng(1)
+        X, Y = rng.normal(size=(30, 6)), rng.normal(size=(30, 5))
+        before = cache.stats["bytes_in_memory"]
+        product = cache.cross(X, Y)
+        after = cache.stats["bytes_in_memory"]
+        # Two SVDs plus the cross product landed in the cache.
+        assert after > before
+        assert after >= product.nbytes
+
+
 class TestMeasureBatch:
     def test_batch_matches_individual_measures(self, embedding_pair, suite):
         emb_a, emb_b = embedding_pair

@@ -10,6 +10,7 @@ import socket
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.serving import StabilityService
@@ -342,6 +343,21 @@ class TestMetricsAndErrors:
         assert "store" in payload and "measures" in payload["store"]
         assert payload["pipeline"]["corpus_build_count"] == 1
 
+    def test_store_gauge_counts_pair_and_array_bytes(self, server, embedding_pair):
+        store = server.service.store
+        before = store.bytes_in_memory()
+        assert get_json(server, "/metrics")[1]["store_io"]["bytes_in_memory"] == before
+        arrays = {"P": np.ones((6, 3)), "Ra": np.arange(3.0)}
+        store.put_embedding_pair("gauge-pair", "a" * 24, embedding_pair)
+        store.put_arrays("gauge-arrays", "a" * 24, arrays)
+        added = sum(emb.vectors.nbytes for emb in embedding_pair) + sum(
+            array.nbytes for array in arrays.values()
+        )
+        assert store.bytes_in_memory() == before + added
+        status, metrics = get_json(server, "/metrics")
+        assert status == 200
+        assert metrics["store_io"] == {"bytes_in_memory": before + added}
+
     def test_unknown_path_is_404(self, server):
         status, payload = get_json(server, "/nope")
         assert status == 404
@@ -509,19 +525,8 @@ class TestAbandonedGridCancellation:
 
 
 class TestMeasureFastAndETag:
-    def test_fast_measure_served_with_bounds(self, server):
-        response, data = request(
-            server, "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=10"
-        )
-        payload = json.loads(data)
-        assert response.status == 200
-        assert payload["precision_mode"] == "fast"
-        assert payload["escalated"] is False
-        assert set(payload["error_bounds"]) == set(payload["measures"])
-        assert response.getheader("ETag")
-
     def test_if_none_match_revalidates_304(self, server):
-        path = "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=10"
+        path = "/measure?algorithm=svd&dim=4&precision=1&measures=pip,eis"
         first, _ = request(server, path)
         etag = first.getheader("ETag")
         second, body = request(server, path, headers={"If-None-Match": etag})
@@ -536,45 +541,11 @@ class TestMeasureFastAndETag:
         second, body = request(server, path, headers={"If-None-Match": etag})
         assert second.status == 304 and body == b""
 
-    def test_etag_distinguishes_precision_modes(self, server):
-        exact, _ = request(server, "/measure?algorithm=svd&dim=4&precision=1")
-        fast, _ = request(
-            server, "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=10"
-        )
-        assert exact.getheader("ETag") != fast.getheader("ETag")
-
     def test_stale_etag_still_answers_200(self, server):
         path = "/measure?algorithm=svd&dim=4&precision=1"
         response, data = request(server, path, headers={"If-None-Match": '"stale"'})
         assert response.status == 200
         assert json.loads(data)["measures"]
-
-    def test_escalation_is_bit_identical_to_exact(self, server):
-        _, exact = get_json(server, "/measure?algorithm=svd&dim=4&precision=1")
-        status, escalated = get_json(
-            server, "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=1e-12"
-        )
-        assert status == 200
-        assert escalated["precision_mode"] == "exact"
-        assert escalated["escalated"] is True
-        assert escalated["measures"] == exact["measures"]
-        # The plain exact response is unchanged by the fast path's existence.
-        assert "precision_mode" not in exact
-
-    def test_fast_counters_in_metrics(self, server):
-        status, metrics = get_json(server, "/metrics")
-        assert status == 200
-        assert metrics["serving"]["fast_hits"] >= 1
-        assert metrics["serving"]["fast_escalations"] >= 1
-
-    @pytest.mark.parametrize("tolerance", ["nope", "nan", "0", "-1"])
-    def test_bad_tolerance_is_400(self, server, tolerance):
-        status, payload = get_json(
-            server,
-            f"/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance={tolerance}",
-        )
-        assert status == 400
-        assert "tolerance" in payload["error"]
 
 
 def _parse_batch_frames(data):

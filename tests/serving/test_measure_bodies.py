@@ -2,9 +2,10 @@
 
 A server keeps each computed /measure 200 body under its ETag and writes a
 repeat from those bytes.  Pinned here: a repeat is byte-identical to the
-computed answer in every precision mode, a hit calls no service method yet
-counts as the computed answer did, the table is bounded, errors and 304s
-are never stored, and identical cold requests still coalesce.
+computed answer, a hit calls no service method yet counts as the computed
+answer did, the table is bounded, errors and 304s are never stored,
+identical cold requests still coalesce, and a request carrying ``fast=`` or
+``tolerance=`` gets the exact answer.
 """
 
 import json
@@ -21,12 +22,13 @@ from repro.serving.api import quick_serve_config
 from tests.serving.test_api import live_server, request
 
 CELL = "/measure?algorithm=svd&dim=4&precision=1"
-#: The three answers a cell can give: exact, fast within tolerance, and
-#: fast escalated to exact.
+#: CELL, and CELL with ``fast=`` and ``tolerance=``: /measure does not read
+#: them, so every path names CELL's one exact answer.
 PATHS = {
     "exact": CELL,
     "fast": CELL + "&fast=true&tolerance=10",
     "escalated": CELL + "&fast=true&tolerance=1e-12",
+    "nan": CELL + "&fast=true&tolerance=nan",
 }
 
 
@@ -79,10 +81,6 @@ class TestByteIdentity:
         assert stored == computed
         assert again.getheader("ETag") == first.getheader("ETag")
         assert again.getheader("Content-Type") == "application/json"
-        answer = json.loads(stored)
-        assert answer.get("escalated") == {
-            "exact": None, "fast": False, "escalated": True
-        }[mode]
 
     def test_post_body_equals_get(self, server):
         _, via_get = request(server, PATHS["fast"])
@@ -102,20 +100,15 @@ class TestHit:
     ):
         request(server, PATHS[mode])                 # computed and stored
         calls = len(measure_calls)
-        store = server.service.store
-        lookups = {kind: store.stat(kind).lookups for kind in ("measures", "fast_measures")}
+        lookups = server.service.store.stat("measures").lookups
         before = _serving(server)
         response, _ = request(server, PATHS[mode])
         after = _serving(server)
         assert response.status == 200
         assert len(measure_calls) == calls
-        assert {kind: store.stat(kind).lookups for kind in lookups} == lookups
+        assert server.service.store.stat("measures").lookups == lookups
         assert after["requests_measure"] == before["requests_measure"] + 1
         assert after["measure_body_hits"] == before["measure_body_hits"] + 1
-        assert after["fast_hits"] - before["fast_hits"] == (mode == "fast")
-        assert after["fast_escalations"] - before["fast_escalations"] == (
-            mode == "escalated"
-        )
 
     def test_revalidation_is_a_304_not_a_hit(self, server, measure_calls):
         path = "/measure?algorithm=svd&dim=6&precision=1"
@@ -138,6 +131,25 @@ class TestHit:
             response, body = request(server, path)
         assert response.status == 200 and json.loads(body)["measures"]
         assert len(measure_calls) == 2               # the 304 left no body behind
+
+
+class TestFastParameters:
+    @pytest.mark.parametrize("mode", sorted(PATHS))
+    def test_the_answer_is_cells(self, service, mode):
+        with live_server(service) as first_server:
+            cell, cell_body = request(first_server, CELL)
+        puts = {kind: stat.puts for kind, stat in service.store.stats.items()}
+        with live_server(service) as server:
+            response, body = request(server, PATHS[mode])
+            etag = response.getheader("ETag")
+            revalidated, _ = request(
+                server, PATHS[mode], headers={"If-None-Match": cell.getheader("ETag")}
+            )
+        assert response.status == cell.status == 200
+        assert etag == cell.getheader("ETag")
+        assert body == cell_body
+        assert revalidated.status == 304
+        assert {kind: stat.puts for kind, stat in service.store.stats.items()} == puts
 
 
 class TestBound:

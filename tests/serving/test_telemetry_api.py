@@ -175,10 +175,7 @@ class TestAccessLog:
         try:
             with live_server(service, access_log=True) as api:
                 for _ in range(2):
-                    request(
-                        api,
-                        "/measure?algorithm=svd&dim=4&precision=1&fast=true&tolerance=10",
-                    )
+                    request(api, "/measure?algorithm=svd&dim=4&precision=1")
             lines = [
                 json.loads(line)
                 for line in capsys.readouterr().out.splitlines()
@@ -187,8 +184,8 @@ class TestAccessLog:
         finally:
             service.close()
         computed, stored = [entry for entry in lines if entry["path"] == "/measure"]
-        assert computed["fast"] is True and "cached" not in computed
-        assert stored["fast"] is True and stored["cached"] is True
+        assert "cached" not in computed
+        assert stored["cached"] is True
 
     def test_silent_by_default(self, capsys):
         with warnings.catch_warnings():

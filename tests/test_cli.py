@@ -22,10 +22,10 @@ from repro.serving import api
 #: Every store and kernel flag, minus ``--store-url`` (it excludes replicas).
 REPLICA_ARGV = [
     "--cache-dir", "/data/cache", "--store-shards", "3",
-    "--store-replicas", "http://peer:1,/data/replica", "--store-mmap",
+    "--store-replicas", "http://peer:1,/data/replica",
     "--kernel-policy", "auto", "--dtype", "float32",
 ]
-URL_ARGV = ["--cache-dir", "/data/cache", "--store-url", "http://peer:1", "--store-mmap"]
+URL_ARGV = ["--cache-dir", "/data/cache", "--store-url", "http://peer:1"]
 POLICY_CALL = {"policy": None, "svd": "auto", "dtype": "float32"}
 
 SERVE_DEFAULTS = {
@@ -49,7 +49,6 @@ SERVE_DEFAULTS = {
     "resume_runs": False,
     "run_gc_age": 3600.0,
     "slow_ms": 500.0,
-    "store_mmap": False,
     "store_replicas": None,
     "store_shards": None,
     "store_url": None,
@@ -139,14 +138,14 @@ def calls(monkeypatch):
             REPLICA_ARGV,
             {
                 "cache_dir": "/data/cache", "store_shards": 3,
-                "store_replicas": "http://peer:1,/data/replica", "store_mmap": True,
+                "store_replicas": "http://peer:1,/data/replica",
                 "kernel_policy": "auto", "dtype": "float32",
             },
             [POLICY_CALL],
         ),
         (
             URL_ARGV,
-            {"cache_dir": "/data/cache", "store_url": "http://peer:1", "store_mmap": True},
+            {"cache_dir": "/data/cache", "store_url": "http://peer:1"},
             [],
         ),
     ],
@@ -163,7 +162,7 @@ def test_serve_configures_the_store_it_serves_from(calls):
     assert api.main(URL_ARGV) == 0
     assert calls["store"] == [{
         "root": "/data/cache", "shards": None, "remote_url": "http://peer:1",
-        "replicas": None, "mmap": True,
+        "replicas": None,
     }]
 
 
@@ -175,7 +174,7 @@ def test_serve_configures_the_store_it_serves_from(calls):
             REPLICA_ARGV,
             [{
                 "root": "/data/cache", "shards": 3, "remote_url": None,
-                "replicas": ["http://peer:1", "/data/replica"], "mmap": True,
+                "replicas": ["http://peer:1", "/data/replica"],
             }],
             [POLICY_CALL],
         ),
@@ -183,7 +182,7 @@ def test_serve_configures_the_store_it_serves_from(calls):
             URL_ARGV,
             [{
                 "root": "/data/cache", "shards": None, "remote_url": "http://peer:1",
-                "replicas": None, "mmap": True,
+                "replicas": None,
             }],
             [],
         ),
@@ -206,14 +205,14 @@ def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store, po
              "--resume-runs", "--monitor", "--monitor-distributed"],
             ["--host", "0.0.0.0", "--port", "0", "--workers", "2",
              "--cache-dir", "/data/cache", "--store-shards", "3",
-             "--store-replicas", "http://peer:1,/data/replica", "--store-mmap",
+             "--store-replicas", "http://peer:1,/data/replica",
              "--kernel-policy", "auto", "--dtype", "float32",
              "--resume-runs", "--monitor", "--monitor-distributed"],
         ),
         (
             URL_ARGV,
             ["--host", "127.0.0.1", "--port", "8732", "--workers", "0",
-             "--cache-dir", "/data/cache", "--store-url", "http://peer:1", "--store-mmap"],
+             "--cache-dir", "/data/cache", "--store-url", "http://peer:1"],
         ),
     ],
     ids=["defaults", "replicas", "url"],
@@ -247,7 +246,7 @@ def test_worker_parses_its_flags(calls, argv, changed):
 
 SHARDS_ERROR = "--store-shards requires --cache-dir (it shards the local store)"
 EXCLUSIVE_ERROR = "--store-url and --store-replicas are mutually exclusive"
-MMAP_ERROR = "--store-mmap requires a store to map (--cache-dir or replicas)"
+UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
 
 
 @pytest.mark.parametrize(
@@ -255,11 +254,11 @@ MMAP_ERROR = "--store-mmap requires a store to map (--cache-dir or replicas)"
     [
         ("serve", ["--store-shards", "2"], SHARDS_ERROR),
         ("serve", ["--store-url", "http://a:1", "--store-replicas", "/b"], EXCLUSIVE_ERROR),
-        ("serve", ["--store-mmap"], MMAP_ERROR),
+        ("serve", ["--store-mmap"], UNKNOWN_ERROR),
         ("serve", ["--monitor-webhook", "http://hook:1"], "--monitor-webhook requires --monitor"),
         ("runner", ["--store-shards", "2"], SHARDS_ERROR),
         ("runner", ["--store-url", "http://a:1", "--store-replicas", "/b"], EXCLUSIVE_ERROR),
-        ("runner", ["--store-mmap"], MMAP_ERROR),
+        ("runner", ["--store-mmap"], UNKNOWN_ERROR),
     ],
 )
 def test_invalid_combination_exits_2(calls, capsys, main, argv, message):
