@@ -19,10 +19,15 @@ Reported per endpoint, side by side:
 
 Two gates make this an SLO harness rather than a report:
 
-1. the client-side warm ``/measure`` p99 must stay under ``--slo-p99-ms``;
+1. the client-side warm ``/measure`` p99 must stay under ``--slo-p99-ms``
+   (default 60 ms);
 2. tracing must be near-free: the median warm ``/measure`` with a live
    trace collecting spans may exceed the untraced median by at most 5%
-   (or 0.25 ms, whichever is larger -- sub-millisecond medians are noise).
+   or ``OVERHEAD_FLOOR_MS``, whichever is larger.
+
+Both bounds are a few times what ``--quick`` measured on a shared 2-core
+machine: a client p99 of 2.6-18.4 ms, and a tracing overhead of
+0.006-0.009 ms on a 0.04-0.06 ms untraced median.
 
 Usage::
 
@@ -185,6 +190,10 @@ def _drive_open_loop(
     return latencies
 
 
+#: Smallest tracing-overhead budget, in milliseconds (see the module docstring).
+OVERHEAD_FLOOR_MS = 0.03
+
+
 def _overhead_gate(service: StabilityService, cell) -> dict:
     """Median warm /measure latency with vs without an active trace."""
     algorithm, dim, precision, seed = cell
@@ -196,15 +205,16 @@ def _overhead_gate(service: StabilityService, cell) -> dict:
         return (time.perf_counter() - start) * 1e3
 
     warm_once()                                   # ensure the cell is hot
-    base = [warm_once() for _ in range(iterations)]
-    traced = []
+    # Interleaved, so a change in machine speed hits both sides alike.
+    base, traced = [], []
     for _ in range(iterations):
+        base.append(warm_once())
         with service.traces.request("bench.overhead"):
             traced.append(warm_once())
     base_ms = statistics.median(base)
     traced_ms = statistics.median(traced)
     overhead_ms = traced_ms - base_ms
-    budget_ms = max(0.05 * base_ms, 0.25)
+    budget_ms = max(0.05 * base_ms, OVERHEAD_FLOOR_MS)
     return {
         "warm_base_ms": round(base_ms, 4),
         "warm_traced_ms": round(traced_ms, 4),
@@ -330,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="concurrent client connections draining arrivals")
     parser.add_argument("--grid-every", type=int, default=20,
                         help="every Nth arrival is a /grid stream (0 = none)")
-    parser.add_argument("--slo-p99-ms", type=float, default=500.0,
+    parser.add_argument("--slo-p99-ms", type=float, default=60.0,
                         help="client-side warm /measure p99 SLO gate (0 = off)")
     parser.add_argument("--trace-sample", type=float, default=1.0,
                         help="server trace sampling during the load phase")

@@ -10,7 +10,10 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   ring (see :mod:`repro.telemetry`): recent/slow trace summaries, and one
   trace's spans as NDJSON.  Every request opens a root span; inbound
   ``X-Trace-Id`` (or ``X-Request-Id``) joins the caller's trace, and the
-  id is echoed back as ``X-Trace-Id`` on every response.
+  id is echoed back as ``X-Trace-Id`` on every response.  An id the server
+  mints is 32 lowercase hex digits from ``os.urandom``: unique and
+  unguessable, so no client can claim another's next trace, but not
+  secret -- ``/trace/recent`` lists them.
 * ``GET|POST /measure?algorithm=cbow&dim=16&precision=4&seed=0`` -- the
   pairwise stability measures of one grid cell.  Responses carry an
   ``ETag`` derived from the cell's content-addressed measures key, so an
@@ -65,13 +68,21 @@ third-party web framework), so the serving layer runs anywhere the
 reproduction runs.  It parses requests straight from the bytes the socket
 delivered.  A stored ``/measure`` body or a ``304`` revalidation is written
 within that same event-loop turn -- parse, trace, histogram sample, access
-log and write, with no task, executor hop or timer of its own.  Every other
-request runs as one coroutine; blocking numerical work happens on the
-service's bounded thread pool, and the requests pipelined behind it on the
-same connection wait their turn.  Connections are **keep-alive** (HTTP/1.1
-semantics) so a peer's store tier reuses one TCP connection across artifact
-fetches, and every non-streaming request is bounded by a per-request
-timeout (``--request-timeout``).  Request *reads* are separately bounded:
+log and write, with no task, executor hop or timer of its own.  That hit
+path is ``_Connection._parse`` (one decode of the head; a plain
+origin-form target is split by hand, anything with escapes, a ``+``, a
+fragment or another form by ``urlsplit`` and ``parse_qs``), then
+:meth:`StabilityAPIServer._answer_now` (the ETag from
+:meth:`~repro.serving.service.StabilityService.measure_etag`, the stored
+body), then ``_Exchange`` (root span, histogram sample, ``X-Trace-Id``)
+around ``_Connection.respond``.  Every other request runs as one
+coroutine; blocking numerical work happens on the service's bounded
+thread pool, and the requests pipelined behind it on the same connection
+wait their turn.  Connections are **keep-alive** (HTTP/1.1 semantics;
+``Connection`` is read as a token list, and ``close`` in it wins) so a
+peer's store tier reuses one TCP connection across artifact fetches, and
+every non-streaming request is bounded by a per-request timeout
+(``--request-timeout``).  Request *reads* are separately bounded:
 headers and body must arrive within a read timeout once the request line
 lands, and concurrent connections are capped (503 beyond the cap), so slow
 clients cannot pin memory or connections.
@@ -95,7 +106,6 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Awaitable, Callable, Iterator
@@ -105,7 +115,9 @@ from repro import options
 from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.serving.service import ServiceConfig, StabilityService
 from repro.telemetry.metrics import REGISTRY, render_prometheus
-from repro.telemetry.trace import TRACE_HEADER, bind, context_from_headers
+from repro.telemetry.trace import (
+    TRACE_HEADER, NullTrace, SubTrace, Trace, bind, context_from_headers,
+)
 from repro.utils.logging import configure_logging, get_logger
 
 logger = get_logger(__name__)
@@ -150,16 +162,23 @@ class APIError(Exception):
         self.status = status
 
 
-@dataclass
 class _Request:
-    method: str
-    path: str
-    params: dict[str, str | object]
-    headers: dict[str, str] = field(default_factory=dict)
-    #: Raw request body; only kept for /artifacts requests (PUT payloads).
-    body: bytes = b""
-    #: Whether the client may reuse this connection for further requests.
-    keep_alive: bool = True
+    """One parsed request."""
+
+    __slots__ = ("method", "path", "params", "headers", "body", "keep_alive")
+
+    def __init__(
+        self, method: str, path: str, params: dict[str, str | object],
+        headers: dict[str, str], keep_alive: bool,
+    ) -> None:
+        self.method = method
+        self.path = path
+        self.params = params
+        self.headers = headers
+        #: Raw request body; only kept for /artifacts requests (PUT payloads).
+        self.body = b""
+        #: Whether the client may reuse this connection for further requests.
+        self.keep_alive = keep_alive
 
 
 @dataclass
@@ -178,29 +197,54 @@ class _RawResponse:
     headers: dict[str, str] = field(default_factory=dict)
 
 
-def _parse_head(line: bytes, block: bytes) -> tuple[_Request, int]:
-    """The request of a request line and header block, and its body length.
+#: Targets the hand split in :func:`_split_target` leaves to the stdlib:
+#: escapes, '+' for a space, fragments, and the bytes ``urlsplit`` strips.
+_SPECIAL_TARGET = re.compile(r"[%+#\t\r\n]")
 
-    ``block`` holds the header lines, each with its line ending (CRLF or a
-    bare LF).  Raises :class:`APIError` for an unparseable request line or
-    ``Content-Length``, and for a body over its limit: 1 MB of JSON that
-    merges into the query parameters, or 256 MB of raw ``/artifacts``
-    payload.
+
+def _split_target(target: str) -> tuple[str, dict[str, str | object]]:
+    """The path and query parameters of a request target.
+
+    A parameter given twice keeps its last value; blank values and bare
+    names are dropped.  The plain origin form (one leading ``/``, nothing
+    to unescape, no fragment) is split by hand, to the result
+    ``urlsplit`` and ``parse_qs`` give; any other target goes to them.
     """
+    if target[:1] != "/" or target[1:2] == "/" or _SPECIAL_TARGET.search(target):
+        split = urlsplit(target)
+        return split.path, {
+            key: values[-1] for key, values in parse_qs(split.query).items()
+        }
+    path, _, query = target.partition("?")
+    params: dict[str, str | object] = {}
+    for pair in query.split("&"):
+        name, _, value = pair.partition("=")
+        if value:
+            params[name] = value
+    return path, params
+
+
+def _parse_head(head: str) -> tuple[_Request, int]:
+    """The request of a request head, and its body length.
+
+    ``head`` is the request line and the header lines, decoded as latin-1,
+    up to the LF that ends the last of them; a line ending in CRLF keeps
+    its CR, which parsing strips.  Raises :class:`APIError` for an
+    unparseable request line or ``Content-Length``, and for a body over its
+    limit: 1 MB of JSON that merges into the query parameters, or 256 MB of
+    raw ``/artifacts`` payload.
+    """
+    line, *fields = head.split("\n")
     try:
-        method, target, version = line.decode("latin1").split(" ", 2)
+        method, target, version = line.split(" ", 2)
     except ValueError as error:
         raise APIError(400, f"malformed request line: {error}") from error
     headers: dict[str, str] = {}
-    for header in block.decode("latin1").split("\n")[:-1]:
+    for header in fields:
         name, _, value = header.partition(":")
         headers[name.strip().lower()] = value.strip()
+    path, params = _split_target(target)
 
-    split = urlsplit(target)
-    path = split.path
-    params: dict[str, str | object] = {
-        key: values[-1] for key, values in parse_qs(split.query).items()
-    }
     limit = _MAX_ARTIFACT_BYTES if path.startswith("/artifacts/") else _MAX_BODY_BYTES
     try:
         length = int(headers.get("content-length", "0") or "0")
@@ -210,16 +254,14 @@ def _parse_head(line: bytes, block: bytes) -> tuple[_Request, int]:
         raise APIError(400, "malformed Content-Length header")
     if length > limit:
         raise APIError(413, f"request body over {limit} bytes")
-    connection = headers.get("connection", "").lower()
-    keep_alive = (
-        connection == "keep-alive"
-        or (version.strip().upper() == "HTTP/1.1" and connection != "close")
+    # Connection options are a comma-separated, case-insensitive token
+    # list (RFC 9110 7.6.1); "close" wins over everything else.
+    connection = headers.get("connection")
+    tokens = {token.strip() for token in connection.lower().split(",")} if connection else ()
+    keep_alive = "close" not in tokens and (
+        "keep-alive" in tokens or version.strip().upper() == "HTTP/1.1"
     )
-    request = _Request(
-        method=method.upper(), path=path, params=params,
-        headers=headers, keep_alive=keep_alive,
-    )
-    return request, length
+    return _Request(method.upper(), path, params, headers, keep_alive), length
 
 
 # -- parameter coercion ---------------------------------------------------------
@@ -445,15 +487,15 @@ class _Connection(asyncio.Protocol):
             if end < 0:
                 self._reading()
                 return None
-            request, length = _parse_head(
-                bytes(buffer[:line_end]), bytes(buffer[line_end + 1:end + 1])
-            )
-            self.head = (request, end + (3 if end == crlf else 2), length)
-        request, start, length = self.head
+            request, length = _parse_head(buffer[:end].decode("latin1"))
+            start = end + (3 if end == crlf else 2)
+        else:
+            request, start, length = self.head
         if len(buffer) < start + length:
+            self.head = (request, start, length)
             self._reading()
             return None
-        body = bytes(buffer[start:start + length])
+        body = bytes(buffer[start:start + length]) if length else b""
         del buffer[:start + length]
         self.head = None
         self.reading = False
@@ -539,18 +581,18 @@ class _Connection(asyncio.Protocol):
     ) -> None:
         """Write one response, echoing the current request's trace id."""
         self.status = status
-        headers = dict(headers or {})
-        if self.trace_id and TRACE_HEADER not in headers:
-            headers[TRACE_HEADER] = self.trace_id
-        extras = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"{extras}"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
-        ).encode("latin1")
-        self.transport.write(head + body)
+        )
+        if headers:
+            for name, value in headers.items():
+                head += f"{name}: {value}\r\n"
+        if self.trace_id and not (headers and TRACE_HEADER in headers):
+            head += f"{TRACE_HEADER}: {self.trace_id}\r\n"
+        head += "Connection: close\r\n\r\n" if close else "Connection: keep-alive\r\n\r\n"
+        self.transport.write(head.encode("latin1") + body)
 
     def respond_json(self, status: int, payload: dict, *, close: bool = False) -> None:
         self.respond(status, _json_body(payload), "application/json", close=close)
@@ -595,6 +637,53 @@ class _Connection(asyncio.Protocol):
         cancel, self.on_abandon = self.on_abandon, None
         if cancel is not None:
             cancel()
+
+
+class _Exchange:
+    """Trace, time, and access-log one request around its answer.
+
+    Every request gets a root span in the service's trace ring (inbound
+    ``X-Trace-Id``/``X-Request-Id`` joins the caller's trace) and a sample
+    in the per-endpoint request-latency histogram, timed from ``started``;
+    the trace id is echoed on the response.  The trace stays open for the
+    request's full duration -- for a distributed ``/grid`` that is the
+    whole stream, so worker spans arriving mid-run stitch into it.
+    """
+
+    __slots__ = ("server", "request", "conn", "started", "scope", "trace")
+
+    def __init__(
+        self, server: "StabilityAPIServer", request: _Request, conn: _Connection,
+        started: float,
+    ) -> None:
+        self.server = server
+        self.request = request
+        self.conn = conn
+        self.started = started
+
+    def __enter__(self) -> Trace | SubTrace | NullTrace:
+        request = self.request
+        trace_id, parent_id = context_from_headers(request.headers)
+        self.conn.status = 200
+        self.scope = self.server.service.traces.request(
+            f"{request.method} {request.path}",
+            trace_id=trace_id, parent_id=parent_id,
+            method=request.method, path=request.path,
+        )
+        self.trace = trace = self.scope.__enter__()
+        self.conn.trace_id = trace.trace_id
+        return trace
+
+    def __exit__(self, *exc) -> None:
+        try:
+            conn, server, request = self.conn, self.server, self.request
+            conn.trace_id = None
+            duration_ms = (time.perf_counter() - self.started) * 1e3
+            REGISTRY.observe("request", server._route_label(request.path), duration_ms)
+            if server.access_log:
+                server._log_access(request, self.trace, duration_ms, conn.status)
+        finally:
+            self.scope.__exit__(*exc)
 
 
 class StabilityAPIServer:
@@ -711,7 +800,7 @@ class StabilityAPIServer:
         if not revalidated and body is None:
             return False
         headers = {"ETag": f'"{etag}"'}
-        with self._exchange(request, conn, started):
+        with _Exchange(self, request, conn, started) as trace:
             close = not request.keep_alive
             if revalidated:
                 conn.respond(304, b"", "application/json", headers, close=close)
@@ -721,40 +810,13 @@ class StabilityAPIServer:
                 # no JSON encode.
                 self._measure_bodies.move_to_end(etag)
                 self.service.count_measure_body_hit()
+                trace.root.set(cached=True)
                 conn.respond(200, body, "application/json", headers, close=close)
         return True
 
-    @contextmanager
-    def _exchange(self, request: _Request, conn: _Connection, started: float):
-        """Trace, time, and access-log one request around its answer.
-
-        Every request gets a root span in the service's trace ring (inbound
-        ``X-Trace-Id``/``X-Request-Id`` joins the caller's trace) and a
-        sample in the per-endpoint request-latency histogram; the trace id
-        is echoed on the response.  The trace stays open for the request's
-        full duration -- for a distributed ``/grid`` that is the whole
-        stream, so worker spans arriving mid-run stitch into it.
-        """
-        trace_id, parent_id = context_from_headers(request.headers)
-        conn.status = 200
-        with self.service.traces.request(
-            f"{request.method} {request.path}",
-            trace_id=trace_id, parent_id=parent_id,
-            method=request.method, path=request.path,
-        ) as trace:
-            conn.trace_id = trace.trace_id
-            try:
-                yield
-            finally:
-                conn.trace_id = None
-                duration_ms = (time.perf_counter() - started) * 1e3
-                REGISTRY.observe("request", self._route_label(request.path), duration_ms)
-                if self.access_log:
-                    self._log_access(request, trace, duration_ms, conn.status)
-
     async def _dispatch(self, request: _Request, conn: _Connection) -> None:
         """Route one request to its handler and write the answer."""
-        with self._exchange(request, conn, time.perf_counter()):
+        with _Exchange(self, request, conn, time.perf_counter()):
             path = request.path
             if path in _STREAMS:
                 request.keep_alive = False
@@ -1001,7 +1063,7 @@ class StabilityAPIServer:
 
     # -- /measure ----------------------------------------------------------------
 
-    def _measure_query(self, params: dict) -> tuple[str, dict]:
+    def _measure_query(self, params: dict) -> tuple[str, tuple]:
         """The ETag of a ``/measure`` request, and the arguments computing it.
 
         The validator is a pure function of content-addressed keys, memoised
@@ -1011,23 +1073,28 @@ class StabilityAPIServer:
         algorithm = params.get("algorithm")
         if not algorithm:
             raise APIError(400, "missing required parameter 'algorithm'")
-        query = {
-            "algorithm": str(algorithm),
-            "measures": _tuple_param(params, "measures", cast=str),
-            "dim": _int_param(params, "dim", required=True),
-            "precision": _int_param(params, "precision", required=True),
-            "seed": _int_param(params, "seed", 0),
-        }
-        return self.service.measure_etag(**query), query
+        algorithm = str(algorithm)
+        measures = _tuple_param(params, "measures", cast=str)
+        dim = _int_param(params, "dim", required=True)
+        precision = _int_param(params, "precision", required=True)
+        seed = _int_param(params, "seed", 0)
+        etag = self.service.measure_etag(
+            algorithm, dim, precision, seed, measures=measures
+        )
+        return etag, (algorithm, dim, precision, seed, measures)
 
     async def _handle_measure(self, request: _Request) -> _RawResponse:
         """Compute and store an answer :meth:`_answer_now` did not have."""
-        etag, query = self._measure_query(request.params)
+        etag, (algorithm, dim, precision, seed, measures) = self._measure_query(
+            request.params
+        )
         # The service blocks (possibly training) and its pool waits on its
         # own submits, so the call goes to the default executor.
         loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(
-            None, bind(lambda: self.service.measure(**query))
+            None, bind(lambda: self.service.measure(
+                algorithm, dim, precision, seed, measures=measures
+            ))
         )
         body = _json_body(payload)
         self._measure_bodies[etag] = body

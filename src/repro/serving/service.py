@@ -364,14 +364,13 @@ class StabilityService:
     def count_measure_body_hit(self) -> None:
         """Account for a :meth:`measure` answer the HTTP layer served from bytes.
 
-        Counters and root-span annotations read as they did when
-        :meth:`measure` computed the answer, plus ``measure_body_hits`` and
-        ``cached=True``.
+        Counters read as they did when :meth:`measure` computed the answer,
+        plus ``measure_body_hits``.  The HTTP layer marks the request's root
+        span ``cached=True`` itself.
         """
         with self._lock:
             self._counters["requests_measure"] += 1
             self._counters["measure_body_hits"] += 1
-        annotate(cached=True)
 
     def select(
         self,

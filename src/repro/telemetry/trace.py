@@ -26,12 +26,12 @@ root exceeded ``slow_ms`` — serving ``/trace/recent`` and
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
-import uuid
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -41,11 +41,25 @@ TRACE_HEADER = "X-Trace-Id"
 PARENT_HEADER = "X-Parent-Span"
 REQUEST_ID_HEADER = "X-Request-Id"
 
+#: The inbound context headers as :func:`context_from_headers` looks them up.
+_TRACE_KEY = TRACE_HEADER.lower()
+_PARENT_KEY = PARENT_HEADER.lower()
+_REQUEST_ID_KEY = REQUEST_ID_HEADER.lower()
+
 _TRACE_ID_OK = frozenset("0123456789abcdefABCDEF-_.")
 
 
 def new_trace_id() -> str:
-    return uuid.uuid4().hex
+    """A fresh trace id: 32 lowercase hex digits from ``os.urandom``.
+
+    Ids must be unguessable, not merely unique: :meth:`TraceBuffer.start`
+    joins any open or retained trace whose id a request carries, so a
+    counter would let one client predict the id of another client's next
+    trace and claim it first.  The kernel's generator is also fork-safe:
+    a forked worker shares no state with its parent that could repeat an
+    id.  Ids are not secret, though -- ``/trace/recent`` lists them.
+    """
+    return os.urandom(16).hex()
 
 
 def _new_span_id() -> str:
@@ -104,11 +118,20 @@ NOOP_SPAN = _NoopSpan()
 
 
 class _Ctx:
-    __slots__ = ("trace", "handle")
+    """A trace and the span nested ones attach to; ``with`` makes it current."""
+
+    __slots__ = ("trace", "handle", "token")
 
     def __init__(self, trace: "Trace", handle: SpanHandle):
         self.trace = trace
         self.handle = handle
+
+    def __enter__(self) -> "Trace":
+        self.token = _current.set(self)
+        return self.trace
+
+    def __exit__(self, *exc) -> None:
+        _current.reset(self.token)
 
 
 _current: ContextVar[_Ctx | None] = ContextVar("repro_trace_ctx", default=None)
@@ -168,14 +191,9 @@ class Trace:
         return added
 
     # -- activation --------------------------------------------------------
-    @contextmanager
-    def active(self, handle: SpanHandle | None = None):
+    def active(self, handle: SpanHandle | None = None) -> _Ctx:
         """Make this trace current so nested ``span(...)`` calls attach."""
-        token = _current.set(_Ctx(self, handle or self.root))
-        try:
-            yield self
-        finally:
-            _current.reset(token)
+        return _Ctx(self, handle or self.root)
 
     def finish(self, duration_ms: float | None = None) -> None:
         if duration_ms is None:
@@ -256,9 +274,8 @@ class NullTrace:
     def __init__(self, trace_id: str | None = None):
         self.trace_id = trace_id or new_trace_id()
 
-    @contextmanager
-    def active(self):
-        yield self
+    def active(self) -> nullcontext:
+        return nullcontext(self)
 
     def finish(self, duration_ms: float | None = None) -> None:
         pass
@@ -356,10 +373,9 @@ def propagation_headers() -> dict:
 
 def context_from_headers(headers: dict) -> tuple[str | None, str | None]:
     """``(trace_id, parent_span_id)`` from inbound (lowercased) headers."""
-    trace_id = _clean_id(headers.get(TRACE_HEADER.lower())) or _clean_id(
-        headers.get(REQUEST_ID_HEADER.lower()))
-    parent_id = _clean_id(headers.get(PARENT_HEADER.lower()))
-    return trace_id, parent_id
+    trace_id = _clean_id(headers.get(_TRACE_KEY)) or _clean_id(
+        headers.get(_REQUEST_ID_KEY))
+    return trace_id, _clean_id(headers.get(_PARENT_KEY))
 
 
 def remote_context() -> dict | None:
@@ -368,6 +384,36 @@ def remote_context() -> dict | None:
     if ctx is None:
         return None
     return {"trace_id": ctx.trace.trace_id, "parent_span": ctx.handle.span_id}
+
+
+class _RequestScope:
+    """``with buffer.request(...) as trace:`` -- see :meth:`TraceBuffer.request`."""
+
+    __slots__ = ("buffer", "name", "trace_id", "parent_id", "attrs",
+                 "trace", "active", "start")
+
+    def __init__(self, buffer: "TraceBuffer", name: str, trace_id: str | None,
+                 parent_id: str | None, attrs: dict):
+        self.buffer = buffer
+        self.name = name
+        self.trace_id = trace_id
+        self.parent_id = parent_id
+        self.attrs = attrs
+
+    def __enter__(self) -> Trace | SubTrace | NullTrace:
+        self.trace = trace = self.buffer.start(
+            self.name, trace_id=self.trace_id, parent_id=self.parent_id, **self.attrs
+        )
+        self.start = time.perf_counter()
+        self.active = trace.active()
+        self.active.__enter__()
+        return trace
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self.active.__exit__(*exc)
+        finally:
+            self.buffer.finish(self.trace, (time.perf_counter() - self.start) * 1e3)
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +470,9 @@ class TraceBuffer:
                 )
                 return SubTrace(owner, handle)
         with self._lock:
-            sampled = self.sample > 0.0 and self._rng.random() < self.sample
+            sampled = self.sample >= 1.0 or (
+                self.sample > 0.0 and self._rng.random() < self.sample
+            )
             if not sampled and not self.slow_ms:
                 self._counters["untraced"] += 1
                 return NullTrace(trace_id)
@@ -452,17 +500,10 @@ class TraceBuffer:
             else:
                 self._counters["sampled_out"] += 1
 
-    @contextmanager
     def request(self, name: str, trace_id: str | None = None,
-                parent_id: str | None = None, **attrs):
+                parent_id: str | None = None, **attrs) -> "_RequestScope":
         """Trace one request end-to-end: start, activate, finish, retain."""
-        trace = self.start(name, trace_id=trace_id, parent_id=parent_id, **attrs)
-        start = time.perf_counter()
-        try:
-            with trace.active():
-                yield trace
-        finally:
-            self.finish(trace, (time.perf_counter() - start) * 1e3)
+        return _RequestScope(self, name, trace_id, parent_id, attrs)
 
     def _keep_locked(self, ring: deque[Trace], capacity: int, trace: Trace) -> None:
         ring.append(trace)

@@ -4,9 +4,11 @@ Pinned here: idle keep-alive connections close, pipelined requests answer
 in order (a stored /measure answer never overtakes a request still being
 served on its connection), the read deadline is armed once per request, a
 stream's client sending stray bytes cancels it, bare-LF line endings parse,
-an oversized body answers 413 and an over-long request line 414, a
-connection whose transport paused writing parses nothing more, and a busy
-connection stops reading once its buffer passes its bound.
+``Connection`` is read as a token list, the hand split of a request target
+equals ``urlsplit`` plus ``parse_qs``, an oversized body answers 413 and an
+over-long request line 414, a connection whose transport paused writing
+parses nothing more, and a busy connection stops reading once its buffer
+passes its bound.
 """
 
 import asyncio
@@ -16,11 +18,16 @@ import socket
 import threading
 import time
 import warnings
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.serving import StabilityService
-from repro.serving.api import StabilityAPIServer, _Connection, quick_serve_config
+from repro.serving.api import (
+    StabilityAPIServer, _Connection, _parse_head, quick_serve_config,
+)
 
 from tests.serving.test_api import live_server, request
 
@@ -193,6 +200,135 @@ class TestLineEndings:
             expected = request(api, WARM)[1]
         assert health[0] == 200 and json.loads(health[2])["status"] == "ok"
         assert measure[0] == 200 and measure[2] == expected
+
+
+class TestConnectionOptions:
+    # Connection is a comma-separated, case-insensitive token list (RFC
+    # 9110 7.6.1): "close" anywhere in it closes, and on HTTP/1.0
+    # "keep-alive" anywhere in it persists.
+    @pytest.mark.parametrize("version, connection, keep_alive", [
+        ("HTTP/1.1", None, True),
+        ("HTTP/1.1", "keep-alive", True),
+        ("HTTP/1.1", "close", False),
+        ("HTTP/1.1", "close, TE", False),
+        ("HTTP/1.1", "TE,Close", False),
+        ("HTTP/1.0", None, False),
+        ("HTTP/1.0", "TE", False),
+        ("HTTP/1.0", "Keep-Alive, TE", True),
+        ("HTTP/1.0", "keep-alive, close", False),
+    ])
+    def test_the_header_is_a_token_list(self, version, connection, keep_alive):
+        head = f"GET /healthz {version}\r\nHost: t\r"
+        if connection is not None:
+            head += f"\nConnection: {connection}\r"
+        request, _ = _parse_head(head)
+        assert request.keep_alive is keep_alive
+
+    # The last answer comes from a coroutine (/healthz) or is written from
+    # stored bytes (a repeated /measure).
+    @pytest.mark.parametrize("path", ["/healthz", WARM])
+    def test_close_among_other_options_closes_an_http11_connection(self, service, path):
+        with live_server(service) as api:
+            request(api, WARM)
+            sock = connect(api)
+            sock.sendall(
+                f"GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close, TE\r\n"
+                "TE: trailers\r\n\r\n".encode()
+            )
+            ((status, headers, _),) = read_responses(sock, 1)
+            # Well inside the 30 s keep-alive timeout.
+            closed = closed_by_server(sock, timeout=5)
+            sock.close()
+        assert status == 200 and headers["Connection"] == "close"
+        assert closed
+
+    @pytest.mark.parametrize("path", ["/healthz", WARM])
+    def test_keep_alive_among_other_options_persists_an_http10_connection(
+        self, service, path
+    ):
+        head = (
+            f"GET {path} HTTP/1.0\r\nHost: t\r\nConnection: Keep-Alive, TE\r\n"
+            "TE: trailers\r\n\r\n"
+        ).encode()
+        with live_server(service) as api:
+            request(api, WARM)
+            sock = connect(api)
+            sock.sendall(head)
+            ((first, headers, _),) = read_responses(sock, 1)
+            closed = closed_by_server(sock, timeout=0.3)
+            sock.sendall(head)                        # the same socket again
+            ((second, _, _),) = read_responses(sock, 1)
+            sock.close()
+        assert first == 200 and headers["Connection"] == "keep-alive"
+        assert not closed and second == 200
+
+
+#: Characters of a target's path and query: unreserved and sub-delims
+#: (``;`` among them), and latin-1 bytes at or above 0x80 as the server
+#: decodes them.
+_PLAIN = st.one_of(
+    st.sampled_from("abcXYZ019-._~!$'()*,;:@/"),
+    st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+)
+#: What the hand split leaves to the stdlib: escapes (the last two are
+#: invalid ones, which stay as they are), a '+' for a space, a fragment,
+#: and the tab and CR ``urlsplit`` strips.
+_SPECIALS = ("%41", "%2b", "%c3%a4", "%", "%zz", "+", "#", "\t", "\r")
+
+
+def _targets(atoms, prefix: str = "/"):
+    """Request targets whose path and query are built from ``atoms``.
+
+    Queries mix ``name=value``, ``a=b=c``, blank values, bare names, empty
+    fields and repeated names.
+    """
+    text = st.lists(atoms, max_size=8).map("".join)
+    name = st.one_of(st.sampled_from(["dim", "seed", "a", "\xe4"]), text)
+    field = st.one_of(
+        st.lists(st.one_of(name, text), min_size=2, max_size=3).map("=".join),
+        name.map(lambda key: key + "="),
+        name,
+    )
+    query = st.lists(field, max_size=6).map(lambda fields: "?" + "&".join(fields))
+    return st.builds(
+        lambda path, query: prefix + path + query, text, st.one_of(st.just(""), query)
+    )
+
+
+_TARGETS = st.one_of(
+    _targets(_PLAIN),                                          # the hand split
+    # One kind of special character per target, so each part of the
+    # guard decides some targets on its own ...
+    st.sampled_from(_SPECIALS).flatmap(
+        lambda special: _targets(st.one_of(_PLAIN, st.just(special)))
+    ),
+    # ... and targets not in plain origin form: ``//host/p?q``, ``http://h/p?q``.
+    st.sampled_from(["//h/", "//a.b:8/", "http://h/", "HTTP://a.b/"]).flatmap(
+        lambda prefix: _targets(_PLAIN, prefix)
+    ),
+)
+
+
+class TestTargetSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(target=_TARGETS)
+    @example(target="/measure?algorithm=svd&dim=4&precision=1&seed=0")
+    @example(target="/m;p?a=1;b=2&a=3&b=&c&=v&d=x=y&&\xe4=\xff")
+    @example(target="/m?a=1&a=2&b=&c&=v&d=x=y&&e=%41+b#f")
+    @example(target="/m?a=%41")
+    @example(target="/m?a=b+c")
+    @example(target="/m?a=b#c")
+    @example(target="/m?a=b\tc")
+    @example(target="/m?a=b\rc")
+    @example(target="//h/m?a=1")
+    @example(target="http://h/m?a=1")
+    def test_the_hand_split_equals_the_stdlib(self, target):
+        request, _ = _parse_head(f"GET {target} HTTP/1.1\r\nHost: t\r")
+        split = urlsplit(target)
+        assert request.path == split.path
+        assert request.params == {
+            key: values[-1] for key, values in parse_qs(split.query).items()
+        }
 
 
 class TestRequestLimits:

@@ -11,6 +11,7 @@ from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import quick_serve_config
 
 from tests.serving.test_api import get_json, live_server, request
+from tests.serving.test_framing import connect, read_responses
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,20 @@ class TestTraceHeaders:
         response, _ = request(server, "/healthz")
         trace_id = response.getheader("X-Trace-Id")
         assert trace_id and re.fullmatch(r"[0-9a-f]{32}", trace_id)
+
+    def test_warm_hits_without_an_inbound_id_get_distinct_ids(self, server):
+        # Not the cell test_measure_trace_contains_pipeline_spans needs cold.
+        path = "/measure?algorithm=svd&dim=6&precision=32"
+        request(server, path)                     # stores the answer
+        batch = f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode() * 500
+        ids = []
+        sock = connect(server)
+        for _ in range(20):
+            sock.sendall(batch)
+            ids += [headers["X-Trace-Id"] for _, headers, _ in read_responses(sock, 500)]
+        sock.close()
+        assert len(set(ids)) == len(ids) == 10_000
+        assert all(re.fullmatch(r"[0-9a-f]{32}", trace_id) for trace_id in ids)
 
     def test_inbound_trace_id_is_honoured_and_echoed(self, server):
         response, _ = request(

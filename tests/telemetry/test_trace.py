@@ -1,7 +1,9 @@
 """Span trees, context propagation, and the bounded trace ring."""
 
 import concurrent.futures
+import os
 import random
+import re
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.telemetry.trace import (
     bind,
     context_from_headers,
     current_trace_id,
+    new_trace_id,
     propagation_headers,
     remote_context,
     span,
@@ -77,6 +80,38 @@ class TestSpans:
                     pass
         assert len(trace.span_rows()) == 4
         assert trace.truncated == 7      # 10 attempted + root kept - 4 slots
+
+
+class TestTraceIds:
+    def test_ids_are_distinct_lowercase_hex(self):
+        ids = [new_trace_id() for _ in range(10_000)]
+        assert len(set(ids)) == len(ids)
+        assert all(re.fullmatch(r"[0-9a-f]{32}", trace_id) for trace_id in ids)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_shares_no_id_with_its_parent(self):
+        # A generator whose state the child inherits would mint the
+        # parent's next ids in the child too.
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:                                  # the child
+            status = 1
+            try:
+                os.close(read_end)
+                ids = "\n".join(new_trace_id() for _ in range(1000))
+                with os.fdopen(write_end, "w") as out:
+                    out.write(ids)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        parent_ids = {new_trace_id() for _ in range(1000)}
+        with os.fdopen(read_end) as source:
+            child_ids = set(source.read().split("\n"))
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert len(child_ids) == len(parent_ids) == 1000
+        assert not parent_ids & child_ids
 
 
 class TestPropagation:
