@@ -19,7 +19,6 @@ from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
     "CooccurrenceMatrix",
-    "CooccurrenceAccumulator",
     "build_cooccurrence",
     "ppmi_matrix",
 ]
@@ -112,12 +111,10 @@ def _offset_counts(
     """Exact directional pair counts per window offset.
 
     ``counts[d - 1][i, j]`` is the number of times word ``j`` follows word
-    ``i`` at distance ``d``, as an int64 CSR matrix.  Integer counts are
-    order-independent (unlike float accumulation), which is what makes the
-    incremental :class:`CooccurrenceAccumulator` bit-identical to a
-    from-scratch build: however the counts were accumulated, the weighted
-    float materialisation in :func:`_materialize` runs the same operations
-    in the same order.
+    ``i`` at distance ``d``, as an int64 CSR matrix.  Counting in integers
+    first and weighting once per offset in :func:`_materialize` fixes the
+    float operations and their order; MC, GloVe and PPMI-SVD vectors depend
+    on the resulting matrix bit for bit.
     """
     rows: list[list[np.ndarray]] = [[] for _ in range(window_size)]
     cols: list[list[np.ndarray]] = [[] for _ in range(window_size)]
@@ -165,113 +162,6 @@ def _materialize(
         total = total + directional.astype(np.float64) * weight
     total.sum_duplicates()
     return total
-
-
-class CooccurrenceAccumulator:
-    """Incrementally-updated sparse co-occurrence counts over a growing corpus.
-
-    The monitor's ingestion path feeds document batches in as they arrive;
-    the accumulator keeps **exact integer pair counts per window offset**, so
-    merging deltas is plain int64 addition and :meth:`materialize` yields a
-    matrix bit-identical to :func:`build_cooccurrence` over the concatenated
-    corpus (pinned in ``tests/corpus/test_cooccurrence.py``).
-
-    Vocabulary growth reorders word ids (:class:`Vocabulary` keeps frequency
-    order); :meth:`remap` migrates the accumulated counts onto the new id
-    space through an explicit old-id -> new-id table, which is exact for
-    integer counts.
-
-    Parameters
-    ----------
-    vocab_size:
-        Current vocabulary size (rows/cols of the accumulated matrix).
-    window_size, distance_weighting, symmetric:
-        As in :func:`build_cooccurrence`; fixed for the accumulator's life
-        so every materialisation is comparable.
-    """
-
-    def __init__(
-        self,
-        vocab_size: int,
-        *,
-        window_size: int = 8,
-        distance_weighting: bool = True,
-        symmetric: bool = True,
-    ) -> None:
-        if vocab_size <= 0:
-            raise ValueError("vocab_size must be positive")
-        if window_size < 1:
-            raise ValueError("window_size must be >= 1")
-        self.window_size = int(window_size)
-        self.distance_weighting = bool(distance_weighting)
-        self.symmetric = bool(symmetric)
-        self._n = int(vocab_size)
-        self._counts: list[sp.csr_matrix] = [
-            sp.csr_matrix((self._n, self._n), dtype=np.int64)
-            for _ in range(self.window_size)
-        ]
-        #: Documents and tokens accumulated so far (observability).
-        self.documents_added = 0
-        self.tokens_added = 0
-
-    @property
-    def vocab_size(self) -> int:
-        return self._n
-
-    @property
-    def nnz(self) -> int:
-        """Stored directional pair entries across all offsets."""
-        return int(sum(mat.nnz for mat in self._counts))
-
-    def add(self, documents: Iterable[Sequence[int] | np.ndarray]) -> int:
-        """Merge a batch of id-encoded documents into the counts.
-
-        Returns the number of documents merged.  Ids outside
-        ``[0, vocab_size)`` are skipped, matching :func:`build_cooccurrence`.
-        """
-        batch = [np.asarray(doc, dtype=np.int64) for doc in documents]
-        delta = _offset_counts(batch, self._n, self.window_size)
-        self._counts = [have + new for have, new in zip(self._counts, delta)]
-        self.documents_added += len(batch)
-        self.tokens_added += int(sum(len(doc) for doc in batch))
-        return len(batch)
-
-    def remap(self, old_to_new: Sequence[int] | np.ndarray, new_size: int) -> None:
-        """Migrate counts onto a grown (re-ordered) vocabulary id space.
-
-        ``old_to_new[i]`` is the new id of the word that had id ``i``; every
-        old id must map somewhere (vocabulary growth never drops words).
-        """
-        table = np.asarray(old_to_new, dtype=np.int64)
-        if table.shape != (self._n,):
-            raise ValueError(
-                f"old_to_new must have length {self._n}, got {table.shape}"
-            )
-        if new_size < self._n:
-            raise ValueError("new_size must not shrink the accumulator")
-        if (table < 0).any() or (table >= new_size).any():
-            raise ValueError("old_to_new entries must be valid new ids")
-        if len(np.unique(table)) != len(table):
-            raise ValueError("old_to_new must be injective")
-        remapped: list[sp.csr_matrix] = []
-        for mat in self._counts:
-            coo = mat.tocoo()
-            remapped.append(
-                sp.coo_matrix(
-                    (coo.data, (table[coo.row], table[coo.col])),
-                    shape=(new_size, new_size),
-                    dtype=np.int64,
-                ).tocsr()
-            )
-        self._counts = remapped
-        self._n = int(new_size)
-
-    def materialize(self) -> sp.csr_matrix:
-        """The weighted float64 co-occurrence matrix of everything added."""
-        return _materialize(
-            self._counts, self._n,
-            distance_weighting=self.distance_weighting, symmetric=self.symmetric,
-        )
 
 
 def ppmi_matrix(counts: sp.spmatrix | np.ndarray, *, shift: float = 0.0) -> sp.csr_matrix:

@@ -38,7 +38,6 @@ from repro.engine.scheduler import (
 )
 from repro.engine.stats import stats
 from repro.engine.streaming import OrderedCommitter, canonical_cell_keys, commit_in_order
-from repro.engine.warmup import CorpusShipment, EmbeddingShipment
 
 __all__ = [
     "ArtifactStore",
@@ -46,9 +45,7 @@ __all__ = [
     "CacheStats",
     "CellGroup",
     "CircuitOpenError",
-    "CorpusShipment",
     "DiskBackend",
-    "EmbeddingShipment",
     "FaultyBackend",
     "GridEngine",
     "GridPlan",

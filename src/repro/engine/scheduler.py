@@ -29,15 +29,15 @@ custom corpus fall back to serial execution with a warning.  Handing the
 engine a disk-backed :class:`~repro.engine.store.ArtifactStore` lets workers
 share trained artifacts across processes and across runs.
 
-Workers are **warm-started**: the parent packs its already-generated corpus
-pair into a shared-memory :class:`~repro.engine.warmup.CorpusShipment` and the
-pool initializer materialises it, so the corpus is built once per run instead
-of once per worker (pinned by ``pipeline.corpus_build_count``).  Trained
-embedding pairs already in the parent store's memory tier ship the same way
-(:class:`~repro.engine.warmup.EmbeddingShipment`), so warm reruns fan out
-without retraining even without a disk tier.  The parent's kernel policy
-(``repro.linalg``) ships along so spawned workers resolve decompositions
-identically.
+Workers are **warm-started**: the pool initializer receives the parent's
+already-generated corpus pair and every trained embedding pair the parent
+store holds in its memory tier as plain arguments.  Under the ``fork`` start
+method the workers share the parent's objects and nothing is copied; under
+``spawn`` the pool pickles them.  Either way the corpus is built once per run
+instead of once per worker (pinned by ``pipeline.corpus_build_count``), and
+warm reruns fan out without retraining even without a disk tier.  The
+parent's kernel policy (``repro.linalg``) travels along so spawned workers
+resolve decompositions identically.
 
 Results can be consumed two ways: the batch :meth:`GridEngine.run` (records
 reassembled in canonical axis-product order) and the streaming
@@ -52,15 +52,16 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.engine.store import ArtifactStore
 from repro.engine.streaming import canonical_cell_keys, commit_in_order
-from repro.engine.warmup import CorpusShipment, EmbeddingShipment
 from repro.linalg import KernelPolicy, configure_default_policy, default_policy
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
+    from repro.corpus.synthetic import CorpusPair
+    from repro.embeddings.base import Embedding
     from repro.instability.grid import GridRecord
     from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
 
@@ -236,44 +237,39 @@ def evaluate_group(pipeline: "InstabilityPipeline", group: CellGroup) -> list["G
 # -- multiprocessing workers ----------------------------------------------------
 
 _WORKER_PIPELINE: "InstabilityPipeline | None" = None
-_WORKER_SHIPMENT: CorpusShipment | None = None
-_WORKER_PAIR_SHIPMENT: EmbeddingShipment | None = None
 
 
 def _init_worker(
     config: "PipelineConfig",
     store_spec,
-    shipment: CorpusShipment | None = None,
-    parent_policy: KernelPolicy | None = None,
-    pair_shipment: EmbeddingShipment | None = None,
+    corpus_pair: "CorpusPair | None",
+    parent_policy: KernelPolicy | None,
+    pairs: "Mapping[str, tuple[Embedding, Embedding]]",
 ) -> None:
     """Build the per-process pipeline once; groups then reuse its caches.
 
     ``store_spec`` is the parent store's :meth:`ArtifactStore.spec` (or a bare
     root path, or ``None``); each worker rebuilds the same tier stack -- disk,
     shards, remote peers -- so artifacts written by any process land where
-    every other process looks for them.  ``shipment`` carries the parent's
-    pre-built corpus pair (shared memory); the shipment object is kept alive
-    for the worker's lifetime because the materialised corpora view its
-    buffer.  ``pair_shipment`` carries whatever trained embedding pairs the
-    parent store already held; they preload the worker store's memory tier so
-    warm reruns skip retraining.  ``parent_policy`` replicates the parent's
+    every other process looks for them.  ``corpus_pair`` is the parent's
+    already-generated corpus pair, so the worker generates none.  ``pairs``
+    maps store keys to the trained embedding pairs the parent store held in
+    its memory tier; they preload the worker store so warm reruns skip
+    retraining.  Under ``fork`` both are the parent's own objects, under
+    ``spawn`` pickled copies.  ``parent_policy`` replicates the parent's
     process-wide kernel policy so ``None`` config fields resolve the same way
     in every process.
     """
-    global _WORKER_PIPELINE, _WORKER_SHIPMENT, _WORKER_PAIR_SHIPMENT
+    global _WORKER_PIPELINE
     from repro.instability.pipeline import InstabilityPipeline
 
     if parent_policy is not None:
         configure_default_policy(parent_policy)
-    _WORKER_SHIPMENT = shipment
-    _WORKER_PAIR_SHIPMENT = pair_shipment
-    warm_pair = shipment.materialize() if shipment is not None else None
     _WORKER_PIPELINE = InstabilityPipeline(
-        config, store=ArtifactStore.from_spec(store_spec), warm_corpus_pair=warm_pair
+        config, store=ArtifactStore.from_spec(store_spec), warm_corpus_pair=corpus_pair
     )
-    if pair_shipment is not None:
-        pair_shipment.seed(_WORKER_PIPELINE.store)
+    for key, pair in pairs.items():
+        _WORKER_PIPELINE.store.preload("embedding_pair", key, pair)
 
 
 def _evaluate_group_in_worker(group: CellGroup) -> list["GridRecord"]:
@@ -320,8 +316,8 @@ class GridEngine:
         self.pipeline: "InstabilityPipeline" = pipeline
         self.n_workers = int(n_workers)
         self.coordinator_url = coordinator_url
-        #: Warm-up telemetry of the most recent parallel run: whether the
-        #: corpus pair shipped to workers, how, and how many bytes travelled.
+        #: Warm-up telemetry of the most recent parallel run: how many
+        #: trained embedding pairs the workers started with.
         self.last_warmup: dict | None = None
 
     @property
@@ -469,54 +465,37 @@ class GridEngine:
         completes; falls back to serial on pool start failure."""
         method = "fork" if "fork" in get_all_start_methods() else None
         ctx = get_context(method)
-        store_spec = self.store.spec()
-        # Warm-up: ship the already-built corpus pair to workers once, instead
-        # of letting every worker regenerate it from the config -- and every
-        # trained full-precision pair the parent store already holds, so warm
-        # reruns skip retraining even without a shared disk tier.
-        shipment = CorpusShipment.create(self.pipeline.corpus_pair)
-        known_pairs = self.store.memory_entries("embedding_pair")
-        pair_shipment = EmbeddingShipment.create(known_pairs) if known_pairs else None
-        self.last_warmup = {
-            "enabled": True,
-            "via_shared_memory": shipment.via_shared_memory,
-            "nbytes": shipment.nbytes,
-            "pairs_shipped": pair_shipment.n_pairs if pair_shipment else 0,
-            "pair_nbytes": pair_shipment.nbytes if pair_shipment else 0,
-            "pairs_via_shared_memory": (
-                pair_shipment.via_shared_memory if pair_shipment else False
-            ),
-        }
+        # Warm-up: workers start from the parent's corpus pair and from every
+        # trained pair its memory tier holds, instead of regenerating the
+        # corpus and retraining pairs the parent already has.  ``fork`` never
+        # pickles initializer arguments, so the workers share these objects.
+        pairs = self.store.memory_entries("embedding_pair")
+        self.last_warmup = {"pairs_shipped": len(pairs)}
         try:
-            try:
-                pool = ctx.Pool(
-                    processes=workers,
-                    initializer=_init_worker,
-                    initargs=(
-                        self.pipeline.config, store_spec, shipment,
-                        default_policy(), pair_shipment,
-                    ),
-                )
-            except (OSError, RuntimeError) as error:  # pragma: no cover - env dependent
-                # Only pool *start-up* failures trigger the serial fallback; an
-                # exception raised by a worker task is a real error and propagates.
-                warnings.warn(
-                    f"parallel grid execution unavailable ({error}); running serially",
-                    UserWarning,
-                    stacklevel=3,
-                )
-                self.last_warmup = None
-                for group in groups:
-                    yield evaluate_group(self.pipeline, group)
-                return
-            with pool:
-                # ``imap_unordered``: each group's records surface the moment
-                # its worker finishes; the ordered committer (when requested)
-                # restores the canonical sequence downstream.
-                yield from pool.imap_unordered(
-                    _evaluate_group_in_worker, groups, chunksize=1
-                )
-        finally:
-            shipment.close()
-            if pair_shipment is not None:
-                pair_shipment.close()
+            pool = ctx.Pool(
+                processes=workers,
+                initializer=_init_worker,
+                initargs=(
+                    self.pipeline.config, self.store.spec(),
+                    self.pipeline.corpus_pair, default_policy(), pairs,
+                ),
+            )
+        except (OSError, RuntimeError) as error:  # pragma: no cover - env dependent
+            # Only pool *start-up* failures trigger the serial fallback; an
+            # exception raised by a worker task is a real error and propagates.
+            warnings.warn(
+                f"parallel grid execution unavailable ({error}); running serially",
+                UserWarning,
+                stacklevel=3,
+            )
+            self.last_warmup = None
+            for group in groups:
+                yield evaluate_group(self.pipeline, group)
+            return
+        with pool:
+            # ``imap_unordered``: each group's records surface the moment
+            # its worker finishes; the ordered committer (when requested)
+            # restores the canonical sequence downstream.
+            yield from pool.imap_unordered(
+                _evaluate_group_in_worker, groups, chunksize=1
+            )

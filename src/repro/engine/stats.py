@@ -3,7 +3,8 @@
 The engine's observability used to be scattered attribute reads: store
 counters via ``store.stat(kind)``, decomposition-cache counters via
 ``cache.stats``, pipeline build/train counters, and the scheduler's warm-up
-telemetry via ``engine.last_warmup``.  :func:`stats` collects all of them
+telemetry via ``engine.last_warmup`` (how many trained pairs the last
+parallel run's workers started with).  :func:`stats` collects all of them
 into one plain, JSON-able dict so the serving layer's ``/metrics`` endpoint,
 the benchmarks, and the tests read the same snapshot the same way.
 """

@@ -245,9 +245,10 @@ class ArtifactStore:
     def preload(self, kind: str, key: str, value: Any) -> None:
         """Seed the memory tier with an externally-produced artifact.
 
-        Used by the worker warm-up path: the parent ships artifacts it already
-        holds and workers preload them, skipping recomputation without
-        touching the byte tiers (the parent persists its own copies).
+        Used by the worker warm-up path: the pool initializer receives the
+        trained pairs the parent's memory tier holds and preloads them,
+        skipping recomputation without touching the byte tiers (the parent
+        persists its own copies).
         """
         self._memory[(kind, key)] = value
         self._memory_bytes[(kind, key)] = _array_bytes(value)
@@ -256,7 +257,11 @@ class ArtifactStore:
 
     def memory_entries(self, kind: str) -> dict[str, Any]:
         """Snapshot of the memory tier's entries of one artifact kind."""
-        return {key: value for (k, key), value in self._memory.items() if k == kind}
+        # ``copy()`` snapshots the dict in one C call that allocates nothing
+        # per entry, so neither a put on another thread nor a garbage
+        # collection (which can run Python code) interleaves with it.
+        entries = self._memory.copy()
+        return {key: value for (k, key), value in entries.items() if k == kind}
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -275,9 +280,12 @@ class ArtifactStore:
     def bytes_in_memory(self) -> int:
         """Bytes the object memory tier holds: each entry's array bytes plus
         any byte payloads memoised for peer serving."""
-        return sum(self._memory_bytes.values()) + sum(
-            len(payload) for payload in self._encoded.values()
-        )
+        # Snapshots taken in one C call each, allocating nothing per entry:
+        # /metrics reads this while puts and peer reads fill both dicts on
+        # other threads.
+        sizes = list(self._memory_bytes.values())
+        payloads = list(self._encoded.values())
+        return sum(sizes) + sum(len(payload) for payload in payloads)
 
     def replication_stats(self) -> dict | None:
         """Counters of the async replication queue (``None`` when synchronous)."""

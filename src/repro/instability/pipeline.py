@@ -257,8 +257,8 @@ class InstabilityPipeline:
         process default (in-memory unless configured otherwise).
     warm_corpus_pair:
         A pre-built corpus pair **trusted to be identical** to the one this
-        config would generate -- the scheduler's worker warm-up ships the
-        parent's pair here (via shared memory) so workers skip regeneration.
+        config would generate -- the scheduler's pool initializer passes the
+        parent's pair here so workers skip regeneration.
         Unlike ``corpus_pair`` it keeps the pipeline reconstructible and the
         artifact keys unsalted.
     """

@@ -5,8 +5,7 @@ versions on successive corpus snapshots, measure their instability -- into
 an online loop over a *live* corpus:
 
 * :class:`~repro.monitor.ingest.CorpusIngestor` accumulates document
-  batches into a growing vocabulary and an exact, delta-merged
-  co-occurrence accumulator;
+  batches into a growing vocabulary;
 * :class:`~repro.monitor.scheduler.InstabilityMonitor` cuts
   content-addressed corpus snapshots and schedules rolling retrains over
   successive snapshot pairs -- locally or leased to the ``repro-worker``

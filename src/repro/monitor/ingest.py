@@ -1,18 +1,12 @@
-"""Incremental corpus ingestion: growing vocabulary + co-occurrence deltas.
+"""Incremental corpus ingestion: a growing vocabulary over document batches.
 
 The paper's scenario is a corpus that *accumulates* -- Wiki'17 grows into
 Wiki'18 -- and :class:`CorpusIngestor` is that accumulation made online.
-Document batches arrive as tokenised text; the ingestor maintains
-
-* a growing :class:`~repro.corpus.vocabulary.Vocabulary` (frequency-ordered,
-  so ids are re-derived as counts change -- **stable id remapping** migrates
-  all accumulated state across each re-ordering), and
-* an incrementally-updated sparse
-  :class:`~repro.corpus.cooccurrence.CooccurrenceAccumulator` whose
-  materialisation is bit-identical to a from-scratch
-  :func:`~repro.corpus.cooccurrence.build_cooccurrence` over the concatenated
-  corpus (the accumulator keeps exact integer counts per window offset, so
-  delta merges and id remaps are exact).
+Document batches arrive as tokenised text; the ingestor keeps them, grows a
+frequency-ordered :class:`~repro.corpus.vocabulary.Vocabulary` over them and
+counts what it has taken in.  Retrains build their co-occurrence statistics
+from the snapshot corpus itself, with the pipeline's own window and
+vocabulary cut-off.
 
 :meth:`snapshot_corpus` freezes the ingested state into a
 :class:`~repro.corpus.synthetic.Corpus` whose word list is the current
@@ -21,9 +15,7 @@ vocabulary; the monitor's scheduler stores it content-addressed
 successive snapshot pairs.
 
 The ingestor's vocabulary uses ``min_count=1``: every ingested token is
-in-vocabulary, so encoding a document at batch time and remapping its ids
-later is exactly the same as encoding it against the final vocabulary --
-the invariant the bit-identity guarantee rests on.
+in-vocabulary, so a snapshot encodes every document in full.
 """
 
 from __future__ import annotations
@@ -33,7 +25,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.corpus.cooccurrence import CooccurrenceAccumulator
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 
@@ -45,68 +36,36 @@ class CorpusIngestor:
 
     Parameters
     ----------
-    window_size, distance_weighting, symmetric:
-        Co-occurrence accumulation knobs (see
-        :func:`~repro.corpus.cooccurrence.build_cooccurrence`).
     corpus_name:
         ``name`` of every cut corpus.  Constant on purpose: the snapshot key
         is a content hash, so an unchanged corpus cuts to the same key and
         the scheduler can skip no-op snapshots.
     """
 
-    def __init__(
-        self,
-        *,
-        window_size: int = 8,
-        distance_weighting: bool = True,
-        symmetric: bool = True,
-        corpus_name: str = "monitor",
-    ) -> None:
-        self.window_size = int(window_size)
-        self.distance_weighting = bool(distance_weighting)
-        self.symmetric = bool(symmetric)
+    def __init__(self, *, corpus_name: str = "monitor") -> None:
         self.corpus_name = str(corpus_name)
         self.vocab = Vocabulary(min_count=1)
-        self._accumulator: CooccurrenceAccumulator | None = None
         self._documents: list[list[str]] = []
         self._lock = threading.Lock()
         self.batches_ingested = 0
+        self.tokens_ingested = 0
 
     # -- ingestion -----------------------------------------------------------
 
     def add_batch(self, documents: Sequence[Sequence[str]]) -> dict:
-        """Merge one batch of tokenised documents; returns ingest stats.
-
-        The vocabulary grows (and re-orders) first; the co-occurrence
-        accumulator is remapped onto the new id space through the stable
-        old-id -> new-id table, then the batch's documents are encoded in the
-        *new* vocabulary and delta-merged in.
-        """
+        """Merge one batch of tokenised documents; returns ingest stats."""
         batch = [[str(token) for token in doc] for doc in documents]
         if not batch or any(not doc for doc in batch):
             raise ValueError("documents must be a non-empty list of non-empty token lists")
+        batch_tokens = sum(len(doc) for doc in batch)
         with self._lock:
-            old_words = self.vocab.words
             self.vocab.update(token for doc in batch for token in doc)
-            if self._accumulator is None:
-                self._accumulator = CooccurrenceAccumulator(
-                    len(self.vocab),
-                    window_size=self.window_size,
-                    distance_weighting=self.distance_weighting,
-                    symmetric=self.symmetric,
-                )
-            elif old_words:
-                old_to_new = np.array(
-                    [self.vocab[word] for word in old_words], dtype=np.int64
-                )
-                self._accumulator.remap(old_to_new, len(self.vocab))
-            encoded = [self.vocab.encode(doc) for doc in batch]
-            self._accumulator.add(encoded)
             self._documents.extend(batch)
             self.batches_ingested += 1
+            self.tokens_ingested += batch_tokens
             return {
                 "batch_documents": len(batch),
-                "batch_tokens": int(sum(len(doc) for doc in batch)),
+                "batch_tokens": batch_tokens,
                 **self._stats_locked(),
             }
 
@@ -133,23 +92,14 @@ class CorpusIngestor:
                 name=self.corpus_name,
             )
 
-    def cooccurrence(self):
-        """Materialised co-occurrence matrix of everything ingested (csr)."""
-        with self._lock:
-            if self._accumulator is None:
-                raise ValueError("no documents ingested yet")
-            return self._accumulator.materialize()
-
     # -- observability ---------------------------------------------------------
 
     def _stats_locked(self) -> dict:
-        accumulator = self._accumulator
         return {
             "batches": self.batches_ingested,
             "documents": len(self._documents),
-            "tokens": 0 if accumulator is None else accumulator.tokens_added,
+            "tokens": self.tokens_ingested,
             "vocab_size": len(self.vocab),
-            "cooccurrence_nnz": 0 if accumulator is None else accumulator.nnz,
         }
 
     def stats(self) -> dict:

@@ -71,8 +71,6 @@ class MonitorConfig:
     #: Lease retrains to the ``repro-worker`` fleet through the service's
     #: cluster coordinator instead of executing in-process.
     distributed: bool = False
-    #: Co-occurrence window of the ingestion accumulator.
-    window_size: int = 8
     #: Bounded version/report history length.
     history: int = 16
     #: Bounded event-log length (``/monitor/events``).
@@ -130,9 +128,7 @@ class InstabilityMonitor:
     ) -> None:
         self.service = service
         self.config = config or MonitorConfig()
-        self.ingestor = CorpusIngestor(
-            window_size=self.config.window_size, corpus_name=self.config.corpus_name
-        )
+        self.ingestor = CorpusIngestor(corpus_name=self.config.corpus_name)
         self.drift = DriftEvaluator(self.config.thresholds, history=self.config.history)
         self.events = MonitorEventLog(self.config.max_events)
         self._versions: deque[dict] = deque(maxlen=self.config.history)

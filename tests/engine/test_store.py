@@ -1,5 +1,9 @@
 """Tests for the content-addressed artifact store."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -59,6 +63,67 @@ class TestMemoryTier:
         store = ArtifactStore()
         store.put_json("a", "k", 1)
         assert store.get_json("b", "k") is None
+
+
+class _Finalized:
+    def __del__(self):
+        pass
+
+
+class TestMemoryTierReadsUnderWrites:
+    """Reads of the memory tier run while other threads write to it:
+    ``/grid?workers=N`` takes ``memory_entries`` while ``/measure`` work
+    stores artifacts, and every ``/metrics`` takes ``bytes_in_memory``
+    while peer reads memoise payloads."""
+
+    @staticmethod
+    def _race(read, write, seconds=0.5):
+        store = ArtifactStore()
+        for i in range(2000):
+            store.put_json("m", f"seed-{i}", i)
+        stop = threading.Event()
+        errors: list[RuntimeError] = []
+
+        def writer():
+            i = 0
+            while not stop.is_set():
+                write(store, i)
+                # Cyclic garbage with a finalizer: a collection that starts
+                # inside a read runs Python code, so threads can switch there.
+                garbage = _Finalized()
+                garbage.cycle = garbage
+                i += 1
+
+        thread = threading.Thread(target=writer, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            deadline = time.monotonic() + seconds
+            while time.monotonic() < deadline and not errors:
+                try:
+                    read(store)
+                except RuntimeError as error:   # dict changed size during iteration
+                    errors.append(error)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert errors == []
+
+    def test_memory_entries_during_puts(self):
+        self._race(
+            lambda store: store.memory_entries("m"),
+            lambda store, i: store.put_json("m", f"w-{i}", i),
+        )
+
+    def test_bytes_in_memory_during_peer_reads(self):
+        def put_then_serve(store, i):
+            store.put_json("m", f"w-{i}", i)
+            store.get_bytes("m", f"w-{i}.json")
+
+        self._race(lambda store: store.bytes_in_memory(), put_then_serve)
 
 
 class TestDiskTier:

@@ -6,13 +6,15 @@ the ordered commit is exact, and streaming is genuinely incremental (records
 surface before the grid finishes).
 """
 
+import multiprocessing
 import random
 import warnings
 
 import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig
-from repro.engine import ArtifactStore, EmbeddingShipment, GridEngine
+from repro.engine import ArtifactStore, GridEngine, evaluate_group
+from repro.engine import scheduler as scheduler_module
 from repro.engine.streaming import OrderedCommitter, canonical_cell_keys, commit_in_order
 from repro.instability.grid import GridRecord
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
@@ -169,48 +171,58 @@ class TestRunIter:
             assert GridEngine(STREAM_CONFIG).run(with_measures=True) == serial_records
 
 
+def _refuse_training(self, name, dim, seed):
+    raise AssertionError(f"a worker trained a {name} pair (dim {dim}, seed {seed})")
+
+
+def _evaluate_group_checked(group):
+    """Pool task: evaluate a group, checking the worker started warm."""
+    pipeline = scheduler_module._WORKER_PIPELINE
+    assert pipeline.corpus_build_count == 0, "a worker generated a corpus"
+    records = evaluate_group(pipeline, group)
+    assert pipeline.embedding_train_count == 0, "a worker trained an embedding pair"
+    return records
+
+
 class TestEmbeddingShipmentWarmup:
-    def test_shipment_roundtrip_preserves_pairs(self):
-        import pickle
-
-        pipeline = InstabilityPipeline(STREAM_CONFIG)
-        pair = pipeline.embedding_pair("svd", 4, 0)
-        key = "test-key"
-        shipment = EmbeddingShipment.create({key: pair})
-        try:
-            remote = pickle.loads(pickle.dumps(shipment))
-            target = ArtifactStore()
-            assert remote.seed(target) == 1
-            loaded = target.get_embedding_pair("embedding_pair", key)
-            assert loaded is not None
-            for original, shipped in zip(pair, loaded):
-                assert original.vocab.words == shipped.vocab.words
-                assert (original.vectors == shipped.vectors).all()
-                assert original.metadata == shipped.metadata
-            assert target.stat("embedding_pair").preloads == 1
-            remote.close()
-        finally:
-            shipment.close()
-
-    def test_warm_memory_store_parallel_rerun_ships_pairs(self):
+    def test_warm_memory_store_parallel_rerun_ships_pairs(self, monkeypatch):
         """Pairs trained in the parent (a serial run, or a serving process
-        answering /measure queries) travel to workers through shared memory
-        when the grid later fans out -- even though the store has no disk
-        tier for workers to share."""
+        answering /measure queries) reach the workers as initializer
+        arguments when the grid later fans out -- even though the store has
+        no disk tier for workers to share.  The checks run inside the
+        workers, in a task: an exception in a pool initializer makes the
+        pool respawn workers forever instead of failing the test."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             engine = GridEngine(STREAM_CONFIG, store=ArtifactStore())
             first = engine.run(with_measures=True)            # serial: parent trains
             assert engine.pipeline.embedding_train_count == 2
+            # Patched before the pool forks, so every worker inherits both.
+            monkeypatch.setattr(InstabilityPipeline, "_make_algorithm", _refuse_training)
+            monkeypatch.setattr(
+                scheduler_module, "_evaluate_group_in_worker", _evaluate_group_checked
+            )
             second = engine.run(with_measures=True, n_workers=2)
         assert second == first
-        warmup = engine.last_warmup
         # Both trained dims (4 and 6) shipped; dim 6 doubles as the EIS anchor.
-        assert warmup["pairs_shipped"] == 2
-        assert warmup["pair_nbytes"] > 0
-        assert warmup["pairs_via_shared_memory"]
+        assert engine.last_warmup == {"pairs_shipped": 2}
         # The parent trained nothing new for the parallel rerun.
         assert engine.pipeline.embedding_train_count == 2
+
+    def test_spawned_workers_match_the_serial_run(self, monkeypatch):
+        """Under ``spawn`` the pool pickles the corpus pair and the trained
+        pairs; a warm rerun still reproduces the serial records."""
+        monkeypatch.setattr(
+            scheduler_module, "get_context",
+            lambda method=None: multiprocessing.get_context("spawn"),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            engine = GridEngine(STREAM_CONFIG, store=ArtifactStore())
+            first = engine.run(with_measures=True)
+            second = engine.run(with_measures=True, n_workers=2)
+        assert second == first
+        assert engine.last_warmup == {"pairs_shipped": 2}
 
     def test_cold_parallel_run_ships_no_pairs(self):
         with warnings.catch_warnings():
@@ -221,19 +233,14 @@ class TestEmbeddingShipmentWarmup:
 
     def test_init_worker_with_pair_shipment_skips_training(self):
         """A worker whose store was seeded answers embedding_pair from cache."""
-        import pickle
-
-        from repro.engine import scheduler as scheduler_module
         from repro.engine.scheduler import _init_worker
         from repro.engine.store import config_hash
 
         parent = InstabilityPipeline(STREAM_CONFIG)
         pair = parent.embedding_pair("svd", 4, 0)
         key = config_hash(parent._embedding_fields("svd", 4, 0))
-        shipment = EmbeddingShipment.create({key: pair})
+        _init_worker(STREAM_CONFIG, None, parent.corpus_pair, None, {key: pair})
         try:
-            handle = pickle.loads(pickle.dumps(shipment))
-            _init_worker(STREAM_CONFIG, None, None, None, handle)
             worker = scheduler_module._WORKER_PIPELINE
             assert worker.store.stat("embedding_pair").preloads == 1
             shipped = worker.embedding_pair("svd", 4, 0)
@@ -242,6 +249,3 @@ class TestEmbeddingShipmentWarmup:
             assert (shipped[1].vectors == pair[1].vectors).all()
         finally:
             scheduler_module._WORKER_PIPELINE = None
-            scheduler_module._WORKER_SHIPMENT = None
-            scheduler_module._WORKER_PAIR_SHIPMENT = None
-            shipment.close()

@@ -1,16 +1,13 @@
-"""Worker warm-up tests: shipped corpora are exact, and workers rebuild nothing."""
+"""Worker warm-up tests: workers start from the parent's corpus pair and rebuild nothing."""
 
-import pickle
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
-from repro.engine import ArtifactStore, CorpusShipment, GridEngine
+from repro.engine import ArtifactStore, GridEngine
 from repro.engine.scheduler import _init_worker
 from repro.engine import scheduler as scheduler_module
-from repro.engine.warmup import pack_corpus, unpack_corpus
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
 
 WARMUP_CONFIG = PipelineConfig(
@@ -32,59 +29,6 @@ def corpus_pair():
     return generator.generate_pair(seed=WARMUP_CONFIG.corpus.seed)
 
 
-def assert_corpora_equal(a, b):
-    assert a.word_list == b.word_list
-    assert a.name == b.name
-    assert len(a.documents) == len(b.documents)
-    for doc_a, doc_b in zip(a.documents, b.documents):
-        assert np.array_equal(doc_a, doc_b)
-    assert np.array_equal(a.document_topics, b.document_topics)
-
-
-class TestPackUnpack:
-    def test_roundtrip(self, corpus_pair):
-        packed = pack_corpus(corpus_pair.base)
-        assert_corpora_equal(corpus_pair.base, unpack_corpus(packed))
-
-    def test_empty_corpus(self):
-        from repro.corpus.synthetic import Corpus
-
-        empty = Corpus(word_list=["a"], documents=[], document_topics=np.array([]))
-        assert len(unpack_corpus(pack_corpus(empty)).documents) == 0
-
-
-class TestCorpusShipment:
-    def test_shared_memory_roundtrip_through_pickle(self, corpus_pair):
-        shipment = CorpusShipment.create(corpus_pair)
-        try:
-            assert shipment.via_shared_memory
-            assert shipment.nbytes > 0
-            remote = pickle.loads(pickle.dumps(shipment))
-            pair = remote.materialize()
-            assert_corpora_equal(corpus_pair.base, pair.base)
-            assert_corpora_equal(corpus_pair.drifted, pair.drifted)
-            assert pair.config == corpus_pair.config
-            del pair
-            remote.close()
-        finally:
-            shipment.close()
-
-    def test_inline_fallback(self, corpus_pair):
-        shipment = CorpusShipment.create(corpus_pair, use_shared_memory=False)
-        try:
-            assert not shipment.via_shared_memory
-            remote = pickle.loads(pickle.dumps(shipment))
-            pair = remote.materialize()
-            assert_corpora_equal(corpus_pair.base, pair.base)
-        finally:
-            shipment.close()
-
-    def test_close_is_idempotent(self, corpus_pair):
-        shipment = CorpusShipment.create(corpus_pair)
-        shipment.close()
-        shipment.close()
-
-
 class TestWarmStartedPipeline:
     def test_warm_pipeline_builds_no_corpus(self, corpus_pair):
         pipeline = InstabilityPipeline(WARMUP_CONFIG, warm_corpus_pair=corpus_pair)
@@ -103,22 +47,19 @@ class TestWarmStartedPipeline:
         assert custom._key_salt is not None
         assert warm._key_salt is None
 
-    def test_init_worker_materialises_shipment(self, corpus_pair, tmp_path):
-        shipment = CorpusShipment.create(corpus_pair)
+    def test_init_worker_uses_the_parent_corpus_pair(self, corpus_pair, tmp_path):
+        _init_worker(WARMUP_CONFIG, tmp_path, corpus_pair, None, {})
         try:
-            handle = pickle.loads(pickle.dumps(shipment))
-            _init_worker(WARMUP_CONFIG, tmp_path, handle, None)
             worker_pipeline = scheduler_module._WORKER_PIPELINE
             assert worker_pipeline is not None
             assert worker_pipeline.corpus_build_count == 0
-            assert_corpora_equal(corpus_pair.base, worker_pipeline.corpus_pair.base)
+            assert worker_pipeline.corpus_pair is corpus_pair
+            assert worker_pipeline._key_salt is None
         finally:
             scheduler_module._WORKER_PIPELINE = None
-            scheduler_module._WORKER_SHIPMENT = None
-            shipment.close()
 
     def test_init_worker_without_shipment_rebuilds(self, tmp_path):
-        _init_worker(WARMUP_CONFIG, tmp_path, None, None)
+        _init_worker(WARMUP_CONFIG, tmp_path, None, None, {})
         try:
             assert scheduler_module._WORKER_PIPELINE.corpus_build_count == 1
         finally:
@@ -136,10 +77,8 @@ class TestEngineWarmupIntegration:
             parallel_engine = GridEngine(WARMUP_CONFIG, store=ArtifactStore())
             parallel = parallel_engine.run(with_measures=True, n_workers=2)
         assert parallel == serial
-        warmup = parallel_engine.last_warmup
-        assert warmup is not None and warmup["enabled"]
-        assert warmup["nbytes"] > 0
-        # The parent built its corpus exactly once; the shipment means worker
-        # pipelines report zero builds (asserted directly in
-        # TestWarmStartedPipeline since workers live in other processes).
+        assert parallel_engine.last_warmup == {"pairs_shipped": 0}
+        # The parent built its corpus exactly once; worker pipelines start
+        # from it and report zero builds (asserted inside the workers in
+        # tests/engine/test_streaming.py).
         assert parallel_engine.pipeline.corpus_build_count == 1
