@@ -571,7 +571,7 @@ class ClusterCoordinator:
             self._sweep_locked(now)
             self._touch_worker_locked(worker, now)
             if self._draining:
-                return {"status": "drain", "retry_after": min(5.0, self.lease_ttl)}
+                return {"status": "drain"}
             any_active = False
             for run in self._runs.values():
                 if not run.active:
@@ -609,8 +609,8 @@ class ClusterCoordinator:
                 speculative = self._speculative_lease_locked(worker, now)
                 if speculative is not None:
                     return speculative
-                return {"status": "wait", "retry_after": min(1.0, self.lease_ttl / 4)}
-            return {"status": "idle", "retry_after": min(5.0, self.lease_ttl)}
+                return {"status": "wait"}
+            return {"status": "idle"}
 
     def heartbeat(self, worker: str, lease_id: str) -> dict:
         """Extend a lease; ``{"status": "gone"}`` tells the worker it expired."""

@@ -11,9 +11,9 @@ properties make the fleet safe and fast:
   :class:`~repro.engine.store.ArtifactStore` mounts the coordinator's
   ``/artifacts`` API as its remote tier, so trained pairs, anchor
   decompositions and measure values are computed once cluster-wide and
-  fetched everywhere else; pushes ride the async replication queue and are
-  :meth:`~repro.engine.store.ArtifactStore.flush`\\ ed before a group is
-  reported complete, so dependants always find their ancestors;
+  fetched everywhere else; every push has landed on the coordinator before
+  the store call that made it returns, so by the time a group is reported
+  complete its dependants find their ancestors;
 * **heartbeats** -- a background thread renews the lease while a group
   executes; if the worker dies, the lease expires and the coordinator
   re-leases the group (at-least-once is safe: results are deterministic and
@@ -31,6 +31,7 @@ Run it::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import random
@@ -87,9 +88,26 @@ class CoordinatorClient:
             except OSError:  # pragma: no cover - best effort
                 pass
 
+    def _drop(self, conn) -> None:
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - best effort
+            pass
+        with self._conns_lock:
+            self._conns.discard(conn)
+        self._local.conn = None
+
     def _post(self, path: str, payload: dict) -> dict:
-        """POST one JSON payload; reconnects once on a stale keep-alive."""
+        """POST one JSON payload; reconnects once on a stale keep-alive.
+
+        Only a POST that got no answer is sent again.  Once an answer
+        arrived the coordinator has handled the request, so a non-200
+        status or an undecodable body raises ``ConnectionError`` (the type
+        the worker's backoff catches) without a second POST.
+        """
         body = json.dumps(to_jsonable(payload)).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        headers.update(propagation_headers())
         last_error: Exception | None = None
         for _ in (0, 1):
             conn = getattr(self._local, "conn", None)
@@ -100,28 +118,34 @@ class CoordinatorClient:
                 with self._conns_lock:
                     self._conns.add(conn)
             try:
-                headers = {"Content-Type": "application/json"}
-                headers.update(propagation_headers())
                 conn.request(
                     "POST", f"{self._local.base}{path}", body=body, headers=headers
                 )
                 response = conn.getresponse()
-                data = response.read()
-                if response.status != 200:
-                    raise ConnectionError(
-                        f"coordinator answered HTTP {response.status} on {path}: "
-                        f"{data.decode('utf-8', 'replace')[:200]}"
-                    )
-                return json.loads(data)
-            except (OSError, ConnectionError, ValueError) as error:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - best effort
-                    pass
-                with self._conns_lock:
-                    self._conns.discard(conn)
-                self._local.conn = None
+            except (OSError, http.client.HTTPException) as error:
+                # No answer arrived -- typically the coordinator closed an
+                # idle keep-alive connection: send once more on a fresh one.
+                self._drop(conn)
                 last_error = error
+                continue
+            try:
+                data = response.read()
+            except (OSError, http.client.HTTPException) as error:
+                self._drop(conn)
+                raise ConnectionError(
+                    f"coordinator broke off its answer on {path}: {error}"
+                ) from error
+            if response.status != 200:
+                raise ConnectionError(
+                    f"coordinator answered HTTP {response.status} on {path}: "
+                    f"{data.decode('utf-8', 'replace')[:200]}"
+                )
+            try:
+                return json.loads(data)
+            except ValueError as error:
+                raise ConnectionError(
+                    f"coordinator answered {path} with undecodable JSON: {error}"
+                ) from error
         raise ConnectionError(f"coordinator {self.url} unreachable: {last_error}")
 
     def lease(self, worker: str) -> dict:
@@ -175,31 +199,24 @@ class ClusterWorker:
         fleet survives the loss of any single replica (reads fall through
         to the survivors, missed writes queue as hints).
     poll_interval:
-        Baseline sleep between lease polls when the coordinator has no work
-        (also the backoff floor).
+        Sleep between lease polls when the coordinator has no work, jittered
+        by a uniform 50-100% factor (also the backoff floor).
     max_idle:
         Stop after this many consecutive idle seconds (``None`` = run until
         :meth:`stop`); how CI and tests bound a worker's lifetime.
     client:
         Injectable transport (tests drive the worker against an in-process
         coordinator without sockets).
-    flush_timeout:
-        Bound on the pre-report artifact replication barrier.
     max_pipelines:
         Warm pipelines kept alive at once (LRU by use).  A long-lived worker
         serving many distinct configurations would otherwise pin a corpus,
-        datasets, store and replication thread per config forever.
+        datasets and store per config forever.
     backoff_max:
         Cap on the exponential backoff applied to consecutive
         ``ConnectionError`` polls.  Each failure doubles the sleep from
         ``poll_interval`` up to this cap, jittered by a uniform 50-100%
         factor so a fleet that lost its coordinator together does not
         rejoin as a thundering herd; one success resets the sequence.
-    idle_backoff_max:
-        Cap on the sleep honoured from the coordinator's ``retry_after``
-        hint on idle/wait/drain answers (jittered like the failure
-        backoff).  Kept small so a worker notices freshly submitted work
-        quickly.
     heartbeat_join_timeout:
         Bound on waiting for the heartbeat thread after a group finishes;
         past it the client connections are aborted (failing the thread's
@@ -219,10 +236,8 @@ class ClusterWorker:
         poll_interval: float = 0.5,
         max_idle: float | None = None,
         client: CoordinatorClient | None = None,
-        flush_timeout: float = 120.0,
         max_pipelines: int = 4,
         backoff_max: float = 30.0,
-        idle_backoff_max: float = 2.0,
         heartbeat_join_timeout: float = 5.0,
         rng: random.Random | None = None,
         trace_sample: float = 1.0,
@@ -242,10 +257,8 @@ class ClusterWorker:
         self.store_replicas = list(store_replicas) if store_replicas else None
         self.poll_interval = float(poll_interval)
         self.max_idle = max_idle
-        self.flush_timeout = float(flush_timeout)
         self.max_pipelines = int(max_pipelines)
         self.backoff_max = float(backoff_max)
-        self.idle_backoff_max = float(idle_backoff_max)
         self.heartbeat_join_timeout = float(heartbeat_join_timeout)
         self._rng = rng or random.Random()
         #: Probability a traced lease's spans are shipped with its completion
@@ -275,8 +288,6 @@ class ClusterWorker:
             "store_hints_drained": 0,
             "store_hints_dropped": 0,
         }
-        #: Replication drops already warned about, per config hash.
-        self._drops_seen: dict[str, int] = {}
 
     # -- pipeline cache --------------------------------------------------------
 
@@ -297,13 +308,6 @@ class ClusterWorker:
                 # control plane and replicated against single-peer loss.
                 remote_url=None if self.store_replicas else self.coordinator_url,
                 replicas=self.store_replicas,
-                async_replication=True,
-                # Generous bound: one group's artifacts (pairs, quantized
-                # pairs, decompositions, measures, downstream results) are
-                # far fewer than this, and the store flushes between groups
-                # -- so the lossy overflow path should never trigger; when
-                # it somehow does, the drop is detected after flush below.
-                replication_queue=1024,
             )
             pipeline = InstabilityPipeline(config, store=store)
             self._pipelines[key] = pipeline
@@ -314,7 +318,7 @@ class ClusterWorker:
         return pipeline
 
     def _evict_stale_pipelines(self, keep: str) -> None:
-        """LRU-bound the pipeline cache; evicted stores drain and stop."""
+        """LRU-bound the pipeline cache, keeping evicted pipelines' counters."""
         while len(self._pipelines) > self.max_pipelines:
             old_key, old = next(iter(self._pipelines.items()))
             if old_key == keep:  # pragma: no cover - max_pipelines >= 1
@@ -326,7 +330,6 @@ class ClusterWorker:
                 key = f"store_{name}"
                 if key in self._retired_store:
                     self._retired_store[key] += value
-            old.store.close(timeout=self.flush_timeout)
             logger.info("worker %s evicted pipeline %s", self.worker_id, old_key)
 
     def stats(self) -> dict:
@@ -437,34 +440,6 @@ class ClusterWorker:
                         "abandoning it (daemon)", lease["lease_id"],
                     )
         if error is None:
-            # Replication barrier: artifacts must reach the coordinator before
-            # the group is reported done, so ancestry-gated dependants always
-            # find their anchors remotely instead of retraining them.  A
-            # drained queue can still have *dropped* writes (overflow), which
-            # flush() cannot see -- surface those too, because a dropped
-            # anchor push silently downgrades "trained exactly once
-            # cluster-wide" to "recomputed by dependants" (correct but slow).
-            store = self._pipelines[config_hash(lease["config"])].store
-            if trace is not None:
-                with trace.active():
-                    flushed = store.flush(timeout=self.flush_timeout)
-            else:
-                flushed = store.flush(timeout=self.flush_timeout)
-            if not flushed:
-                logger.warning(
-                    "artifact replication did not drain within %.0fs; "
-                    "dependants may recompute ancestors", self.flush_timeout,
-                )
-            replication = store.replication_stats()
-            if replication:
-                key = config_hash(lease["config"])
-                new_drops = replication["dropped"] - self._drops_seen.get(key, 0)
-                if new_drops:
-                    self._drops_seen[key] = replication["dropped"]
-                    logger.warning(
-                        "%d artifact push(es) were dropped by the replication "
-                        "queue; dependants may recompute ancestors", new_drops,
-                    )
             self.groups_executed += 1
             self.cells_executed += len(rows)
         spans: list[dict] | None = None
@@ -498,17 +473,16 @@ class ClusterWorker:
         """One poll returning (work ran, seconds to sleep before the next).
 
         A successful poll -- lease executed, or a clean idle/wait/drain
-        answer -- resets the failure backoff; the idle sleep then honours
-        the coordinator's ``retry_after`` hint (jittered, capped at
-        ``idle_backoff_max``).  A ``ConnectionError`` escalates the failure
-        backoff instead.  Exceptions propagate to :meth:`run`.
+        answer -- resets the failure backoff; the idle sleep is then the
+        jittered ``poll_interval``.  A ``ConnectionError`` escalates the
+        failure backoff instead.  Exceptions propagate to :meth:`run`.
         """
         answer = self.client.lease(self.worker_id)
         self._failures = 0
         if answer.get("status") == "lease":
             self._execute_lease(answer)
             return True, 0.0
-        return False, self._idle_delay(answer.get("retry_after"))
+        return False, self._idle_delay()
 
     def _backoff_delay(self, failures: int) -> float:
         """Exponential backoff with jitter for ``failures`` consecutive errors."""
@@ -516,12 +490,9 @@ class ClusterWorker:
         delay = min(self.backoff_max, base * (2.0 ** max(failures - 1, 0)))
         return delay * (0.5 + 0.5 * self._rng.random())
 
-    def _idle_delay(self, retry_after: float | None) -> float:
-        """Sleep honoured on an idle/wait/drain answer, jittered and capped."""
-        ceiling = max(self.poll_interval, self.idle_backoff_max)
-        hint = self.poll_interval if retry_after is None else float(retry_after)
-        delay = min(max(hint, self.poll_interval), ceiling)
-        return delay * (0.5 + 0.5 * self._rng.random())
+    def _idle_delay(self) -> float:
+        """Sleep after an idle/wait/drain answer: the jittered poll interval."""
+        return self.poll_interval * (0.5 + 0.5 * self._rng.random())
 
     def _sleep(self, seconds: float) -> None:
         """Interruptible sleep (a single point tests can observe/neutralise)."""

@@ -9,7 +9,6 @@ processes with a bit-identical serial fallback.
 """
 
 from repro.engine.backends import (
-    AsyncReplicator,
     CircuitOpenError,
     DiskBackend,
     MemoryBackend,
@@ -41,7 +40,6 @@ from repro.engine.streaming import OrderedCommitter, canonical_cell_keys, commit
 
 __all__ = [
     "ArtifactStore",
-    "AsyncReplicator",
     "CacheStats",
     "CellGroup",
     "CircuitOpenError",

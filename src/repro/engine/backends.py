@@ -4,7 +4,7 @@ A backend stores opaque payloads under ``(kind, name)`` -- ``name`` is the
 content-hash key plus the codec suffix (``<key>.json`` / ``<key>.npz``), so a
 backend never needs to understand an artifact to move it.  The
 :class:`~repro.engine.store.ArtifactStore` stacks backends into read-through /
-write-back tiers; the codecs (:mod:`repro.engine.codecs`) translate at the
+write-through tiers; the codecs (:mod:`repro.engine.codecs`) translate at the
 boundary.
 
 Backends:
@@ -38,7 +38,6 @@ import http.client
 import io
 import json
 import os
-import queue
 import random
 import tempfile
 import threading
@@ -57,7 +56,6 @@ from repro.utils.logging import get_logger
 logger = get_logger(__name__)
 
 __all__ = [
-    "AsyncReplicator",
     "CircuitOpenError",
     "TierStats",
     "StoreBackend",
@@ -85,8 +83,9 @@ class TierStats:
     errors: int = 0
     #: Entries dropped by an LRU bound (memory tiers only).
     evictions: int = 0
-    #: Write-backs discarded because an async replication queue was full
-    #: (see :class:`AsyncReplicator`); the payload never reached this tier.
+    #: Hinted-handoff writes discarded because a replicated tier's hint
+    #: queue was full (see :class:`ReplicatedBackend`); the payload never
+    #: reached this tier.
     dropped: int = 0
     #: Payloads that failed byte-level validation (unparsable JSON, zip CRC
     #: mismatch); the tier answered as a miss and the replication layer
@@ -491,9 +490,6 @@ class RemoteBackend(StoreBackend):
                 pass
             self._local.conn = None
 
-    def _artifact_path(self, kind: str, name: str) -> str:
-        return f"{self._base_path}/artifacts/{quote(kind, safe='')}/{quote(name, safe='')}"
-
     def _request(
         self,
         method: str,
@@ -502,19 +498,6 @@ class RemoteBackend(StoreBackend):
         body: bytes | None = None,
         *,
         force: bool = False,
-    ) -> tuple[int, bytes]:
-        return self._request_path(
-            method, self._artifact_path(kind, name), body, force=force
-        )
-
-    def _request_path(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        *,
-        force: bool = False,
-        content_type: str = "application/octet-stream",
     ) -> tuple[int, bytes]:
         """One keep-alive request; retries once on a stale pooled connection.
 
@@ -541,13 +524,14 @@ class RemoteBackend(StoreBackend):
                             f"remote store {self.url} half-open: probe already in flight"
                         )
                     self._probing = probing = True
+        path = f"{self._base_path}/artifacts/{quote(kind, safe='')}/{quote(name, safe='')}"
+        headers = {"Content-Type": "application/octet-stream"} if body else {}
+        headers.update(propagation_headers())
         last_error: Exception | None = None
         try:
             for attempt in (0, 1):
                 conn = self._connection()
                 try:
-                    headers = {"Content-Type": content_type} if body else {}
-                    headers.update(propagation_headers())
                     conn.request(method, path, body=body, headers=headers)
                     response = conn.getresponse()
                     payload = response.read()
@@ -592,79 +576,6 @@ class RemoteBackend(StoreBackend):
             logger.warning("remote tier GET %s/%s: HTTP %d", kind, name, status)
             self.stats.errors += 1
         return None
-
-    def get_many(
-        self, items: Sequence[tuple[str, str]]
-    ) -> dict[tuple[str, str], bytes | None]:
-        """Fetch many payloads in one ``POST /artifacts/batch`` round trip.
-
-        Returns ``{(kind, name): payload-or-None}`` for every requested item
-        (``None`` = the peer doesn't hold it).  Batches over the server's
-        per-request item cap are paginated client-side.  A failed or
-        malformed batch response degrades to per-item :meth:`get` calls --
-        the batch endpoint accelerates warm-up against a modern peer, but an
-        older peer (404 on the path) or a flaky one must never lose reads
-        the single-artifact API would have served.
-        """
-        requested = [(str(kind), str(name)) for kind, name in items]
-        results: dict[tuple[str, str], bytes | None] = {}
-        page_size = 256  # mirrors the server's _MAX_BATCH_ITEMS
-        for start in range(0, len(requested), page_size):
-            page = requested[start:start + page_size]
-            parsed = self._get_batch(page)
-            if parsed is None:
-                parsed = {key: self.get(*key) for key in page}
-            else:
-                for payload in parsed.values():
-                    if payload is None:
-                        self.stats.misses += 1
-                    else:
-                        self.stats.hits += 1
-            results.update(parsed)
-        return results
-
-    def _get_batch(
-        self, page: list[tuple[str, str]]
-    ) -> dict[tuple[str, str], bytes | None] | None:
-        """One batch round trip; ``None`` means fall back to per-item gets."""
-        manifest = json.dumps(
-            {"items": [{"kind": kind, "name": name} for kind, name in page]}
-        ).encode("utf-8")
-        try:
-            status, body = self._request_path(
-                "POST", f"{self._base_path}/artifacts/batch", manifest,
-                content_type="application/json",
-            )
-        except ConnectionError as error:
-            logger.warning("remote tier batch GET failed: %s", error)
-            self.stats.errors += 1
-            return None
-        if status != 200:
-            if status not in (404, 405):  # pre-batch peers: silent fallback
-                logger.warning("remote tier batch GET: HTTP %d", status)
-                self.stats.errors += 1
-            return None
-        try:
-            parsed: dict[tuple[str, str], bytes | None] = {}
-            offset = 0
-            while offset < len(body):
-                newline = body.index(b"\n", offset)
-                header = json.loads(body[offset:newline].decode("utf-8"))
-                offset = newline + 1
-                size = int(header["bytes"])
-                payload = body[offset:offset + size]
-                if len(payload) != size or body[offset + size:offset + size + 1] != b"\n":
-                    raise ValueError("truncated batch frame")
-                offset += size + 1
-                key = (str(header["kind"]), str(header["name"]))
-                parsed[key] = payload if header["found"] else None
-            if set(parsed) != set(page):
-                raise ValueError("batch response does not cover the manifest")
-        except (ValueError, KeyError, TypeError) as error:
-            logger.warning("remote tier batch response malformed: %s", error)
-            self.stats.errors += 1
-            return None
-        return parsed
 
     def _put(self, kind: str, name: str, payload: bytes) -> None:
         """Best-effort replication write with one jittered retry.
@@ -980,126 +891,6 @@ class ReplicatedBackend(StoreBackend):
             "hints_pending": self.hints_pending,
             "replicas": [replica.describe() for replica in self.replicas],
         }
-
-
-class AsyncReplicator:
-    """Background fan-out queue for best-effort tier replication.
-
-    The artifact store's write-back normally replicates to every tier
-    synchronously; against a remote tier that puts a network round trip on
-    the training hot path.  The replicator instead queues ``(tier, kind,
-    name, payload)`` writes and drains them on one daemon thread, so the
-    producer returns immediately.
-
-    Semantics are deliberately *lossy but observable*: when the bounded
-    queue is full the write is dropped and counted on the target tier's
-    :class:`TierStats` (``dropped``) -- replication to a peer accelerates
-    the cluster, it must never stall or grow without bound.  Callers that
-    need the writes to have landed (a cluster worker about to report a
-    group complete, so the coordinator can serve the artifacts to the next
-    worker) call :meth:`flush`, a barrier that waits until the queue is
-    empty and the in-flight write finished.
-    """
-
-    def __init__(self, max_queue: int = 256) -> None:
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        self.max_queue = int(max_queue)
-        self._queue: "queue.Queue[tuple[StoreBackend, str, str, bytes] | None]" = (
-            queue.Queue(maxsize=self.max_queue)
-        )
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._pending = 0
-        self._submitted = 0
-        self._written = 0
-        self._dropped = 0
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    def _ensure_thread(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._drain, name="store-replicator", daemon=True
-            )
-            self._thread.start()
-
-    def submit(self, tier: StoreBackend, kind: str, name: str, payload: bytes) -> bool:
-        """Queue one write; returns ``False`` (and counts a drop) when full."""
-        with self._lock:
-            if self._closed:
-                tier.stats.dropped += 1
-                self._dropped += 1
-                return False
-            self._ensure_thread()
-            try:
-                self._queue.put_nowait((tier, kind, name, payload))
-            except queue.Full:
-                tier.stats.dropped += 1
-                self._dropped += 1
-                return False
-            self._pending += 1
-            self._submitted += 1
-            return True
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            tier, kind, name, payload = item
-            try:
-                tier.put(kind, name, payload)
-                with self._lock:
-                    self._written += 1
-            except Exception as error:  # pragma: no cover - backend dependent
-                # Backends already degrade gracefully; this guards custom ones.
-                logger.warning(
-                    "async replication of %s/%s to %s failed: %s",
-                    kind, name, tier.name, error,
-                )
-                tier.stats.errors += 1
-            finally:
-                with self._idle:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._idle.notify_all()
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Block until every queued write has been attempted.
-
-        Returns ``False`` if ``timeout`` elapsed with writes still pending.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self._pending > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def close(self) -> None:
-        """Stop accepting writes and let the drain thread exit (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            thread = self._thread
-        if thread is not None:
-            self._queue.put(None)
-            thread.join(timeout=10.0)
-
-    def describe(self) -> dict:
-        """JSON-able counter snapshot (surfaced by ``ArtifactStore``)."""
-        with self._lock:
-            return {
-                "max_queue": self.max_queue,
-                "pending": self._pending,
-                "submitted": self._submitted,
-                "written": self._written,
-                "dropped": self._dropped,
-            }
 
 
 def backend_from_spec(spec: dict) -> StoreBackend:

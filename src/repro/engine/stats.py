@@ -87,7 +87,6 @@ def stats(
         snapshot["store_persistent"] = store.persistent
         snapshot["store_io"] = {"bytes_in_memory": store.bytes_in_memory()}
         snapshot["store_tiers"] = store.tier_stats()
-        snapshot["store_replication"] = store.replication_stats()
         snapshot["store_replicas"] = store.replica_counters()
         snapshot["store_peers"] = store.peer_health()
     if pipeline is not None:

@@ -15,7 +15,8 @@ The store is layered:
   (:mod:`repro.engine.backends`): a local disk tree, N sharded directories,
   a remote ``repro-serve`` peer, or any combination.  Reads walk tiers top to
   bottom and promote hits into the tiers above (read-through); writes encode
-  once and land in every tier (write-back, top to bottom).
+  once and land in every tier, top to bottom, before the write returns
+  (write-through).
 
 ``ArtifactStore(root)`` keeps the original behaviour and on-disk layout:
 one memory tier plus one disk tier at ``root/<kind>/<key>.{json,npz}``.
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.embeddings.base import Embedding
 from repro.engine.backends import (
-    AsyncReplicator,
     DiskBackend,
     RemoteBackend,
     ReplicatedBackend,
@@ -151,18 +151,6 @@ class ArtifactStore:
         ``remote_url``.
     remote_timeout:
         Per-request socket timeout of the remote tier(s), in seconds.
-    async_replication:
-        Replicate write-backs to **remote-capable** tiers through a
-        background :class:`~repro.engine.backends.AsyncReplicator` instead
-        of synchronously, taking the network round trip off the training
-        hot path.  Local tiers always stay synchronous.  Overflowing the
-        bounded queue drops the write (counted per tier in
-        ``TierStats.dropped``); :meth:`flush` is the barrier that waits for
-        queued writes to land -- the cluster's workers call it before
-        reporting a group complete so the coordinator can serve the pushed
-        artifacts to the next worker.
-    replication_queue:
-        Entry bound of the async replication queue.
     """
 
     def __init__(
@@ -174,8 +162,6 @@ class ArtifactStore:
         remote_url: str | None = None,
         replicas: Sequence[str | Path] | None = None,
         remote_timeout: float = 10.0,
-        async_replication: bool = False,
-        replication_queue: int = 256,
     ) -> None:
         self.root = Path(root) if root is not None else None
         if backends is not None:
@@ -204,9 +190,6 @@ class ArtifactStore:
                         ]
                     )
                 )
-        self._replicator: AsyncReplicator | None = (
-            AsyncReplicator(max_queue=replication_queue) if async_replication else None
-        )
         self._memory: dict[tuple[str, str], Any] = {}
         #: Codec each memory entry was stored/decoded with.  The byte-level
         #: peer API needs it to encode memory-only artifacts under the same
@@ -286,10 +269,6 @@ class ArtifactStore:
         sizes = list(self._memory_bytes.values())
         payloads = list(self._encoded.values())
         return sum(sizes) + sum(len(payload) for payload in payloads)
-
-    def replication_stats(self) -> dict | None:
-        """Counters of the async replication queue (``None`` when synchronous)."""
-        return self._replicator.describe() if self._replicator is not None else None
 
     @staticmethod
     def _replica_backend(entry: str | Path, timeout: float) -> StoreBackend:
@@ -422,34 +401,9 @@ class ArtifactStore:
             payload = codec.encode(value)
             name = key + codec.suffix
             for tier in self.tiers:
-                if self._replicator is not None and tier.remote_capable:
-                    # Async path: the enqueue is free; the wall time shows up
-                    # in the ``store.replicate`` span around flush().
-                    self._replicator.submit(tier, kind, name, payload)
-                else:
-                    with span("store.put", metric="store", label=f"{tier.name}.put",
-                              tier=tier.name, kind=kind, bytes=len(payload)):
-                        tier.put(kind, name, payload)
-
-    def flush(self, timeout: float | None = None) -> bool:
-        """Barrier for async replication; a no-op ``True`` when synchronous."""
-        if self._replicator is None:
-            return True
-        with span("store.replicate", metric="store", label="replicate") as flush_span:
-            flushed = self._replicator.flush(timeout)
-            flush_span.set(ok=flushed)
-        return flushed
-
-    def close(self, timeout: float | None = 10.0) -> None:
-        """Drain and stop the async replication thread (no-op when synchronous).
-
-        The store stays usable afterwards -- writes to remote tiers simply
-        become drops (counted) -- so this is for retiring a store whose
-        lifetime is bounded, e.g. an evicted cluster-worker pipeline.
-        """
-        if self._replicator is not None:
-            self._replicator.flush(timeout)
-            self._replicator.close()
+                with span("store.put", metric="store", label=f"{tier.name}.put",
+                          tier=tier.name, kind=kind, bytes=len(payload)):
+                    tier.put(kind, name, payload)
 
     # -- typed artifact families ---------------------------------------------
 

@@ -50,12 +50,7 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   hashes, so ``GET``/``HEAD`` responses carry an ``ETag`` (the name) and
   ``Cache-Control: public, max-age=31536000, immutable``, and an
   ``If-None-Match`` hit answers ``304 Not Modified`` without a body --
-  artifacts are edge-cacheable by construction.  ``POST /artifacts/batch``
-  multi-gets many artifacts in one round trip: the JSON manifest
-  ``{"items": [{"kind": ..., "name": ...}, ...]}`` answers a framed stream
-  of one JSON header line (``{"kind", "name", "found", "bytes": N}``)
-  followed by the ``N`` raw payload bytes and a newline per item (see
-  :meth:`~repro.engine.backends.RemoteBackend.get_many`).
+  artifacts are edge-cacheable by construction.
 * ``POST /monitor/ingest``, ``GET /monitor/status``, ``GET /monitor/events``
   -- the online instability monitor (``--monitor``; see
   :mod:`repro.monitor`): ingest tokenised document batches, read the
@@ -926,8 +921,6 @@ class StabilityAPIServer:
 
     async def _handle_artifacts(self, request: _Request) -> dict | _RawResponse:
         """Serve raw store payloads so peers can use this node as a tier."""
-        if unquote(request.path) == "/artifacts/batch":
-            return await self._handle_artifacts_batch(request)
         match = _ARTIFACT_PATH.match(unquote(request.path))
         if match is None:
             raise APIError(
@@ -970,60 +963,6 @@ class StabilityAPIServer:
             await self._offload(store.delete_bytes, kind, name)
             return {"deleted": f"{kind}/{name}"}
         raise APIError(405, f"method {method} not allowed")
-
-    #: Upper bound on one batch manifest; a peer warming a whole grid paginates.
-    _MAX_BATCH_ITEMS = 256
-
-    async def _handle_artifacts_batch(self, request: _Request) -> _RawResponse:
-        """Multi-get: one round trip for many artifacts (``POST`` a manifest).
-
-        The response is a framed byte stream, one frame per requested item in
-        manifest order: a JSON header line ``{"kind", "name", "found",
-        "bytes": N}`` followed by exactly ``N`` raw payload bytes and a
-        trailing newline.  Missing artifacts answer ``found: false`` with
-        zero payload bytes instead of failing the whole batch, so a peer can
-        split its fetches into found/missing in a single pass.
-        """
-        if request.method != "POST":
-            raise APIError(405, "batch fetches POST a JSON manifest")
-        try:
-            manifest = json.loads(request.body or b"")
-        except json.JSONDecodeError as error:
-            raise APIError(400, f"manifest is not valid JSON: {error}") from error
-        items = manifest.get("items") if isinstance(manifest, dict) else None
-        if not isinstance(items, list) or not items:
-            raise APIError(400, "manifest must be {'items': [{'kind', 'name'}, ...]}")
-        if len(items) > self._MAX_BATCH_ITEMS:
-            raise APIError(413, f"batch over {self._MAX_BATCH_ITEMS} items; paginate")
-        requested: list[tuple[str, str]] = []
-        for item in items:
-            kind = item.get("kind") if isinstance(item, dict) else None
-            name = item.get("name") if isinstance(item, dict) else None
-            # Reuse the single-artifact path grammar: same identifier-safe
-            # kinds and hex-ish codec-suffixed names, no traversal by
-            # construction.
-            if (
-                not isinstance(kind, str) or not isinstance(name, str)
-                or _ARTIFACT_PATH.match(f"/artifacts/{kind}/{name}") is None
-            ):
-                raise APIError(
-                    400,
-                    f"bad batch item {item!r}: wants "
-                    "{'kind': <identifier>, 'name': <key>.{json,npz}}",
-                )
-            requested.append((kind, name))
-        store = self.service.store
-        frames: list[bytes] = []
-        for kind, name in requested:
-            payload = await self._offload(store.get_bytes, kind, name)
-            found = payload is not None
-            header = json.dumps(
-                {"kind": kind, "name": name, "found": found,
-                 "bytes": len(payload) if found else 0},
-                sort_keys=True,
-            ).encode("utf-8")
-            frames.append(header + b"\n" + (payload or b"") + b"\n")
-        return _RawResponse(200, b"".join(frames), "application/octet-stream")
 
     # -- plain JSON endpoints ----------------------------------------------------
 

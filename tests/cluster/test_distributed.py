@@ -11,6 +11,7 @@ client.
 """
 
 import asyncio
+import contextlib
 import http.client
 import json
 import threading
@@ -19,19 +20,17 @@ import warnings
 
 import pytest
 
-from repro.cluster import ClusterWorker, config_wire_payload
+from repro.cluster import ClusterWorker, CoordinatorClient, config_wire_payload
 from repro.cluster import worker as worker_module
-from repro.engine import GridEngine
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.engine import GridEngine, RemoteBackend, plan_grid
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
 
 
-@pytest.fixture(scope="module")
-def cluster():
-    """A live coordinator (real HTTP server) plus two polling workers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        service = StabilityService(quick_serve_config(), config=ServiceConfig(lease_ttl=30))
+@contextlib.contextmanager
+def live_api(service):
+    """``service`` behind a real HTTP server on an ephemeral port."""
     api = StabilityAPIServer(service, port=0)
     loop = asyncio.new_event_loop()
     started = threading.Event()
@@ -45,26 +44,38 @@ def cluster():
     server_thread = threading.Thread(target=run_server, daemon=True)
     server_thread.start()
     assert started.wait(timeout=30), "server failed to start"
-    url = f"http://127.0.0.1:{api.port}"
-
-    workers = [
-        ClusterWorker(url, worker_id=f"worker-{index}", poll_interval=0.05)
-        for index in range(2)
-    ]
-    threads = [threading.Thread(target=worker.run, daemon=True) for worker in workers]
-    for thread in threads:
-        thread.start()
     try:
-        yield api, url, workers
+        yield api
     finally:
-        for worker in workers:
-            worker.stop()
-        for thread in threads:
-            thread.join(timeout=30)
         asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
         loop.call_soon_threadsafe(loop.stop)
         server_thread.join(timeout=10)
-        service.close()
+        loop.close()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    """A live coordinator (real HTTP server) plus two polling workers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        service = StabilityService(quick_serve_config(), config=ServiceConfig(lease_ttl=30))
+    with live_api(service) as api:
+        url = f"http://127.0.0.1:{api.port}"
+        workers = [
+            ClusterWorker(url, worker_id=f"worker-{index}", poll_interval=0.05)
+            for index in range(2)
+        ]
+        threads = [threading.Thread(target=worker.run, daemon=True) for worker in workers]
+        for thread in threads:
+            thread.start()
+        try:
+            yield api, url, workers
+        finally:
+            for worker in workers:
+                worker.stop()
+            for thread in threads:
+                thread.join(timeout=30)
+    service.close()
 
 
 def stream_grid(port: int, query: str = "") -> list[dict]:
@@ -145,6 +156,62 @@ class TestDistributedGrid:
         assert set(status["workers"]) >= {"worker-0", "worker-1"}
 
 
+def count_handled(monkeypatch, api, route: str, worker: str) -> list[str]:
+    """A list that grows by one each time the server handles ``worker``'s
+    request on ``route``."""
+    handled: list[str] = []
+    handler = api._routes[route]
+
+    async def counting(request):
+        if request.params.get("worker") == worker:
+            handled.append(route)
+        return await handler(request)
+
+    monkeypatch.setitem(api._routes, route, counting)
+    return handled
+
+
+class TestCoordinatorClient:
+    """The worker's transport sends a POST again only if no answer came."""
+
+    def test_a_non_200_answer_is_raised_not_posted_again(self, cluster, monkeypatch):
+        api, url, workers = cluster
+        handled = count_handled(monkeypatch, api, "/cluster/complete", "client-t")
+        client = CoordinatorClient(url)
+        try:
+            with pytest.raises(ConnectionError, match="HTTP 400"):
+                client.complete("client-t", "lease-0", "", 0, [])    # empty run_id
+        finally:
+            client.abort()
+        assert handled == ["/cluster/complete"]
+
+    def test_a_connection_the_server_closed_is_posted_once_more(
+        self, cluster, monkeypatch
+    ):
+        api, url, workers = cluster
+        handled = count_handled(monkeypatch, api, "/cluster/lease", "client-t")
+        client = CoordinatorClient(url)
+        try:
+            assert "status" in client.lease("client-t")
+            # The server drops its idle keep-alive connections, as its
+            # keep-alive timeout would: the next POST gets no answer on the
+            # pooled connection and goes out again on a fresh one.
+            closed = threading.Event()
+
+            def close_connections() -> None:
+                for conn in list(api._connections):
+                    conn.transport.close()
+                closed.set()
+
+            api._server.get_loop().call_soon_threadsafe(close_connections)
+            assert closed.wait(timeout=10)
+            time.sleep(0.1)
+            assert "status" in client.lease("client-t")
+        finally:
+            client.abort()
+        assert handled == ["/cluster/lease", "/cluster/lease"]
+
+
 class ScriptedClient:
     """In-memory stand-in for :class:`CoordinatorClient` (no sockets)."""
 
@@ -154,7 +221,7 @@ class ScriptedClient:
         self.heartbeats = []
 
     def lease(self, worker):
-        return self.leases.pop(0) if self.leases else {"status": "idle", "retry_after": 0.0}
+        return self.leases.pop(0) if self.leases else {"status": "idle"}
 
     def heartbeat(self, worker, lease_id):
         self.heartbeats.append(lease_id)
@@ -262,6 +329,60 @@ class TestWorkerMechanics:
         assert client.completions[-1]["stats"]["cells_executed"] == 3
 
 
+class TestCompletionOrdering:
+    def test_every_remote_put_is_readable_on_the_peer_before_complete(
+        self, monkeypatch
+    ):
+        # Ancestry-gated dependants are leased the moment a completion lands
+        # and must find their ancestors on the coordinator.  The peer's
+        # slowed writes leave a push nobody waits for no chance to land
+        # before the worker reports the group complete.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            service = StabilityService(quick_serve_config())
+        peer = service.store
+        store_bytes = peer.put_bytes
+
+        def slow_put_bytes(kind, name, payload):
+            time.sleep(0.2)
+            store_bytes(kind, name, payload)
+
+        monkeypatch.setattr(peer, "put_bytes", slow_put_bytes)
+        pushed: list[tuple[str, str]] = []
+        remote_put = RemoteBackend.put
+
+        def recording_put(self, kind, name, payload):
+            pushed.append((kind, name))
+            remote_put(self, kind, name, payload)
+
+        monkeypatch.setattr(RemoteBackend, "put", recording_put)
+
+        class CheckingClient(ScriptedClient):
+            def complete(self, worker, lease_id, run_id, group_index, rows, **kwargs):
+                missing = [item for item in pushed if peer.get_bytes(*item) is None]
+                assert pushed and not missing, f"completed before {missing} landed"
+                return super().complete(
+                    worker, lease_id, run_id, group_index, rows, **kwargs
+                )
+
+        client = CheckingClient([scripted_lease(config_wire_payload(quick_serve_config()))])
+        try:
+            with live_api(service) as api:
+                worker = ClusterWorker(
+                    f"http://127.0.0.1:{api.port}", worker_id="t", client=client
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert worker.step() is True
+                for pipeline in worker._pipelines.values():
+                    for remote in pipeline.store.remote_peers():
+                        remote.close()
+        finally:
+            service.close()
+        (completion,) = client.completions
+        assert completion["error"] is None and len(completion["rows"]) == 1
+
+
 class FlakySequenceClient:
     """Scripted lease answers where an Exception entry raises instead."""
 
@@ -270,7 +391,7 @@ class FlakySequenceClient:
 
     def lease(self, worker):
         if not self.answers:
-            return {"status": "idle", "retry_after": 0.0}
+            return {"status": "idle"}
         answer = self.answers.pop(0)
         if isinstance(answer, Exception):
             raise answer
@@ -292,7 +413,7 @@ class TestWorkerBackoff:
 
         defaults = dict(
             worker_id="t", client=client, poll_interval=0.1,
-            backoff_max=2.0, idle_backoff_max=2.0, rng=random.Random(0),
+            backoff_max=2.0, rng=random.Random(0),
         )
         defaults.update(kwargs)
         return ClusterWorker("http://127.0.0.1:9", **defaults)
@@ -324,12 +445,30 @@ class TestWorkerBackoff:
         assert worker._failures == 0
         assert 0.05 <= idle_delay <= 0.1
 
-    def test_idle_delay_honours_retry_after_hint_within_bounds(self):
-        worker = self._worker(FlakySequenceClient([]))
+    def test_idle_delay_is_the_jittered_poll_interval(self):
+        # The coordinator's own idle, wait and drain answers, and the same
+        # answers carrying made-up hints, all sleep the jittered poll
+        # interval: an idle fleet notices a new grid within poll_interval.
+        coordinator = ClusterCoordinator(clock=lambda: 1.0)
+        answers = [coordinator.lease("w0")]
+        coordinator.create_run(plan_grid(
+            quick_serve_config(), dimensions=(4, 6), seeds=(0,), with_measures=True
+        ))
+        assert coordinator.lease("w0")["status"] == "lease"   # the anchor group
+        answers.append(coordinator.lease("w1"))              # its sibling is gated
+        coordinator.drain()
+        answers.append(coordinator.lease("w1"))
+        assert [answer["status"] for answer in answers] == ["idle", "wait", "drain"]
+        answers += [
+            {**answer, **hint}
+            for answer in answers
+            for hint in ({"delay": 5.0}, {"delay": 0.0}, {"sleep_s": 60})
+        ]
+        worker = self._worker(FlakySequenceClient(answers))
+        for _ in answers:
+            worked, delay = worker._poll()
+            assert not worked and 0.05 <= delay <= 0.1, delay
         for _ in range(20):
-            assert 1.0 <= worker._idle_delay(5.0) <= 2.0      # clamped to the cap
-            assert 0.05 <= worker._idle_delay(None) <= 0.1    # poll-interval floor
-            assert 0.05 <= worker._idle_delay(0.0) <= 0.1     # hints below the floor
             assert 1.0 <= worker._backoff_delay(50) <= 2.0    # deep streaks stay capped
 
 

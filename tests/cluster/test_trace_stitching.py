@@ -3,9 +3,10 @@
 Pins the observability acceptance criterion: a distributed ``/grid``
 request against a live coordinator with polling workers yields ONE
 stitched trace — the coordinator's root span, the per-group lease-wait
-spans, and the worker-side execution spans (training, measure
-evaluation, store replication) shipped back over the completion RPC —
-all under the trace id the client sent in ``X-Trace-Id``.
+spans, the worker-side execution spans (training, measure evaluation,
+artifact pushes to the coordinator) shipped back over the completion
+RPC, and the coordinator's own spans of those pushes — all under the
+trace id the client sent in ``X-Trace-Id``.
 """
 
 import asyncio
@@ -108,24 +109,33 @@ class TestDistributedStitching:
         # the completion RPCs which land before the final record is pushed,
         # but the last lease's spans may still be milliseconds behind the
         # client's read of the stream tail.  Poll briefly.
+        def remote_puts(spans):
+            return [
+                row for row in spans
+                if row["name"] == "store.put" and row["attrs"].get("tier") == "remote"
+            ]
+
         deadline = time.monotonic() + 10.0
         spans = fetch_trace(api.port, TRACE_ID) or []
         while time.monotonic() < deadline:
             names = {row["name"] for row in spans}
-            if "worker.group" in names and "store.replicate" in names:
+            if "worker.group" in names and remote_puts(spans):
                 break
             time.sleep(0.1)
             spans = fetch_trace(api.port, TRACE_ID) or []
         names = {row["name"] for row in spans}
 
         # One trace covering the whole distributed execution: root request,
-        # coordinator-side lease wait, worker-side train/measure/replicate.
+        # coordinator-side lease wait, worker-side train/measure/push.
         assert "GET /grid" in names
         assert "cluster.lease_wait" in names
         assert "worker.group" in names
         assert "pipeline.train" in names        # cold run: training happened
         assert "pipeline.measures" in names     # measure evaluation
-        assert "store.replicate" in names       # artifacts pushed to coordinator
+        assert remote_puts(spans)               # artifacts pushed to coordinator
+        # The pushes carried the lease's trace context, so the coordinator's
+        # spans of handling them joined this trace too.
+        assert any(name.startswith("PUT /artifacts/") for name in names)
         assert all(row["trace_id"] == TRACE_ID for row in spans)
 
         # The tree is stitched, not a bag of orphans: every worker.group

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine.backends import (
-    AsyncReplicator,
     DiskBackend,
     MemoryBackend,
     RemoteBackend,
@@ -308,78 +307,6 @@ class TestRemoteBackendHalfOpenProbe:
         assert backend.get("measures", "a.json") is None      # probe: 404 = miss
         assert backend._down_until == 0.0                     # breaker closed
         assert not backend._probing
-
-
-class SlowBackend(StoreBackend):
-    """Remote-like backend whose puts block on an event (replicator tests)."""
-
-    name = "slow-remote"
-    persistent = True
-    remote_capable = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.release = threading.Event()
-        self.written: list[tuple[str, str]] = []
-
-    def _get(self, kind, name):
-        return None
-
-    def _put(self, kind, name, payload):
-        assert self.release.wait(timeout=30)
-        self.written.append((kind, name))
-
-    def _contains(self, kind, name):
-        return False
-
-    def _delete(self, kind, name):
-        pass
-
-
-class TestAsyncReplicator:
-    def test_submit_returns_immediately_and_flush_waits(self):
-        backend = SlowBackend()
-        replicator = AsyncReplicator(max_queue=8)
-        assert replicator.submit(backend, "measures", "a.json", b"{}")
-        assert backend.written == []                  # producer did not block
-        assert replicator.flush(timeout=0.05) is False  # barrier sees it pending
-        backend.release.set()
-        assert replicator.flush(timeout=30) is True
-        assert backend.written == [("measures", "a.json")]
-        assert backend.stats.puts == 1
-        replicator.close()
-
-    def test_overflow_drops_and_counts_on_the_tier(self):
-        backend = SlowBackend()
-        replicator = AsyncReplicator(max_queue=1)
-        # First write occupies the drain thread (blocked), second fills the
-        # queue, the rest must drop -- producers never block on replication.
-        assert replicator.submit(backend, "k", "a.json", b"1")
-        deadline = threading.Event()
-        for _ in range(200):                          # wait for the drain pop
-            if replicator.describe()["pending"] and replicator._queue.empty():
-                break
-            deadline.wait(0.01)
-        assert replicator.submit(backend, "k", "b.json", b"2")
-        assert replicator.submit(backend, "k", "c.json", b"3") is False
-        assert replicator.submit(backend, "k", "d.json", b"4") is False
-        assert backend.stats.dropped == 2
-        assert replicator.describe()["dropped"] == 2
-        backend.release.set()
-        assert replicator.flush(timeout=30)
-        assert [name for _, name in backend.written] == ["a.json", "b.json"]
-        replicator.close()
-
-    def test_close_is_idempotent_and_rejects_new_writes(self):
-        backend = SlowBackend()
-        backend.release.set()
-        replicator = AsyncReplicator()
-        replicator.submit(backend, "k", "a.json", b"1")
-        assert replicator.flush(timeout=30)
-        replicator.close()
-        replicator.close()
-        assert replicator.submit(backend, "k", "b.json", b"2") is False
-        assert backend.stats.dropped == 1
 
 
 class TestSpecs:

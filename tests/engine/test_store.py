@@ -399,70 +399,3 @@ class TestDefaultStore:
         finally:
             configure_default_store(None)
         assert default_store().tiers == []
-
-
-class TestAsyncReplication:
-    """Opt-in background write-back to remote tiers (cluster worker pushes)."""
-
-    class GatedRemote:
-        """Remote-capable backend whose puts wait on an event."""
-
-        def __new__(cls):
-            from repro.engine.backends import StoreBackend
-            import threading
-
-            class _Gated(StoreBackend):
-                name = "gated-remote"
-                persistent = True
-                remote_capable = True
-
-                def __init__(self):
-                    super().__init__()
-                    self.release = threading.Event()
-                    self.payloads = {}
-
-                def _get(self, kind, name):
-                    return self.payloads.get((kind, name))
-
-                def _put(self, kind, name, payload):
-                    assert self.release.wait(timeout=30)
-                    self.payloads[(kind, name)] = payload
-
-                def _contains(self, kind, name):
-                    return (kind, name) in self.payloads
-
-                def _delete(self, kind, name):
-                    self.payloads.pop((kind, name), None)
-
-            return _Gated()
-
-    def test_remote_writes_go_async_and_flush_is_a_barrier(self):
-        remote = self.GatedRemote()
-        store = ArtifactStore(backends=[remote], async_replication=True)
-        store.put_json("measures", "k", {"eis": 0.5})   # returns immediately
-        assert remote.payloads == {}
-        assert store.flush(timeout=0.05) is False       # still pending
-        remote.release.set()
-        assert store.flush(timeout=30) is True
-        assert ("measures", "k.json") in remote.payloads
-        assert store.replication_stats()["written"] == 1
-
-    def test_local_tiers_stay_synchronous(self, tmp_path):
-        store = ArtifactStore(tmp_path, async_replication=True)
-        store.put_json("measures", "k", {"eis": 0.5})
-        # No flush needed: the disk tier was written inline.
-        assert (tmp_path / "measures" / "k.json").exists()
-        assert store.replication_stats()["submitted"] == 0
-
-    def test_warm_read_back_through_the_remote_tier(self):
-        remote = self.GatedRemote()
-        remote.release.set()
-        writer = ArtifactStore(backends=[remote], async_replication=True)
-        writer.put_json("measures", "k", {"eis": 0.25})
-        assert writer.flush(timeout=30)
-        reader = ArtifactStore(backends=[remote])
-        assert reader.get_json("measures", "k") == {"eis": 0.25}
-
-    def test_synchronous_store_flush_is_a_noop(self):
-        assert ArtifactStore().flush() is True
-        assert ArtifactStore().replication_stats() is None
