@@ -2,9 +2,9 @@
 
 :func:`stream_remote_grid` is what :class:`~repro.engine.scheduler.GridEngine`
 calls when a coordinator URL is configured: it POSTs the grid axes plus the
-pipeline configuration (JSON wire form, kernel policy pinned -- never pickle)
-to the coordinator's ``/grid`` endpoint with ``distributed=true``, then
-yields :class:`~repro.instability.grid.GridRecord`\\ s parsed from the NDJSON
+pipeline configuration (JSON wire form -- never pickle) to the
+coordinator's ``/grid`` endpoint with ``distributed=true``, then yields
+:class:`~repro.instability.grid.GridRecord`\\ s parsed from the NDJSON
 response as the coordinator's workers complete cells.  The stream arrives in
 canonical order, so the caller sees exactly what a local ``run()`` would
 produce.

@@ -94,21 +94,9 @@ class ClusterRunFailed(RuntimeError):
 
 
 def config_wire_payload(config: "PipelineConfig") -> dict:
-    """The JSON wire form of a pipeline config, with the kernel policy pinned.
-
-    A config field left ``None`` resolves against the *process-wide* default
-    policy, which may differ between the submitting host and a worker; the
-    wire form pins the resolved SVD method and dtype so every worker resolves
-    decompositions exactly as the submitter would (the cluster analogue of
-    the scheduler shipping ``default_policy()`` to pool workers).  Pinning
-    does not change artifact keys -- they are derived from the resolved
-    policy either way.
-    """
-    payload = to_jsonable(config)
-    policy = config.resolved_kernel_policy()
-    payload["kernel_policy"] = policy.svd
-    payload["measure_dtype"] = policy.dtype
-    return payload
+    """The JSON wire form of a pipeline config (rebuilt by
+    :meth:`~repro.instability.pipeline.PipelineConfig.from_jsonable`)."""
+    return to_jsonable(config)
 
 
 def group_wire_payload(group: CellGroup) -> dict:

@@ -11,7 +11,7 @@ import numpy as np
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.utils.registry import Registry
-from repro.utils.validation import check_array, float_dtype_of
+from repro.utils.validation import check_array
 
 __all__ = ["Embedding", "EmbeddingAlgorithm", "EMBEDDING_ALGORITHMS"]
 
@@ -29,8 +29,7 @@ class Embedding:
     vocab:
         Vocabulary in row order (row ``i`` embeds ``vocab.id_to_word(i)``).
     vectors:
-        Dense float matrix of shape ``(len(vocab), dim)``; float64 unless the
-        caller supplies float32 (the float32 kernel policy), which is kept.
+        Dense float64 matrix of shape ``(len(vocab), dim)``.
     metadata:
         Free-form provenance (algorithm name, corpus name, seed, precision...)
         carried along so experiment records can identify the artifact.
@@ -41,9 +40,7 @@ class Embedding:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.vectors = check_array(
-            self.vectors, name="vectors", ndim=2, dtype=float_dtype_of(self.vectors)
-        )
+        self.vectors = check_array(self.vectors, name="vectors", ndim=2)
         if self.vectors.shape[0] != len(self.vocab):
             raise ValueError(
                 f"vectors has {self.vectors.shape[0]} rows but vocabulary has "
@@ -102,17 +99,6 @@ class Embedding:
             vocab=sub_vocab,
             vectors=self.vectors[np.asarray(row_ids, dtype=np.int64)],
             metadata=dict(self.metadata),
-        )
-
-    def astype(self, dtype) -> "Embedding":
-        """A copy with vectors cast to ``dtype`` (``self`` when it already matches)."""
-        dtype = np.dtype(dtype)
-        if self.vectors.dtype == dtype:
-            return self
-        return Embedding(
-            vocab=self.vocab,
-            vectors=self.vectors.astype(dtype),
-            metadata={**self.metadata, "dtype": dtype.name},
         )
 
     def with_vectors(self, vectors: np.ndarray, **metadata_updates) -> "Embedding":

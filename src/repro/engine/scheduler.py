@@ -35,9 +35,7 @@ store holds in its memory tier as plain arguments.  Under the ``fork`` start
 method the workers share the parent's objects and nothing is copied; under
 ``spawn`` the pool pickles them.  Either way the corpus is built once per run
 instead of once per worker (pinned by ``pipeline.corpus_build_count``), and
-warm reruns fan out without retraining even without a disk tier.  The
-parent's kernel policy (``repro.linalg``) travels along so spawned workers
-resolve decompositions identically.
+warm reruns fan out without retraining even without a disk tier.
 
 Results can be consumed two ways: the batch :meth:`GridEngine.run` (records
 reassembled in canonical axis-product order) and the streaming
@@ -56,7 +54,6 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.engine.store import ArtifactStore
 from repro.engine.streaming import canonical_cell_keys, commit_in_order
-from repro.linalg import KernelPolicy, configure_default_policy, default_policy
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
@@ -243,7 +240,6 @@ def _init_worker(
     config: "PipelineConfig",
     store_spec,
     corpus_pair: "CorpusPair | None",
-    parent_policy: KernelPolicy | None,
     pairs: "Mapping[str, tuple[Embedding, Embedding]]",
 ) -> None:
     """Build the per-process pipeline once; groups then reuse its caches.
@@ -256,15 +252,11 @@ def _init_worker(
     maps store keys to the trained embedding pairs the parent store held in
     its memory tier; they preload the worker store so warm reruns skip
     retraining.  Under ``fork`` both are the parent's own objects, under
-    ``spawn`` pickled copies.  ``parent_policy`` replicates the parent's
-    process-wide kernel policy so ``None`` config fields resolve the same way
-    in every process.
+    ``spawn`` pickled copies.
     """
     global _WORKER_PIPELINE
     from repro.instability.pipeline import InstabilityPipeline
 
-    if parent_policy is not None:
-        configure_default_policy(parent_policy)
     _WORKER_PIPELINE = InstabilityPipeline(
         config, store=ArtifactStore.from_spec(store_spec), warm_corpus_pair=corpus_pair
     )
@@ -477,7 +469,7 @@ class GridEngine:
                 initializer=_init_worker,
                 initargs=(
                     self.pipeline.config, self.store.spec(),
-                    self.pipeline.corpus_pair, default_policy(), pairs,
+                    self.pipeline.corpus_pair, pairs,
                 ),
             )
         except (OSError, RuntimeError) as error:  # pragma: no cover - env dependent

@@ -4,8 +4,7 @@
 with quick settings and prints its table; ``--all`` runs the full suite and
 writes one CSV per experiment under ``results/``.  ``--serve`` boots the
 online stability-query service instead (see :mod:`repro.serving.api`),
-handing it ``--workers`` and the store and kernel flags of
-:mod:`repro.options`.
+handing it ``--workers`` and the store flags of :mod:`repro.options`.
 """
 
 from __future__ import annotations

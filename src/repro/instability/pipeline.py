@@ -35,7 +35,6 @@ from repro.embeddings.alignment import align_pair
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
 from repro.engine.store import ArtifactStore, config_hash, default_store
 from repro.instability.downstream import prediction_disagreement
-from repro.linalg import KERNEL_DTYPES, SVD_METHODS, KernelPolicy, default_policy
 from repro.measures.base import DecompositionCache
 from repro.measures.batch import compute_measure_batch
 from repro.measures.eigenspace_instability import (
@@ -130,17 +129,6 @@ class PipelineConfig:
     eis_alpha: float = 3.0
     knn_k: int = 5
     knn_num_queries: int = 300
-    #: Truncation rank of the EIS anchor factorization (``None`` = full-rank
-    #: thin SVD, the exact paper behaviour).  With a randomized kernel policy
-    #: this turns the anchor SVD into a seeded Halko sketch.
-    anchor_rank: int | None = None
-
-    # Numerical kernels (see repro.linalg).  ``None`` defers to the
-    # process-wide default policy (the runner's --kernel-policy/--dtype
-    # flags); explicit values pin the choice into this config and its
-    # artifact keys.
-    kernel_policy: str | None = None        # "exact" | "randomized" | "auto"
-    measure_dtype: str | None = None        # "float32" | "float64"
 
     def __post_init__(self) -> None:
         for algo in self.algorithms:
@@ -153,16 +141,6 @@ class PipelineConfig:
                 raise KeyError(f"unknown task {task!r}")
         if not self.dimensions or not self.precisions or not self.seeds:
             raise ValueError("dimensions, precisions and seeds must be non-empty")
-        if self.kernel_policy is not None and self.kernel_policy not in SVD_METHODS:
-            raise ValueError(
-                f"kernel_policy must be one of {SVD_METHODS} or None, got {self.kernel_policy!r}"
-            )
-        if self.measure_dtype is not None and self.measure_dtype not in KERNEL_DTYPES:
-            raise ValueError(
-                f"measure_dtype must be one of {KERNEL_DTYPES} or None, got {self.measure_dtype!r}"
-            )
-        if self.anchor_rank is not None and self.anchor_rank < 1:
-            raise ValueError(f"anchor_rank must be >= 1 or None, got {self.anchor_rank}")
         if self.snapshot_pair is not None:
             if (
                 len(self.snapshot_pair) != 2
@@ -198,13 +176,6 @@ class PipelineConfig:
     @property
     def resolved_anchor_dim(self) -> int:
         return self.anchor_dim if self.anchor_dim is not None else max(self.dimensions)
-
-    def resolved_kernel_policy(self) -> KernelPolicy:
-        """The kernel policy this config runs under, filling ``None`` fields
-        from the process-wide default."""
-        return default_policy().with_overrides(
-            svd=self.kernel_policy, dtype=self.measure_dtype
-        )
 
 
 @dataclass(frozen=True)
@@ -356,11 +327,8 @@ class InstabilityPipeline:
             align=self.config.align,
             epochs=self.config.embedding_epochs,
             window=self.config.embedding_window,
-            # The SVD kernel choice (and, for randomized/auto, its knobs)
-            # changes the trained vectors of the "svd" algorithm, so it is
-            # part of every embedding key (harmlessly conservative for the
-            # iterative algorithms).
-            kernel_policy=self.config.resolved_kernel_policy().key_fields(),
+            # A constant since the SVD-kernel policy went; kept so stores stay warm.
+            kernel_policy={"svd": "exact"},
         )
         return fields
 
@@ -405,10 +373,6 @@ class InstabilityPipeline:
         }
         if name != "svd":
             kwargs["epochs"] = self.config.embedding_epochs
-        else:
-            # Resolved here so the model sees one concrete method regardless
-            # of whether it came from the config or the process default.
-            kwargs["kernel_policy"] = self.config.resolved_kernel_policy().svd
         return cls(**kwargs)
 
     def embedding_pair(self, algorithm: str, dim: int, seed: int) -> tuple[Embedding, Embedding]:
@@ -426,13 +390,7 @@ class InstabilityPipeline:
                 emb_a = model_a.fit(self.corpus_pair.base, vocab=self.vocab)
                 emb_b = model_b.fit(self.corpus_pair.drifted, vocab=self.vocab)
                 if self.config.align:
-                    # The Procrustes rotation solve dispatches through the kernel
-                    # policy (exact for the default/auto policies at embedding
-                    # scale; seeded Halko under svd="randomized"), which is
-                    # already part of the embedding key above.
-                    emb_b = align_pair(
-                        emb_a, emb_b, policy=self.config.resolved_kernel_policy()
-                    )
+                    emb_b = align_pair(emb_a, emb_b)
                 pair = (emb_a, emb_b)
                 self.embedding_train_count += 1
                 self.store.put_embedding_pair("embedding_pair", key, pair)
@@ -473,15 +431,12 @@ class InstabilityPipeline:
         evaluation of every (dimension, precision) cell with the same
         (algorithm, seed); with a persistent store it also survives reruns.
         """
-        policy = self.config.resolved_kernel_policy()
 
         def fields_fn() -> dict:
             fields = self._embedding_fields(algorithm, self.config.resolved_anchor_dim, seed)
+            # dtype is a constant since float32 measures went; kept so stores stay warm.
             fields.update(kind="anchor-svd", alpha=self.config.eis_alpha,
-                          top_k=self.config.measure_top_k, dtype=policy.dtype)
-            if self.config.anchor_rank is not None:
-                # Included only when set so default-config keys match the seed.
-                fields.update(anchor_rank=self.config.anchor_rank)
+                          top_k=self.config.measure_top_k, dtype="float64")
             return fields
 
         key = self._memoised_key(("anchor-svd", algorithm, int(seed)), fields_fn)
@@ -498,8 +453,7 @@ class InstabilityPipeline:
                 )
                 factors = anchor_factors(
                     ra.vectors, rb.vectors, alpha=self.config.eis_alpha,
-                    words=tuple(ra.vocab.words), policy=policy,
-                    rank=self.config.anchor_rank,
+                    words=tuple(ra.vocab.words),
                 )
             self.store.put_arrays("decomposition", key, {
                 "P": factors.P, "Ra": factors.Ra,
@@ -520,8 +474,6 @@ class InstabilityPipeline:
                 "eis": EigenspaceInstability(
                     anchor_a, anchor_b, alpha=self.config.eis_alpha,
                     factors=self.anchor_decomposition(algorithm, seed),
-                    policy=self.config.resolved_kernel_policy(),
-                    rank=self.config.anchor_rank,
                 ),
                 "1-knn": KNNDistance(
                     k=self.config.knn_k, num_queries=self.config.knn_num_queries, seed=0
@@ -547,7 +499,6 @@ class InstabilityPipeline:
         selected = tuple(sorted(set(measures))) if measures is not None else None
 
         def fields_fn() -> dict:
-            policy = self.config.resolved_kernel_policy()
             fields = self._quantized_fields(algorithm, dim, precision, seed)
             fields.update(
                 kind="measures",
@@ -557,10 +508,9 @@ class InstabilityPipeline:
                 knn_k=self.config.knn_k,
                 knn_num_queries=self.config.knn_num_queries,
                 anchor_dim=self.config.resolved_anchor_dim,
-                dtype=policy.dtype,
+                # A constant since float32 measures went; kept so stores stay warm.
+                dtype="float64",
             )
-            if self.config.anchor_rank is not None:
-                fields.update(anchor_rank=self.config.anchor_rank)
             return fields
 
         return self._memoised_key(
@@ -590,7 +540,6 @@ class InstabilityPipeline:
                 raise KeyError(
                     f"cannot evaluate {unknown or 'no measures'}; known: {SUITE_MEASURES}"
                 )
-        policy = self.config.resolved_kernel_policy()
         key = self.measures_key(algorithm, dim, precision, seed, measures=measures)
         cached = self.store.get_json("measures", key)
         if cached is not None:
@@ -605,8 +554,7 @@ class InstabilityPipeline:
                   algorithm=algorithm, dim=int(dim), precision=int(precision),
                   seed=int(seed)):
             batch = compute_measure_batch(
-                selected, emb_a, emb_b, top_k=self.config.measure_top_k, policy=policy,
-                cache=cache,
+                selected, emb_a, emb_b, top_k=self.config.measure_top_k, cache=cache
             )
             out = batch.values
             self.store.put_json("measures", key, out)

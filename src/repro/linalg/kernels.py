@@ -7,9 +7,7 @@ The measure kernels are blocked GEMMs, written so that
   Frobenius terms of the PIP loss reduce through ``(d, d)`` products only;
 * no Python-level per-row loop survives -- the k-NN set overlap is a single
   vectorised ``searchsorted`` over row-offset-encoded neighbour ids;
-* scalar reductions accumulate in float64 regardless of the working dtype,
-  so the float32 kernel policy loses precision only inside the GEMMs, not in
-  the final sums.
+* scalar reductions accumulate in float64 regardless of the input dtype.
 
 :func:`scatter_add_rows` applies the row updates of every SGD-trained
 embedding (MC, CBOW, GloVe, fastText, TransE).  It is ``np.add.at`` on a 2-D

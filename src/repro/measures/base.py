@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embeddings.base import Embedding
-from repro.linalg import KernelPolicy, compute_svd
 from repro.utils.registry import Registry
 from repro.utils.validation import check_embedding_pair
 
@@ -50,9 +49,7 @@ def rank_restricted(U: np.ndarray, S: np.ndarray, shape: tuple[int, ...]) -> np.
     """
     if S.size == 0:
         return U
-    # The tolerance scales with the working precision: float32 decompositions
-    # have a correspondingly higher singular-value noise floor.
-    tol = S.max() * max(shape) * np.finfo(S.dtype if S.dtype.kind == "f" else np.float64).eps
+    tol = S.max() * max(shape) * np.finfo(np.float64).eps
     rank = max(int(np.sum(S > tol)), 1)
     return U[:, :rank]
 
@@ -74,9 +71,7 @@ class DecompositionCache:
     The cache is LRU-bounded (``max_entries`` per table, ``None`` = unbounded)
     so a cache shared across a long grid run cannot grow memory without limit;
     ``hits``/``misses``/``evictions`` counters expose its behaviour the same
-    way :class:`~repro.engine.store.ArtifactStore` counters do.  Decompositions
-    are dispatched through the kernel ``policy`` (exact/randomized, dtype),
-    defaulting to the process-wide policy.
+    way :class:`~repro.engine.store.ArtifactStore` counters do.
 
     The cache is safe to share across threads (the serving layer keeps one
     long-lived instance under concurrent requests): table bookkeeping happens
@@ -86,15 +81,9 @@ class DecompositionCache:
     first insert wins); the tables can never be observed mid-mutation.
     """
 
-    def __init__(
-        self,
-        *,
-        policy: KernelPolicy | None = None,
-        max_entries: int | None = DEFAULT_CACHE_ENTRIES,
-    ) -> None:
+    def __init__(self, *, max_entries: int | None = DEFAULT_CACHE_ENTRIES) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.policy = policy
         self.max_entries = max_entries
         self._svd: OrderedDict[
             int, tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -146,7 +135,7 @@ class DecompositionCache:
                 self._svd.move_to_end(id(X))
                 return entry[1]
             self.misses += 1
-        decomposition = compute_svd(X, policy=self.policy)
+        decomposition = np.linalg.svd(X, full_matrices=False)
         with self._table_lock:
             self._svd[id(X)] = (X, decomposition)
             self._evict(self._svd)
@@ -182,7 +171,7 @@ def left_singular_vectors(
     """Rank-restricted left singular vectors of ``X``, via ``cache`` when given."""
     if cache is not None:
         return cache.left_singular(X)
-    U, S, _ = compute_svd(X)
+    U, S, _ = np.linalg.svd(X, full_matrices=False)
     return rank_restricted(U, S, X.shape)
 
 
@@ -256,15 +245,8 @@ class EmbeddingDistanceMeasure(abc.ABC):
         rb: Embedding,
         *,
         cache: DecompositionCache | None = None,
-        policy: KernelPolicy | None = None,
     ) -> MeasureResult:
-        """Evaluate on an already row-aligned embedding pair.
-
-        ``policy`` is the batch's kernel policy; most measures need nothing
-        from it (the batch already cast the pair and the cache dispatches
-        decompositions through it), but measures owning extra decompositions
-        (EIS anchor factors) override this method and honour it.
-        """
+        """Evaluate on an already row-aligned embedding pair."""
         value = self.compute_cached(ra.vectors, rb.vectors, cache)
         return MeasureResult(measure=self.name, value=float(value), n_words=ra.n_words)
 

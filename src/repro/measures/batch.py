@@ -9,14 +9,10 @@ each matrix is decomposed exactly once per pair.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from repro.embeddings.base import Embedding
-from repro.linalg import KernelPolicy
 from repro.measures.base import (
     DEFAULT_TOP_K,
     DecompositionCache,
@@ -53,7 +49,6 @@ def compute_measure_batch(
     *,
     top_k: int | None = DEFAULT_TOP_K,
     cache: DecompositionCache | None = None,
-    policy: KernelPolicy | None = None,
 ) -> MeasureBatchResult:
     """Evaluate every measure on the common (top-``k``) vocabulary of a pair.
 
@@ -66,36 +61,12 @@ def compute_measure_batch(
     top_k:
         Common-vocabulary restriction (see ``DEFAULT_TOP_K``).
     cache:
-        Decomposition cache to share; a fresh one (carrying ``policy``) is
-        created when omitted.  Passing a long-lived cache is only safe while
-        the underlying matrices stay alive, as it keys by object identity.
-    policy:
-        Kernel policy for the whole batch: the aligned pair is cast to the
-        policy dtype once, the shared decompositions dispatch through it, and
-        it is handed to every measure's ``compute_aligned`` so measure-owned
-        decompositions (the EIS anchor factors) follow the same policy unless
-        the measure was constructed with an explicit one -- the policy is
-        never half-applied.  ``None`` = process default (float64 / exact at
-        measure shapes, i.e. bit-identical to the unpolicied path).
+        Decomposition cache to share; a fresh one is created when omitted.
+        Passing a long-lived cache is only safe while the underlying matrices
+        stay alive, as it keys by object identity.
     """
     ra, rb = aligned_top_k_pair(a, b, top_k=top_k)
-    if policy is not None and policy.np_dtype != np.float64:
-        ra, rb = ra.astype(policy.np_dtype), rb.astype(policy.np_dtype)
-    if cache is None:
-        cache = DecompositionCache(policy=policy)
-    elif policy is not None and cache.policy is not None and cache.policy != policy:
-        # A long-lived cache (e.g. the serving layer's) dispatches
-        # decompositions through its own policy; casting the pair under a
-        # different one would half-apply the batch policy.
-        warnings.warn(
-            f"measure batch policy {policy} differs from the shared cache's "
-            f"policy {cache.policy}; the cache's policy governs decompositions",
-            UserWarning,
-            stacklevel=2,
-        )
-    batch = MeasureBatchResult(cache=cache)
+    batch = MeasureBatchResult(cache=cache if cache is not None else DecompositionCache())
     for name, measure in measures.items():
-        batch.results[name] = measure.compute_aligned(
-            ra, rb, cache=batch.cache, policy=policy
-        )
+        batch.results[name] = measure.compute_aligned(ra, rb, cache=batch.cache)
     return batch

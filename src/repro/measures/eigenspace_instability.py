@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embeddings.base import Embedding
-from repro.linalg import KernelPolicy, compute_svd
 from repro.measures.base import (
     DEFAULT_TOP_K,
     MEASURES,
@@ -44,7 +43,7 @@ from repro.measures.base import (
     aligned_top_k_pair,
     left_singular_vectors,
 )
-from repro.utils.validation import check_array, check_embedding_pair, float_dtype_of
+from repro.utils.validation import check_array, check_embedding_pair
 
 __all__ = [
     "AnchorFactors",
@@ -79,29 +78,14 @@ class AnchorFactors:
 def anchor_factors(
     E: np.ndarray, E_tilde: np.ndarray, *, alpha: float = 3.0,
     words: tuple[str, ...] | None = None,
-    policy: KernelPolicy | None = None,
-    rank: int | None = None,
 ) -> AnchorFactors:
-    """Decompose an anchor pair once so many grid cells can share the factors.
-
-    The decomposition is dispatched through the kernel ``policy``: its dtype
-    decides the working precision and its SVD method applies.  With
-    ``rank=None`` (the default, bit-identical to the seed path) the
-    factorization is the full-rank thin SVD, which every policy resolves to
-    exact LAPACK.  An explicit ``rank`` truncates the anchors to their top
-    ``rank`` directions -- the hook that lets ``svd="randomized"`` policies
-    engage the seeded Halko kernel on the dominant anchor subspace.
-    """
-    if policy is not None:
-        E, E_tilde = policy.cast(E), policy.cast(E_tilde)
-    E = check_array(E, name="E", ndim=2, dtype=float_dtype_of(E))
-    E_tilde = check_array(E_tilde, name="E_tilde", ndim=2, dtype=float_dtype_of(E_tilde))
+    """Decompose an anchor pair once so many grid cells can share the factors."""
+    E = check_array(E, name="E", ndim=2)
+    E_tilde = check_array(E_tilde, name="E_tilde", ndim=2)
     if E.shape[0] != E_tilde.shape[0]:
         raise ValueError("anchor embeddings must share a vocabulary")
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank must be >= 1 or None, got {rank}")
-    P, R, _ = compute_svd(E, rank, policy=policy)
-    P_t, R_t, _ = compute_svd(E_tilde, rank, policy=policy)
+    P, R, _ = np.linalg.svd(E, full_matrices=False)
+    P_t, R_t, _ = np.linalg.svd(E_tilde, full_matrices=False)
     return AnchorFactors(P=P, Ra=R**alpha, P_t=P_t, Ra_t=R_t**alpha, words=words)
 
 
@@ -141,11 +125,7 @@ def eigenspace_instability_exact(
 def _instability_from_factors(
     U: np.ndarray, U_t: np.ndarray, factors: AnchorFactors
 ) -> float:
-    """Trace expansion of Appendix B.1 on pre-decomposed subspaces/anchors.
-
-    All scalar reductions accumulate in float64 so the float32 kernel policy
-    only loses precision inside the GEMMs.
-    """
+    """Trace expansion of Appendix B.1 on pre-decomposed subspaces/anchors."""
     UtU = U_t.T @ U                      # (d~, d)
 
     def term(Panchor: np.ndarray, Ralpha: np.ndarray) -> float:
@@ -176,7 +156,6 @@ def eigenspace_instability(
     *,
     alpha: float = 3.0,
     cache: DecompositionCache | None = None,
-    policy: KernelPolicy | None = None,
 ) -> float:
     """Efficient eigenspace instability with ``Sigma = (EE^T)^a + (E~E~^T)^a``.
 
@@ -195,13 +174,7 @@ def eigenspace_instability(
     cache:
         Optional shared decomposition cache; the SVDs of ``X`` and ``X_tilde``
         are reused from (or deposited into) it.
-    policy:
-        Kernel policy applied to the whole evaluation: the scored pair is
-        cast to the policy dtype like the anchors, so the float32 path is
-        never half-applied.
     """
-    if policy is not None:
-        X, X_tilde = policy.cast(X), policy.cast(X_tilde)
     X, X_tilde = check_embedding_pair(X, X_tilde)
     n = X.shape[0]
     for name, M in (("E", np.asarray(E)), ("E_tilde", np.asarray(E_tilde))):
@@ -210,9 +183,7 @@ def eigenspace_instability(
 
     U = left_singular_vectors(X, cache)
     U_t = left_singular_vectors(X_tilde, cache)
-    return _instability_from_factors(
-        U, U_t, anchor_factors(E, E_tilde, alpha=alpha, policy=policy)
-    )
+    return _instability_from_factors(U, U_t, anchor_factors(E, E_tilde, alpha=alpha))
 
 
 @MEASURES.register("eis")
@@ -231,14 +202,6 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
         Optional pre-computed anchor factors (e.g. loaded from the engine's
         artifact store); used whenever the scored pair's vocabulary matches,
         otherwise the factors are re-derived from the anchors and memoised.
-    policy:
-        Kernel policy used when the measure has to derive anchor factors
-        itself (dtype and SVD dispatch); ``None`` = process default.
-    rank:
-        Optional truncation rank of the anchor factorization (``None`` =
-        full-rank thin SVD, the seed behaviour).  Combined with a
-        ``svd="randomized"`` policy this turns the anchor SVD -- the dominant
-        setup cost of the measure -- into a seeded Halko sketch.
     """
 
     name = "eis"
@@ -250,32 +213,14 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
         *,
         alpha: float = 3.0,
         factors: AnchorFactors | None = None,
-        policy: KernelPolicy | None = None,
-        rank: int | None = None,
     ) -> None:
         self.anchor_a = anchor_a
         self.anchor_b = anchor_b
         self.alpha = float(alpha)
         self.factors = factors
-        self.policy = policy
-        self.rank = None if rank is None else int(rank)
-        #: Anchor factors memoised per (vocabulary selection, policy dtype) so
-        #: that one SVD of the (large) anchors serves every grid cell sharing
-        #: them, without leaking factors across precisions when successive
-        #: batches run under different policies.
+        #: Anchor factors memoised per vocabulary selection so that one SVD
+        #: of the (large) anchors serves every grid cell sharing them.
         self._factor_memo: dict[object, AnchorFactors] = {}
-
-    def _effective_policy(self, policy: KernelPolicy | None) -> KernelPolicy | None:
-        """A construction-time policy wins over the per-batch one."""
-        return self.policy if self.policy is not None else policy
-
-    def _memo_key(self, selector, policy: KernelPolicy | None) -> tuple:
-        # Shape is (selector, dtype): callers (and tests) introspect the memo
-        # by unpacking two elements, so the truncation rank rides inside the
-        # selector element rather than widening the tuple.
-        if self.rank is not None:
-            selector = (selector, self.rank)
-        return (selector, policy.dtype if policy is not None else "float64")
 
     def _anchor_matrices(self, n_words: int) -> tuple[np.ndarray, np.ndarray]:
         def resolve(anchor) -> np.ndarray:
@@ -288,9 +233,7 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
 
         return resolve(self.anchor_a), resolve(self.anchor_b)
 
-    def _positional_factors(
-        self, n_words: int, policy: KernelPolicy | None = None
-    ) -> AnchorFactors:
+    def _positional_factors(self, n_words: int) -> AnchorFactors:
         """Factors of the anchors sliced to the first ``n_words`` rows."""
         if (
             self.factors is not None
@@ -298,25 +241,18 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
             and self.factors.n_words == n_words
         ):
             return self.factors
-        policy = self._effective_policy(policy)
-        memo = self._factor_memo.get(self._memo_key(n_words, policy))
+        memo = self._factor_memo.get(n_words)
         if memo is None:
             E, E_t = self._anchor_matrices(n_words)
-            memo = anchor_factors(
-                E, E_t, alpha=self.alpha, policy=policy, rank=self.rank
-            )
-            self._factor_memo[self._memo_key(n_words, policy)] = memo
+            memo = self._factor_memo[n_words] = anchor_factors(E, E_t, alpha=self.alpha)
         return memo
 
-    def _word_matched_factors(
-        self, words: list[str], policy: KernelPolicy | None = None
-    ) -> AnchorFactors:
+    def _word_matched_factors(self, words: list[str]) -> AnchorFactors:
         """Factors of the anchors row-matched to ``words`` (by vocabulary)."""
         key = tuple(words)
         if self.factors is not None and self.factors.words == key:
             return self.factors
-        policy = self._effective_policy(policy)
-        memo = self._factor_memo.get(self._memo_key(key, policy))
+        memo = self._factor_memo.get(key)
         if memo is None:
             anchors = []
             for anchor in (self.anchor_a, self.anchor_b):
@@ -333,11 +269,9 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
                             f"{len(words)} are required"
                         )
                     anchors.append(mat[: len(words)])
-            memo = anchor_factors(
-                anchors[0], anchors[1], alpha=self.alpha, words=key,
-                policy=policy, rank=self.rank,
+            memo = self._factor_memo[key] = anchor_factors(
+                anchors[0], anchors[1], alpha=self.alpha, words=key
             )
-            self._factor_memo[self._memo_key(key, policy)] = memo
         return memo
 
     def compute(self, X: np.ndarray, X_tilde: np.ndarray) -> float:
@@ -358,16 +292,13 @@ class EigenspaceInstability(EmbeddingDistanceMeasure):
         rb: Embedding,
         *,
         cache: DecompositionCache | None = None,
-        policy: KernelPolicy | None = None,
     ) -> MeasureResult:
         """Evaluate on an aligned pair, row-matching the anchors by word.
 
-        Raw-matrix anchors are assumed to be row-aligned with ``ra``.  The
-        batch ``policy`` (unless overridden at construction) also governs the
-        anchor factorization, so a float32 batch runs float32 end to end.
+        Raw-matrix anchors are assumed to be row-aligned with ``ra``.
         """
         X, X_tilde = check_embedding_pair(ra.vectors, rb.vectors)
-        factors = self._word_matched_factors(ra.vocab.words, policy)
+        factors = self._word_matched_factors(ra.vocab.words)
         U = left_singular_vectors(X, cache)
         U_t = left_singular_vectors(X_tilde, cache)
         value = _instability_from_factors(U, U_t, factors)

@@ -28,8 +28,7 @@ def pip_loss(
     if cache is not None:
         # From X = U S V^T: ||X X^T||_F^2 = sum(S^4) and
         # tr(X X^T Y Y^T) = ||diag(S) U^T U~ diag(S~)||_F^2, so the shared SVD
-        # and cross product replace all three Gram products.  Reductions run
-        # in float64 even when the decompositions are float32.
+        # and cross product replace all three Gram products.
         _, S, _ = cache.svd(X)
         _, S_t, _ = cache.svd(X_tilde)
         M = (S[:, np.newaxis] * cache.cross(X, X_tilde)) * S_t[np.newaxis, :]

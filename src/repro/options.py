@@ -1,13 +1,12 @@
-"""The store and kernel command-line options, declared once for every entry point.
+"""The store command-line options, declared once for every entry point.
 
 ``repro-serve``, the experiment runner and ``repro-worker`` take the same
 flags for the artifact store (``--cache-dir``, ``--store-shards``,
-``--store-url``, ``--store-replicas``) and the linear-algebra kernels
-(``--kernel-policy``, ``--dtype``).  Each flag, the rules on how they
-combine, and the process-wide store and kernel policy they configure are
-defined here; ``repro-worker`` takes only the two that apply to its
-per-run stores.  The runner's ``--serve`` hands the same flags
-on to ``repro-serve`` through :func:`forward`.
+``--store-url``, ``--store-replicas``).  Each flag, the rules on how they
+combine, and the process-wide store they configure are defined here;
+``repro-worker`` takes only the two that apply to its per-run stores.  The
+runner's ``--serve`` hands the same flags on to ``repro-serve`` through
+:func:`forward`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 
 from repro.engine.store import configure_default_store
-from repro.linalg.policy import KERNEL_DTYPES, SVD_METHODS, configure_default_policy
 
 __all__ = ["add_options", "check", "configure", "forward", "store_replicas"]
 
@@ -43,22 +41,13 @@ _OPTIONS: dict[str, dict] = {
              "hinted handoff; mutually exclusive with --store-url (on "
              "repro-worker it replaces the coordinator tier)",
     ),
-    "--kernel-policy": dict(
-        choices=SVD_METHODS, default=None,
-        help="SVD kernel selection for every decomposition (default: exact; "
-             "'auto' switches large truncated decompositions to randomized)",
-    ),
-    "--dtype": dict(
-        choices=KERNEL_DTYPES, default=None,
-        help="working precision of the measure kernels (default: float64)",
-    ),
 }
 
 
 def add_options(
     parser: argparse.ArgumentParser, flags: tuple[str, ...] = tuple(_OPTIONS)
 ) -> None:
-    """Declare ``flags`` (default: all six) on ``parser``."""
+    """Declare ``flags`` (default: all four) on ``parser``."""
     for flag in flags:
         parser.add_argument(flag, **_OPTIONS[flag])
 
@@ -67,6 +56,8 @@ def check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Exit with status 2 when the store flags do not describe one store."""
     if args.store_shards is not None and args.cache_dir is None:
         parser.error("--store-shards requires --cache-dir (it shards the local store)")
+    if args.store_shards is not None and args.store_shards < 1:
+        parser.error("--store-shards must be >= 1")
     if args.store_url and args.store_replicas:
         parser.error("--store-url and --store-replicas are mutually exclusive")
 
@@ -77,7 +68,7 @@ def store_replicas(args: argparse.Namespace) -> list[str] | None:
 
 
 def configure(args: argparse.Namespace) -> None:
-    """Make the parsed flags the process-wide store and kernel defaults.
+    """Make the parsed flags the process-wide store default.
 
     Every pipeline built afterwards without an explicit store uses this
     store construction; flags left unset leave the defaults alone.
@@ -90,8 +81,6 @@ def configure(args: argparse.Namespace) -> None:
             remote_url=args.store_url,
             replicas=replicas,
         )
-    if args.kernel_policy is not None or args.dtype is not None:
-        configure_default_policy(svd=args.kernel_policy, dtype=args.dtype)
 
 
 def forward(args: argparse.Namespace) -> list[str]:

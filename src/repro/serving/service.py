@@ -155,8 +155,7 @@ class StabilityService:
         )
         self.pipeline = self.engine.pipeline
         self.decomposition_cache = DecompositionCache(
-            policy=self.pipeline.config.resolved_kernel_policy(),
-            max_entries=self.config.decomposition_cache_entries,
+            max_entries=self.config.decomposition_cache_entries
         )
         self.started_at = time.time()
         #: Every repro-serve instance is also a cluster coordinator: grids

@@ -10,21 +10,7 @@ __all__ = [
     "check_positive",
     "check_probability",
     "check_in_choices",
-    "float_dtype_of",
 ]
-
-
-def float_dtype_of(*arrays) -> np.dtype:
-    """The working float dtype for ``arrays``: float32 only when all are.
-
-    The float32 kernel policy flows matrices through the measure stack in
-    single precision; everything else (float64, integers, lists) keeps the
-    historical float64 coercion.
-    """
-    dtypes = [np.asarray(a).dtype for a in arrays]
-    if dtypes and all(dt == np.float32 for dt in dtypes):
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
 
 
 def check_array(
@@ -66,13 +52,9 @@ def check_embedding_pair(X, X_tilde, *, same_dim: bool = False) -> tuple[np.ndar
     Both matrices must be 2-D with the same number of rows (words).  When
     ``same_dim`` the embedding dimensions must also match (required by
     measures such as semantic displacement that compare rows directly).
-
-    A pair that is already entirely float32 (the float32 kernel policy) stays
-    float32; any other input is coerced to float64 as before.
     """
-    dtype = float_dtype_of(X, X_tilde)
-    A = check_array(X, name="X", ndim=2, dtype=dtype)
-    B = check_array(X_tilde, name="X_tilde", ndim=2, dtype=dtype)
+    A = check_array(X, name="X", ndim=2)
+    B = check_array(X_tilde, name="X_tilde", ndim=2)
     if A.shape[0] != B.shape[0]:
         raise ValueError(
             f"embedding pair must share a vocabulary: {A.shape[0]} vs {B.shape[0]} rows"

@@ -239,7 +239,7 @@ class TestEmbeddingShipmentWarmup:
         parent = InstabilityPipeline(STREAM_CONFIG)
         pair = parent.embedding_pair("svd", 4, 0)
         key = config_hash(parent._embedding_fields("svd", 4, 0))
-        _init_worker(STREAM_CONFIG, None, parent.corpus_pair, None, {key: pair})
+        _init_worker(STREAM_CONFIG, None, parent.corpus_pair, {key: pair})
         try:
             worker = scheduler_module._WORKER_PIPELINE
             assert worker.store.stat("embedding_pair").preloads == 1

@@ -48,7 +48,7 @@ class TestWarmStartedPipeline:
         assert warm._key_salt is None
 
     def test_init_worker_uses_the_parent_corpus_pair(self, corpus_pair, tmp_path):
-        _init_worker(WARMUP_CONFIG, tmp_path, corpus_pair, None, {})
+        _init_worker(WARMUP_CONFIG, tmp_path, corpus_pair, {})
         try:
             worker_pipeline = scheduler_module._WORKER_PIPELINE
             assert worker_pipeline is not None
@@ -59,7 +59,7 @@ class TestWarmStartedPipeline:
             scheduler_module._WORKER_PIPELINE = None
 
     def test_init_worker_without_shipment_rebuilds(self, tmp_path):
-        _init_worker(WARMUP_CONFIG, tmp_path, None, None, {})
+        _init_worker(WARMUP_CONFIG, tmp_path, None, {})
         try:
             assert scheduler_module._WORKER_PIPELINE.corpus_build_count == 1
         finally:

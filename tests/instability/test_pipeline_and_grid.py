@@ -199,3 +199,51 @@ class TestGridRunner:
         )
         assert len(records) == 1
         assert records[0].dim == 6 and records[0].precision == 32
+
+
+class _KeyRecordingStore(ArtifactStore):
+    """Answers every lookup with a stand-in and records the key it was asked
+    for, so the pipeline derives its artifact keys without building anything."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: dict[str, str] = {}
+
+    def get_embedding_pair(self, kind, key):
+        self.asked[kind] = key
+        return (None, None)
+
+    def get_arrays(self, kind, key):
+        self.asked[kind] = key
+        return dict.fromkeys(("P", "Ra", "P_t", "Ra_t"), np.ones((1, 1)))
+
+    def get_json(self, kind, key):
+        self.asked[kind] = key
+        return {"task": "sst2", "disagreement": 0.0, "accuracy_a": 0.0, "accuracy_b": 0.0}
+
+
+class TestArtifactKeys:
+    def test_keys_of_one_cell_are_pinned(self):
+        # Every persistent store (disk, shards, replicas, cluster peers) finds
+        # its artifacts by these keys: a change to any of them silently
+        # orphans every store written before it.
+        config = PipelineConfig(
+            corpus=SyntheticCorpusConfig(vocab_size=60, n_documents=20, doc_length_mean=20, seed=3),
+            algorithms=("cbow",), dimensions=(8,), precisions=(2, 32), seeds=(0,),
+            tasks=("sst2",),
+        )
+        store = _KeyRecordingStore()
+        pipeline = InstabilityPipeline(config, store=store)
+        pipeline.embedding_pair("cbow", 8, 0)
+        pipeline.compressed_pair("cbow", 8, 2, 0)
+        pipeline.anchor_decomposition("cbow", 0)
+        pipeline.compute_measures("cbow", 8, 2, 0)
+        pipeline.evaluate("sst2", "cbow", 8, 2, 0)
+        assert store.asked == {
+            "embedding_pair": "04b5d546e066337b811cea59",
+            "quantized_pair": "25aec13bfc9d3f2e577528d3",
+            "decomposition": "f7b8ff747bc83e634e49e1b5",
+            "measures": "be3c1401aec23d7f0200aec1",
+            "downstream": "241158919762d45209f9b230",
+        }
+        assert pipeline.embedding_train_count == pipeline.downstream_train_count == 0

@@ -2,8 +2,8 @@
 
 ``repro-serve``, the experiment runner and ``repro-worker`` are called
 in-process with their side effects replaced by recorders: the server
-coroutine, the worker, the experiment run, and the process-wide store,
-kernel-policy and logging configuration.
+coroutine, the worker, the experiment run, and the process-wide store and
+logging configuration.
 """
 
 from __future__ import annotations
@@ -19,21 +19,17 @@ from repro.experiments import runner
 from repro.experiments.base import ExperimentResult
 from repro.serving import api
 
-#: Every store and kernel flag, minus ``--store-url`` (it excludes replicas).
+#: Every store flag, minus ``--store-url`` (it excludes replicas).
 REPLICA_ARGV = [
     "--cache-dir", "/data/cache", "--store-shards", "3",
     "--store-replicas", "http://peer:1,/data/replica",
-    "--kernel-policy", "auto", "--dtype", "float32",
 ]
 URL_ARGV = ["--cache-dir", "/data/cache", "--store-url", "http://peer:1"]
-POLICY_CALL = {"policy": None, "svd": "auto", "dtype": "float32"}
 
 SERVE_DEFAULTS = {
     "access_log": False,
     "cache_dir": None,
-    "dtype": None,
     "host": "127.0.0.1",
-    "kernel_policy": None,
     "lease_ttl": 60.0,
     "max_concurrency": 4,
     "monitor": False,
@@ -100,7 +96,6 @@ def calls(monkeypatch):
     """Recorders for every side effect the three command lines have."""
     recorded = {
         "store": _record(monkeypatch, "repro.engine.store", "configure_default_store"),
-        "policy": _record(monkeypatch, "repro.linalg.policy", "configure_default_policy"),
         "serve": [],
         "worker": [],
         "experiments": [],
@@ -131,30 +126,23 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, parsed, policy",
+    "argv, parsed",
     [
-        ([], {}, []),
+        ([], {}),
         (
             REPLICA_ARGV,
             {
                 "cache_dir": "/data/cache", "store_shards": 3,
                 "store_replicas": "http://peer:1,/data/replica",
-                "kernel_policy": "auto", "dtype": "float32",
             },
-            [POLICY_CALL],
         ),
-        (
-            URL_ARGV,
-            {"cache_dir": "/data/cache", "store_url": "http://peer:1"},
-            [],
-        ),
+        (URL_ARGV, {"cache_dir": "/data/cache", "store_url": "http://peer:1"}),
     ],
     ids=["defaults", "replicas", "url"],
 )
-def test_serve_parses_its_flags(calls, argv, parsed, policy):
+def test_serve_parses_its_flags(calls, argv, parsed):
     assert api.main(argv) == 0
     assert calls["serve"] == [{**SERVE_DEFAULTS, **parsed}]
-    assert calls["policy"] == policy
 
 
 def test_serve_configures_the_store_it_serves_from(calls):
@@ -167,16 +155,15 @@ def test_serve_configures_the_store_it_serves_from(calls):
 
 
 @pytest.mark.parametrize(
-    "argv, store, policy",
+    "argv, store",
     [
-        ([], [], []),
+        ([], []),
         (
             REPLICA_ARGV,
             [{
                 "root": "/data/cache", "shards": 3, "remote_url": None,
                 "replicas": ["http://peer:1", "/data/replica"],
             }],
-            [POLICY_CALL],
         ),
         (
             URL_ARGV,
@@ -184,16 +171,14 @@ def test_serve_configures_the_store_it_serves_from(calls):
                 "root": "/data/cache", "shards": None, "remote_url": "http://peer:1",
                 "replicas": None,
             }],
-            [],
         ),
     ],
     ids=["defaults", "replicas", "url"],
 )
-def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store, policy):
+def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store):
     assert runner.main(["figure-2-memory", "--output-dir", str(tmp_path), *argv]) == 0
     assert calls["experiments"] == [("figure-2-memory", (), {"n_workers": 0})]
     assert calls["store"] == store
-    assert calls["policy"] == policy
 
 
 @pytest.mark.parametrize(
@@ -206,7 +191,6 @@ def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store, po
             ["--host", "0.0.0.0", "--port", "0", "--workers", "2",
              "--cache-dir", "/data/cache", "--store-shards", "3",
              "--store-replicas", "http://peer:1,/data/replica",
-             "--kernel-policy", "auto", "--dtype", "float32",
              "--resume-runs", "--monitor", "--monitor-distributed"],
         ),
         (
@@ -222,7 +206,7 @@ def test_runner_serve_forwards_its_flags(calls, monkeypatch, argv, forwarded):
     monkeypatch.setattr(api, "main", lambda argv: handed.append(argv) or 0)
     assert runner.main(["--serve", *argv]) == 0
     assert handed == [forwarded]
-    assert calls["store"] == calls["policy"] == []
+    assert calls["store"] == []
 
 
 @pytest.mark.parametrize(
@@ -241,12 +225,13 @@ def test_worker_parses_its_flags(calls, argv, changed):
     assert calls["worker"] == [
         {"coordinator": "http://coordinator:8732", **WORKER_DEFAULTS, **changed}
     ]
-    assert calls["store"] == calls["policy"] == []
+    assert calls["store"] == []
 
 
 SHARDS_ERROR = "--store-shards requires --cache-dir (it shards the local store)"
 EXCLUSIVE_ERROR = "--store-url and --store-replicas are mutually exclusive"
 UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
+SHARD_COUNT_ERROR = "--store-shards must be >= 1"
 
 
 @pytest.mark.parametrize(
@@ -259,6 +244,13 @@ UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
         ("runner", ["--store-shards", "2"], SHARDS_ERROR),
         ("runner", ["--store-url", "http://a:1", "--store-replicas", "/b"], EXCLUSIVE_ERROR),
         ("runner", ["--store-mmap"], UNKNOWN_ERROR),
+        ("serve", ["--cache-dir", "c", "--store-shards", "0"], SHARD_COUNT_ERROR),
+        ("runner", ["--cache-dir", "c", "--store-shards", "-3"], SHARD_COUNT_ERROR),
+        ("serve", ["--kernel-policy", "exact"], "unrecognized arguments: --kernel-policy exact"),
+        ("serve", ["--dtype", "float64"], "unrecognized arguments: --dtype float64"),
+        # The runner takes the flag's value as its experiment positional.
+        ("runner", ["--kernel-policy", "exact"], "unrecognized arguments: --kernel-policy"),
+        ("runner", ["--dtype", "float64"], "unrecognized arguments: --dtype"),
     ],
 )
 def test_invalid_combination_exits_2(calls, capsys, main, argv, message):
@@ -267,4 +259,4 @@ def test_invalid_combination_exits_2(calls, capsys, main, argv, message):
         entry(argv)
     assert exit_info.value.code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
-    assert calls["serve"] == calls["store"] == calls["policy"] == []
+    assert calls["serve"] == calls["store"] == []
