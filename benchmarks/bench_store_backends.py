@@ -1,12 +1,11 @@
-"""Benchmark the artifact-store backends: memory vs disk vs sharded vs remote.
+"""Benchmark the artifact-store backends: memory vs disk vs remote.
 
 Times raw ``put``/``get`` latency per backend for a small (JSON-sized) and a
 large (decomposition-sized) payload, against:
 
 1. ``memory``  -- in-process LRU byte cache;
 2. ``disk``    -- durable atomic writes under one directory tree;
-3. ``sharded`` -- consistent-hash fan-out over 4 local shard directories;
-4. ``remote``  -- a live in-process ``repro-serve`` peer over HTTP
+3. ``remote``  -- a live in-process ``repro-serve`` peer over HTTP
    keep-alive (skipped with ``--no-remote``).
 
 Every backend must round-trip payloads verbatim, and the memory tier must
@@ -43,7 +42,6 @@ from repro.engine.backends import (  # noqa: E402
     DiskBackend,
     MemoryBackend,
     RemoteBackend,
-    ShardedBackend,
 )
 
 from conftest import write_benchmark_results  # noqa: E402
@@ -105,7 +103,6 @@ def run_benchmark(quick: bool, n_ops: int, with_remote: bool):
     backends = {
         "memory": MemoryBackend(),
         "disk": DiskBackend(workdir / "disk"),
-        "sharded": ShardedBackend.local(workdir / "sharded", 4),
     }
     shutdown = None
     if with_remote:

@@ -1,12 +1,12 @@
 """Tables 9a-9c: correlation and selection results on the remaining sentiment tasks."""
 
 from repro.experiments import table1_correlation, table2_selection, table3_budget
-from repro.instability.grid import GridRunner
+from repro.engine import GridEngine
 
 
 def test_table9_extended(benchmark, pipeline):
     def build():
-        records = GridRunner(pipeline).run(
+        records = GridEngine(pipeline).run(
             tasks=("mr", "mpqa"), algorithms=("mc",), with_measures=True
         )
         return (

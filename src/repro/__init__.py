@@ -30,8 +30,7 @@ _EXPORTS = {
         "align_pair",
     ),
     "instability": (
-        "GridRecord", "GridRunner", "InstabilityPipeline", "PipelineConfig",
-        "prediction_disagreement",
+        "GridRecord", "InstabilityPipeline", "PipelineConfig", "prediction_disagreement",
     ),
     "measures": (
         "EigenspaceInstability", "EigenspaceOverlapDistance", "KNNDistance", "PIPLoss",

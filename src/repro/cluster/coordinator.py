@@ -26,11 +26,9 @@ Scheduling rules:
   every artifact and record is a deterministic function of its
   configuration: whichever result arrives first is committed, later
   arrivals are counted (``duplicate_results``) and dropped;
-* **speculative re-execution** -- when a run has no pending work left but a
-  leased group has run well past the duration of its completed siblings,
-  the coordinator issues a *second* lease on it to another worker.
-  First-result-commits makes the race idempotent, and speculative leases
-  never consume the group's ``max_attempts`` failure budget.
+* **one live lease per group** -- a group is leased again only once its
+  lease is gone (completed, failed or expired), so a slow worker is never
+  raced by a second copy of the same training.
 
 Crash safety: when constructed with an :class:`ArtifactStore`, the
 coordinator checkpoints every run's durable state (plan wire form, config
@@ -81,6 +79,18 @@ _PENDING, _LEASED, _DONE = "pending", "leased", "done"
 
 #: Count backstop on finished-run retention (age GC is the primary policy).
 _MAX_FINISHED_RUNS = 64
+
+#: Lease attempts per group before a reported execution error fails the run
+#: (expiries consume attempts too).
+MAX_ATTEMPTS = 3
+
+#: Seconds a finished run (and its checkpoints) is kept, once no record
+#: stream is attached, before age GC collects it.
+RUN_GC_AGE = 3600.0
+
+#: Seconds of silence after which a worker holding no lease leaves the
+#: status table; its counters retire into monotonic fleet aggregates.
+WORKER_TTL = 300.0
 
 #: Artifact kind of coordinator checkpoints (stored via the JSON codec).
 CHECKPOINT_KIND = "cluster-run"
@@ -184,9 +194,6 @@ class _ClusterRun:
         self.failure: str | None = None
         self.created_at = created_at
         self.finished_at: float | None = None
-        #: Wall-clock runtimes of completed leases, feeding the speculation
-        #: threshold (a percentile of finished siblings).
-        self.durations: list[float] = []
         #: Attached record streams; a run with consumers is never GC'd.
         self.consumers = 0
         #: True once the finished run's ready list was released to save
@@ -217,22 +224,13 @@ class _ClusterRun:
 
 class _Lease:
     def __init__(
-        self,
-        lease_id: str,
-        run_id: str,
-        group_index: int,
-        worker: str,
-        expires_at: float,
-        started_at: float = 0.0,
-        speculative: bool = False,
+        self, lease_id: str, run_id: str, group_index: int, worker: str, expires_at: float
     ) -> None:
         self.lease_id = lease_id
         self.run_id = run_id
         self.group_index = group_index
         self.worker = worker
         self.expires_at = expires_at
-        self.started_at = started_at
-        self.speculative = speculative
 
 
 class ClusterCoordinator:
@@ -247,26 +245,12 @@ class ClusterCoordinator:
     lease_ttl:
         Seconds a lease stays valid without a heartbeat; an expired lease
         returns its group to the pending pool.
-    max_attempts:
-        Lease attempts per group before a reported execution *error* fails
-        the whole run (expiries also consume attempts; speculative leases
-        do not).
     store:
         Optional :class:`ArtifactStore` for run checkpoints.  With a
         persistent store, :meth:`resume_runs` can rebuild every run after a
-        coordinator restart; without one, checkpointing is disabled.
-    run_gc_age:
-        Seconds a finished run (and its checkpoints) is retained after it
-        finished, once no record stream is attached; ``0`` disables age GC
-        (the ``_MAX_FINISHED_RUNS`` count backstop still applies).
-    worker_ttl:
-        Seconds of inactivity after which a worker holding no lease is
-        evicted from the status table; its counters retire into monotonic
-        fleet aggregates.  ``0`` disables eviction.
-    speculation_factor:
-        A leased group becomes a speculation candidate once its runtime
-        exceeds ``speculation_factor`` times the ``speculation_percentile``
-        duration of the run's completed leases; ``0`` disables speculation.
+        coordinator restart; without one, checkpointing is disabled.  A
+        checkpoint the store refuses is logged and counted
+        (``checkpoint_failures``), never raised.
     clock:
         Monotonic time source (injectable for the lease-lifecycle tests).
     """
@@ -276,35 +260,15 @@ class ClusterCoordinator:
         *,
         default_config: dict | None = None,
         lease_ttl: float = 60.0,
-        max_attempts: int = 3,
         store: "ArtifactStore | None" = None,
-        run_gc_age: float = 3600.0,
-        worker_ttl: float = 300.0,
-        speculation_factor: float = 2.0,
-        speculation_percentile: float = 0.75,
-        speculation_min_done: int = 2,
         clock=time.monotonic,
         trace_sink: "TraceBuffer | None" = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
-        if run_gc_age < 0:
-            raise ValueError(f"run_gc_age must be >= 0, got {run_gc_age}")
-        if worker_ttl < 0:
-            raise ValueError(f"worker_ttl must be >= 0, got {worker_ttl}")
-        if not 0.0 < speculation_percentile <= 1.0:
-            raise ValueError(
-                f"speculation_percentile must be in (0, 1], got {speculation_percentile}"
-            )
         self.default_config = default_config or {}
         self.lease_ttl = float(lease_ttl)
-        self.max_attempts = int(max_attempts)
         self.store = store
-        self.run_gc_age = float(run_gc_age)
-        self.worker_ttl = float(worker_ttl)
-        self.speculation_factor = float(speculation_factor)
-        self.speculation_percentile = float(speculation_percentile)
-        self.speculation_min_done = int(speculation_min_done)
         self._clock = clock
         #: Optional :class:`~repro.telemetry.trace.TraceBuffer` that receives
         #: coordinator-side spans (lease wait) and worker-shipped span rows,
@@ -336,7 +300,6 @@ class ClusterCoordinator:
             "leases_issued": 0,
             "leases_expired": 0,
             "leases_reassigned": 0,
-            "leases_speculative": 0,
             "duplicate_results": 0,
             "late_results": 0,
             "group_failures": 0,
@@ -344,6 +307,7 @@ class ClusterCoordinator:
             "records_replayed": 0,
             "cells_completed": 0,
             "checkpoints_written": 0,
+            "checkpoint_failures": 0,
             "ready_records_dropped": 0,
             "workers_evicted": 0,
             "drains_started": 0,
@@ -548,8 +512,7 @@ class ClusterCoordinator:
 
         Returns a ``{"status": "lease", ...}`` payload carrying the group,
         the run's pipeline config and the TTL; ``{"status": "wait"}`` when
-        runs exist but every eligible group is leased or ancestry-gated
-        (after considering a speculative re-lease of a straggler);
+        runs exist but every eligible group is leased or ancestry-gated;
         ``{"status": "drain"}`` while draining; and ``{"status": "idle"}``
         when there is nothing to execute at all.
         """
@@ -574,8 +537,7 @@ class ClusterCoordinator:
                 if run.attempts[index] > 1:
                     self.counters["leases_reassigned"] += 1
                 self._leases[lease_id] = _Lease(
-                    lease_id, run.run_id, index, worker, now + self.lease_ttl,
-                    started_at=now,
+                    lease_id, run.run_id, index, worker, now + self.lease_ttl
                 )
                 self.counters["leases_issued"] += 1
                 self._workers[worker]["leases"] += 1
@@ -593,12 +555,7 @@ class ClusterCoordinator:
                 if run.trace is not None:
                     answer["trace"] = run.trace
                 return answer
-            if any_active:
-                speculative = self._speculative_lease_locked(worker, now)
-                if speculative is not None:
-                    return speculative
-                return {"status": "wait"}
-            return {"status": "idle"}
+            return {"status": "wait" if any_active else "idle"}
 
     def heartbeat(self, worker: str, lease_id: str) -> dict:
         """Extend a lease; ``{"status": "gone"}`` tells the worker it expired."""
@@ -680,15 +637,14 @@ class ClusterCoordinator:
             )
             if error is not None:
                 self._workers[worker]["failures"] += 1
-                if not own_lease or lease.speculative:
+                if not own_lease:
                     # A failure report from an expired/reassigned lease must
                     # not reset a group another worker is actively computing,
                     # nor consume the run's failure budget -- the current
-                    # owner is authoritative.  A *speculative* failure is
-                    # equally non-authoritative: the primary lease lives on.
+                    # owner is authoritative.
                     return {"status": "stale"}
                 self.counters["group_failures"] += 1
-                if run.attempts[index] >= self.max_attempts:
+                if run.attempts[index] >= MAX_ATTEMPTS:
                     run.failure = (
                         f"group {index} failed after {run.attempts[index]} attempts: {error}"
                     )
@@ -738,9 +694,7 @@ class ClusterCoordinator:
             stats_row = self._workers[worker]
             stats_row["groups_completed"] += 1
             stats_row["cells_completed"] += len(records)
-            if own_lease:
-                run.durations.append(max(now - lease.started_at, 0.0))
-            else:
+            if not own_lease:
                 self.counters["late_results"] += 1
             if all(state is _DONE for state in run.states):
                 run.completed = True
@@ -875,12 +829,8 @@ class ClusterCoordinator:
         row["last_seen"] = now
 
     def _release_group_locked(self, run: _ClusterRun, index: int) -> None:
-        """Return a leased group to the pending pool, unless another worker
-        still holds a live lease on it (their result remains authoritative)."""
-        if run.states[index] is _LEASED and not any(
-            lease.run_id == run.run_id and lease.group_index == index
-            for lease in self._leases.values()
-        ):
+        """Return a group whose only lease is gone to the pending pool."""
+        if run.states[index] is _LEASED:
             run.states[index] = _PENDING
             run.pending_since[index] = self._clock()
 
@@ -910,29 +860,22 @@ class ClusterCoordinator:
             self.counters["leases_expired"] += 1
             run = self._runs.get(lease.run_id)
             if run is not None:
-                # Via _release_group_locked, NOT an unconditional reset: when
-                # a second (speculative) lease on the group is still alive,
-                # its holder keeps working and the group must stay _LEASED --
-                # a third lease on an already-raced group would be waste.
                 self._release_group_locked(run, lease.group_index)
                 self._checkpoint_run_locked(run)
             logger.warning(
-                "lease %s (worker %s, group %d of %s%s) expired; group returned "
+                "lease %s (worker %s, group %d of %s) expired; group returned "
                 "to the pending pool",
                 lease.lease_id, lease.worker, lease.group_index, lease.run_id,
-                ", speculative" if lease.speculative else "",
             )
         if expired:
             self._cond.notify_all()
 
     def _evict_idle_workers_locked(self, now: float) -> None:
-        if self.worker_ttl <= 0:
-            return
         held = {lease.worker for lease in self._leases.values()}
         idle = [
             name
             for name, row in self._workers.items()
-            if name not in held and now - row["last_seen"] >= self.worker_ttl
+            if name not in held and now - row["last_seen"] >= WORKER_TTL
         ]
         for name in idle:
             row = self._workers.pop(name)
@@ -945,73 +888,6 @@ class ClusterCoordinator:
                 "worker %s idle for %.0fs, evicted from the status table",
                 name, now - row["last_seen"],
             )
-
-    def _speculative_lease_locked(self, worker: str, now: float) -> dict | None:
-        """A second lease on a straggling group, for an otherwise-idle worker.
-
-        A group qualifies when it is held by exactly one non-speculative
-        lease owned by a *different* worker, and that lease has been running
-        longer than ``speculation_factor`` times the
-        ``speculation_percentile`` duration of the run's completed leases
-        (needing at least ``speculation_min_done`` samples).  The attempt
-        counter is untouched: speculation is a hedge, not a retry.
-        """
-        if self.speculation_factor <= 0:
-            return None
-        for run in self._runs.values():
-            if not run.active or len(run.durations) < self.speculation_min_done:
-                continue
-            durations = sorted(run.durations)
-            position = min(
-                len(durations) - 1,
-                int(self.speculation_percentile * len(durations)),
-            )
-            threshold = self.speculation_factor * durations[position]
-            for index, state in enumerate(run.states):
-                if state is not _LEASED:
-                    continue
-                live = [
-                    lease
-                    for lease in self._leases.values()
-                    if lease.run_id == run.run_id and lease.group_index == index
-                ]
-                if len(live) != 1:
-                    continue
-                (current,) = live
-                if (
-                    current.speculative
-                    or current.worker == worker
-                    or now - current.started_at < threshold
-                ):
-                    continue
-                lease_id = f"{run.run_id}-lease-{self._next_serial_locked():04d}"
-                self._leases[lease_id] = _Lease(
-                    lease_id, run.run_id, index, worker, now + self.lease_ttl,
-                    started_at=now, speculative=True,
-                )
-                self.counters["leases_issued"] += 1
-                self.counters["leases_speculative"] += 1
-                self._workers[worker]["leases"] += 1
-                logger.info(
-                    "speculative lease %s: group %d of %s re-leased to %s "
-                    "(straggling on %s for %.1fs, threshold %.1fs)",
-                    lease_id, index, run.run_id, worker, current.worker,
-                    now - current.started_at, threshold,
-                )
-                answer = {
-                    "status": "lease",
-                    "lease_id": lease_id,
-                    "run_id": run.run_id,
-                    "group_index": index,
-                    "group": group_wire_payload(run.plan.groups[index]),
-                    "config": run.config_payload,
-                    "ttl": self.lease_ttl,
-                    "speculative": True,
-                }
-                if run.trace is not None:
-                    answer["trace"] = run.trace
-                return answer
-        return None
 
     def _next_available_locked(self, run: _ClusterRun) -> int | None:
         """The first leasable group index of a run, honouring ancestry gates."""
@@ -1047,7 +923,7 @@ class ClusterCoordinator:
     def _gc_finished_locked(self, now: float) -> None:
         """Age-based GC of finished runs and their checkpoints.
 
-        A finished run lingers for ``run_gc_age`` seconds so late status
+        A finished run lingers for ``RUN_GC_AGE`` seconds so late status
         queries and re-attaching streams still find it, then both the
         in-memory state and the store checkpoints go.  Runs with attached
         consumers are pinned.  ``_MAX_FINISHED_RUNS`` stays as a count
@@ -1059,15 +935,14 @@ class ClusterCoordinator:
             for run_id, run in self._runs.items()
             if not run.active and run.consumers == 0
         ]
-        if self.run_gc_age > 0:
-            for run_id, run in collectable:
-                finished_at = run.finished_at if run.finished_at is not None else run.created_at
-                if now - finished_at >= self.run_gc_age:
-                    del self._runs[run_id]
-                    self._delete_checkpoints_locked(run)
-                    self.counters["runs_gced"] += 1
-                    removed = True
-                    logger.info("cluster run %s GC'd after %.0fs", run_id, now - finished_at)
+        for run_id, run in collectable:
+            finished_at = run.finished_at if run.finished_at is not None else run.created_at
+            if now - finished_at >= RUN_GC_AGE:
+                del self._runs[run_id]
+                self._delete_checkpoints_locked(run)
+                self.counters["runs_gced"] += 1
+                removed = True
+                logger.info("cluster run %s GC'd after %.0fs", run_id, now - finished_at)
         remaining = [
             run_id
             for run_id, run in self._runs.items()
@@ -1083,20 +958,28 @@ class ClusterCoordinator:
             self._checkpoint_index_locked()
 
     # -- checkpointing (all hold self._cond; never raises) ---------------------
+    #
+    # A store that refuses a checkpoint (a full disk behind --cache-dir) must
+    # not take leasing down, but it does end resumability: every refusal is
+    # logged and counted in ``checkpoint_failures``.
+
+    def _put_checkpoint_locked(self, key: str, payload: dict) -> None:
+        try:
+            self.store.put_json(CHECKPOINT_KIND, key, payload)
+        except Exception as err:
+            self.counters["checkpoint_failures"] += 1
+            logger.warning("checkpoint %s/%s failed: %s", CHECKPOINT_KIND, key, err)
+        else:
+            self.counters["checkpoints_written"] += 1
 
     def _checkpoint_index_locked(self) -> None:
-        if self.store is None:
-            return
-        try:
-            self.store.put_json(CHECKPOINT_KIND, _INDEX_KEY, {"runs": list(self._runs)})
-            self.counters["checkpoints_written"] += 1
-        except Exception as err:  # pragma: no cover - defensive
-            logger.warning("cluster-run index checkpoint failed: %s", err)
+        if self.store is not None:
+            self._put_checkpoint_locked(_INDEX_KEY, {"runs": list(self._runs)})
 
     def _checkpoint_run_locked(self, run: _ClusterRun) -> None:
         if self.store is None:
             return
-        payload = {
+        self._put_checkpoint_locked(run.run_id, {
             "run_id": run.run_id,
             "plan": plan_wire_payload(run.plan),
             "config": run.config_payload,
@@ -1111,25 +994,11 @@ class ClusterCoordinator:
                 "committed": run.committer.committed,
                 "remaining": run.committer.remaining,
             },
-        }
-        try:
-            self.store.put_json(CHECKPOINT_KIND, run.run_id, payload)
-            self.counters["checkpoints_written"] += 1
-        except Exception as err:  # pragma: no cover - defensive
-            logger.warning("checkpoint of cluster run %s failed: %s", run.run_id, err)
+        })
 
     def _checkpoint_group_locked(self, run: _ClusterRun, index: int, rows: list[dict]) -> None:
-        if self.store is None:
-            return
-        try:
-            self.store.put_json(
-                CHECKPOINT_KIND, _group_key(run.run_id, index), {"rows": rows}
-            )
-            self.counters["checkpoints_written"] += 1
-        except Exception as err:  # pragma: no cover - defensive
-            logger.warning(
-                "rows checkpoint of %s group %d failed: %s", run.run_id, index, err
-            )
+        if self.store is not None:
+            self._put_checkpoint_locked(_group_key(run.run_id, index), {"rows": rows})
 
     def _delete_checkpoints_locked(self, run: _ClusterRun) -> None:
         if self.store is None:
@@ -1141,7 +1010,8 @@ class ClusterCoordinator:
         for name in names:
             try:
                 self.store.delete_bytes(CHECKPOINT_KIND, name)
-            except Exception as err:  # pragma: no cover - defensive
+            except Exception as err:
+                self.counters["checkpoint_failures"] += 1
                 logger.warning("checkpoint delete of %s/%s failed: %s", CHECKPOINT_KIND, name, err)
 
 

@@ -379,7 +379,6 @@ class ClusterWorker:
                 "worker": self.worker_id,
                 "run_id": lease.get("run_id"),
                 "group_index": lease.get("group_index"),
-                "speculative": bool(lease.get("speculative", False)),
             },
         )
 

@@ -14,7 +14,6 @@ from repro.engine.backends import (
     MemoryBackend,
     RemoteBackend,
     ReplicatedBackend,
-    ShardedBackend,
     StoreBackend,
     TierStats,
     payload_intact,
@@ -51,7 +50,6 @@ __all__ = [
     "OrderedCommitter",
     "RemoteBackend",
     "ReplicatedBackend",
-    "ShardedBackend",
     "StoreBackend",
     "TierStats",
     "canonical_cell_keys",

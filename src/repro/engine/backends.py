@@ -13,9 +13,6 @@ Backends:
   LRU-bounded; useful as a hot tier in front of a slow (remote) tier.
 * :class:`DiskBackend` -- today's on-disk layout (``root/<kind>/<name>``),
   written via a durable atomic temp-file + ``os.replace`` + fsync protocol.
-* :class:`ShardedBackend` -- deterministic consistent-hash fan-out over N
-  child backends (N local directories, N remote peers, or a mix); the same
-  ``(kind, name)`` maps to the same shard in every process on every host.
 * :class:`RemoteBackend` -- stdlib HTTP client speaking the serving layer's
   ``/artifacts/<kind>/<name>`` endpoints, with per-thread keep-alive
   connections; any running ``repro-serve`` instance is a valid peer.
@@ -32,8 +29,6 @@ counters through ``repro.engine.stats()`` as ``store_tiers``.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import http.client
 import io
 import json
@@ -61,13 +56,21 @@ __all__ = [
     "StoreBackend",
     "MemoryBackend",
     "DiskBackend",
-    "ShardedBackend",
     "RemoteBackend",
     "ReplicatedBackend",
     "atomic_write_bytes",
     "backend_from_spec",
     "payload_intact",
 ]
+
+#: Per-request socket timeout of a remote tier, in seconds.
+SOCKET_TIMEOUT = 10.0
+
+#: Seconds an open remote breaker fails fast before it half-opens.
+FAILURE_COOLDOWN = 30.0
+
+#: Base delay of a remote write's one retry (jittered to 50-150% of it).
+PUT_RETRY_DELAY = 0.1
 
 
 @dataclass
@@ -154,7 +157,7 @@ class StoreBackend:
     """
 
     name: str = "backend"
-    #: Whether payloads survive this process (disk, sharded disk, remote).
+    #: Whether payloads survive this process (disk, remote).
     persistent: bool = False
     #: Whether any operation can reach another node (directly or through a
     #: child backend).  The serving layer's /artifacts handlers exclude such
@@ -314,91 +317,6 @@ class DiskBackend(StoreBackend):
         return {**super().describe(), "root": str(self.root)}
 
 
-def _ring_hash(token: str) -> int:
-    return int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-
-
-class ShardedBackend(StoreBackend):
-    """Deterministic consistent-hash fan-out over N child backends.
-
-    Each shard claims ``points_per_shard`` pseudo-random points on a hash
-    ring; a key is owned by the shard whose point follows the key's hash.
-    The mapping depends only on SHA-256 of shard index and key (never on
-    Python's salted ``hash``), so every process and every host routes the
-    same ``(kind, name)`` to the same shard -- the property the multi-host
-    grid relies on.  Consistent hashing (rather than ``hash % N``) keeps
-    most keys in place when a shard is added or removed.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self, shards: Sequence[StoreBackend], *, points_per_shard: int = 64
-    ) -> None:
-        super().__init__()
-        if not shards:
-            raise ValueError("ShardedBackend needs at least one shard")
-        self.shards = list(shards)
-        self.points_per_shard = int(points_per_shard)
-        self.persistent = any(shard.persistent for shard in self.shards)
-        self.remote_capable = any(shard.remote_capable for shard in self.shards)
-        self._ring: list[tuple[int, int]] = sorted(
-            (_ring_hash(f"shard:{index}:{point}"), index)
-            for index in range(len(self.shards))
-            for point in range(points_per_shard)
-        )
-        self._ring_keys = [entry[0] for entry in self._ring]
-
-    @classmethod
-    def local(cls, root: str | Path, n_shards: int) -> "ShardedBackend":
-        """N disk shards under ``root/shard-00 .. root/shard-<N-1>``."""
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        return cls(
-            [DiskBackend(Path(root) / f"shard-{index:02d}") for index in range(n_shards)]
-        )
-
-    def shard_index(self, kind: str, name: str) -> int:
-        """The shard owning ``(kind, name)`` (exposed for tests and tooling)."""
-        point = _ring_hash(f"{kind}/{name}")
-        slot = bisect.bisect_right(self._ring_keys, point) % len(self._ring)
-        return self._ring[slot][1]
-
-    def shard_for(self, kind: str, name: str) -> StoreBackend:
-        return self.shards[self.shard_index(kind, name)]
-
-    def _get(self, kind: str, name: str) -> bytes | None:
-        return self.shard_for(kind, name).get(kind, name)
-
-    def _put(self, kind: str, name: str, payload: bytes) -> None:
-        self.shard_for(kind, name).put(kind, name, payload)
-
-    def _contains(self, kind: str, name: str) -> bool:
-        return self.shard_for(kind, name).contains(kind, name)
-
-    def _delete(self, kind: str, name: str) -> None:
-        self.shard_for(kind, name).delete(kind, name)
-
-    def spec(self) -> dict | None:
-        shard_specs = [shard.spec() for shard in self.shards]
-        if any(spec is None for spec in shard_specs):
-            return None
-        # points_per_shard shapes the hash ring: dropping it would make a
-        # worker rebuilt from this spec route keys to different shards.
-        return {
-            "backend": "sharded",
-            "shards": shard_specs,
-            "points_per_shard": self.points_per_shard,
-        }
-
-    def describe(self) -> dict:
-        return {
-            **super().describe(),
-            "n_shards": len(self.shards),
-            "shards": [shard.describe() for shard in self.shards],
-        }
-
-
 class CircuitOpenError(ConnectionError):
     """Fail-fast rejection because a peer's circuit breaker is open.
 
@@ -417,7 +335,7 @@ class RemoteBackend(StoreBackend):
     cache misses and dropped best-effort writes (counted in ``errors``) --
     remote tiers accelerate, they must never take the computation down.
     After a connection failure the backend cools down for
-    ``failure_cooldown`` seconds, answering misses immediately instead of
+    ``FAILURE_COOLDOWN`` seconds, answering misses immediately instead of
     paying the full socket timeout on every subsequent operation.  Once the
     cooldown elapses the breaker goes **half-open**: exactly one request is
     let through to probe the peer while every other thread keeps failing
@@ -433,9 +351,6 @@ class RemoteBackend(StoreBackend):
         self,
         url: str,
         *,
-        timeout: float = 10.0,
-        failure_cooldown: float = 30.0,
-        put_retry_delay: float = 0.1,
         clock=time.monotonic,
         rng: random.Random | None = None,
         sleep=time.sleep,
@@ -449,9 +364,6 @@ class RemoteBackend(StoreBackend):
         if not split.hostname:
             raise ValueError(f"remote store URL has no host: {url!r}")
         self.url = url
-        self.timeout = float(timeout)
-        self.failure_cooldown = float(failure_cooldown)
-        self.put_retry_delay = float(put_retry_delay)
         self._rng = rng if rng is not None else random.Random()
         self._sleep = sleep
         self._scheme = split.scheme
@@ -477,7 +389,7 @@ class RemoteBackend(StoreBackend):
                 if self._scheme == "https"
                 else http.client.HTTPConnection
             )
-            conn = factory(self._host, self._port, timeout=self.timeout)
+            conn = factory(self._host, self._port, timeout=SOCKET_TIMEOUT)
             self._local.conn = conn
         return conn
 
@@ -556,7 +468,7 @@ class RemoteBackend(StoreBackend):
             # Re-arm the cooldown and release the probe slot in ONE critical
             # section: releasing first would let a concurrent caller slip in
             # as a second probe against the still-expired deadline.
-            self._down_until = self._clock() + self.failure_cooldown
+            self._down_until = self._clock() + FAILURE_COOLDOWN
             if probing:
                 self._probing = False
         raise ConnectionError(f"remote store {self.url} unreachable: {last_error}")
@@ -604,7 +516,7 @@ class RemoteBackend(StoreBackend):
             logger.warning("remote tier PUT %s/%s: %s", kind, name, error_detail)
             self.stats.errors += 1
             return
-        self._sleep(self.put_retry_delay * (0.5 + self._rng.random()))
+        self._sleep(PUT_RETRY_DELAY * (0.5 + self._rng.random()))
         try:
             status, _ = self._request("PUT", kind, name, body=payload, force=True)
         except ConnectionError as error:
@@ -648,13 +560,7 @@ class RemoteBackend(StoreBackend):
         return not self.breaker_open
 
     def spec(self) -> dict:
-        return {
-            "backend": "remote",
-            "url": self.url,
-            "timeout": self.timeout,
-            "failure_cooldown": self.failure_cooldown,
-            "put_retry_delay": self.put_retry_delay,
-        }
+        return {"backend": "remote", "url": self.url}
 
     def describe(self) -> dict:
         return {**super().describe(), "url": self.url, "breaker_open": self.breaker_open}
@@ -680,20 +586,14 @@ class ReplicatedBackend(StoreBackend):
     the target replica, ``hints_dropped`` here), keeping degradation
     observable rather than unbounded.
 
-    ``validate`` enables byte-level integrity checks (:func:`payload_intact`)
-    on every replica read, turning a bit-flipped copy into a repairable miss
-    instead of a poisoned artifact.
+    Every replica read is checked byte by byte (:func:`payload_intact`),
+    turning a bit-flipped copy into a repairable miss instead of a poisoned
+    artifact.
     """
 
     name = "replicated"
 
-    def __init__(
-        self,
-        replicas: Sequence[StoreBackend],
-        *,
-        max_hints: int = 512,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, replicas: Sequence[StoreBackend], *, max_hints: int = 512) -> None:
         super().__init__()
         if not replicas:
             raise ValueError("ReplicatedBackend needs at least one replica")
@@ -701,7 +601,6 @@ class ReplicatedBackend(StoreBackend):
             raise ValueError(f"max_hints must be >= 1, got {max_hints}")
         self.replicas = list(replicas)
         self.max_hints = int(max_hints)
-        self.validate = bool(validate)
         self.persistent = any(replica.persistent for replica in self.replicas)
         self.remote_capable = any(replica.remote_capable for replica in self.replicas)
         self.repairs = 0
@@ -791,7 +690,7 @@ class ReplicatedBackend(StoreBackend):
         return replica.stats.errors == before
 
     def _intact(self, replica: StoreBackend, name: str, payload: bytes) -> bool:
-        if not self.validate or payload_intact(name, payload):
+        if payload_intact(name, payload):
             return True
         replica.stats.corrupt += 1
         self.stats.corrupt += 1
@@ -877,7 +776,6 @@ class ReplicatedBackend(StoreBackend):
             "backend": "replicated",
             "replicas": replica_specs,
             "max_hints": self.max_hints,
-            "validate": self.validate,
         }
 
     def describe(self) -> dict:
@@ -900,22 +798,11 @@ def backend_from_spec(spec: dict) -> StoreBackend:
         return MemoryBackend(max_entries=spec.get("max_entries"))
     if backend == "disk":
         return DiskBackend(spec["root"])
-    if backend == "sharded":
-        return ShardedBackend(
-            [backend_from_spec(child) for child in spec["shards"]],
-            points_per_shard=spec.get("points_per_shard", 64),
-        )
     if backend == "remote":
-        return RemoteBackend(
-            spec["url"],
-            timeout=spec.get("timeout", 10.0),
-            failure_cooldown=spec.get("failure_cooldown", 30.0),
-            put_retry_delay=spec.get("put_retry_delay", 0.1),
-        )
+        return RemoteBackend(spec["url"])
     if backend == "replicated":
         return ReplicatedBackend(
             [backend_from_spec(child) for child in spec["replicas"]],
             max_hints=spec.get("max_hints", 512),
-            validate=spec.get("validate", True),
         )
     raise ValueError(f"unknown backend spec {spec!r}")

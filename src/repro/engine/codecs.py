@@ -5,7 +5,7 @@ dict of arrays, an embedding pair) with *where* it lives (memory dict, disk
 file).  The codecs extract the first concern: each codec turns one artifact
 family into bytes and back, and every storage backend
 (:mod:`repro.engine.backends`) only ever moves bytes.  That is what makes the
-backends interchangeable -- a sharded directory tree and a remote HTTP peer
+backends interchangeable -- a replica directory and a remote HTTP peer
 serve exactly the same payloads a local disk tier writes.
 
 The byte formats match the pre-codec store's disk layout:

@@ -246,7 +246,7 @@ def _init_worker(
 
     ``store_spec`` is the parent store's :meth:`ArtifactStore.spec` (or a bare
     root path, or ``None``); each worker rebuilds the same tier stack -- disk,
-    shards, remote peers -- so artifacts written by any process land where
+    replicas, remote peers -- so artifacts written by any process land where
     every other process looks for them.  ``corpus_pair`` is the parent's
     already-generated corpus pair, so the worker generates none.  ``pairs``
     maps store keys to the trained embedding pairs the parent store held in

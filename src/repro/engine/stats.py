@@ -47,11 +47,11 @@ def stats(
     ``caches`` maps display names to
     :class:`~repro.measures.base.DecompositionCache` instances (e.g. a
     serving process's long-lived cache); ``coordinator`` adds a cluster
-    section (leases issued/expired/reassigned/speculative, checkpoint and
-    resume counters, drain state, per-worker throughput plus the monotonic
-    ``fleet`` aggregates that survive idle-worker eviction); ``monitor``
-    adds the online instability monitor's snapshot (versions, ingest and
-    retrain counters, last drift report).
+    section (leases issued/expired/reassigned, checkpoint writes and
+    failures, resume counters, drain state, per-worker throughput plus the
+    monotonic ``fleet`` aggregates that survive idle-worker eviction);
+    ``monitor`` adds the online instability monitor's snapshot (versions,
+    ingest and retrain counters, last drift report).
 
     The snapshot always contains the keys ``store``, ``pipeline``,
     ``decomposition_caches``, ``warmup``, ``cluster``, ``monitor`` and

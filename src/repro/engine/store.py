@@ -12,16 +12,15 @@ The store is layered:
   object identity within a process -- it also backs :meth:`preload` (worker
   warm-up) and :meth:`memory_entries`;
 * below it, a **tier stack** of byte-level backends
-  (:mod:`repro.engine.backends`): a local disk tree, N sharded directories,
-  a remote ``repro-serve`` peer, or any combination.  Reads walk tiers top to
-  bottom and promote hits into the tiers above (read-through); writes encode
-  once and land in every tier, top to bottom, before the write returns
-  (write-through).
+  (:mod:`repro.engine.backends`): a local disk tree, a remote
+  ``repro-serve`` peer, a replicated tier, or a combination.  Reads walk
+  tiers top to bottom and promote hits into the tiers above (read-through);
+  writes encode once and land in every tier, top to bottom, before the
+  write returns (write-through).
 
 ``ArtifactStore(root)`` keeps the original behaviour and on-disk layout:
 one memory tier plus one disk tier at ``root/<kind>/<key>.{json,npz}``.
-``shards=N`` replaces the disk tier with N consistent-hashed shard
-directories; ``remote_url=...`` appends an HTTP peer tier;
+``remote_url=...`` appends an HTTP peer tier;
 ``replicas=[...]`` appends an N-way replicated tier (first-success reads
 with read-repair, fan-out writes with hinted handoff).  Because keys are
 content hashes, they are location-independent: any tier on any host serves
@@ -49,7 +48,6 @@ from repro.engine.backends import (
     DiskBackend,
     RemoteBackend,
     ReplicatedBackend,
-    ShardedBackend,
     StoreBackend,
     backend_from_spec,
 )
@@ -128,15 +126,11 @@ class ArtifactStore:
     Parameters
     ----------
     root:
-        Local cache directory.  ``None`` keeps the store memory-only unless
-        other tiers are given.  With ``shards`` <= 1 the disk layout is the
-        original ``root/<kind>/<key>.{json,npz}``.
+        Local cache directory, laid out as ``root/<kind>/<key>.{json,npz}``.
+        ``None`` keeps the store memory-only unless other tiers are given.
     backends:
-        Explicit tier stack (upper tier first); overrides ``root``/``shards``/
-        ``remote_url`` construction.
-    shards:
-        Split the local disk tier into this many consistent-hashed shard
-        directories (``root/shard-00`` ...).  Values <= 1 mean unsharded.
+        Explicit tier stack (upper tier first); overrides ``root``/
+        ``remote_url``/``replicas`` construction.
     remote_url:
         A peer ``repro-serve`` base URL appended as the lowest tier; local
         misses are fetched from the peer and promoted into the tiers above.
@@ -149,8 +143,6 @@ class ArtifactStore:
         Writes fan out to every replica; reads are first-success with
         read-repair and hinted handoff.  Mutually exclusive with
         ``remote_url``.
-    remote_timeout:
-        Per-request socket timeout of the remote tier(s), in seconds.
     """
 
     def __init__(
@@ -158,37 +150,25 @@ class ArtifactStore:
         root: str | Path | None = None,
         *,
         backends: Sequence[StoreBackend] | None = None,
-        shards: int | None = None,
         remote_url: str | None = None,
         replicas: Sequence[str | Path] | None = None,
-        remote_timeout: float = 10.0,
     ) -> None:
         self.root = Path(root) if root is not None else None
         if backends is not None:
-            if shards or remote_url or replicas:
-                raise ValueError(
-                    "pass either explicit backends or shards/remote_url/replicas"
-                )
+            if remote_url or replicas:
+                raise ValueError("pass either explicit backends or remote_url/replicas")
             self.tiers: list[StoreBackend] = list(backends)
         else:
             if remote_url and replicas:
                 raise ValueError("pass either remote_url or replicas, not both")
             self.tiers = []
             if self.root is not None:
-                if shards is not None and shards > 1:
-                    self.tiers.append(ShardedBackend.local(self.root, shards))
-                else:
-                    self.tiers.append(DiskBackend(self.root))
+                self.tiers.append(DiskBackend(self.root))
             if remote_url:
-                self.tiers.append(RemoteBackend(remote_url, timeout=remote_timeout))
+                self.tiers.append(RemoteBackend(remote_url))
             if replicas:
                 self.tiers.append(
-                    ReplicatedBackend(
-                        [
-                            self._replica_backend(entry, remote_timeout)
-                            for entry in replicas
-                        ]
-                    )
+                    ReplicatedBackend([self._replica_backend(entry) for entry in replicas])
                 )
         self._memory: dict[tuple[str, str], Any] = {}
         #: Codec each memory entry was stored/decoded with.  The byte-level
@@ -218,7 +198,7 @@ class ArtifactStore:
 
     @property
     def persistent(self) -> bool:
-        """Whether any tier outlives this process (disk, shards, or a peer)."""
+        """Whether any tier outlives this process (disk or a peer)."""
         return any(tier.persistent for tier in self.tiers)
 
     def key(self, **fields: Any) -> str:
@@ -271,19 +251,17 @@ class ArtifactStore:
         return sum(sizes) + sum(len(payload) for payload in payloads)
 
     @staticmethod
-    def _replica_backend(entry: str | Path, timeout: float) -> StoreBackend:
+    def _replica_backend(entry: str | Path) -> StoreBackend:
         """One ``replicas=`` entry: a peer URL or a local directory."""
         text = str(entry)
         if "://" in text:
-            return RemoteBackend(text, timeout=timeout)
+            return RemoteBackend(text)
         return DiskBackend(entry)
 
     def _walk_tiers(self):
-        """Every backend in the stack, depth-first through shards/replicas."""
+        """Every backend in the stack, depth-first through replicas."""
         def walk(backend: StoreBackend):
             yield backend
-            for child in getattr(backend, "shards", ()):
-                yield from walk(child)
             for child in getattr(backend, "replicas", ()):
                 yield from walk(child)
         for tier in self.tiers:
@@ -555,7 +533,6 @@ class ArtifactStore:
 # configuration stays a private in-memory store per pipeline.
 
 _DEFAULT_ROOT: Path | None = None
-_DEFAULT_SHARDS: int | None = None
 _DEFAULT_REMOTE_URL: str | None = None
 _DEFAULT_REPLICAS: tuple[str, ...] | None = None
 
@@ -563,28 +540,23 @@ _DEFAULT_REPLICAS: tuple[str, ...] | None = None
 def configure_default_store(
     root: str | Path | None,
     *,
-    shards: int | None = None,
     remote_url: str | None = None,
     replicas: Sequence[str] | None = None,
 ) -> None:
     """Set (or clear, with all-``None``) the process-wide store construction."""
-    global _DEFAULT_ROOT, _DEFAULT_SHARDS, _DEFAULT_REMOTE_URL, _DEFAULT_REPLICAS
+    global _DEFAULT_ROOT, _DEFAULT_REMOTE_URL, _DEFAULT_REPLICAS
     _DEFAULT_ROOT = Path(root) if root is not None else None
-    _DEFAULT_SHARDS = shards
     _DEFAULT_REMOTE_URL = remote_url
     _DEFAULT_REPLICAS = tuple(replicas) if replicas else None
     if _DEFAULT_ROOT is not None or remote_url is not None or replicas:
         logger.info(
-            "default artifact store: root=%s shards=%s remote=%s replicas=%s",
-            _DEFAULT_ROOT, shards, remote_url, _DEFAULT_REPLICAS,
+            "default artifact store: root=%s remote=%s replicas=%s",
+            _DEFAULT_ROOT, remote_url, _DEFAULT_REPLICAS,
         )
 
 
 def default_store() -> ArtifactStore:
     """A store built from the configured defaults, or a fresh in-memory store."""
     return ArtifactStore(
-        _DEFAULT_ROOT,
-        shards=_DEFAULT_SHARDS,
-        remote_url=_DEFAULT_REMOTE_URL,
-        replicas=_DEFAULT_REPLICAS,
+        _DEFAULT_ROOT, remote_url=_DEFAULT_REMOTE_URL, replicas=_DEFAULT_REPLICAS
     )

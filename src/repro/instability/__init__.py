@@ -1,4 +1,4 @@
-"""Downstream instability: Definition 1, the end-to-end pipeline, and the grid runner."""
+"""Downstream instability: Definition 1, the end-to-end pipeline, and the grid records."""
 
 from repro.instability.downstream import (
     classification_disagreement,
@@ -8,12 +8,11 @@ from repro.instability.downstream import (
     unstable_rank_at_k,
 )
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig, DownstreamResult
-from repro.instability.grid import GridRecord, GridRunner, records_to_rows
+from repro.instability.grid import GridRecord, records_to_rows
 
 __all__ = [
     "DownstreamResult",
     "GridRecord",
-    "GridRunner",
     "InstabilityPipeline",
     "PipelineConfig",
     "classification_disagreement",

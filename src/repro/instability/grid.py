@@ -1,10 +1,11 @@
-"""Dimension-precision grid runner: the data behind Figures 1-2 and Tables 1-3.
+"""Dimension-precision grid records: the data behind Figures 1-2 and Tables 1-3.
 
 A :class:`GridRecord` is one fully-evaluated grid point: an (algorithm, task,
 dimension, precision, seed) combination with its downstream disagreement, the
 downstream quality of both models, and (optionally) the values of every
-embedding distance measure on the same embedding pair.  The analysis, selection
-and reporting modules all consume lists of these records.
+embedding distance measure on the same embedding pair.
+:class:`~repro.engine.scheduler.GridEngine` produces them; the analysis,
+selection and reporting modules all consume lists of them.
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compression.memory import bits_per_word
-from repro.instability.pipeline import InstabilityPipeline
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
-
-__all__ = ["GridRecord", "GridRunner", "records_to_rows", "average_over_seeds"]
+__all__ = ["GridRecord", "records_to_rows", "average_over_seeds"]
 
 
 @dataclass(frozen=True)
@@ -117,55 +114,3 @@ def average_over_seeds(records: list[GridRecord]) -> list[GridRecord]:
             )
         )
     return averaged
-
-
-class GridRunner:
-    """Sweep the dimension-precision grid of an :class:`InstabilityPipeline`.
-
-    A thin compatibility facade over :class:`repro.engine.scheduler.GridEngine`:
-    records come back in the same axis-product order as the original serial
-    loop, but cells are scheduled by shared ancestry, every artifact goes
-    through the pipeline's store, and ``n_workers`` fans independent cell
-    groups out over processes.
-    """
-
-    def __init__(self, pipeline: InstabilityPipeline, *, n_workers: int = 0) -> None:
-        self.pipeline = pipeline
-        self.n_workers = int(n_workers)
-
-    def run(
-        self,
-        *,
-        algorithms: tuple[str, ...] | None = None,
-        tasks: tuple[str, ...] | None = None,
-        dimensions: tuple[int, ...] | None = None,
-        precisions: tuple[int, ...] | None = None,
-        seeds: tuple[int, ...] | None = None,
-        with_measures: bool = False,
-        model_type: str = "bow",
-        n_workers: int | None = None,
-    ) -> list[GridRecord]:
-        """Evaluate every combination and return the grid records.
-
-        Any axis left as ``None`` defaults to the pipeline configuration.
-        """
-        from repro.engine.scheduler import GridEngine
-
-        engine = GridEngine(self.pipeline, n_workers=self.n_workers)
-        return engine.run(
-            algorithms=algorithms,
-            tasks=tasks,
-            dimensions=dimensions,
-            precisions=precisions,
-            seeds=seeds,
-            with_measures=with_measures,
-            model_type=model_type,
-            n_workers=n_workers,
-        )
-
-    def run_iter(self, *, ordered: bool = True, **axes):
-        """Stream grid records as cells complete (see ``GridEngine.run_iter``)."""
-        from repro.engine.scheduler import GridEngine
-
-        engine = GridEngine(self.pipeline, n_workers=self.n_workers)
-        return engine.run_iter(ordered=ordered, **axes)

@@ -1,12 +1,11 @@
 """The store command-line options, declared once for every entry point.
 
 ``repro-serve``, the experiment runner and ``repro-worker`` take the same
-flags for the artifact store (``--cache-dir``, ``--store-shards``,
-``--store-url``, ``--store-replicas``).  Each flag, the rules on how they
-combine, and the process-wide store they configure are defined here;
-``repro-worker`` takes only the two that apply to its per-run stores.  The
-runner's ``--serve`` hands the same flags on to ``repro-serve`` through
-:func:`forward`.
+flags for the artifact store (``--cache-dir``, ``--store-url``,
+``--store-replicas``).  Each flag, the rule on how they combine, and the
+process-wide store they configure are defined here; ``repro-worker`` takes
+only the two that apply to its per-run stores.  The runner's ``--serve``
+hands the same flags on to ``repro-serve`` through :func:`forward`.
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ _OPTIONS: dict[str, dict] = {
         default=None,
         help="disk-backed artifact store tier; reruns and restarts reuse its "
              "artifacts instead of retraining",
-    ),
-    "--store-shards": dict(
-        type=int, default=None,
-        help="split the local store into N consistent-hashed shard "
-             "directories under --cache-dir",
     ),
     "--store-url": dict(
         default=None,
@@ -47,17 +41,13 @@ _OPTIONS: dict[str, dict] = {
 def add_options(
     parser: argparse.ArgumentParser, flags: tuple[str, ...] = tuple(_OPTIONS)
 ) -> None:
-    """Declare ``flags`` (default: all four) on ``parser``."""
+    """Declare ``flags`` (default: all three) on ``parser``."""
     for flag in flags:
         parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Exit with status 2 when the store flags do not describe one store."""
-    if args.store_shards is not None and args.cache_dir is None:
-        parser.error("--store-shards requires --cache-dir (it shards the local store)")
-    if args.store_shards is not None and args.store_shards < 1:
-        parser.error("--store-shards must be >= 1")
     if args.store_url and args.store_replicas:
         parser.error("--store-url and --store-replicas are mutually exclusive")
 
@@ -75,12 +65,7 @@ def configure(args: argparse.Namespace) -> None:
     """
     replicas = store_replicas(args)
     if args.cache_dir or args.store_url or replicas:
-        configure_default_store(
-            args.cache_dir,
-            shards=args.store_shards,
-            remote_url=args.store_url,
-            replicas=replicas,
-        )
+        configure_default_store(args.cache_dir, remote_url=args.store_url, replicas=replicas)
 
 
 def forward(args: argparse.Namespace) -> list[str]:

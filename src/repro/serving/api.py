@@ -1343,8 +1343,7 @@ async def _serve(args: argparse.Namespace) -> int:
         quick_serve_config() if args.quick else None,
         config=ServiceConfig(
             max_concurrency=args.max_concurrency, grid_workers=args.workers,
-            lease_ttl=args.lease_ttl, run_gc_age=args.run_gc_age,
-            worker_ttl=args.worker_ttl,
+            lease_ttl=args.lease_ttl,
             trace_sample=args.trace_sample, trace_slow_ms=args.slow_ms,
         ),
     )
@@ -1444,16 +1443,6 @@ def main(argv: list[str] | None = None) -> int:
         help="rebuild cluster runs from store checkpoints at boot (needs a "
              "persistent --cache-dir; unfinished groups re-lease, committed "
              "records replay)",
-    )
-    parser.add_argument(
-        "--run-gc-age", type=float, default=3600.0,
-        help="seconds a finished cluster run (and its checkpoints) is kept "
-             "before age GC (0 disables)",
-    )
-    parser.add_argument(
-        "--worker-ttl", type=float, default=300.0,
-        help="seconds of silence before an idle cluster worker is evicted "
-             "from the status table (0 disables)",
     )
     parser.add_argument(
         "--quick", action="store_true",

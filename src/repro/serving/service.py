@@ -48,7 +48,7 @@ from repro.compression.memory import bits_per_word
 from repro.engine import ArtifactStore, GridEngine, plan_grid
 from repro.engine import stats as engine_stats
 from repro.instability.grid import GridRecord
-from repro.measures.base import DEFAULT_CACHE_ENTRIES, MEASURES, DecompositionCache
+from repro.measures.base import MEASURES, DecompositionCache
 from repro.selection.budget import recommend_under_budget
 from repro.selection.criteria import (
     HIGH_PRECISION,
@@ -81,20 +81,9 @@ class ServiceConfig:
     max_concurrency: int = 4
     #: Process fan-out for /grid executions; 0 = in-process serial.
     grid_workers: int = 0
-    #: Entry bound of the long-lived decomposition cache.
-    decomposition_cache_entries: int | None = DEFAULT_CACHE_ENTRIES
     #: Seconds a cluster lease survives without a heartbeat (see
     #: :class:`~repro.cluster.coordinator.ClusterCoordinator`).
     lease_ttl: float = 60.0
-    #: Seconds a finished cluster run (and its checkpoints) is retained
-    #: before age GC; 0 disables age GC.
-    run_gc_age: float = 3600.0
-    #: Seconds of silence before an idle cluster worker is evicted from the
-    #: status table; 0 disables eviction.
-    worker_ttl: float = 300.0
-    #: Straggler threshold multiplier for speculative re-leases; 0 disables
-    #: speculation.
-    speculation_factor: float = 2.0
     #: Probability a request is traced into the bounded trace ring
     #: (``repro-serve --trace-sample``).  With ``trace_sample=0`` and
     #: ``trace_slow_ms=0`` tracing is fully disabled: no spans are recorded.
@@ -103,9 +92,6 @@ class ServiceConfig:
     #: retained in the slow ring regardless of sampling
     #: (``repro-serve --slow-ms``); 0 disables the slow keep-policy.
     trace_slow_ms: float = 500.0
-    #: Finished traces retained in the recent ring (the slow ring keeps a
-    #: quarter of this, at least one).
-    trace_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -114,14 +100,8 @@ class ServiceConfig:
             raise ValueError(f"trace_sample must be in [0, 1], got {self.trace_sample}")
         if self.trace_slow_ms < 0:
             raise ValueError(f"trace_slow_ms must be >= 0, got {self.trace_slow_ms}")
-        if self.trace_capacity < 1:
-            raise ValueError(f"trace_capacity must be >= 1, got {self.trace_capacity}")
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl}")
-        if self.run_gc_age < 0:
-            raise ValueError(f"run_gc_age must be >= 0, got {self.run_gc_age}")
-        if self.worker_ttl < 0:
-            raise ValueError(f"worker_ttl must be >= 0, got {self.worker_ttl}")
 
 
 class StabilityService:
@@ -154,9 +134,7 @@ class StabilityService:
             pipeline, store=store, n_workers=self.config.grid_workers
         )
         self.pipeline = self.engine.pipeline
-        self.decomposition_cache = DecompositionCache(
-            max_entries=self.config.decomposition_cache_entries
-        )
+        self.decomposition_cache = DecompositionCache()
         self.started_at = time.time()
         #: Every repro-serve instance is also a cluster coordinator: grids
         #: submitted with ``distributed=true`` are leased to the
@@ -167,18 +145,12 @@ class StabilityService:
         #: Bounded ring of finished request traces (serving /trace/*); also
         #: the stitch point for spans shipped back by cluster workers.
         self.traces = TraceBuffer(
-            capacity=self.config.trace_capacity,
-            slow_capacity=max(1, self.config.trace_capacity // 4),
-            sample=self.config.trace_sample,
-            slow_ms=self.config.trace_slow_ms,
+            sample=self.config.trace_sample, slow_ms=self.config.trace_slow_ms
         )
         self.coordinator = ClusterCoordinator(
             default_config=config_wire_payload(self.pipeline.config),
             lease_ttl=self.config.lease_ttl,
             store=self.pipeline.store,
-            run_gc_age=self.config.run_gc_age,
-            worker_ttl=self.config.worker_ttl,
-            speculation_factor=self.config.speculation_factor,
             trace_sink=self.traces,
         )
         self._executor = ThreadPoolExecutor(

@@ -10,14 +10,20 @@ end-to-end over live HTTP with real workers and an abrupt server stop.
 """
 
 import asyncio
+import errno
 import http.client
 import json
 import threading
 import warnings
 
 from repro.cluster import ClusterWorker, config_wire_payload, plan_from_wire, plan_wire_payload
-from repro.cluster.coordinator import CHECKPOINT_KIND, ClusterCoordinator
-from repro.engine import GridEngine, plan_grid
+from repro.cluster.coordinator import (
+    CHECKPOINT_KIND,
+    MAX_ATTEMPTS,
+    RUN_GC_AGE,
+    ClusterCoordinator,
+)
+from repro.engine import GridEngine, StoreBackend, plan_grid, stats
 from repro.engine.store import ArtifactStore
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
@@ -129,19 +135,20 @@ class TestCheckpointResume:
     def test_attempts_and_config_survive_the_crash(self, tmp_path):
         store = make_store(tmp_path)
         payload = config_wire_payload(quick_serve_config())
-        first = make_coordinator(store, max_attempts=3)
+        first = make_coordinator(store)
         plan = make_plan(with_measures=False)
         run_id = first.create_run(plan, payload)
         lease = first.lease("w1")
         assert first.complete(
             "w1", lease["lease_id"], run_id, lease["group_index"], error="boom"
         )["status"] == "retry"
-        second = make_coordinator(store, max_attempts=3)
+        second = make_coordinator(store)
         second.resume_runs()
         release = second.lease("w2")
         assert release["config"] == json.loads(json.dumps(payload))
         # One pre-crash attempt + this lease: one more error must fail the
         # run only at the third attempt, exactly as without the crash.
+        assert MAX_ATTEMPTS == 3
         assert second.complete(
             "w2", release["lease_id"], run_id, release["group_index"], error="boom"
         )["status"] == "retry"
@@ -163,7 +170,7 @@ class TestCheckpointResume:
     def test_age_gc_deletes_the_checkpoints(self, tmp_path):
         store = make_store(tmp_path)
         clock = FakeClock()
-        coordinator = make_coordinator(store, clock, run_gc_age=100.0)
+        coordinator = make_coordinator(store, clock)
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         while True:
@@ -175,7 +182,7 @@ class TestCheckpointResume:
                 rows_for_group(plan, lease["group_index"]),
             )
         assert store.get_json(CHECKPOINT_KIND, run_id) is not None
-        clock.advance(101.0)
+        clock.advance(RUN_GC_AGE + 1.0)
         coordinator.lease("w1")                               # sweeps
         assert coordinator.run_status(run_id) is None
         assert store.get_json(CHECKPOINT_KIND, run_id) is None
@@ -189,6 +196,53 @@ class TestCheckpointResume:
         coordinator.create_run(make_plan(with_measures=False))
         assert coordinator.counters["checkpoints_written"] == 0
         assert coordinator.resume_runs() == 0
+
+
+class FullDisk(StoreBackend):
+    """A store tier out of space: every write and every delete raises."""
+
+    name = "full-disk"
+    persistent = True
+
+    def _get(self, kind, name):
+        return None
+
+    def _put(self, kind, name, payload):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def _contains(self, kind, name):
+        return False
+
+    def _delete(self, kind, name):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestCheckpointFailures:
+    def test_refused_checkpoints_are_counted_and_the_run_still_finishes(self):
+        clock = FakeClock()
+        coordinator = make_coordinator(ArtifactStore(backends=[FullDisk()]), clock)
+        plan = make_plan(with_measures=False)                 # 2 groups
+        run_id = coordinator.create_run(plan)                 # run + index
+        assert coordinator.counters["checkpoint_failures"] == 2
+        while True:
+            lease = coordinator.lease("w1")                   # run
+            if lease["status"] != "lease":
+                break
+            assert coordinator.complete(                      # group + run
+                "w1", lease["lease_id"], run_id, lease["group_index"],
+                rows_for_group(plan, lease["group_index"]),
+            )["status"] == "ok"
+        records = list(coordinator.records(run_id, poll_interval=0.01))
+        assert [
+            (r.algorithm, r.dim, r.precision, r.seed, r.task) for r in records
+        ] == plan.cell_keys()
+        assert coordinator.counters["checkpoint_failures"] == 2 + 2 * 3
+        clock.advance(RUN_GC_AGE + 1.0)
+        coordinator.lease("w1")             # GC: 3 refused deletes, then index
+        counters = stats(coordinator=coordinator)["cluster"]["counters"]
+        assert counters["runs_gced"] == 1
+        assert counters["checkpoint_failures"] == 2 + 2 * 3 + 3 + 1
+        assert counters["checkpoints_written"] == 0
 
 
 def _boot(service):

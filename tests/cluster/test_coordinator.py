@@ -4,14 +4,22 @@ The coordinator is a plain thread-safe state machine, so everything the
 distributed path relies on -- anchor-first leasing, ancestry gating, expiry
 and reassignment after a worker crash, duplicate-result idempotence, ordered
 record commit -- is pinned here deterministically, without booting servers
-or sleeping through real TTLs.
+or sleeping through real TTLs.  :class:`CoordinatorMachine` then drives
+random interleavings of the same calls and checks the lease and commit
+invariants after every step.
 """
 
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.cluster.coordinator import (
+    MAX_ATTEMPTS,
+    RUN_GC_AGE,
+    WORKER_TTL,
     ClusterCoordinator,
     ClusterRunFailed,
     config_wire_payload,
@@ -330,18 +338,20 @@ class TestCompletion:
         )["status"] == "ok"
 
     def test_reported_error_retries_then_fails_the_run(self):
-        coordinator = make_coordinator(max_attempts=2)
+        coordinator = make_coordinator()
         plan = make_plan()
         run_id = coordinator.create_run(plan)
         lease = coordinator.lease("w1")
+        for _ in range(MAX_ATTEMPTS - 1):
+            answer = coordinator.complete(
+                "w1", lease["lease_id"], run_id, lease["group_index"], error="boom"
+            )
+            assert answer["status"] == "retry"
+            retry = coordinator.lease("w1")
+            assert retry["group_index"] == lease["group_index"]
+            lease = retry
         answer = coordinator.complete(
-            "w1", lease["lease_id"], run_id, lease["group_index"], error="boom"
-        )
-        assert answer["status"] == "retry"
-        retry = coordinator.lease("w1")
-        assert retry["group_index"] == lease["group_index"]
-        answer = coordinator.complete(
-            "w1", retry["lease_id"], run_id, retry["group_index"], error="boom again"
+            "w1", lease["lease_id"], run_id, lease["group_index"], error="boom again"
         )
         assert answer["status"] == "failed"
         with pytest.raises(ClusterRunFailed, match="boom again"):
@@ -452,117 +462,43 @@ class TestDrain:
         assert coordinator.snapshot()["draining"] is True
 
 
-class TestSpeculation:
-    def _run_with_straggler(self, clock, coordinator):
-        """Four no-measure groups: three complete in 2s, one straggles."""
-        plan = make_plan(seeds=(0, 1), with_measures=False)
-        run_id = coordinator.create_run(plan)
-        leases = [coordinator.lease(f"w{i}") for i in range(4)]
-        assert all(l["status"] == "lease" for l in leases)
-        clock.advance(2.0)
-        for i, lease in enumerate(leases[:3]):
-            assert coordinator.complete(
-                f"w{i}", lease["lease_id"], run_id,
-                lease["group_index"], rows_for_group(plan, lease["group_index"]),
-            )["status"] == "ok"
-        return plan, run_id, leases[3]
-
-    def test_straggler_gets_a_second_lease_without_consuming_attempts(self):
+class TestOneLiveLease:
+    def test_idle_worker_waits_while_a_gated_anchor_group_runs_long(self):
+        # Seed 1's anchor group runs more than twice as long as anything
+        # finished so far, and its dim-4 sibling is gated behind it.  The
+        # idle worker must wait: a second lease on the anchor group would
+        # train the same embedding pair twice.
         clock = FakeClock()
         coordinator = make_coordinator(clock, lease_ttl=60.0)
-        plan, run_id, straggler = self._run_with_straggler(clock, coordinator)
-        # Sibling durations are all 2s; the threshold is 2.0 * 2s = 4s.  At
-        # 2s of runtime the straggler is not yet speculation-worthy.
-        assert coordinator.lease("spare")["status"] == "wait"
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        clock.advance(3.0)                           # 5s of runtime > 4s
-        speculative = coordinator.lease("spare")
-        assert speculative["status"] == "lease"
-        assert speculative.get("speculative") is True
-        assert speculative["group_index"] == straggler["group_index"]
-        assert coordinator.counters["leases_speculative"] == 1
-        # Speculation is a hedge, not a retry: the attempt budget is intact
-        # and no reassignment was counted.
-        status = coordinator.run_status(run_id)
-        assert status["leased"] == 1
-        assert coordinator.counters["leases_reassigned"] == 0
-        # Only one speculative copy at a time.
-        assert coordinator.lease("spare2")["status"] == "wait"
-        # First result commits; the loser is a duplicate, not a failure.
+        plan = make_plan(seeds=(0, 1))
+        run_id = coordinator.create_run(plan)
+        first = coordinator.lease("w1")
+        slow = coordinator.lease("w2")
+        assert (first["group"]["seed"], first["group"]["dim"]) == (0, 6)
+        assert (slow["group"]["seed"], slow["group"]["dim"]) == (1, 6)
+        clock.advance(2.0)
         assert coordinator.complete(
-            "spare", speculative["lease_id"], run_id, speculative["group_index"],
-            rows_for_group(plan, speculative["group_index"]),
+            "w1", first["lease_id"], run_id, first["group_index"],
+            rows_for_group(plan, first["group_index"]),
         )["status"] == "ok"
+        sibling = coordinator.lease("w1")
+        assert (sibling["group"]["seed"], sibling["group"]["dim"]) == (0, 4)
+        clock.advance(0.2)
         assert coordinator.complete(
-            "w3", straggler["lease_id"], run_id, straggler["group_index"],
-            rows_for_group(plan, straggler["group_index"]),
-        )["status"] == "duplicate"
-        assert coordinator.run_status(run_id)["completed"] is True
-        assert coordinator.counters["group_failures"] == 0
-
-    def test_speculative_failure_is_stale_and_spares_the_primary(self):
-        clock = FakeClock()
-        coordinator = make_coordinator(clock, lease_ttl=60.0, max_attempts=1)
-        plan, run_id, straggler = self._run_with_straggler(clock, coordinator)
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        clock.advance(5.0)
-        speculative = coordinator.lease("spare")
-        assert speculative["status"] == "lease" and speculative.get("speculative")
-        # The speculative copy blows up -- with max_attempts=1 an authoritative
-        # failure would kill the run; a speculative one must not.
-        answer = coordinator.complete(
-            "spare", speculative["lease_id"], run_id,
-            speculative["group_index"], error="spec boom",
-        )
-        assert answer["status"] == "stale"
-        assert coordinator.counters["group_failures"] == 0
-        assert coordinator.run_status(run_id)["failure"] is None
-        # The primary still owns the group and finishes the run.
-        assert coordinator.complete(
-            "w3", straggler["lease_id"], run_id, straggler["group_index"],
-            rows_for_group(plan, straggler["group_index"]),
+            "w1", sibling["lease_id"], run_id, sibling["group_index"],
+            rows_for_group(plan, sibling["group_index"]),
         )["status"] == "ok"
-        assert coordinator.run_status(run_id)["completed"] is True
-
-    def test_expired_speculative_lease_does_not_release_a_held_group(self):
-        clock = FakeClock()
-        coordinator = make_coordinator(clock, lease_ttl=10.0)
-        plan, run_id, straggler = self._run_with_straggler(clock, coordinator)
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        clock.advance(5.0)
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        speculative = coordinator.lease("spare")
-        assert speculative["status"] == "lease" and speculative.get("speculative")
-        # The speculative worker dies; the primary keeps heartbeating.  When
-        # the speculative lease expires the group must stay leased to the
-        # primary -- releasing it would hand a THIRD copy to the next poller.
-        clock.advance(8.0)
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        clock.advance(3.0)                           # spec lease now expired
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        assert coordinator.counters["leases_expired"] == 1
-        assert coordinator.run_status(run_id)["pending"] == 0
-        assert coordinator.complete(
-            "w3", straggler["lease_id"], run_id, straggler["group_index"],
-            rows_for_group(plan, straggler["group_index"]),
-        )["status"] == "ok"
-
-    def test_speculation_disabled_with_zero_factor(self):
-        clock = FakeClock()
-        coordinator = make_coordinator(clock, lease_ttl=60.0, speculation_factor=0.0)
-        plan, run_id, straggler = self._run_with_straggler(clock, coordinator)
-        for _ in range(4):                           # 200s of runtime, renewed
-            coordinator.heartbeat("w3", straggler["lease_id"])
-            clock.advance(50.0)
-        coordinator.heartbeat("w3", straggler["lease_id"])
-        assert coordinator.lease("spare")["status"] == "wait"
-        assert coordinator.counters["leases_speculative"] == 0
+        assert coordinator.heartbeat("w2", slow["lease_id"])["status"] == "ok"
+        clock.advance(2.0)                           # w2's lease has run 4.2 s
+        assert coordinator.lease("w1") == {"status": "wait"}
+        assert coordinator.counters["leases_issued"] == 3
+        assert coordinator.run_status(run_id)["leased"] == 1
 
 
 class TestWorkerEviction:
     def test_idle_worker_is_evicted_and_fleet_totals_stay_monotonic(self):
         clock = FakeClock()
-        coordinator = make_coordinator(clock, worker_ttl=100.0)
+        coordinator = make_coordinator(clock)
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         lease = coordinator.lease("old")
@@ -572,7 +508,7 @@ class TestWorkerEviction:
         )
         before = coordinator.snapshot()["fleet"]
         assert before["cells_completed"] == 2 and before["workers_live"] == 1
-        clock.advance(101.0)
+        clock.advance(WORKER_TTL + 1.0)
         coordinator.lease("fresh")                   # any request sweeps
         snapshot = coordinator.snapshot()
         assert "old" not in snapshot["workers"]
@@ -586,21 +522,13 @@ class TestWorkerEviction:
 
     def test_worker_holding_a_lease_is_never_evicted(self):
         clock = FakeClock()
-        coordinator = make_coordinator(clock, worker_ttl=5.0, lease_ttl=100.0)
+        coordinator = make_coordinator(clock, lease_ttl=2 * WORKER_TTL)
         coordinator.create_run(make_plan(with_measures=False))
         lease = coordinator.lease("busy")
-        clock.advance(50.0)
+        clock.advance(WORKER_TTL + 50.0)
         coordinator.heartbeat("busy", lease["lease_id"])
         assert "busy" in coordinator.snapshot()["workers"]
         assert coordinator.counters["workers_evicted"] == 0
-
-    def test_eviction_disabled_with_zero_ttl(self):
-        clock = FakeClock()
-        coordinator = make_coordinator(clock, worker_ttl=0.0)
-        coordinator.lease("w1")                      # registers the worker
-        clock.advance(1e6)
-        coordinator.lease("w2")
-        assert "w1" in coordinator.snapshot()["workers"]
 
 
 class TestRunGC:
@@ -616,29 +544,29 @@ class TestRunGC:
 
     def test_finished_run_is_gced_by_age(self):
         clock = FakeClock()
-        coordinator = make_coordinator(clock, run_gc_age=100.0)
+        coordinator = make_coordinator(clock)
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         self._finish_run(coordinator, plan, run_id)
         assert coordinator.run_status(run_id)["completed"] is True
-        clock.advance(50.0)
+        clock.advance(RUN_GC_AGE / 2)
         coordinator.lease("w")                       # sweeps; too young to GC
         assert coordinator.run_status(run_id) is not None
-        clock.advance(51.0)
+        clock.advance(RUN_GC_AGE / 2 + 1.0)
         coordinator.lease("w")
         assert coordinator.run_status(run_id) is None
         assert coordinator.counters["runs_gced"] == 1
 
     def test_attached_consumer_pins_a_finished_run_against_gc(self):
         clock = FakeClock()
-        coordinator = make_coordinator(clock, run_gc_age=100.0)
+        coordinator = make_coordinator(clock)
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         self._finish_run(coordinator, plan, run_id)
         stream = coordinator.records(run_id, poll_interval=0.01)
         first = next(stream)
         assert first is not None
-        clock.advance(1000.0)
+        clock.advance(10 * RUN_GC_AGE)
         coordinator.lease("w")                       # sweep: run is pinned
         assert coordinator.run_status(run_id) is not None
         remaining = list(stream)                     # detach cleanly
@@ -647,7 +575,7 @@ class TestRunGC:
         assert coordinator.run_status(run_id) is None
 
     def test_ready_records_drop_when_the_last_consumer_detaches(self):
-        coordinator = make_coordinator(run_gc_age=0.0)
+        coordinator = make_coordinator()
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         self._finish_run(coordinator, plan, run_id)
@@ -658,3 +586,99 @@ class TestRunGC:
         # told so instead of silently yielding nothing.
         with pytest.raises(KeyError, match="already released"):
             next(coordinator.records(run_id, poll_interval=0.01))
+
+
+WORKERS = ("w1", "w2", "w3")
+
+
+class CoordinatorMachine(RuleBasedStateMachine):
+    """Random lease / heartbeat / complete / clock interleavings.
+
+    Three workers each hold at most one lease, as ``repro-worker`` does, and
+    keep computing a lease that expired under them (its result arrives
+    late).  The model tracks when each handed-out lease expires, so "live"
+    is judged from the answers the coordinator gave, not from its internals.
+    """
+
+    @initialize(n_seeds=st.integers(1, 3), with_measures=st.booleans())
+    def start(self, n_seeds, with_measures):
+        self.clock = FakeClock()
+        self.coordinator = make_coordinator(self.clock, lease_ttl=10.0)
+        self.plan = make_plan(seeds=tuple(range(n_seeds)), with_measures=with_measures)
+        self.run_id = self.coordinator.create_run(self.plan)
+        self.held: dict[str, dict] = {}          # worker -> its lease answer
+        self.expires: dict[str, float] = {}      # held lease id -> its expiry
+        self.commits: Counter = Counter()        # group index -> ok answers
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def lease(self, worker):
+        if worker in self.held:
+            return
+        answer = self.coordinator.lease(worker)
+        assert answer["status"] in ("lease", "wait", "idle"), answer
+        if answer["status"] == "lease":
+            self.held[worker] = answer
+            self.expires[answer["lease_id"]] = self.clock.now + 10.0
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def heartbeat(self, worker):
+        if worker not in self.held:
+            return
+        lease_id = self.held[worker]["lease_id"]
+        answer = self.coordinator.heartbeat(worker, lease_id)
+        if answer["status"] == "ok":
+            assert self.clock.now < self.expires[lease_id]
+            self.expires[lease_id] = self.clock.now + 10.0
+        else:                                    # only an expired lease is gone
+            assert self.expires.get(lease_id, 0.0) <= self.clock.now
+
+    @rule(worker=st.sampled_from(WORKERS), ok=st.booleans())
+    def complete(self, worker, ok):
+        if worker not in self.held:
+            return
+        lease = self.held.pop(worker)
+        self.expires.pop(lease["lease_id"], None)
+        index = lease["group_index"]
+        if ok:
+            answer = self.coordinator.complete(
+                worker, lease["lease_id"], lease["run_id"], index,
+                rows_for_group(self.plan, index),
+            )
+            if answer["status"] == "ok":
+                self.commits[index] += 1
+        else:
+            self.coordinator.complete(
+                worker, lease["lease_id"], lease["run_id"], index, error="boom"
+            )
+
+    @rule(seconds=st.floats(0.1, 11.0))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @invariant()
+    def at_most_one_live_lease_per_group(self):
+        live = Counter(
+            answer["group_index"]
+            for answer in self.held.values()
+            if self.expires.get(answer["lease_id"], 0.0) > self.clock.now
+        )
+        assert all(count == 1 for count in live.values()), live
+
+    @invariant()
+    def each_group_commits_once(self):
+        assert all(count == 1 for count in self.commits.values()), self.commits
+
+    @invariant()
+    def committed_records_are_a_canonical_prefix(self):
+        # The list a /grid stream reads; records() would release it once
+        # the run finishes, so the check reads it in place.
+        ready = self.coordinator._runs[self.run_id].ready
+        keys = [(r.algorithm, r.dim, r.precision, r.seed, r.task) for r in ready]
+        assert keys == self.plan.cell_keys()[: len(keys)]
+        assert len(keys) == self.coordinator.run_status(self.run_id)["committed"]
+
+
+TestCoordinatorMachine = CoordinatorMachine.TestCase
+TestCoordinatorMachine.settings = settings(
+    max_examples=300, stateful_step_count=40, deadline=None
+)

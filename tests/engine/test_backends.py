@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.engine.backends import (
+    FAILURE_COOLDOWN,
     DiskBackend,
     MemoryBackend,
     RemoteBackend,
-    ShardedBackend,
     StoreBackend,
     backend_from_spec,
 )
@@ -118,52 +118,9 @@ class TestDiskBackend:
         backend.delete("k", "a.json")      # idempotent
 
 
-class TestShardedBackend:
-    def test_same_key_same_shard_across_instances(self, tmp_path):
-        # Two independently-constructed backends (two processes, two hosts)
-        # must route every key identically: the mapping is content-hash-based,
-        # never Python-hash-based.
-        first = ShardedBackend.local(tmp_path, 4)
-        second = ShardedBackend.local(tmp_path, 4)
-        for index in range(64):
-            name = f"key-{index}.json"
-            assert first.shard_index("k", name) == second.shard_index("k", name)
-
-    def test_keys_spread_over_all_shards(self, tmp_path):
-        backend = ShardedBackend.local(tmp_path, 4)
-        owners = {backend.shard_index("k", f"key-{i}.json") for i in range(200)}
-        assert owners == {0, 1, 2, 3}
-
-    def test_round_trip_lands_on_exactly_one_shard(self, tmp_path):
-        backend = ShardedBackend.local(tmp_path, 3)
-        backend.put("measures", "abc.json", b"{}")
-        assert backend.get("measures", "abc.json") == b"{}"
-        holders = [
-            shard for shard in backend.shards if shard.contains("measures", "abc.json")
-        ]
-        assert len(holders) == 1
-        assert holders[0] is backend.shard_for("measures", "abc.json")
-
-    def test_consistent_hashing_is_mostly_stable_under_growth(self, tmp_path):
-        # Adding a shard must only move ~1/(N+1) of the keys -- the property
-        # that makes rebalancing a sharded store cheap.
-        three = ShardedBackend.local(tmp_path / "a", 3)
-        four = ShardedBackend.local(tmp_path / "b", 4)
-        names = [f"key-{i}.json" for i in range(400)]
-        moved = sum(
-            three.shard_index("k", name) != four.shard_index("k", name)
-            for name in names
-        )
-        assert moved < len(names) // 2
-
-    def test_empty_shard_list_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedBackend([])
-
-
 class TestRemoteBackendOffline:
     def test_unreachable_peer_degrades_to_miss(self):
-        backend = RemoteBackend("http://127.0.0.1:9", timeout=0.2)
+        backend = RemoteBackend("http://127.0.0.1:9")
         assert backend.get("measures", "abc.json") is None
         backend.put("measures", "abc.json", b"{}")     # must not raise
         assert not backend.contains("measures", "abc.json")
@@ -172,7 +129,7 @@ class TestRemoteBackendOffline:
     def test_circuit_breaker_skips_timeouts_while_cooling_down(self):
         import time
 
-        backend = RemoteBackend("http://127.0.0.1:9", timeout=0.2, failure_cooldown=60)
+        backend = RemoteBackend("http://127.0.0.1:9")
         assert backend.get("measures", "abc.json") is None   # pays the probe
         start = time.perf_counter()
         for _ in range(20):
@@ -225,10 +182,8 @@ class FailingConnection:
 class TestRemoteBackendHalfOpenProbe:
     """Fake-clock pins of the breaker's half-open behaviour."""
 
-    def make_backend(self, clock, attempts, gate=None, cooldown=30.0):
-        backend = RemoteBackend(
-            "http://127.0.0.1:9", timeout=0.1, failure_cooldown=cooldown, clock=clock
-        )
+    def make_backend(self, clock, attempts, gate=None):
+        backend = RemoteBackend("http://127.0.0.1:9", clock=clock)
         backend._connection = lambda: FailingConnection(attempts, gate)  # type: ignore[method-assign]
         return backend
 
@@ -244,7 +199,7 @@ class TestRemoteBackendHalfOpenProbe:
             assert backend.get("measures", "a.json") is None
         assert len(attempts) == 2
         # Cooldown elapsed: the next call is the single half-open probe...
-        clock.advance(31.0)
+        clock.advance(FAILURE_COOLDOWN + 1.0)
         assert backend.get("measures", "a.json") is None
         assert len(attempts) == 4
         # ...whose failure restarts the cooldown.
@@ -258,7 +213,7 @@ class TestRemoteBackendHalfOpenProbe:
         backend = self.make_backend(clock, attempts)
         assert backend.get("measures", "a.json") is None      # open the breaker
         attempts.clear()
-        clock.advance(31.0)
+        clock.advance(FAILURE_COOLDOWN + 1.0)
         # Thread A becomes the probe and blocks inside the connection...
         blocked_backend_gate = gate
         backend._connection = lambda: FailingConnection(attempts, blocked_backend_gate)  # type: ignore[method-assign]
@@ -282,9 +237,7 @@ class TestRemoteBackendHalfOpenProbe:
 
     def test_successful_probe_closes_the_breaker(self):
         clock = FakeClock()
-        backend = RemoteBackend(
-            "http://127.0.0.1:9", timeout=0.1, failure_cooldown=30.0, clock=clock
-        )
+        backend = RemoteBackend("http://127.0.0.1:9", clock=clock)
 
         class HappyConnection:
             def request(self, *args, **kwargs):
@@ -302,7 +255,7 @@ class TestRemoteBackendHalfOpenProbe:
         attempts: list = []
         backend._connection = lambda: FailingConnection(attempts)  # type: ignore[method-assign]
         assert backend.get("measures", "a.json") is None      # open
-        clock.advance(31.0)
+        clock.advance(FAILURE_COOLDOWN + 1.0)
         backend._connection = lambda: HappyConnection()  # type: ignore[method-assign]
         assert backend.get("measures", "a.json") is None      # probe: 404 = miss
         assert backend._down_until == 0.0                     # breaker closed
@@ -314,30 +267,17 @@ class TestSpecs:
         for backend in (
             MemoryBackend(max_entries=7),
             DiskBackend(tmp_path),
-            ShardedBackend.local(tmp_path, 3),
-            RemoteBackend("http://127.0.0.1:1", timeout=2.5),
+            RemoteBackend("http://127.0.0.1:1"),
         ):
             rebuilt = backend_from_spec(backend.spec())
             assert type(rebuilt) is type(backend)
             assert rebuilt.spec() == backend.spec()
 
     def test_store_spec_rebuilds_tiers(self, tmp_path):
-        store = ArtifactStore(tmp_path, shards=3, remote_url="http://127.0.0.1:1")
+        store = ArtifactStore(tmp_path, remote_url="http://127.0.0.1:1")
         clone = ArtifactStore.from_spec(store.spec())
-        assert [tier.name for tier in clone.tiers] == ["sharded", "remote"]
+        assert [tier.name for tier in clone.tiers] == ["disk", "remote"]
         assert clone.root == tmp_path
-
-    def test_sharded_spec_preserves_ring_shape(self, tmp_path):
-        # A worker rebuilt from the spec must route every key to the same
-        # shard as the parent -- including non-default ring densities.
-        backend = ShardedBackend(
-            [DiskBackend(tmp_path / f"s{i}") for i in range(3)], points_per_shard=16
-        )
-        rebuilt = backend_from_spec(backend.spec())
-        assert rebuilt.points_per_shard == 16
-        for i in range(64):
-            name = f"key-{i}.json"
-            assert backend.shard_index("k", name) == rebuilt.shard_index("k", name)
 
     def test_store_spec_accepts_bare_root(self, tmp_path):
         store = ArtifactStore.from_spec(tmp_path)
@@ -386,7 +326,7 @@ class TestTierStack:
         for store in (
             ArtifactStore(),
             ArtifactStore(tmp_path / "plain"),
-            ArtifactStore(tmp_path / "sharded", shards=3),
+            ArtifactStore(replicas=[tmp_path / "r1", tmp_path / "r2"]),
             ArtifactStore(backends=[MemoryBackend(), MemoryBackend()]),
         ):
             store.put_json("measures", "k", {"eis": 0.5})
@@ -395,32 +335,8 @@ class TestTierStack:
             stat = store.stat("measures")
             assert (stat.hits, stat.misses, stat.puts) == (1, 1, 1)
 
-    def test_explicit_backends_exclude_shard_flags(self, tmp_path):
+    def test_explicit_backends_exclude_tier_flags(self, tmp_path):
         with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, backends=[MemoryBackend()], shards=2)
-
-
-class TestShardedStore:
-    def test_warm_reload_across_store_instances(self, tmp_path):
-        first = ArtifactStore(tmp_path, shards=4)
-        arrays = {"P": np.arange(6.0).reshape(2, 3)}
-        first.put_arrays("decomposition", "abc", arrays)
-        first.put_json("measures", "def", {"eis": 0.25})
-
-        fresh = ArtifactStore(tmp_path, shards=4)
-        np.testing.assert_array_equal(
-            fresh.get_arrays("decomposition", "abc")["P"], arrays["P"]
-        )
-        assert fresh.get_json("measures", "def") == {"eis": 0.25}
-        assert fresh.stat("measures").hits == 1
-
-    def test_single_shard_keeps_flat_layout(self, tmp_path):
-        # shards<=1 preserves the original root/<kind>/<key> layout, so
-        # existing --cache-dir trees stay byte-compatible.
-        ArtifactStore(tmp_path, shards=1).put_json("measures", "k", {})
-        assert (tmp_path / "measures" / "k.json").exists()
-
-    def test_sharded_layout_uses_shard_directories(self, tmp_path):
-        ArtifactStore(tmp_path, shards=3).put_json("measures", "k", {})
-        shard_files = list(tmp_path.glob("shard-*/measures/k.json"))
-        assert len(shard_files) == 1
+            ArtifactStore(tmp_path, backends=[MemoryBackend()], remote_url="http://h:1")
+        with pytest.raises(ValueError):
+            ArtifactStore(tmp_path, backends=[MemoryBackend()], replicas=[tmp_path])

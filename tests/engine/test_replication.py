@@ -153,13 +153,6 @@ class TestReadRepair:
         assert replicated.stats.corrupt == 2
         assert replicated.stats.misses == 1
 
-    def test_validation_can_be_disabled(self):
-        a = MemoryBackend()
-        a.put("measures", "k.json", b"not json")
-        replicated = ReplicatedBackend([a], validate=False)
-        assert replicated.get("measures", "k.json") == b"not json"
-        assert replicated.stats.corrupt == 0
-
     def test_repair_of_unavailable_replica_queues_a_hint(self):
         dead = FaultyBackend(MemoryBackend())
         healthy = MemoryBackend()
@@ -294,16 +287,15 @@ class TestReplicatedSpec:
         replicated = ReplicatedBackend(
             [
                 DiskBackend(tmp_path / "a"),
-                RemoteBackend("http://127.0.0.1:9", timeout=0.2),
+                RemoteBackend("http://127.0.0.1:9"),
             ],
             max_hints=16,
-            validate=False,
         )
         spec = replicated.spec()
         rebuilt = backend_from_spec(spec)
         assert isinstance(rebuilt, ReplicatedBackend)
         assert rebuilt.spec() == spec
-        assert rebuilt.max_hints == 16 and rebuilt.validate is False
+        assert rebuilt.max_hints == 16
 
     def test_spec_none_when_a_child_cannot_describe_itself(self):
         replicated = ReplicatedBackend([FaultyBackend(MemoryBackend())])
@@ -348,8 +340,6 @@ class TestRemotePutRetry:
     def make_backend(self, script, sleeps, clock=None):
         backend = RemoteBackend(
             "http://127.0.0.1:9",
-            timeout=0.1,
-            put_retry_delay=0.1,
             clock=clock or FakeClock(),
             rng=random.Random(0),
             sleep=sleeps.append,
@@ -365,7 +355,7 @@ class TestRemotePutRetry:
         backend.put("measures", "k.json", b"{}")
         assert backend.stats.errors == 0
         assert len(sleeps) == 1
-        assert 0.05 <= sleeps[0] <= 0.15  # jittered 50-150% of put_retry_delay
+        assert 0.05 <= sleeps[0] <= 0.15  # jittered 50-150% of PUT_RETRY_DELAY
 
     def test_5xx_retries_once_and_succeeds(self):
         sleeps: list = []
@@ -547,7 +537,7 @@ class TestReplicatedStore:
 
     def test_peer_health_and_degraded(self, tmp_path):
         clock = FakeClock()
-        peer = RemoteBackend("http://127.0.0.1:9", timeout=0.05, clock=clock)
+        peer = RemoteBackend("http://127.0.0.1:9", clock=clock)
         store = ArtifactStore(
             backends=[ReplicatedBackend([peer, DiskBackend(tmp_path)])]
         )

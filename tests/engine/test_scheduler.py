@@ -110,19 +110,18 @@ class TestWarmStore:
         # The warm records are bit-identical to both the cold and in-memory runs.
         assert warm_records == cold_records == serial_records
 
-    def test_sharded_store_warm_rerun_trains_nothing_bit_identical(
+    def test_disk_store_warm_rerun_trains_nothing_bit_identical(
         self, tmp_path, serial_records
     ):
-        """The acceptance bar of the sharded store: a warm rerun against N
-        consistent-hashed shard directories performs zero retrainings and
-        zero new decompositions, and its records match the single-local-store
-        run exactly."""
+        """A warm rerun against one disk tree performs zero retrainings and
+        zero new decompositions, reads every artifact from that one tier, and
+        its records match the in-memory run exactly."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            cold = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path, shards=3))
+            cold = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path))
             cold_records = cold.run(with_measures=True)
 
-            warm = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path, shards=3))
+            warm = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path))
             warm_records = warm.run(with_measures=True)
 
         snapshot = stats(warm)
@@ -130,23 +129,20 @@ class TestWarmStore:
         assert snapshot["pipeline"]["downstream_train_count"] == 0
         assert snapshot["store"]["measures"]["puts"] == 0
         assert snapshot["store"].get("decomposition", {}).get("puts", 0) == 0
-        (sharded,) = snapshot["store_tiers"]
-        assert sharded["name"] == "sharded" and sharded["hits"] > 0
-        # Artifacts really spread over more than one shard directory.
-        assert sum(1 for shard in sharded["shards"] if shard["hits"]) > 1
+        (disk,) = snapshot["store_tiers"]
+        assert disk["name"] == "disk" and disk["hits"] > 0
+        assert disk["root"] == str(tmp_path)
         assert warm_records == cold_records == serial_records
 
-    def test_sharded_store_parallel_warm_rerun_bit_identical(
+    def test_disk_store_parallel_warm_rerun_bit_identical(
         self, tmp_path, serial_records
     ):
-        """Workers rebuild the sharded tier stack from the store's spec and
-        route every key to the same shard the parent would."""
+        """Pool workers rebuild the disk tier from the store's spec and
+        find every artifact the parent wrote."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            GridEngine(
-                TINY_GRID_CONFIG, store=ArtifactStore(tmp_path, shards=3)
-            ).run(with_measures=True)
-            warm = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path, shards=3))
+            GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path)).run(with_measures=True)
+            warm = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path))
             records = warm.run(with_measures=True, n_workers=2)
         assert records == serial_records
         assert warm.pipeline.embedding_train_count == 0

@@ -315,9 +315,7 @@ class TestByteAccess:
         # Serving a peer must not fan out to this node's own peers: two
         # symmetrically-configured nodes would otherwise recurse on every
         # miss.  A slow unreachable remote makes the leak observable as time.
-        store = ArtifactStore(
-            tmp_path, remote_url="http://127.0.0.1:9", remote_timeout=5.0
-        )
+        store = ArtifactStore(tmp_path, remote_url="http://127.0.0.1:9")
         import time
 
         start = time.perf_counter()
@@ -329,17 +327,15 @@ class TestByteAccess:
         remote = store.tiers[-1]
         assert remote.name == "remote" and remote.stats.errors == 0
 
-    def test_byte_api_excludes_remotes_nested_in_sharded_tiers(self):
-        from repro.engine.backends import RemoteBackend, ShardedBackend
+    def test_byte_api_excludes_remotes_nested_in_replicated_tiers(self):
+        from repro.engine.backends import RemoteBackend, ReplicatedBackend
 
-        sharded = ShardedBackend(
-            [RemoteBackend("http://127.0.0.1:9", timeout=5.0)]
-        )
-        assert sharded.remote_capable
-        store = ArtifactStore(backends=[sharded])
+        replicated = ReplicatedBackend([RemoteBackend("http://127.0.0.1:9")])
+        assert replicated.remote_capable
+        store = ArtifactStore(backends=[replicated])
         assert store.get_bytes("measures", "absent.json") is None
         assert not store.contains_bytes("measures", "absent.json")
-        assert sharded.shards[0].stats.errors == 0, "byte API reached a nested peer"
+        assert replicated.replicas[0].stats.errors == 0, "byte API reached a nested peer"
 
     def test_contains_bytes_respects_codec_suffix(self):
         # HEAD 200 must imply GET 200: a memory-only JSON artifact does not
@@ -389,13 +385,11 @@ class TestDefaultStore:
             configure_default_store(None)
         assert not default_store().persistent
 
-    def test_configured_default_shards_and_remote(self, tmp_path):
-        configure_default_store(
-            tmp_path, shards=3, remote_url="http://127.0.0.1:1"
-        )
+    def test_configured_default_disk_and_remote(self, tmp_path):
+        configure_default_store(tmp_path, remote_url="http://127.0.0.1:1")
         try:
             store = default_store()
-            assert [tier.name for tier in store.tiers] == ["sharded", "remote"]
+            assert [tier.name for tier in store.tiers] == ["disk", "remote"]
         finally:
             configure_default_store(None)
         assert default_store().tiers == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig
+from repro.engine import GridEngine
 from repro.experiments import (
     EXPERIMENTS,
     fig1_dimension,
@@ -20,7 +21,6 @@ from repro.experiments import (
 )
 from repro.experiments.base import ExperimentResult, resolve_pipeline
 from repro.experiments.fig3_kge import KGEExperimentConfig
-from repro.instability.grid import GridRunner
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
 from repro.kge.graph import SyntheticKGConfig
 
@@ -43,7 +43,7 @@ def fast_pipeline():
 
 @pytest.fixture(scope="module")
 def fast_records(fast_pipeline):
-    return GridRunner(fast_pipeline).run(with_measures=True)
+    return GridEngine(fast_pipeline).run(with_measures=True)
 
 
 class TestExperimentPlumbing:

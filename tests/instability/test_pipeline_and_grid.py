@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.corpus.synthetic import SyntheticCorpusConfig
-from repro.engine import ArtifactStore
-from repro.instability.grid import GridRunner, average_over_seeds, records_to_rows
+from repro.engine import ArtifactStore, GridEngine
+from repro.instability.grid import average_over_seeds, records_to_rows
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
 from repro.models.bilstm_tagger import BiLSTMTagger
 from repro.models.bow_classifier import BowClassifier
@@ -178,9 +178,9 @@ class TestPipeline:
         assert relaxed.optimizer == tiny_pipeline.config.ner_optimizer
 
 
-class TestGridRunner:
+class TestGridEngineRun:
     def test_grid_shape_and_rows(self, tiny_pipeline):
-        records = GridRunner(tiny_pipeline).run(with_measures=True)
+        records = GridEngine(tiny_pipeline).run(with_measures=True)
         # 1 algorithm x 2 dims x 2 precisions x 1 seed x 2 tasks.
         assert len(records) == 8
         rows = records_to_rows(records)
@@ -188,13 +188,13 @@ class TestGridRunner:
         assert any(key.startswith("measure_") for key in rows[0])
 
     def test_average_over_seeds(self, tiny_pipeline):
-        records = GridRunner(tiny_pipeline).run(with_measures=False)
+        records = GridEngine(tiny_pipeline).run(with_measures=False)
         averaged = average_over_seeds(records)
         assert len(averaged) == len(records)  # single seed: same count, seed=-1
         assert all(r.seed == -1 for r in averaged)
 
     def test_axis_overrides(self, tiny_pipeline):
-        records = GridRunner(tiny_pipeline).run(
+        records = GridEngine(tiny_pipeline).run(
             dimensions=(6,), precisions=(32,), tasks=("sst2",), with_measures=False
         )
         assert len(records) == 1

@@ -20,10 +20,7 @@ from repro.experiments.base import ExperimentResult
 from repro.serving import api
 
 #: Every store flag, minus ``--store-url`` (it excludes replicas).
-REPLICA_ARGV = [
-    "--cache-dir", "/data/cache", "--store-shards", "3",
-    "--store-replicas", "http://peer:1,/data/replica",
-]
+REPLICA_ARGV = ["--cache-dir", "/data/cache", "--store-replicas", "http://peer:1,/data/replica"]
 URL_ARGV = ["--cache-dir", "/data/cache", "--store-url", "http://peer:1"]
 
 SERVE_DEFAULTS = {
@@ -43,13 +40,10 @@ SERVE_DEFAULTS = {
     "quick": False,
     "request_timeout": 300.0,
     "resume_runs": False,
-    "run_gc_age": 3600.0,
     "slow_ms": 500.0,
     "store_replicas": None,
-    "store_shards": None,
     "store_url": None,
     "trace_sample": 1.0,
-    "worker_ttl": 300.0,
     "workers": 0,
 }
 
@@ -131,10 +125,7 @@ def calls(monkeypatch):
         ([], {}),
         (
             REPLICA_ARGV,
-            {
-                "cache_dir": "/data/cache", "store_shards": 3,
-                "store_replicas": "http://peer:1,/data/replica",
-            },
+            {"cache_dir": "/data/cache", "store_replicas": "http://peer:1,/data/replica"},
         ),
         (URL_ARGV, {"cache_dir": "/data/cache", "store_url": "http://peer:1"}),
     ],
@@ -148,10 +139,9 @@ def test_serve_parses_its_flags(calls, argv, parsed):
 def test_serve_configures_the_store_it_serves_from(calls):
     # The service's pipeline takes the process-wide default store.
     assert api.main(URL_ARGV) == 0
-    assert calls["store"] == [{
-        "root": "/data/cache", "shards": None, "remote_url": "http://peer:1",
-        "replicas": None,
-    }]
+    assert calls["store"] == [
+        {"root": "/data/cache", "remote_url": "http://peer:1", "replicas": None}
+    ]
 
 
 @pytest.mark.parametrize(
@@ -161,16 +151,13 @@ def test_serve_configures_the_store_it_serves_from(calls):
         (
             REPLICA_ARGV,
             [{
-                "root": "/data/cache", "shards": 3, "remote_url": None,
+                "root": "/data/cache", "remote_url": None,
                 "replicas": ["http://peer:1", "/data/replica"],
             }],
         ),
         (
             URL_ARGV,
-            [{
-                "root": "/data/cache", "shards": None, "remote_url": "http://peer:1",
-                "replicas": None,
-            }],
+            [{"root": "/data/cache", "remote_url": "http://peer:1", "replicas": None}],
         ),
     ],
     ids=["defaults", "replicas", "url"],
@@ -189,7 +176,7 @@ def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store):
             [*REPLICA_ARGV, "--host", "0.0.0.0", "--port", "0", "--workers", "2",
              "--resume-runs", "--monitor", "--monitor-distributed"],
             ["--host", "0.0.0.0", "--port", "0", "--workers", "2",
-             "--cache-dir", "/data/cache", "--store-shards", "3",
+             "--cache-dir", "/data/cache",
              "--store-replicas", "http://peer:1,/data/replica",
              "--resume-runs", "--monitor", "--monitor-distributed"],
         ),
@@ -228,27 +215,25 @@ def test_worker_parses_its_flags(calls, argv, changed):
     assert calls["store"] == []
 
 
-SHARDS_ERROR = "--store-shards requires --cache-dir (it shards the local store)"
 EXCLUSIVE_ERROR = "--store-url and --store-replicas are mutually exclusive"
 UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
-SHARD_COUNT_ERROR = "--store-shards must be >= 1"
 
 
 @pytest.mark.parametrize(
     "main, argv, message",
     [
-        ("serve", ["--store-shards", "2"], SHARDS_ERROR),
+        ("serve", ["--store-shards", "2"], "unrecognized arguments: --store-shards 2"),
         ("serve", ["--store-url", "http://a:1", "--store-replicas", "/b"], EXCLUSIVE_ERROR),
         ("serve", ["--store-mmap"], UNKNOWN_ERROR),
         ("serve", ["--monitor-webhook", "http://hook:1"], "--monitor-webhook requires --monitor"),
-        ("runner", ["--store-shards", "2"], SHARDS_ERROR),
+        # The runner takes the flag's value as its experiment positional.
+        ("runner", ["--store-shards", "2"], "unrecognized arguments: --store-shards"),
         ("runner", ["--store-url", "http://a:1", "--store-replicas", "/b"], EXCLUSIVE_ERROR),
         ("runner", ["--store-mmap"], UNKNOWN_ERROR),
-        ("serve", ["--cache-dir", "c", "--store-shards", "0"], SHARD_COUNT_ERROR),
-        ("runner", ["--cache-dir", "c", "--store-shards", "-3"], SHARD_COUNT_ERROR),
+        ("serve", ["--run-gc-age", "60"], "unrecognized arguments: --run-gc-age 60"),
+        ("serve", ["--worker-ttl", "60"], "unrecognized arguments: --worker-ttl 60"),
         ("serve", ["--kernel-policy", "exact"], "unrecognized arguments: --kernel-policy exact"),
         ("serve", ["--dtype", "float64"], "unrecognized arguments: --dtype float64"),
-        # The runner takes the flag's value as its experiment positional.
         ("runner", ["--kernel-policy", "exact"], "unrecognized arguments: --kernel-policy"),
         ("runner", ["--dtype", "float64"], "unrecognized arguments: --dtype"),
     ],
