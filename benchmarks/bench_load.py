@@ -227,13 +227,7 @@ def _overhead_gate(service: StabilityService, cell) -> dict:
 
 def run_benchmark(args) -> int:
     config = quick_serve_config()
-    service = StabilityService(
-        config,
-        config=ServiceConfig(
-            max_concurrency=4,
-            trace_sample=args.trace_sample, trace_slow_ms=args.slow_ms,
-        ),
-    )
+    service = StabilityService(config, config=ServiceConfig(max_concurrency=4))
     cells = [
         (algorithm, dim, precision, config.seeds[0])
         for algorithm in config.algorithms
@@ -342,10 +336,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="every Nth arrival is a /grid stream (0 = none)")
     parser.add_argument("--slo-p99-ms", type=float, default=60.0,
                         help="client-side warm /measure p99 SLO gate (0 = off)")
-    parser.add_argument("--trace-sample", type=float, default=1.0,
-                        help="server trace sampling during the load phase")
-    parser.add_argument("--slow-ms", type=float, default=500.0,
-                        help="server slow-trace retention threshold")
     parser.add_argument("--output", default=None,
                         help="envelope path (default BENCH_load.json)")
     args = parser.parse_args(argv)

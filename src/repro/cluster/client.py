@@ -106,7 +106,6 @@ def stream_remote_grid(
             "seeds": list(plan.seeds),
             "with_measures": plan.with_measures,
             "model_type": plan.model_type,
-            "ordered": True,
         }
     ).encode("utf-8")
     conn, base_path = open_json_connection(url, timeout)

@@ -240,17 +240,11 @@ class ClusterWorker:
         backoff_max: float = 30.0,
         heartbeat_join_timeout: float = 5.0,
         rng: random.Random | None = None,
-        trace_sample: float = 1.0,
-        trace_slow_ms: float = 0.0,
     ) -> None:
         if max_pipelines < 1:
             raise ValueError(f"max_pipelines must be >= 1, got {max_pipelines}")
         if backoff_max <= 0:
             raise ValueError(f"backoff_max must be positive, got {backoff_max}")
-        if not 0.0 <= trace_sample <= 1.0:
-            raise ValueError(f"trace_sample must be in [0, 1], got {trace_sample}")
-        if trace_slow_ms < 0:
-            raise ValueError(f"trace_slow_ms must be >= 0, got {trace_slow_ms}")
         self.coordinator_url = coordinator_url
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.cache_dir = cache_dir
@@ -261,11 +255,7 @@ class ClusterWorker:
         self.backoff_max = float(backoff_max)
         self.heartbeat_join_timeout = float(heartbeat_join_timeout)
         self._rng = rng or random.Random()
-        #: Probability a traced lease's spans are shipped with its completion
-        #: (``repro-worker --trace-sample``); ``trace_slow_ms`` additionally
-        #: ships every group slower than the threshold even when sampled out.
-        self.trace_sample = float(trace_sample)
-        self.trace_slow_ms = float(trace_slow_ms)
+        #: Span rows shipped back with completions of traced leases.
         self.spans_shipped = 0
         #: Consecutive ConnectionError polls, driving the backoff exponent.
         self._failures = 0
@@ -359,7 +349,7 @@ class ClusterWorker:
     # -- execution -------------------------------------------------------------
 
     def _lease_trace(self, lease: dict) -> Trace | None:
-        """Span collector for a traced lease (``None`` when tracing is off).
+        """Span collector for a traced lease (``None`` for an untraced one).
 
         The coordinator forwards the submitting request's trace context in
         the lease; spans recorded here under :meth:`Trace.active` carry that
@@ -368,8 +358,6 @@ class ClusterWorker:
         """
         context = lease.get("trace")
         if not isinstance(context, dict) or not context.get("trace_id"):
-            return None
-        if self.trace_sample <= 0.0 and self.trace_slow_ms <= 0.0:
             return None
         return Trace(
             "worker.group",
@@ -444,13 +432,8 @@ class ClusterWorker:
         spans: list[dict] | None = None
         if trace is not None:
             trace.finish()
-            slow = (
-                self.trace_slow_ms > 0.0
-                and (trace.duration_ms or 0.0) >= self.trace_slow_ms
-            )
-            if slow or self._rng.random() < self.trace_sample:
-                spans = trace.span_rows()
-                self.spans_shipped += len(spans)
+            spans = trace.span_rows()
+            self.spans_shipped += len(spans)
         answer = self.client.complete(
             self.worker_id, lease["lease_id"], lease["run_id"],
             lease["group_index"], rows, stats=self.stats(), error=error,
@@ -553,16 +536,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backoff-max", type=float, default=30.0,
         help="cap (seconds) on the exponential backoff after coordinator outages",
     )
-    parser.add_argument(
-        "--trace-sample", type=float, default=1.0,
-        help="probability a traced lease ships its telemetry spans back with "
-             "its completion (0 disables span shipping)",
-    )
-    parser.add_argument(
-        "--slow-ms", type=float, default=0.0,
-        help="always ship spans of groups slower than this many milliseconds, "
-             "even when sampled out (0 disables the slow override)",
-    )
     args = parser.parse_args(argv)
     configure_logging()
     worker = ClusterWorker(
@@ -573,8 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
         backoff_max=args.backoff_max,
-        trace_sample=args.trace_sample,
-        trace_slow_ms=args.slow_ms,
     )
     print(f"repro-worker {worker.worker_id} polling {args.coordinator}", flush=True)
     try:

@@ -188,8 +188,12 @@ class StoreBackend:
         return payload
 
     def put(self, kind: str, name: str, payload: bytes) -> None:
+        try:
+            self._put(kind, name, payload)
+        except Exception:
+            self.stats.errors += 1
+            raise
         self.stats.puts += 1
-        self._put(kind, name, payload)
 
     def contains(self, kind: str, name: str) -> bool:
         return self._contains(kind, name)
@@ -676,7 +680,8 @@ class ReplicatedBackend(StoreBackend):
 
         Backends degrade silently (they count ``errors`` instead of
         raising), so failure is detected via the errors-counter delta; an
-        exception from a custom backend counts the same way.
+        exception from a custom backend is counted by :meth:`StoreBackend.put`
+        and means the same.
         """
         before = replica.stats.errors
         try:
@@ -685,7 +690,6 @@ class ReplicatedBackend(StoreBackend):
             logger.warning(
                 "replica %s rejected write %s/%s: %s", replica.name, kind, name, error
             )
-            replica.stats.errors += 1
             return False
         return replica.stats.errors == before
 

@@ -332,8 +332,8 @@ class GridEngine:
 
         Any axis left as ``None`` defaults to the pipeline configuration.
         ``n_workers`` overrides the engine default for this run only.  This is
-        the batch view of :meth:`run_iter` with ordered commit: the list is
-        bit-identical to what the pre-streaming serial path produced.
+        the batch view of :meth:`run_iter`: the list is bit-identical to what
+        the pre-streaming serial path produced.
         """
         return list(
             self.run_iter(
@@ -345,7 +345,6 @@ class GridEngine:
                 with_measures=with_measures,
                 model_type=model_type,
                 n_workers=n_workers,
-                ordered=True,
             )
         )
 
@@ -360,16 +359,13 @@ class GridEngine:
         with_measures: bool = False,
         model_type: str = "bow",
         n_workers: int | None = None,
-        ordered: bool = True,
     ) -> Iterator["GridRecord"]:
-        """Stream grid records as their cells complete.
+        """Stream grid records as their cells complete, in canonical order.
 
-        With ``ordered=True`` (default) records are released in the canonical
-        axis-product order through an ordered commit -- completions arriving
-        early are buffered, so the stream is bit-identical to :meth:`run`
-        regardless of worker scheduling.  With ``ordered=False`` records are
-        yielded the moment their group finishes (nondeterministic order under
-        parallel execution, lowest latency to first record).
+        Records are released in the canonical axis-product order through an
+        ordered commit -- completions arriving early are buffered, so the
+        stream is bit-identical to :meth:`run` regardless of worker
+        scheduling.
         """
         plan = plan_grid(
             self.pipeline.config,
@@ -415,19 +411,12 @@ class GridEngine:
             batches = (evaluate_group(self.pipeline, group) for group in groups)
 
         count = 0
-        if ordered:
-            for record in commit_in_order(batches, plan.cell_keys()):
-                count += 1
-                yield record
-        else:
-            for batch in batches:
-                for record in batch:
-                    count += 1
-                    yield record
+        for record in commit_in_order(batches, plan.cell_keys()):
+            count += 1
+            yield record
         logger.info(
-            "grid done: %d records from %d groups (%s, %s)",
+            "grid done: %d records from %d groups (%s)",
             count, len(groups), f"{workers} workers" if workers > 1 else "serial",
-            "ordered" if ordered else "arrival order",
         )
 
     def _iter_distributed(self, coordinator: str, plan: GridPlan) -> Iterator["GridRecord"]:
@@ -486,8 +475,8 @@ class GridEngine:
             return
         with pool:
             # ``imap_unordered``: each group's records surface the moment
-            # its worker finishes; the ordered committer (when requested)
-            # restores the canonical sequence downstream.
+            # its worker finishes; the ordered committer restores the
+            # canonical sequence downstream.
             yield from pool.imap_unordered(
                 _evaluate_group_in_worker, groups, chunksize=1
             )

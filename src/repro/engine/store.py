@@ -372,9 +372,9 @@ class ArtifactStore:
         self._memory_bytes[(kind, key)] = _array_bytes(value)
 
     def _put(self, kind: str, key: str, value: Any, codec: ArtifactCodec) -> None:
-        self._memoize(kind, key, value, codec)
-        self._encoded.pop((kind, key), None)
-        self.stat(kind).puts += 1
+        # Tiers first: a tier that raises (a full disk) leaves the value
+        # unmemoized and uncounted, so no later lookup hits a copy that
+        # never reached the tiers.
         if self.tiers:
             payload = codec.encode(value)
             name = key + codec.suffix
@@ -382,6 +382,9 @@ class ArtifactStore:
                 with span("store.put", metric="store", label=f"{tier.name}.put",
                           tier=tier.name, kind=kind, bytes=len(payload)):
                     tier.put(kind, name, payload)
+        self._memoize(kind, key, value, codec)
+        self._encoded.pop((kind, key), None)
+        self.stat(kind).puts += 1
 
     # -- typed artifact families ---------------------------------------------
 

@@ -7,15 +7,11 @@ that wants to act on a cell before the whole grid is done -- instead consume
 :meth:`GridEngine.run_iter`, which yields :class:`~repro.instability.grid.GridRecord`\\ s
 as workers complete them.
 
-Two commit disciplines are offered:
-
-* **arrival order** (``ordered=False``): records are yielded the moment their
-  group finishes; under parallel execution the order is nondeterministic.
-* **ordered commit** (``ordered=True``, the default): an
-  :class:`OrderedCommitter` buffers out-of-order completions and releases
-  records in the canonical axis-product order, so the stream is *bit-identical*
-  to the serial batch result regardless of worker scheduling.  The batch
-  :meth:`GridEngine.run` is a thin ``list(run_iter(ordered=True))`` wrapper.
+Every stream is committed in order: an :class:`OrderedCommitter` buffers
+out-of-order completions and releases records in the canonical axis-product
+order, so the stream is *bit-identical* to the serial batch result regardless
+of worker scheduling.  The batch :meth:`GridEngine.run` is a thin
+``list(run_iter())`` wrapper.
 
 The committer is deliberately tiny and synchronous -- it is shared by the
 multiprocessing path (which feeds it group results from

@@ -35,7 +35,6 @@ from repro.embeddings.alignment import align_pair
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
 from repro.engine.store import ArtifactStore, config_hash, default_store
 from repro.instability.downstream import prediction_disagreement
-from repro.measures.base import DecompositionCache
 from repro.measures.batch import compute_measure_batch
 from repro.measures.eigenspace_instability import (
     AnchorFactors,
@@ -521,16 +520,13 @@ class InstabilityPipeline:
     def compute_measures(
         self, algorithm: str, dim: int, precision: int, seed: int,
         *, measures: tuple[str, ...] | None = None,
-        cache: "DecompositionCache | None" = None,
     ) -> dict[str, float]:
         """Evaluate embedding distance measures on a compressed pair.
 
         The suite runs as a batch sharing one vocabulary alignment and one
         :class:`~repro.measures.base.DecompositionCache`, so each embedding
         matrix is decomposed once for EIS, eigenspace overlap and PIP loss
-        together; values are cached in the artifact store.  ``cache`` lets a
-        long-lived caller (the serving layer) share one bounded decomposition
-        cache across many requests instead of one per batch.  An empty
+        together; values are cached in the artifact store.  An empty
         selection, or one naming a measure outside the suite, raises
         ``KeyError`` before the store is consulted.
         """
@@ -554,7 +550,7 @@ class InstabilityPipeline:
                   algorithm=algorithm, dim=int(dim), precision=int(precision),
                   seed=int(seed)):
             batch = compute_measure_batch(
-                selected, emb_a, emb_b, top_k=self.config.measure_top_k, cache=cache
+                selected, emb_a, emb_b, top_k=self.config.measure_top_k
             )
             out = batch.values
             self.store.put_json("measures", key, out)

@@ -10,9 +10,7 @@ overlap and PIP loss measures instead of one each.
 from __future__ import annotations
 
 import abc
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.utils.validation import check_embedding_pair
 
 __all__ = [
     "MEASURES",
-    "DEFAULT_CACHE_ENTRIES",
     "EmbeddingDistanceMeasure",
     "MeasureResult",
     "DecompositionCache",
@@ -54,91 +51,37 @@ def rank_restricted(U: np.ndarray, S: np.ndarray, shape: tuple[int, ...]) -> np.
     return U[:, :rank]
 
 
-#: Default entry bound of a :class:`DecompositionCache`; generous for one
-#: measure batch (which needs two SVDs and one cross product) while keeping
-#: long-lived caches, e.g. one shared across a whole grid run, bounded.
-DEFAULT_CACHE_ENTRIES = 128
-
-
 class DecompositionCache:
-    """Memoises matrix decompositions shared between measures on one pair.
+    """Memoises matrix decompositions shared between the measures of one batch.
 
     Keys are object identities: within a measure batch the *same* ndarray
     objects are handed to every measure, so ``id``-based lookup is exact (a
     strong reference to the keyed array is kept, which also guards against id
-    reuse).
-
-    The cache is LRU-bounded (``max_entries`` per table, ``None`` = unbounded)
-    so a cache shared across a long grid run cannot grow memory without limit;
-    ``hits``/``misses``/``evictions`` counters expose its behaviour the same
-    way :class:`~repro.engine.store.ArtifactStore` counters do.
-
-    The cache is safe to share across threads (the serving layer keeps one
-    long-lived instance under concurrent requests): table bookkeeping happens
-    under a lock, while the decompositions themselves compute outside it so
-    unrelated requests don't serialise.  Two threads missing the same array
-    simultaneously may both compute it (the duplicate work is benign and the
-    first insert wins); the tables can never be observed mid-mutation.
+    reuse).  Every :func:`~repro.measures.batch.compute_measure_batch` call
+    builds its own cache and drops it with the batch; a later batch aligns
+    its pair into new arrays, so nothing would hit across batches anyway.
+    ``hits``/``misses`` count lookups the way the artifact store does.
     """
 
-    def __init__(self, *, max_entries: int | None = DEFAULT_CACHE_ENTRIES) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
-        self.max_entries = max_entries
-        self._svd: OrderedDict[
+    def __init__(self) -> None:
+        self._svd: dict[
             int, tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]
-        ] = OrderedDict()
-        self._cross: OrderedDict[
+        ] = {}
+        self._cross: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = OrderedDict()
-        self._table_lock = threading.Lock()
+        ] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot (mirrors the artifact store's per-kind stats).
-
-        ``bytes_in_memory`` gauges the private memory the cache itself holds
-        onto: the factor arrays of cached SVDs and the cross products.  The
-        keyed source arrays are excluded -- they are referenced for identity
-        pinning only and are owned (and accounted for) by their producers.
-        """
-        with self._table_lock:
-            bytes_held = sum(
-                arr.nbytes
-                for _, decomposition in self._svd.values()
-                for arr in decomposition
-            ) + sum(entry[2].nbytes for entry in self._cross.values())
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._svd) + len(self._cross),
-                "bytes_in_memory": int(bytes_held),
-            }
-
-    def _evict(self, table: OrderedDict) -> None:
-        # Caller holds ``_table_lock``.
-        if self.max_entries is not None:
-            while len(table) > self.max_entries:
-                table.popitem(last=False)
-                self.evictions += 1
 
     def svd(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD ``(U, S, Vt)`` of ``X``, computed at most once per array."""
-        with self._table_lock:
-            entry = self._svd.get(id(X))
-            if entry is not None and entry[0] is X:
-                self.hits += 1
-                self._svd.move_to_end(id(X))
-                return entry[1]
-            self.misses += 1
+        entry = self._svd.get(id(X))
+        if entry is not None and entry[0] is X:
+            self.hits += 1
+            return entry[1]
+        self.misses += 1
         decomposition = np.linalg.svd(X, full_matrices=False)
-        with self._table_lock:
-            self._svd[id(X)] = (X, decomposition)
-            self._evict(self._svd)
+        self._svd[id(X)] = (X, decomposition)
         return decomposition
 
     def left_singular(self, X: np.ndarray) -> np.ndarray:
@@ -149,19 +92,13 @@ class DecompositionCache:
     def cross(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """``U_X^T @ U_Y`` for the full (thin, unrestricted) singular bases."""
         key = (id(X), id(Y))
-        with self._table_lock:
-            entry = self._cross.get(key)
-            if entry is not None and entry[0] is X and entry[1] is Y:
-                self.hits += 1
-                self._cross.move_to_end(key)
-                return entry[2]
-        U_x = self.svd(X)[0]
-        U_y = self.svd(Y)[0]
-        product = U_x.T @ U_y
-        with self._table_lock:
-            self.misses += 1
-            self._cross[key] = (X, Y, product)
-            self._evict(self._cross)
+        entry = self._cross.get(key)
+        if entry is not None and entry[0] is X and entry[1] is Y:
+            self.hits += 1
+            return entry[2]
+        self.misses += 1
+        product = self.svd(X)[0].T @ self.svd(Y)[0]
+        self._cross[key] = (X, Y, product)
         return product
 
 

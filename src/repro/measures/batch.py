@@ -4,7 +4,8 @@ Evaluating the paper's five measures naively aligns the pair five times and
 decomposes each embedding matrix three times (EIS, eigenspace overlap and PIP
 loss each take an SVD).  :func:`compute_measure_batch` aligns once and threads
 one :class:`~repro.measures.base.DecompositionCache` through every measure, so
-each matrix is decomposed exactly once per pair.
+each matrix is decomposed exactly once per pair.  The cache belongs to the
+batch and goes with it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ def compute_measure_batch(
     b: Embedding,
     *,
     top_k: int | None = DEFAULT_TOP_K,
-    cache: DecompositionCache | None = None,
 ) -> MeasureBatchResult:
     """Evaluate every measure on the common (top-``k``) vocabulary of a pair.
 
@@ -60,13 +60,9 @@ def compute_measure_batch(
         The embedding pair; aligned once for the whole batch.
     top_k:
         Common-vocabulary restriction (see ``DEFAULT_TOP_K``).
-    cache:
-        Decomposition cache to share; a fresh one is created when omitted.
-        Passing a long-lived cache is only safe while the underlying matrices
-        stay alive, as it keys by object identity.
     """
     ra, rb = aligned_top_k_pair(a, b, top_k=top_k)
-    batch = MeasureBatchResult(cache=cache if cache is not None else DecompositionCache())
+    batch = MeasureBatchResult()
     for name, measure in measures.items():
         batch.results[name] = measure.compute_aligned(ra, rb, cache=batch.cache)
     return batch

@@ -394,11 +394,7 @@ class InstabilityMonitor:
         # default coordinator is configured -- the distributed path above is
         # the monitor's only route to the fleet.
         engine = GridEngine(pipeline, coordinator_url="")
-        records = list(
-            engine.run_iter(
-                with_measures=True, ordered=True, model_type=self.config.model_type
-            )
-        )
+        records = engine.run(with_measures=True, model_type=self.config.model_type)
         with self._lock:
             self._counters["local_embedding_trainings"] += pipeline.embedding_train_count
         return records

@@ -28,11 +28,10 @@ Endpoints (GET query parameters and/or a JSON request body; body wins):
   recommendation under a memory budget (bits per word).
 * ``GET|POST /grid?dims=8,16&precisions=1,32&stream=...`` -- executes a grid
   and **streams one NDJSON record per line as each cell completes**
-  (chunked transfer encoding; ``ordered=false`` for arrival order;
-  ``distributed=true`` leases the grid to the ``repro-worker`` fleet
-  instead of executing in-process, with an optional JSON ``config`` from a
-  remote submitter).  Disconnecting mid-stream cancels the computation at
-  the next cell boundary.
+  (chunked transfer encoding, canonical order; ``distributed=true`` leases
+  the grid to the ``repro-worker`` fleet instead of executing in-process,
+  with an optional JSON ``config`` from a remote submitter).  Disconnecting
+  mid-stream cancels the computation at the next cell boundary.
 * ``POST /cluster/lease|heartbeat|complete``, ``GET /cluster/status`` -- the
   cluster coordinator's worker-facing API (see
   :mod:`repro.cluster.coordinator`): any running instance can lease grid
@@ -111,7 +110,7 @@ from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.serving.service import ServiceConfig, StabilityService
 from repro.telemetry.metrics import REGISTRY, render_prometheus
 from repro.telemetry.trace import (
-    TRACE_HEADER, NullTrace, SubTrace, Trace, bind, context_from_headers,
+    TRACE_HEADER, SubTrace, Trace, bind, context_from_headers,
 )
 from repro.utils.logging import configure_logging, get_logger
 
@@ -656,7 +655,7 @@ class _Exchange:
         self.conn = conn
         self.started = started
 
-    def __enter__(self) -> Trace | SubTrace | NullTrace:
+    def __enter__(self) -> Trace | SubTrace:
         request = self.request
         trace_id, parent_id = context_from_headers(request.headers)
         self.conn.status = 200
@@ -1229,7 +1228,6 @@ class StabilityAPIServer:
             "precisions": _tuple_param(params, "precisions"),
             "seeds": _tuple_param(params, "seeds"),
             "with_measures": _bool_param(params, "with_measures", True),
-            "ordered": _bool_param(params, "ordered", True),
             "n_workers": _int_param(params, "workers", None),
             "model_type": str(params.get("model_type", "bow")),
             "distributed": _bool_param(params, "distributed", False),
@@ -1344,7 +1342,6 @@ async def _serve(args: argparse.Namespace) -> int:
         config=ServiceConfig(
             max_concurrency=args.max_concurrency, grid_workers=args.workers,
             lease_ttl=args.lease_ttl,
-            trace_sample=args.trace_sample, trace_slow_ms=args.slow_ms,
         ),
     )
     if args.resume_runs:
@@ -1478,16 +1475,6 @@ def main(argv: list[str] | None = None) -> int:
         "--monitor-webhook", default=None, metavar="URL",
         help="POST each monitor drift alert to this URL as JSON "
              "(bounded retry; delivery outcomes in /monitor/status)",
-    )
-    parser.add_argument(
-        "--trace-sample", type=float, default=1.0,
-        help="fraction of requests traced into the /trace ring "
-             "(0 disables tracing; histograms still populate)",
-    )
-    parser.add_argument(
-        "--slow-ms", type=float, default=500.0,
-        help="always retain traces whose request took at least this many "
-             "milliseconds, even when sampled out (0 disables the slow ring)",
     )
     parser.add_argument(
         "--access-log", action="store_true",

@@ -2,9 +2,8 @@
 
 A :class:`StabilityService` owns one warm
 :class:`~repro.instability.pipeline.InstabilityPipeline` (and thus one
-:class:`~repro.engine.store.ArtifactStore`), one bounded long-lived
-:class:`~repro.measures.base.DecompositionCache`, and a bounded thread pool,
-and answers the operational questions the paper's measures exist for:
+:class:`~repro.engine.store.ArtifactStore`) and a bounded thread pool, and
+answers the operational questions the paper's measures exist for:
 
 * :meth:`measure` -- the pairwise stability measures of one (algorithm,
   dimension, precision, seed) cell;
@@ -48,7 +47,7 @@ from repro.compression.memory import bits_per_word
 from repro.engine import ArtifactStore, GridEngine, plan_grid
 from repro.engine import stats as engine_stats
 from repro.instability.grid import GridRecord
-from repro.measures.base import MEASURES, DecompositionCache
+from repro.measures.base import MEASURES
 from repro.selection.budget import recommend_under_budget
 from repro.selection.criteria import (
     HIGH_PRECISION,
@@ -84,22 +83,10 @@ class ServiceConfig:
     #: Seconds a cluster lease survives without a heartbeat (see
     #: :class:`~repro.cluster.coordinator.ClusterCoordinator`).
     lease_ttl: float = 60.0
-    #: Probability a request is traced into the bounded trace ring
-    #: (``repro-serve --trace-sample``).  With ``trace_sample=0`` and
-    #: ``trace_slow_ms=0`` tracing is fully disabled: no spans are recorded.
-    trace_sample: float = 1.0
-    #: Latency threshold (ms) above which a trace is always collected and
-    #: retained in the slow ring regardless of sampling
-    #: (``repro-serve --slow-ms``); 0 disables the slow keep-policy.
-    trace_slow_ms: float = 500.0
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ValueError(f"trace_sample must be in [0, 1], got {self.trace_sample}")
-        if self.trace_slow_ms < 0:
-            raise ValueError(f"trace_slow_ms must be >= 0, got {self.trace_slow_ms}")
         if self.lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {self.lease_ttl}")
 
@@ -134,19 +121,17 @@ class StabilityService:
             pipeline, store=store, n_workers=self.config.grid_workers
         )
         self.pipeline = self.engine.pipeline
-        self.decomposition_cache = DecompositionCache()
         self.started_at = time.time()
+        #: Bounded ring of finished request traces (serving /trace/*); also
+        #: the stitch point for spans shipped back by cluster workers.  Every
+        #: request is traced; one of 500 ms or more lands in the slow ring.
+        self.traces = TraceBuffer()
         #: Every repro-serve instance is also a cluster coordinator: grids
         #: submitted with ``distributed=true`` are leased to the
         #: ``repro-worker`` fleet instead of executed in-process.  It shares
         #: the service's artifact store, so run checkpoints live next to the
         #: artifacts they describe -- a disk-backed store makes runs survive
         #: a coordinator restart (``repro-serve --resume-runs``).
-        #: Bounded ring of finished request traces (serving /trace/*); also
-        #: the stitch point for spans shipped back by cluster workers.
-        self.traces = TraceBuffer(
-            sample=self.config.trace_sample, slow_ms=self.config.trace_slow_ms
-        )
         self.coordinator = ClusterCoordinator(
             default_config=config_wire_payload(self.pipeline.config),
             lease_ttl=self.config.lease_ttl,
@@ -292,8 +277,7 @@ class StabilityService:
                 lock.acquire()
             try:
                 values = self.pipeline.compute_measures(
-                    algorithm, dim, precision, seed,
-                    measures=measures, cache=self.decomposition_cache,
+                    algorithm, dim, precision, seed, measures=measures
                 )
             finally:
                 lock.release()
@@ -434,14 +418,13 @@ class StabilityService:
         precisions: tuple[int, ...] | None = None,
         seeds: tuple[int, ...] | None = None,
         with_measures: bool = True,
-        ordered: bool = True,
         n_workers: int | None = None,
         model_type: str = "bow",
         distributed: bool = False,
         config: dict | None = None,
         run_id: str | None = None,
     ) -> Iterator[GridRecord]:
-        """Stream grid records as cells complete (see ``GridEngine.run_iter``).
+        """Stream grid records in canonical order (see ``GridEngine.run_iter``).
 
         Axes are validated *eagerly* (unknown algorithm/task names, duplicate
         axis values) so callers -- the HTTP layer in particular -- can reject
@@ -511,7 +494,7 @@ class StabilityService:
             )
         return self._stream_records(
             algorithms, tasks, dimensions, precisions, seeds,
-            with_measures, ordered, n_workers, model_type,
+            with_measures, n_workers, model_type,
         )
 
     @staticmethod
@@ -537,7 +520,7 @@ class StabilityService:
 
     def _stream_records(
         self, algorithms, tasks, dimensions, precisions, seeds,
-        with_measures, ordered, n_workers, model_type="bow",
+        with_measures, n_workers, model_type="bow",
     ) -> Iterator[GridRecord]:
         iterator = self.engine.run_iter(
             algorithms=algorithms,
@@ -546,7 +529,6 @@ class StabilityService:
             precisions=precisions,
             seeds=seeds,
             with_measures=with_measures,
-            ordered=ordered,
             n_workers=n_workers,
             model_type=model_type,
         )
@@ -623,7 +605,6 @@ class StabilityService:
         """Counter snapshot: engine stats plus the serving-layer counters."""
         snapshot = engine_stats(
             engine=self.engine,
-            caches={"serving": self.decomposition_cache},
             coordinator=self.coordinator,
             monitor=self.monitor,
         )

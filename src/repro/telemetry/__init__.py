@@ -30,26 +30,22 @@ from repro.telemetry.trace import (
     PARENT_HEADER,
     REQUEST_ID_HEADER,
     TRACE_HEADER,
-    NullTrace,
     Trace,
     TraceBuffer,
     annotate,
     bind,
     context_from_headers,
-    current_context,
     current_trace_id,
     new_trace_id,
     propagation_headers,
     remote_context,
     span,
-    use_context,
 )
 
 __all__ = [
     "DEFAULT_BUCKETS_MS",
     "LatencyHistogram",
     "MetricsRegistry",
-    "NullTrace",
     "PARENT_HEADER",
     "REGISTRY",
     "REQUEST_ID_HEADER",
@@ -59,7 +55,6 @@ __all__ = [
     "annotate",
     "bind",
     "context_from_headers",
-    "current_context",
     "current_trace_id",
     "new_trace_id",
     "propagation_headers",
@@ -67,5 +62,4 @@ __all__ = [
     "render_prometheus",
     "span",
     "telemetry_snapshot",
-    "use_context",
 ]

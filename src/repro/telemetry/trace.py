@@ -19,8 +19,8 @@ Crossing boundaries:
   into the originating trace.
 
 :class:`TraceBuffer` retains finished traces in two bounded rings — a
-sampled *recent* ring and a *slow* ring that always keeps traces whose
-root exceeded ``slow_ms`` — serving ``/trace/recent`` and
+*recent* ring and a *slow* ring that keeps traces whose root reached
+``slow_ms`` apart from fast traffic — serving ``/trace/recent`` and
 ``/trace/<id>``.
 """
 
@@ -31,7 +31,7 @@ import random
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -141,15 +141,14 @@ class Trace:
     """A span collector for one trace id; usable with or without a buffer."""
 
     __slots__ = ("trace_id", "name", "root", "spans", "truncated", "max_spans",
-                 "sampled", "finished", "_lock")
+                 "finished", "_lock")
 
     def __init__(self, name: str, trace_id: str | None = None,
                  parent_id: str | None = None, max_spans: int = 512,
-                 sampled: bool = True, attrs: dict | None = None):
+                 attrs: dict | None = None):
         self.trace_id = trace_id or new_trace_id()
         self.name = name
         self.max_spans = max_spans
-        self.sampled = sampled
         self.truncated = 0
         self.finished = False
         self._lock = threading.Lock()
@@ -250,10 +249,6 @@ class SubTrace:
     def trace_id(self) -> str:
         return self.trace.trace_id
 
-    @property
-    def sampled(self) -> bool:
-        return self.trace.sampled
-
     def active(self):
         return self.trace.active(self.root)
 
@@ -261,24 +256,6 @@ class SubTrace:
         if duration_ms is None:
             duration_ms = (time.time() - self.root.start) * 1e3
         self.root.duration_ms = duration_ms
-
-
-class NullTrace:
-    """Placeholder when tracing is disabled: keeps the id, records nothing."""
-
-    __slots__ = ("trace_id",)
-    sampled = False
-    root = NOOP_SPAN
-    truncated = 0
-
-    def __init__(self, trace_id: str | None = None):
-        self.trace_id = trace_id or new_trace_id()
-
-    def active(self) -> nullcontext:
-        return nullcontext(self)
-
-    def finish(self, duration_ms: float | None = None) -> None:
-        pass
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +268,7 @@ def span(name: str, metric: str | None = None, label: str | None = None, **attrs
 
     ``metric``/``label`` route the duration into ``REGISTRY`` (e.g.
     ``metric="phase", label="train"``) regardless of whether a trace is
-    active, so latency histograms populate even with tracing sampled out.
+    active, so latency histograms populate outside requests too.
     With no active trace and no metric this is a near-free no-op.
     """
     ctx = _current.get()
@@ -325,26 +302,9 @@ def annotate(**attrs) -> None:
         ctx.handle.set(**attrs)
 
 
-def current_context() -> _Ctx | None:
-    return _current.get()
-
-
 def current_trace_id() -> str | None:
     ctx = _current.get()
     return ctx.trace.trace_id if ctx is not None else None
-
-
-@contextmanager
-def use_context(ctx: _Ctx | None):
-    """Re-activate a context captured with :func:`current_context`."""
-    if ctx is None:
-        yield
-        return
-    token = _current.set(ctx)
-    try:
-        yield
-    finally:
-        _current.reset(token)
 
 
 def bind(fn):
@@ -400,7 +360,7 @@ class _RequestScope:
         self.parent_id = parent_id
         self.attrs = attrs
 
-    def __enter__(self) -> Trace | SubTrace | NullTrace:
+    def __enter__(self) -> Trace | SubTrace:
         self.trace = trace = self.buffer.start(
             self.name, trace_id=self.trace_id, parent_id=self.parent_id, **self.attrs
         )
@@ -423,22 +383,17 @@ class _RequestScope:
 class TraceBuffer:
     """Bounded retention of finished traces with a slow-trace keep-policy.
 
-    ``sample`` is the probability a request is traced at all (decided up
-    front so a fully sampled-out server pays no span cost); ``slow_ms``
-    forces collection of *every* request and guarantees retention of any
-    trace whose root latency reaches the threshold, in a separate ring
-    that fast traffic cannot evict.
+    Every request is traced.  A trace whose root latency reaches
+    ``slow_ms`` is retained in a separate ring that fast traffic cannot
+    evict (0 sends every trace to the recent ring).
     """
 
     def __init__(self, capacity: int = 256, slow_capacity: int = 64,
-                 sample: float = 1.0, slow_ms: float = 500.0,
-                 max_spans: int = 512, rng: random.Random | None = None):
+                 slow_ms: float = 500.0, max_spans: int = 512):
         self.capacity = max(1, int(capacity))
         self.slow_capacity = max(1, int(slow_capacity))
-        self.sample = min(max(float(sample), 0.0), 1.0)
         self.slow_ms = max(float(slow_ms), 0.0)
         self.max_spans = max(8, int(max_spans))
-        self._rng = rng or random.Random()
         self._lock = threading.Lock()
         self._open: dict[str, Trace] = {}
         #: Each finished trace enters at most one ring, once.
@@ -446,18 +401,13 @@ class TraceBuffer:
         self._slow: deque[Trace] = deque()
         self._by_id: dict[str, Trace] = {}
         self._counters = {
-            "started": 0, "untraced": 0, "joined": 0, "kept": 0,
-            "kept_slow": 0, "sampled_out": 0, "spans_ingested": 0,
-            "spans_dropped": 0,
+            "started": 0, "joined": 0, "kept": 0, "kept_slow": 0,
+            "spans_ingested": 0, "spans_dropped": 0,
         }
-
-    @property
-    def enabled(self) -> bool:
-        return self.sample > 0.0 or self.slow_ms > 0.0
 
     # -- lifecycle ---------------------------------------------------------
     def start(self, name: str, trace_id: str | None = None,
-              parent_id: str | None = None, **attrs) -> "Trace | SubTrace | NullTrace":
+              parent_id: str | None = None, **attrs) -> "Trace | SubTrace":
         if trace_id:
             with self._lock:
                 owner = self._open.get(trace_id) or self._by_id.get(trace_id)
@@ -470,22 +420,16 @@ class TraceBuffer:
                 )
                 return SubTrace(owner, handle)
         with self._lock:
-            sampled = self.sample >= 1.0 or (
-                self.sample > 0.0 and self._rng.random() < self.sample
-            )
-            if not sampled and not self.slow_ms:
-                self._counters["untraced"] += 1
-                return NullTrace(trace_id)
             self._counters["started"] += 1
             trace = Trace(name, trace_id=trace_id, parent_id=parent_id,
-                          max_spans=self.max_spans, sampled=sampled, attrs=attrs)
+                          max_spans=self.max_spans, attrs=attrs)
             self._open[trace.trace_id] = trace
             return trace
 
-    def finish(self, trace: "Trace | SubTrace | NullTrace",
+    def finish(self, trace: "Trace | SubTrace",
                duration_ms: float | None = None) -> None:
         trace.finish(duration_ms)
-        if isinstance(trace, (NullTrace, SubTrace)):
+        if isinstance(trace, SubTrace):
             return   # a SubTrace's owner is retained when *it* finishes
         with self._lock:
             self._open.pop(trace.trace_id, None)
@@ -494,11 +438,9 @@ class TraceBuffer:
                 trace.root.set(slow=True)
                 self._counters["kept_slow"] += 1
                 self._keep_locked(self._slow, self.slow_capacity, trace)
-            elif trace.sampled:
+            else:
                 self._counters["kept"] += 1
                 self._keep_locked(self._recent, self.capacity, trace)
-            else:
-                self._counters["sampled_out"] += 1
 
     def request(self, name: str, trace_id: str | None = None,
                 parent_id: str | None = None, **attrs) -> "_RequestScope":
@@ -569,6 +511,5 @@ class TraceBuffer:
             out = dict(self._counters)
             out["open"] = len(self._open)
             out["retained"] = len(self._by_id)
-            out["sample"] = self.sample
             out["slow_ms"] = self.slow_ms
         return out

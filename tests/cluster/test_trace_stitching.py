@@ -27,12 +27,11 @@ TRACE_ID = "feed" * 8
 
 @pytest.fixture(scope="module")
 def cluster():
-    """A live coordinator with always-on tracing plus two polling workers."""
+    """A live coordinator plus two polling workers."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         service = StabilityService(
-            quick_serve_config(),
-            config=ServiceConfig(lease_ttl=30, trace_sample=1.0, trace_slow_ms=0.0),
+            quick_serve_config(), config=ServiceConfig(lease_ttl=30)
         )
     api = StabilityAPIServer(service, port=0)
     loop = asyncio.new_event_loop()

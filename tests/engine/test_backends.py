@@ -1,5 +1,6 @@
 """Unit tests of the storage backends, codecs, and the store's tier stack."""
 
+import errno
 import threading
 
 import numpy as np
@@ -297,6 +298,23 @@ class TestTierStack:
         store.put_json("measures", "k", {"eis": 0.5})
         assert log == [("upper", "put", "k.json"), ("lower", "put", "k.json")]
         assert upper.stats.puts == lower.stats.puts == 1
+
+    def test_a_full_disk_write_is_neither_counted_nor_memoized(self):
+        # The tier's write raises ENOSPC: the put raises, the tier counts an
+        # error and no put, and no later lookup hits a copy that never
+        # reached the tier.
+        class FullBackend(RecordingBackend):
+            def _put(self, kind, name, payload):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full = FullBackend("full", [])
+        store = ArtifactStore(backends=[full])
+        with pytest.raises(OSError):
+            store.put_json("measures", "k", {"eis": 0.5})
+        assert store.stat("measures").puts == 0
+        assert (full.stats.puts, full.stats.errors) == (0, 1)
+        assert store.get_json("measures", "k") is None
+        assert store.stat("measures").hits == 0
 
     def test_read_through_promotes_into_upper_tiers(self):
         log: list = []

@@ -7,6 +7,7 @@ harness, the ``RemoteBackend`` put retry, and the ``ArtifactStore``
 threading (``replicas=`` construction, spec round trip, peer health).
 """
 
+import errno
 import io
 import random
 import threading
@@ -228,6 +229,17 @@ class TestHintedHandoff:
         assert replicated.hints_queued == 1
         assert replicated.drain_hints() == 1
         assert flaky.inner.contains("measures", "k.json")
+
+    def test_a_raising_replica_counts_one_error(self):
+        class FullBackend(MemoryBackend):
+            def _put(self, kind, name, payload):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full = FullBackend()
+        replicated = ReplicatedBackend([full, MemoryBackend()])
+        replicated.put("measures", "k.json", b"{}")
+        assert (full.stats.puts, full.stats.errors) == (0, 1)
+        assert replicated.hints_queued == 1
 
     def test_hint_dedupe_keeps_latest_payload(self):
         dead = FaultyBackend(MemoryBackend())

@@ -2,10 +2,7 @@
 
 import json
 
-import numpy as np
-
 from repro.engine import ArtifactStore, stats
-from repro.measures.base import DecompositionCache
 
 
 class TestStats:
@@ -14,8 +11,8 @@ class TestStats:
         telemetry = snapshot.pop("telemetry")
         assert set(telemetry) == {"latency"}   # process-wide histograms, always present
         assert snapshot == {
-            "store": {}, "pipeline": {}, "decomposition_caches": {}, "warmup": None,
-            "cluster": None, "monitor": None,
+            "store": {}, "pipeline": {}, "warmup": None, "cluster": None,
+            "monitor": None,
         }
 
     def test_bare_store_positional(self):
@@ -60,18 +57,11 @@ class TestStats:
         assert snapshot["pipeline"]["corpus_build_count"] == 1
         assert snapshot["warmup"] is None        # no parallel run yet
 
-    def test_decomposition_caches_by_name(self):
-        cache = DecompositionCache()
-        cache.svd(np.eye(3))
-        snapshot = stats(caches={"serving": cache})
-        assert snapshot["decomposition_caches"]["serving"]["misses"] == 1
-
     def test_snapshot_is_json_serialisable(self):
         from repro.engine import GridEngine
 
         engine = GridEngine()
-        cache = DecompositionCache()
-        json.dumps(stats(engine, caches={"c": cache}))
+        json.dumps(stats(engine))
 
 
 class TestClusterSection:

@@ -58,87 +58,6 @@ class TestDecompositionCache:
         )
 
 
-class TestDecompositionCacheGauge:
-    def test_bytes_in_memory_tracks_factor_arrays(self):
-        cache = DecompositionCache()
-        assert cache.stats["bytes_in_memory"] == 0
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, 8))
-        U, S, Vt = cache.svd(X)
-        assert cache.stats["bytes_in_memory"] == U.nbytes + S.nbytes + Vt.nbytes
-
-    def test_bytes_in_memory_includes_cross_products(self):
-        cache = DecompositionCache()
-        rng = np.random.default_rng(1)
-        X, Y = rng.normal(size=(30, 6)), rng.normal(size=(30, 5))
-        before = cache.stats["bytes_in_memory"]
-        product = cache.cross(X, Y)
-        after = cache.stats["bytes_in_memory"]
-        # Two SVDs plus the cross product landed in the cache.
-        assert after > before
-        assert after >= product.nbytes
-
-
-class TestDecompositionCacheBounds:
-    def test_lru_eviction_and_counter(self, rng):
-        cache = DecompositionCache(max_entries=2)
-        matrices = [rng.standard_normal((10, 3)) for _ in range(4)]
-        for X in matrices:
-            cache.svd(X)
-        assert cache.evictions == 2
-        assert cache.stats["entries"] <= 2
-        # The two most recent entries still hit; the evicted ones re-miss.
-        hits_before = cache.hits
-        cache.svd(matrices[-1])
-        assert cache.hits == hits_before + 1
-        misses_before = cache.misses
-        cache.svd(matrices[0])
-        assert cache.misses == misses_before + 1
-
-    def test_recent_use_protects_from_eviction(self, rng):
-        cache = DecompositionCache(max_entries=2)
-        X, Y, Z = (rng.standard_normal((8, 3)) for _ in range(3))
-        cache.svd(X)
-        cache.svd(Y)
-        cache.svd(X)           # X becomes most recent
-        cache.svd(Z)           # evicts Y, not X
-        hits_before = cache.hits
-        cache.svd(X)
-        assert cache.hits == hits_before + 1
-
-    def test_cross_products_also_bounded(self, rng):
-        cache = DecompositionCache(max_entries=1)
-        pairs = [(rng.standard_normal((8, 2)), rng.standard_normal((8, 3))) for _ in range(3)]
-        for X, Y in pairs:
-            cache.cross(X, Y)
-        assert cache.evictions > 0
-
-    def test_unbounded_cache(self, rng):
-        cache = DecompositionCache(max_entries=None)
-        for _ in range(10):
-            cache.svd(rng.standard_normal((5, 2)))
-        assert cache.evictions == 0
-
-    def test_invalid_bound(self):
-        with pytest.raises(ValueError):
-            DecompositionCache(max_entries=0)
-
-    def test_stats_snapshot(self, rng):
-        cache = DecompositionCache()
-        X = rng.standard_normal((6, 2))
-        cache.svd(X)
-        cache.svd(X)
-        # bytes_in_memory: U (6x2) + S (2,) + Vt (2x2) float64 factors.
-        assert cache.stats == {
-            "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-            "entries": 1,
-            "bytes_in_memory": 144,
-        }
-
-
-
 class TestMeasureBatch:
     def test_batch_matches_individual_measures(self, embedding_pair, suite):
         emb_a, emb_b = embedding_pair

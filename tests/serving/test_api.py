@@ -155,18 +155,6 @@ class TestGridStreaming:
             expected = server.service.engine.run(with_measures=True)
         assert rows == [record.to_row() for record in expected]
 
-    def test_arrival_order_stream_same_cells(self, server):
-        response, data = request(server, "/grid?dims=4,6&precisions=1,32&ordered=false")
-        assert response.status == 200
-        rows = [json.loads(line) for line in data.decode().strip().splitlines()]
-        cell = lambda r: (r["algorithm"], r["dim"], r["precision"], r["seed"], r["task"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            expected = server.service.engine.run(with_measures=True)
-        assert sorted(map(cell, rows)) == sorted(
-            cell(record.to_row()) for record in expected
-        )
-
     def test_bad_axis_is_400(self, server):
         status, payload = get_json(server, "/grid?dims=four")
         assert status == 400

@@ -1,16 +1,19 @@
 """Stability-service tests: warm-cache behaviour, coalescing, selection.
 
 Acceptance bar: a warm service answers a repeated /measure query with zero
-new trainings and zero new decompositions (asserted via counters), and N
+new trainings and zero measure batches (counted), and N
 identical concurrent queries collapse into one computation.
 """
 
+import gc
 import threading
 import warnings
+import weakref
 
 import pytest
 
 from repro.engine import stats
+from repro.instability import pipeline as pipeline_module
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import quick_serve_config
 
@@ -48,25 +51,50 @@ class TestMeasure:
         }
         assert isinstance(out["artifact_key"], str)
 
-    def test_warm_repeat_trains_and_decomposes_nothing(self, service):
+    def test_warm_repeat_trains_and_decomposes_nothing(self, service, monkeypatch):
         """The acceptance criterion: a repeated query is pure cache."""
         _quiet_measure(service, "svd", 4, 1)          # ensure warm
-        before = stats(engine=service.engine, caches={"c": service.decomposition_cache})
-        cache_before = dict(service.decomposition_cache.stats)
+        batches = []
+        batch = pipeline_module.compute_measure_batch
+
+        def counted(*args, **kwargs):
+            batches.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "compute_measure_batch", counted)
+        before = stats(engine=service.engine)
 
         repeat = _quiet_measure(service, "svd", 4, 1)
 
-        after = stats(engine=service.engine, caches={"c": service.decomposition_cache})
+        after = stats(engine=service.engine)
         assert repeat["measures"] == _quiet_measure(service, "svd", 4, 1)["measures"]
         # Zero new trainings...
         assert after["pipeline"]["embedding_train_count"] == before["pipeline"]["embedding_train_count"]
         assert after["pipeline"]["downstream_train_count"] == before["pipeline"]["downstream_train_count"]
-        # ... zero new decompositions (the store served the final values, so
-        # the decomposition cache was not even consulted) ...
-        assert service.decomposition_cache.stats["misses"] == cache_before["misses"]
+        # ... zero measure batches, so zero decompositions (the store served
+        # the final values) ...
+        assert batches == []
         # ... and no store misses or writes for the repeated lookup.
         assert after["store"]["measures"]["misses"] == before["store"]["measures"]["misses"]
         assert after["store"]["measures"]["puts"] == before["store"]["measures"]["puts"]
+
+    def test_measure_batches_release_their_decompositions(self, fresh_service, monkeypatch):
+        """No decomposition cache outlives the measure batch that built it:
+        a later batch aligns its pair into new arrays, so a cache kept
+        across requests would only pin memory."""
+        caches = []
+        batch = pipeline_module.compute_measure_batch
+
+        def tracked(*args, **kwargs):
+            result = batch(*args, **kwargs)
+            caches.append(weakref.ref(result.cache))
+            return result
+
+        monkeypatch.setattr(pipeline_module, "compute_measure_batch", tracked)
+        _quiet_measure(fresh_service, "svd", 4, 1)
+        gc.collect()
+        assert len(caches) == 1
+        assert [ref() for ref in caches] == [None]
 
     def test_identical_concurrent_requests_coalesce(self, fresh_service):
         """N identical in-flight queries -> exactly one computation."""
@@ -197,12 +225,9 @@ class TestObservability:
     def test_metrics_has_all_surfaces(self, service):
         _quiet_measure(service, "svd", 4, 1)
         metrics = service.metrics()
-        assert set(metrics) >= {"store", "pipeline", "decomposition_caches", "warmup", "serving"}
+        assert set(metrics) >= {"store", "pipeline", "warmup", "serving"}
         assert metrics["pipeline"]["corpus_build_count"] == 1
         assert "measures" in metrics["store"]
-        assert {"hits", "misses", "evictions", "entries"} <= set(
-            metrics["decomposition_caches"]["serving"]
-        )
         assert metrics["serving"]["inflight_now"] == 0
 
     def test_service_config_validation(self):

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from repro.serving import ServiceConfig, StabilityService
+from repro.serving import StabilityService
 from repro.serving.api import quick_serve_config
 
 from tests.serving.test_api import get_json, live_server, request
@@ -18,10 +18,7 @@ from tests.serving.test_framing import connect, read_responses
 def server():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        service = StabilityService(
-            quick_serve_config(),
-            config=ServiceConfig(trace_sample=1.0, trace_slow_ms=0.0),
-        )
+        service = StabilityService(quick_serve_config())
     with live_server(service) as api:
         yield api
     service.close()
@@ -110,7 +107,7 @@ class TestTraceEndpoints:
         assert status == 200
         assert any(t["trace_id"] == "11" * 16 for t in payload["traces"])
         assert payload["counters"]["started"] >= 1
-        assert payload["counters"]["sample"] == 1.0
+        assert payload["counters"]["slow_ms"] == 500.0
 
     def test_unknown_trace_is_404(self, server):
         status, payload = get_json(server, "/trace/ffffffffffffffff")
@@ -213,29 +210,3 @@ class TestAccessLog:
         finally:
             service.close()
         assert not any(line.startswith("{") for line in out.splitlines())
-
-
-class TestDisabledTracing:
-    def test_sampled_out_server_still_serves_and_echoes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            service = StabilityService(
-                quick_serve_config(),
-                config=ServiceConfig(trace_sample=0.0, trace_slow_ms=0.0),
-            )
-        try:
-            with live_server(service) as api:
-                response, _ = request(
-                    api, "/healthz", headers={"X-Trace-Id": "fe" * 16}
-                )
-                assert response.status == 200
-                assert response.getheader("X-Trace-Id") == "fe" * 16
-                status, payload = get_json(api, "/trace/recent")
-                assert status == 200
-                assert payload["traces"] == []
-                assert payload["counters"]["untraced"] >= 1
-                # Histograms still populate with tracing off.
-                status, metrics = get_json(api, "/metrics")
-                assert "request" in metrics["telemetry"]["latency"]
-        finally:
-            service.close()

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import os
-import random
 import re
 
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from repro.telemetry.metrics import MetricsRegistry, REGISTRY
 from repro.telemetry.trace import (
     NOOP_SPAN,
-    NullTrace,
     Trace,
     TraceBuffer,
     annotate,
@@ -156,7 +154,7 @@ class TestPropagation:
 
 class TestTraceBuffer:
     def test_request_retains_and_serves_back(self):
-        buffer = TraceBuffer(sample=1.0, slow_ms=0.0)
+        buffer = TraceBuffer(slow_ms=0.0)
         with buffer.request("GET /x", trace_id="a" * 32) as trace:
             with span("work"):
                 pass
@@ -167,45 +165,22 @@ class TestTraceBuffer:
         assert summaries[0]["trace_id"] == "a" * 32
         assert summaries[0]["spans"] == 2
 
-    def test_disabled_buffer_hands_out_null_traces(self):
-        buffer = TraceBuffer(sample=0.0, slow_ms=0.0)
-        assert not buffer.enabled
-        with buffer.request("GET /x") as trace:
-            assert isinstance(trace, NullTrace)
-            assert current_trace_id() is None     # no context, spans no-op
-        assert buffer.recent() == []
-        assert buffer.counters()["untraced"] == 1
-
-    def test_sampling_is_probabilistic_and_counted(self):
-        buffer = TraceBuffer(sample=0.5, slow_ms=0.0, rng=random.Random(7))
-        for _ in range(200):
-            with buffer.request("GET /x"):
-                pass
-        counters = buffer.counters()
-        kept = counters["kept"]
-        assert 60 <= kept <= 140                  # ~100 expected
-        assert counters["untraced"] == 200 - kept
-
     def test_slow_traces_always_retained(self):
-        # sample=0 but slow_ms>0: every request is collected, only slow kept.
-        buffer = TraceBuffer(sample=0.0, slow_ms=50.0)
-        with buffer.request("fast") as trace:
-            pass
-        buffer_slow = buffer  # same buffer; force a slow finish via duration
-        with buffer_slow.request("slow") as trace:
-            pass
-        # The CM measured real (fast) wall time; re-finish explicitly slow.
-        trace2 = buffer.start("slow-explicit")
-        buffer.finish(trace2, duration_ms=75.0)
+        # Every request is traced; one that reaches slow_ms lands in the
+        # slow ring, which the fast traffic after it cannot evict.
+        buffer = TraceBuffer(capacity=2, slow_ms=50.0)
+        buffer.finish(buffer.start("slow"), duration_ms=75.0)
+        for index in range(5):
+            with buffer.request(f"fast{index}"):
+                pass
         summaries = buffer.recent()
-        names = [s["name"] for s in summaries]
-        assert "slow-explicit" in names and "fast" not in names
-        slow = next(s for s in summaries if s["name"] == "slow-explicit")
-        assert slow["slow"] is True
-        assert buffer.counters()["kept_slow"] == 1
+        assert sorted(s["name"] for s in summaries) == ["fast3", "fast4", "slow"]
+        assert [s["name"] for s in summaries if s["slow"]] == ["slow"]
+        counters = buffer.counters()
+        assert (counters["kept"], counters["kept_slow"]) == (5, 1)
 
     def test_ring_capacity_evicts_oldest(self):
-        buffer = TraceBuffer(capacity=3, sample=1.0, slow_ms=0.0)
+        buffer = TraceBuffer(capacity=3, slow_ms=0.0)
         for index in range(5):
             with buffer.request(f"r{index}"):
                 pass
@@ -214,7 +189,7 @@ class TestTraceBuffer:
         assert buffer.counters()["retained"] == 3
 
     def test_full_rings_with_a_reused_id_retain_exactly(self):
-        buffer = TraceBuffer(capacity=2, slow_capacity=1, sample=1.0, slow_ms=50.0)
+        buffer = TraceBuffer(capacity=2, slow_capacity=1, slow_ms=50.0)
 
         def finish(trace_id: str, duration_ms: float) -> None:
             buffer.finish(buffer.start(trace_id, trace_id=trace_id), duration_ms)
@@ -238,7 +213,7 @@ class TestTraceBuffer:
         assert sorted(s["trace_id"] for s in buffer.recent()) == ["d", "e", "t"]
 
     def test_ingest_stitches_remote_rows_into_open_trace(self):
-        buffer = TraceBuffer(sample=1.0, slow_ms=0.0)
+        buffer = TraceBuffer(slow_ms=0.0)
         with buffer.request("GET /grid", trace_id="b" * 32) as trace:
             remote_rows = [
                 {"trace_id": "b" * 32, "span_id": "1" * 16,
@@ -255,7 +230,7 @@ class TestTraceBuffer:
         # owns (e.g. a worker fetching artifacts with the grid's headers)
         # must join it as a child span — a rival trace under the same id
         # would clobber the root and orphan spans ingested afterwards.
-        buffer = TraceBuffer(sample=1.0, slow_ms=0.0)
+        buffer = TraceBuffer(slow_ms=0.0)
         with buffer.request("GET /grid", trace_id="e" * 32) as root:
             sub = buffer.request("GET /artifacts", trace_id="e" * 32)
             with sub as subtrace:
@@ -284,7 +259,7 @@ class TestTraceBuffer:
         assert buffer.counters()["spans_dropped"] == 1
 
     def test_add_span_records_pretimed_span(self):
-        buffer = TraceBuffer(sample=1.0, slow_ms=0.0)
+        buffer = TraceBuffer(slow_ms=0.0)
         with buffer.request("GET /grid", trace_id="d" * 32):
             assert buffer.add_span("d" * 32, "cluster.lease_wait",
                                    123.0, 42.0, worker="w1")
@@ -295,7 +270,6 @@ class TestTraceBuffer:
         assert wait["attrs"]["worker"] == "w1"
 
     def test_validation(self):
-        buffer = TraceBuffer(capacity=0, sample=5.0, slow_ms=-1.0)
+        buffer = TraceBuffer(capacity=0, slow_ms=-1.0)
         assert buffer.capacity == 1          # floored
-        assert buffer.sample == 1.0          # clamped
         assert buffer.slow_ms == 0.0         # clamped

@@ -40,10 +40,8 @@ SERVE_DEFAULTS = {
     "quick": False,
     "request_timeout": 300.0,
     "resume_runs": False,
-    "slow_ms": 500.0,
     "store_replicas": None,
     "store_url": None,
-    "trace_sample": 1.0,
     "workers": 0,
 }
 
@@ -54,8 +52,6 @@ WORKER_DEFAULTS = {
     "poll_interval": 0.5,
     "max_idle": None,
     "backoff_max": 30.0,
-    "trace_sample": 1.0,
-    "trace_slow_ms": 0.0,
 }
 
 
@@ -236,12 +232,20 @@ UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
         ("serve", ["--dtype", "float64"], "unrecognized arguments: --dtype float64"),
         ("runner", ["--kernel-policy", "exact"], "unrecognized arguments: --kernel-policy"),
         ("runner", ["--dtype", "float64"], "unrecognized arguments: --dtype"),
+        ("serve", ["--trace-sample", "1"], "unrecognized arguments: --trace-sample 1"),
+        ("serve", ["--slow-ms", "500"], "unrecognized arguments: --slow-ms 500"),
+        ("worker", ["--trace-sample", "1"], "unrecognized arguments: --trace-sample 1"),
+        ("worker", ["--slow-ms", "0"], "unrecognized arguments: --slow-ms 0"),
     ],
 )
 def test_invalid_combination_exits_2(calls, capsys, main, argv, message):
-    entry = {"serve": api.main, "runner": runner.main}[main]
+    entry = {
+        "serve": api.main,
+        "runner": runner.main,
+        "worker": lambda argv: worker.main(["http://coordinator:8732", *argv]),
+    }[main]
     with pytest.raises(SystemExit) as exit_info:
         entry(argv)
     assert exit_info.value.code == 2
     assert f"error: {message}\n" in capsys.readouterr().err
-    assert calls["serve"] == calls["store"] == []
+    assert calls["serve"] == calls["worker"] == calls["store"] == []
