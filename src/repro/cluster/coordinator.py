@@ -380,6 +380,10 @@ class ClusterCoordinator:
         their attempt counts intact, and finished runs resume for status
         queries until age GC collects them.  Returns the number of runs
         resumed; safe to call with no store or no checkpoints (returns 0).
+        A checkpoint read that raises is logged and counted in
+        ``checkpoint_failures``: an unreadable index resumes nothing, an
+        unreadable run is skipped, and a done group whose rows are
+        unreadable returns to pending.
         """
         from repro.instability.grid import GridRecord
 
@@ -387,7 +391,9 @@ class ClusterCoordinator:
             return 0
         try:
             index = self.store.get_json(CHECKPOINT_KIND, _INDEX_KEY)
-        except Exception as err:  # pragma: no cover - defensive
+        except Exception as err:
+            with self._cond:
+                self.counters["checkpoint_failures"] += 1
             logger.warning("could not read the cluster-run checkpoint index: %s", err)
             return 0
         if not index:
@@ -400,7 +406,8 @@ class ClusterCoordinator:
                     continue
                 try:
                     meta = self.store.get_json(CHECKPOINT_KIND, run_id)
-                except Exception as err:  # pragma: no cover - defensive
+                except Exception as err:
+                    self.counters["checkpoint_failures"] += 1
                     logger.warning("checkpoint of %s unreadable: %s", run_id, err)
                     continue
                 if not meta:
@@ -444,7 +451,8 @@ class ClusterCoordinator:
                 rows_payload = self.store.get_json(
                     CHECKPOINT_KIND, _group_key(run_id, index)
                 )
-            except Exception as err:  # pragma: no cover - defensive
+            except Exception as err:
+                self.counters["checkpoint_failures"] += 1
                 logger.warning(
                     "rows checkpoint of %s group %d unreadable: %s", run_id, index, err
                 )

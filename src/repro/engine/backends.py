@@ -9,8 +9,8 @@ boundary.
 
 Backends:
 
-* :class:`MemoryBackend` -- in-process dict of payloads, optionally
-  LRU-bounded; useful as a hot tier in front of a slow (remote) tier.
+* :class:`MemoryBackend` -- in-process dict of payloads (a test double and
+  benchmark baseline; the store's object tier holds the memory bound).
 * :class:`DiskBackend` -- today's on-disk layout (``root/<kind>/<name>``),
   written via a durable atomic temp-file + ``os.replace`` + fsync protocol.
 * :class:`RemoteBackend` -- stdlib HTTP client speaking the serving layer's
@@ -84,8 +84,6 @@ class TierStats:
     #: Backend I/O failures survived (network errors, unreadable files);
     #: the tier answered as a miss / best-effort write instead of raising.
     errors: int = 0
-    #: Entries dropped by an LRU bound (memory tiers only).
-    evictions: int = 0
     #: Hinted-handoff writes discarded because a replicated tier's hint
     #: queue was full (see :class:`ReplicatedBackend`); the payload never
     #: reached this tier.
@@ -233,33 +231,24 @@ class StoreBackend:
 
 
 class MemoryBackend(StoreBackend):
-    """In-process payload dict, optionally LRU-bounded by entry count."""
+    """In-process payload dict (unbounded: the store's object tier above
+    holds the one memory bound)."""
 
     name = "memory"
     persistent = False
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._data: OrderedDict[tuple[str, str], bytes] = OrderedDict()
+        self._data: dict[tuple[str, str], bytes] = {}
         self._lock = threading.Lock()
 
     def _get(self, kind: str, name: str) -> bytes | None:
         with self._lock:
-            payload = self._data.get((kind, name))
-            if payload is not None:
-                self._data.move_to_end((kind, name))
-            return payload
+            return self._data.get((kind, name))
 
     def _put(self, kind: str, name: str, payload: bytes) -> None:
         with self._lock:
             self._data[(kind, name)] = payload
-            self._data.move_to_end((kind, name))
-            while self.max_entries is not None and len(self._data) > self.max_entries:
-                self._data.popitem(last=False)
-                self.stats.evictions += 1
 
     def _contains(self, kind: str, name: str) -> bool:
         with self._lock:
@@ -273,7 +262,7 @@ class MemoryBackend(StoreBackend):
         return len(self._data)
 
     def spec(self) -> dict:
-        return {"backend": "memory", "max_entries": self.max_entries}
+        return {"backend": "memory"}
 
 
 class DiskBackend(StoreBackend):
@@ -799,7 +788,7 @@ def backend_from_spec(spec: dict) -> StoreBackend:
     """Rebuild a backend from its :meth:`StoreBackend.spec` description."""
     backend = spec.get("backend")
     if backend == "memory":
-        return MemoryBackend(max_entries=spec.get("max_entries"))
+        return MemoryBackend()
     if backend == "disk":
         return DiskBackend(spec["root"])
     if backend == "remote":

@@ -73,7 +73,8 @@ class CellGroup:
 
     The (algorithm, dim, seed) triple identifies the trained pair; the group
     carries every dependent precision and task so a single worker evaluates
-    them together, hitting the pair (and its quantizations) in cache.
+    them together, hitting the pair in cache and quantizing it once per
+    precision.
     """
 
     algorithm: str
@@ -197,13 +198,18 @@ def evaluate_group(pipeline: "InstabilityPipeline", group: CellGroup) -> list["G
     The group's downstream models go through one
     :meth:`~repro.instability.pipeline.InstabilityPipeline.evaluate_many`
     call, so every model of a task that still needs training trains in one
-    lockstep stack; records come back in (precision, task) order.
+    lockstep stack; records come back in (precision, task) order.  Measures
+    and models share one quantized-pair memo, so each precision is quantized
+    at most once per group (and not at all when both are stored).
     """
     from repro.instability.grid import GridRecord
 
+    pairs: dict = {}
     measures = {
         precision: (
-            pipeline.compute_measures(group.algorithm, group.dim, precision, group.seed)
+            pipeline.compute_measures(
+                group.algorithm, group.dim, precision, group.seed, pairs=pairs
+            )
             if group.with_measures
             else {}
         )
@@ -214,7 +220,7 @@ def evaluate_group(pipeline: "InstabilityPipeline", group: CellGroup) -> list["G
         for precision in group.precisions
         for task in group.tasks
     ]
-    results = pipeline.evaluate_many(cells, model_type=group.model_type)
+    results = pipeline.evaluate_many(cells, model_type=group.model_type, pairs=pairs)
     return [
         GridRecord(
             algorithm=group.algorithm,

@@ -1,16 +1,19 @@
 """Content-addressed artifact store: a tier stack over pluggable backends.
 
 Every expensive artifact of the instability pipeline -- trained embedding
-pairs, quantized pairs, matrix decompositions, downstream results, measure
-values -- is keyed by a hash of the configuration that produced it.  Repeated
-grid cells, repeated experiments, and repeated *runs* then hit the cache
-instead of recomputing.
+pairs, matrix decompositions, downstream results, measure values -- is keyed
+by a hash of the configuration that produced it.  Repeated grid cells,
+repeated experiments, and repeated *runs* then hit the cache instead of
+recomputing.  (Quantized pairs are not stored: the pipeline derives them
+from the stored full-precision pair in ~2.4 ms.)
 
 The store is layered:
 
 * an **object memory tier** (always on) holds decoded artifacts and preserves
   object identity within a process -- it also backs :meth:`preload` (worker
-  warm-up) and :meth:`memory_entries`;
+  warm-up) and :meth:`memory_entries`.  It is one LRU bounded in bytes by
+  :data:`MEMORY_TIER_BYTES`, so a long-running server holds a working set,
+  not everything it ever computed;
 * below it, a **tier stack** of byte-level backends
   (:mod:`repro.engine.backends`): a local disk tree, a remote
   ``repro-serve`` peer, a replicated tier, or a combination.  Reads walk
@@ -37,6 +40,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import threading
+from collections import OrderedDict
 from pathlib import Path
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -65,12 +70,42 @@ from repro.utils.logging import get_logger
 logger = get_logger(__name__)
 
 __all__ = [
+    "MEMORY_TIER_BYTES",
     "config_hash",
     "CacheStats",
     "ArtifactStore",
     "configure_default_store",
     "default_store",
 ]
+
+#: Bytes the object memory tier holds before it evicts its least recently
+#: used entries (charged as :func:`_array_bytes` says).
+#:
+#: The working sets it must hold, measured with this charging:
+#:
+#: * perfbench's cold grid-cold grid (cbow and mc x dims 8/16/32 x 5
+#:   precisions x 2 tasks, measures on) ends holding 0.72 MB in 98 entries
+#:   (2.52 MB when its 24 quantized pairs were stored too);
+#: * one default-config ``/select`` ancestry (mc, 4 dims, its anchor
+#:   decomposition and 20 measure values) holds 0.77 MB in 25 entries;
+#: * a whole default-config grid (3 algorithms x 4 dims x 5 precisions x 3
+#:   seeds x 3 tasks, measures on) holds ~7.0 MB: 6.93 MB of pairs, anchor
+#:   factors and measure values, plus 540 downstream values of ~100 bytes.
+#:
+#: 32 MiB holds ~40 such ancestries, ~45 grid-cold grids or 4 whole default
+#: grids, so every request and grid run keeps its own ancestry hot.  Evicting more costs only time: an
+#: evicted artifact is re-read from a lower tier, or recomputed (a retrained
+#: pair counts as a train).
+#:
+#: "Each pair trains once cluster-wide" rests on one condition when the
+#: coordinator's store is memory-only: the bytes a run writes between an
+#: anchor group's completion and its sibling groups' fetches of the anchor
+#: pair stay under this bound.  A single default-config grid writes a
+#: quarter of it; no pin protects a pair beyond it.  The same holds for the
+#: artifacts a memory-only store cannot recompute (monitor corpus
+#: snapshots, cluster-run checkpoints): they survive while the bytes
+#: written after their last use stay under the bound.
+MEMORY_TIER_BYTES = 32 * 2**20
 
 
 def config_hash(payload: Any) -> str:
@@ -96,18 +131,44 @@ class CacheStats:
     #: Payloads found in a tier but undecodable (truncated file, bad npz/json);
     #: each one is logged and treated as a miss for that tier.
     corrupt: int = 0
+    #: Entries the object memory tier dropped to stay under
+    #: :data:`MEMORY_TIER_BYTES`; a later lookup re-reads or recomputes them.
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
 
 
-def _array_bytes(value: Any) -> int:
-    """Array bytes ``value`` holds.
+class _Entry:
+    """One object-tier artifact, its codec and the bytes it is charged."""
 
-    Understands the store's artifact families: embedding pairs, dicts of
-    arrays, bare arrays.  JSON-able values count zero -- the gauge exists to
-    show where the large matrices live, not to re-implement ``sys.getsizeof``.
+    __slots__ = ("value", "codec", "nbytes", "payload")
+
+    def __init__(self, value: Any, codec: ArtifactCodec | None, nbytes: int) -> None:
+        self.value = value
+        #: ``None`` for a :meth:`ArtifactStore.preload`-seeded entry, which
+        #: arrives without byte-level provenance (its codec is type-inferred).
+        self.codec = codec
+        self.nbytes = nbytes
+        #: Bytes encoded for peers by ``get_bytes``, kept so repeated fetches
+        #: do not re-run ``savez_compressed``; charged with the entry.
+        self.payload: bytes | None = None
+
+    @property
+    def charge(self) -> int:
+        return self.nbytes + (len(self.payload) if self.payload is not None else 0)
+
+
+def _array_bytes(value: Any) -> int:
+    """Array bytes ``value`` holds: what the memory tier charges an array
+    artifact (an embedding pair, a dict of arrays, a bare array).
+
+    The tier charges a JSON value its encoded length instead, and a payload
+    encoded for peers its length on top of its entry's charge (see
+    :meth:`ArtifactStore._memoize`).  Vocabularies and metadata are not
+    charged: the bound is on the large matrices, not a re-implementation of
+    ``sys.getsizeof``.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
@@ -170,19 +231,15 @@ class ArtifactStore:
                 self.tiers.append(
                     ReplicatedBackend([self._replica_backend(entry) for entry in replicas])
                 )
-        self._memory: dict[tuple[str, str], Any] = {}
-        #: Codec each memory entry was stored/decoded with.  The byte-level
-        #: peer API needs it to encode memory-only artifacts under the same
-        #: name a disk tier would use; re-inferring from the value's type is
-        #: ambiguous (an empty dict could be JSON or an empty arrays npz).
-        self._memory_codecs: dict[tuple[str, str], ArtifactCodec] = {}
-        #: Byte payloads get_bytes encoded on the fly for peers, memoised so
-        #: repeated fetches of the same memory-only artifact don't re-run
-        #: savez_compressed; invalidated whenever the entry changes.
-        self._encoded: dict[tuple[str, str], bytes] = {}
-        #: Array bytes each memory-tier entry holds; feeds the
-        #: ``bytes_in_memory`` gauge.
-        self._memory_bytes: dict[tuple[str, str], int] = {}
+        #: The object memory tier, least recently used first.  Each entry
+        #: keeps the codec it was stored or decoded with: the byte-level peer
+        #: API encodes memory-only artifacts under the name a disk tier would
+        #: use, and re-inferring it from the value's type is ambiguous (an
+        #: empty dict could be JSON or an empty arrays npz).
+        self._memory: OrderedDict[tuple[str, str], _Entry] = OrderedDict()
+        #: Guards the tier's order and its running byte total.
+        self._memory_lock = threading.Lock()
+        self._memory_bytes = 0
         self.stats: dict[str, CacheStats] = {}
 
     # -- bookkeeping ---------------------------------------------------------
@@ -213,18 +270,15 @@ class ArtifactStore:
         skipping recomputation without touching the byte tiers (the parent
         persists its own copies).
         """
-        self._memory[(kind, key)] = value
-        self._memory_bytes[(kind, key)] = _array_bytes(value)
-        self._encoded.pop((kind, key), None)
+        self._memoize(kind, key, value, None)
         self.stat(kind).preloads += 1
 
     def memory_entries(self, kind: str) -> dict[str, Any]:
         """Snapshot of the memory tier's entries of one artifact kind."""
-        # ``copy()`` snapshots the dict in one C call that allocates nothing
-        # per entry, so neither a put on another thread nor a garbage
-        # collection (which can run Python code) interleaves with it.
-        entries = self._memory.copy()
-        return {key: value for (k, key), value in entries.items() if k == kind}
+        with self._memory_lock:
+            return {
+                key: entry.value for (k, key), entry in self._memory.items() if k == kind
+            }
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -241,14 +295,9 @@ class ArtifactStore:
         return [tier.describe() for tier in self.tiers]
 
     def bytes_in_memory(self) -> int:
-        """Bytes the object memory tier holds: each entry's array bytes plus
-        any byte payloads memoised for peer serving."""
-        # Snapshots taken in one C call each, allocating nothing per entry:
-        # /metrics reads this while puts and peer reads fill both dicts on
-        # other threads.
-        sizes = list(self._memory_bytes.values())
-        payloads = list(self._encoded.values())
-        return sum(sizes) + sum(len(payload) for payload in payloads)
+        """Bytes the object memory tier is charged (see :func:`_array_bytes`);
+        at most :data:`MEMORY_TIER_BYTES` unless one entry alone exceeds it."""
+        return self._memory_bytes
 
     @staticmethod
     def _replica_backend(entry: str | Path) -> StoreBackend:
@@ -334,11 +383,19 @@ class ArtifactStore:
 
     # -- generic tiered read/write -------------------------------------------
 
+    def _memory_get(self, kind: str, key: str) -> _Entry | None:
+        """The object-tier entry of ``kind/key``, promoted to most recent."""
+        with self._memory_lock:
+            entry = self._memory.get((kind, key))
+            if entry is not None:
+                self._memory.move_to_end((kind, key))
+            return entry
+
     def _get(self, kind: str, key: str, codec: ArtifactCodec) -> Any | None:
-        memo = self._memory.get((kind, key))
-        if memo is not None:
+        entry = self._memory_get(kind, key)
+        if entry is not None:
             self._record(kind, True)
-            return memo
+            return entry.value
         name = key + codec.suffix
         for index, tier in enumerate(self.tiers):
             with span("store.get", metric="store", label=f"{tier.name}.get",
@@ -360,21 +417,49 @@ class ArtifactStore:
             # Read-through: promote the payload into every tier above the hit.
             for upper in self.tiers[:index]:
                 upper.put(kind, name, payload)
-            self._memoize(kind, key, value, codec)
+            self._memoize(kind, key, value, codec, payload)
             self._record(kind, True)
             return value
         self._record(kind, False)
         return None
 
-    def _memoize(self, kind: str, key: str, value: Any, codec: ArtifactCodec) -> None:
-        self._memory[(kind, key)] = value
-        self._memory_codecs[(kind, key)] = codec
-        self._memory_bytes[(kind, key)] = _array_bytes(value)
+    def _memoize(
+        self, kind: str, key: str, value: Any, codec: ArtifactCodec | None,
+        payload: bytes | None = None,
+    ) -> None:
+        """Hold ``value`` as the most recent entry, then evict down to the bound.
+
+        A JSON value is charged its encoded length (``payload`` when the
+        caller already encoded it), any other value its array bytes.
+        """
+        if codec is JSON_CODEC:
+            nbytes = len(payload if payload is not None else codec.encode(value))
+        else:
+            nbytes = _array_bytes(value)
+        entry = _Entry(value, codec, nbytes)
+        with self._memory_lock:
+            old = self._memory.pop((kind, key), None)
+            if old is not None:
+                self._memory_bytes -= old.charge
+            self._memory[(kind, key)] = entry
+            self._memory_bytes += nbytes
+            self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        """Drop least recently used entries until the tier fits its bound.
+
+        The newest entry stays even when it alone exceeds the bound.
+        """
+        while self._memory_bytes > MEMORY_TIER_BYTES and len(self._memory) > 1:
+            (kind, _), entry = self._memory.popitem(last=False)
+            self._memory_bytes -= entry.charge
+            self.stat(kind).evictions += 1
 
     def _put(self, kind: str, key: str, value: Any, codec: ArtifactCodec) -> None:
         # Tiers first: a tier that raises (a full disk) leaves the value
         # unmemoized and uncounted, so no later lookup hits a copy that
         # never reached the tiers.
+        payload = None
         if self.tiers:
             payload = codec.encode(value)
             name = key + codec.suffix
@@ -382,8 +467,7 @@ class ArtifactStore:
                 with span("store.put", metric="store", label=f"{tier.name}.put",
                           tier=tier.name, kind=kind, bytes=len(payload)):
                     tier.put(kind, name, payload)
-        self._memoize(kind, key, value, codec)
-        self._encoded.pop((kind, key), None)
+        self._memoize(kind, key, value, codec, payload)
         self.stat(kind).puts += 1
 
     # -- typed artifact families ---------------------------------------------
@@ -431,13 +515,11 @@ class ArtifactStore:
                 return name[: -len(suffix)], suffix
         return None
 
-    def _memory_codec(self, kind: str, key: str, value: Any) -> ArtifactCodec:
-        """Codec of a memory entry: recorded at put/decode, else type-inferred.
-
-        The fallback covers :meth:`preload`-seeded entries, which arrive
-        without byte-level provenance.
-        """
-        return self._memory_codecs.get((kind, key)) or codec_for_value(value)
+    @staticmethod
+    def _entry_codec(entry: _Entry) -> ArtifactCodec:
+        """Codec of a memory entry: recorded at put/decode, else type-inferred
+        (a :meth:`preload`-seeded entry)."""
+        return entry.codec or codec_for_value(entry.value)
 
     def get_bytes(self, kind: str, name: str) -> bytes | None:
         """Raw payload of ``kind/name`` for serving to a peer (local tiers only).
@@ -453,18 +535,25 @@ class ArtifactStore:
             if payload is not None:
                 return payload
         split = self._split_name(name)
-        if split is not None:
-            key, suffix = split
-            memo = self._memory.get((kind, key))
-            if memo is not None:
-                codec = self._memory_codec(kind, key, memo)
-                if codec.suffix == suffix:
-                    payload = self._encoded.get((kind, key))
-                    if payload is None:
-                        payload = codec.encode(memo)
-                        self._encoded[(kind, key)] = payload
-                    return payload
-        return None
+        if split is None:
+            return None
+        key, suffix = split
+        entry = self._memory_get(kind, key)
+        if entry is None:
+            return None
+        codec = self._entry_codec(entry)
+        if codec.suffix != suffix:
+            return None
+        payload = entry.payload
+        if payload is None:
+            payload = codec.encode(entry.value)
+            with self._memory_lock:
+                # Charged only while the entry is still the one held.
+                if entry.payload is None and self._memory.get((kind, key)) is entry:
+                    entry.payload = payload
+                    self._memory_bytes += len(payload)
+                    self._evict_locked()
+        return payload
 
     def contains_bytes(self, kind: str, name: str) -> bool:
         if any(tier.contains(kind, name) for tier in self._local_tiers):
@@ -473,10 +562,10 @@ class ArtifactStore:
         if split is None:
             return False
         key, suffix = split
-        memo = self._memory.get((kind, key))
+        entry = self._memory.get((kind, key))
         # Mirror get_bytes: a memory-only artifact only "exists" under the
         # name its codec would encode it as (HEAD 200 must imply GET 200).
-        return memo is not None and self._memory_codec(kind, key, memo).suffix == suffix
+        return entry is not None and self._entry_codec(entry).suffix == suffix
 
     def put_bytes(self, kind: str, name: str, payload: bytes) -> None:
         """Write a peer-provided payload into the local byte tiers (not decoded).
@@ -499,8 +588,7 @@ class ArtifactStore:
                 )
                 self.stat(kind).corrupt += 1
             else:
-                self._memoize(kind, key, value, codec)
-                self._encoded.pop((kind, key), None)
+                self._memoize(kind, key, value, codec, payload)
             return
         for tier in local:
             tier.put(kind, name, payload)
@@ -522,10 +610,10 @@ class ArtifactStore:
             tier.delete(kind, name)
         split = self._split_name(name)
         if split is not None:
-            self._memory.pop((kind, split[0]), None)
-            self._memory_codecs.pop((kind, split[0]), None)
-            self._memory_bytes.pop((kind, split[0]), None)
-            self._encoded.pop((kind, split[0]), None)
+            with self._memory_lock:
+                entry = self._memory.pop((kind, split[0]), None)
+                if entry is not None:
+                    self._memory_bytes -= entry.charge
 
 
 # -- process-wide default store ------------------------------------------------

@@ -12,17 +12,20 @@ Reproduces the paper's experimental pipeline (Appendix A.5):
    a training config train in one lockstep stack (:meth:`evaluate_many`);
 5. compute the embedding distance measures between the pair.
 
-Everything is cached aggressively because the grid study reuses the same
+Everything expensive is cached because the grid study reuses the same
 full-precision embeddings across many precisions and tasks.  Caching goes
 through the engine's content-addressed :class:`~repro.engine.store.ArtifactStore`:
 the default store is in-memory (matching the seed behaviour), and handing the
-pipeline a disk-backed store makes every trained embedding pair, quantized
-pair, anchor decomposition, measure value and downstream result persistent, so
-a warm rerun performs zero retrainings.
+pipeline a disk-backed store makes every trained embedding pair, anchor
+decomposition, measure value and downstream result persistent, so a warm rerun
+performs zero retrainings.  Quantized pairs are derived, not stored: a
+quantization is a ~2.4 ms function of the stored full-precision pair.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +70,11 @@ NER_TASK_NAME = "conll"
 #: Names of the measures in :meth:`InstabilityPipeline.measure_suite`, the
 #: only names a ``measures=`` selection may use.
 SUITE_MEASURES = ("eis", "1-knn", "semantic-displacement", "pip", "1-eigenspace-overlap")
+#: Artifact keys a pipeline memoises before it forgets the oldest.  A cold
+#: default ``/select`` derives 25 keys, so 4096 keys (1.15 MB measured) keep
+#: the keys of the last ~160 ancestries while a server answers new seeds
+#: forever; a forgotten key costs one re-hash of its config.
+KEY_MEMO_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -283,12 +291,16 @@ class InstabilityPipeline:
         )
         self.lexicons = build_task_lexicons(self.generator, self.vocab)
         self._datasets: dict[str, DatasetSplits] = {}
-        self._downstream_results: dict[str, DownstreamResult] = {}
-        self._measure_suites: dict[tuple[str, int], dict[str, object]] = {}
+        #: Downstream results by key while a caller holds them, so repeated
+        #: lookups keep identity without pinning every result ever read.
+        self._downstream_results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         #: Artifact-key memo: hashing re-serialises the whole (frozen) config,
         #: which at serving rates costs more than some measure evaluations.
         #: Safe because PipelineConfig is frozen and the salt is fixed at init.
+        #: Bounded by :data:`KEY_MEMO_ENTRIES` (oldest first out); the lock
+        #: guards inserts only, so a hit stays one dict lookup.
         self._key_memo: dict[tuple, str] = {}
+        self._key_memo_lock = threading.Lock()
         #: Number of embedding pairs actually trained (cache misses) and of
         #: downstream models actually fit; warm-cache tests pin these to zero.
         self.embedding_train_count = 0
@@ -306,7 +318,11 @@ class InstabilityPipeline:
         """Cache ``config_hash(fields_fn())`` under ``memo_key`` for this pipeline."""
         key = self._key_memo.get(memo_key)
         if key is None:
-            key = self._key_memo[memo_key] = config_hash(fields_fn())
+            key = config_hash(fields_fn())
+            with self._key_memo_lock:
+                if len(self._key_memo) >= KEY_MEMO_ENTRIES:
+                    del self._key_memo[next(iter(self._key_memo))]
+                self._key_memo[memo_key] = key
         return key
 
     def _corpus_fields(self) -> dict:
@@ -397,24 +413,29 @@ class InstabilityPipeline:
         return pair
 
     def compressed_pair(
-        self, algorithm: str, dim: int, precision: int, seed: int
+        self, algorithm: str, dim: int, precision: int, seed: int,
+        *, pairs: dict | None = None,
     ) -> tuple[Embedding, Embedding]:
-        """Embedding pair quantized to ``precision`` bits (threshold shared)."""
-        if precision >= FULL_PRECISION_BITS:
-            return self.embedding_pair(algorithm, dim, seed)
-        key = self._memoised_key(
-            ("quantized", algorithm, int(dim), int(precision), int(seed)),
-            lambda: self._quantized_fields(algorithm, dim, precision, seed),
-        )
-        pair = self.store.get_embedding_pair("quantized_pair", key)
-        if pair is None:
-            emb_a, emb_b = self.embedding_pair(algorithm, dim, seed)
+        """Embedding pair quantized to ``precision`` bits (threshold shared).
+
+        Derived from the stored full-precision pair on each call, never
+        stored.  ``pairs`` is a memo the caller owns, keyed by ``(algorithm,
+        dim, precision, seed)``: a caller that needs one pair in several
+        places (a grid group's measures and its downstream models) passes
+        one, so each pair is quantized once and dropped with the memo.
+        """
+        cell = (algorithm, int(dim), int(precision), int(seed))
+        if pairs is not None and cell in pairs:
+            return pairs[cell]
+        pair = self.embedding_pair(algorithm, dim, seed)
+        if precision < FULL_PRECISION_BITS:
             with span("pipeline.quantize", metric="phase", label="quantize",
                       algorithm=algorithm, dim=int(dim), precision=int(precision)):
                 pair = compress_pair(
-                    emb_a, emb_b, precision, share_threshold=self.config.share_clip_threshold
+                    *pair, precision, share_threshold=self.config.share_clip_threshold
                 )
-                self.store.put_embedding_pair("quantized_pair", key, pair)
+        if pairs is not None:
+            pairs[cell] = pair
         return pair
 
     def anchors(self, algorithm: str, seed: int) -> tuple[Embedding, Embedding]:
@@ -465,23 +486,26 @@ class InstabilityPipeline:
         )
 
     def measure_suite(self, algorithm: str, seed: int) -> dict[str, object]:
-        """The :data:`SUITE_MEASURES`, with anchors resolved (cached)."""
-        suite_key = (algorithm, int(seed))
-        if suite_key not in self._measure_suites:
-            anchor_a, anchor_b = self.anchors(algorithm, seed)
-            self._measure_suites[suite_key] = {
-                "eis": EigenspaceInstability(
-                    anchor_a, anchor_b, alpha=self.config.eis_alpha,
-                    factors=self.anchor_decomposition(algorithm, seed),
-                ),
-                "1-knn": KNNDistance(
-                    k=self.config.knn_k, num_queries=self.config.knn_num_queries, seed=0
-                ),
-                "semantic-displacement": SemanticDisplacement(),
-                "pip": PIPLoss(),
-                "1-eigenspace-overlap": EigenspaceOverlapDistance(),
-            }
-        return self._measure_suites[suite_key]
+        """The :data:`SUITE_MEASURES`, with anchors resolved.
+
+        Built on each call and kept by nobody: every measure is stateless
+        across calls (k-NN reseeds from an int each time, and EIS receives
+        the stored anchor factors), so a cached suite would only pin the
+        anchor arrays past the store's memory bound.
+        """
+        anchor_a, anchor_b = self.anchors(algorithm, seed)
+        return {
+            "eis": EigenspaceInstability(
+                anchor_a, anchor_b, alpha=self.config.eis_alpha,
+                factors=self.anchor_decomposition(algorithm, seed),
+            ),
+            "1-knn": KNNDistance(
+                k=self.config.knn_k, num_queries=self.config.knn_num_queries, seed=0
+            ),
+            "semantic-displacement": SemanticDisplacement(),
+            "pip": PIPLoss(),
+            "1-eigenspace-overlap": EigenspaceOverlapDistance(),
+        }
 
     def measures_key(
         self, algorithm: str, dim: int, precision: int, seed: int,
@@ -519,7 +543,7 @@ class InstabilityPipeline:
 
     def compute_measures(
         self, algorithm: str, dim: int, precision: int, seed: int,
-        *, measures: tuple[str, ...] | None = None,
+        *, measures: tuple[str, ...] | None = None, pairs: dict | None = None,
     ) -> dict[str, float]:
         """Evaluate embedding distance measures on a compressed pair.
 
@@ -528,7 +552,8 @@ class InstabilityPipeline:
         matrix is decomposed once for EIS, eigenspace overlap and PIP loss
         together; values are cached in the artifact store.  An empty
         selection, or one naming a measure outside the suite, raises
-        ``KeyError`` before the store is consulted.
+        ``KeyError`` before the store is consulted.  ``pairs`` is the
+        caller's quantized-pair memo (see :meth:`compressed_pair`).
         """
         if measures is not None:
             unknown = [name for name in measures if name not in SUITE_MEASURES]
@@ -540,7 +565,7 @@ class InstabilityPipeline:
         cached = self.store.get_json("measures", key)
         if cached is not None:
             return dict(cached)
-        emb_a, emb_b = self.compressed_pair(algorithm, dim, precision, seed)
+        emb_a, emb_b = self.compressed_pair(algorithm, dim, precision, seed, pairs=pairs)
         suite = self.measure_suite(algorithm, seed)
         selected = {
             name: measure for name, measure in suite.items()
@@ -728,6 +753,7 @@ class InstabilityPipeline:
         *,
         model_type: str = "bow",
         use_crf: bool = False,
+        pairs: dict | None = None,
     ) -> list[DownstreamResult]:
         """Cached end-to-end evaluation of many ``(task, algorithm, dim,
         precision, seed)`` grid points, in order.
@@ -735,32 +761,38 @@ class InstabilityPipeline:
         Cells whose result is stored are read back; the rest train through
         one :meth:`downstream_results` call per (task, seed), so every
         bucket of models sharing a training config trains in lockstep.  Each
-        result is stored under its cell's own key.
+        result is stored under its cell's own key.  ``pairs`` is the
+        caller's quantized-pair memo (see :meth:`compressed_pair`).
         """
         keys = [self._downstream_key(*cell, model_type, use_crf) for cell in cells]
+        results: dict[str, DownstreamResult] = {}
         missing: dict[tuple[str, int], dict[str, tuple]] = {}
         for key, cell in zip(keys, cells):
             payload = self.store.get_json("downstream", key)
             if payload is None:
                 task, seed = cell[0], cell[4]
                 missing.setdefault((task, seed), {})[key] = cell
-            elif key not in self._downstream_results:
-                # Reconstruct once and memoise so repeated lookups keep identity.
-                self._downstream_results[key] = DownstreamResult(
-                    task=payload["task"],
-                    disagreement=payload["disagreement"],
-                    accuracy_a=payload["accuracy_a"],
-                    accuracy_b=payload["accuracy_b"],
-                )
+            else:
+                result = self._downstream_results.get(key)
+                if result is None:
+                    result = self._downstream_results[key] = DownstreamResult(
+                        task=payload["task"],
+                        disagreement=payload["disagreement"],
+                        accuracy_a=payload["accuracy_a"],
+                        accuracy_b=payload["accuracy_b"],
+                    )
+                results[key] = result
         for (task, seed), todo in missing.items():
-            pairs = [self.compressed_pair(*cell[1:]) for cell in todo.values()]
-            results = self.downstream_results(
-                task, pairs, seed, model_type=model_type, use_crf=use_crf
+            todo_pairs = [
+                self.compressed_pair(*cell[1:], pairs=pairs) for cell in todo.values()
+            ]
+            trained = self.downstream_results(
+                task, todo_pairs, seed, model_type=model_type, use_crf=use_crf
             )
-            for key, result in zip(todo, results):
-                self._downstream_results[key] = result
+            for key, result in zip(todo, trained):
+                results[key] = self._downstream_results[key] = result
                 self.store.put_json("downstream", key, result)
-        return [self._downstream_results[key] for key in keys]
+        return [results[key] for key in keys]
 
     def evaluate(
         self,

@@ -23,9 +23,9 @@ computation: the first request submits it, the rest await the same future.
 
 **Ancestry-aware batching.**  Distinct measure requests sharing an
 (algorithm, seed) ancestry serialise on a per-ancestry lock, so the shared
-anchor decomposition and measure suite are built exactly once and every
-follower hits them in cache; requests of unrelated ancestries run
-concurrently up to ``max_concurrency``.
+anchor pair and its decomposition are built exactly once and every follower
+hits them in cache; requests of unrelated ancestries run concurrently up to
+``max_concurrency``.  A lock lives only while a request holds it.
 
 **Bounded concurrency.**  All computation runs on a ``max_concurrency``-sized
 thread pool; the asyncio HTTP layer stays responsive no matter how heavy the
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -143,7 +144,9 @@ class StabilityService:
         )
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
-        self._ancestry_locks: dict[tuple[str, int], threading.Lock] = {}
+        #: One lock per (algorithm, seed) ancestry while a request holds it;
+        #: an entry goes when its last holder does, so new seeds add none.
+        self._ancestry_locks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._counters = {
             "requests_measure": 0,
             "requests_select": 0,
@@ -269,8 +272,8 @@ class StabilityService:
 
         def compute() -> dict:
             # Ancestry-aware batching: requests sharing the (algorithm, seed)
-            # anchor pair serialise here, so the anchor decomposition and the
-            # measure suite are built once and every follower hits the cache.
+            # anchor pair serialise here, so the anchor pair and its
+            # decomposition are built once and every follower hits the cache.
             lock = self._ancestry_lock(algorithm, seed)
             with span("service.ancestry_wait", metric="phase",
                       label="ancestry_wait", algorithm=algorithm, seed=seed):

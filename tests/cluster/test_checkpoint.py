@@ -18,12 +18,14 @@ import warnings
 
 from repro.cluster import ClusterWorker, config_wire_payload, plan_from_wire, plan_wire_payload
 from repro.cluster.coordinator import (
+    _INDEX_KEY,
     CHECKPOINT_KIND,
     MAX_ATTEMPTS,
     RUN_GC_AGE,
     ClusterCoordinator,
 )
-from repro.engine import GridEngine, StoreBackend, plan_grid, stats
+from repro.engine import DiskBackend, GridEngine, StoreBackend, plan_grid, stats
+from repro.engine.faults import FaultyBackend
 from repro.engine.store import ArtifactStore
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
@@ -217,7 +219,51 @@ class FullDisk(StoreBackend):
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+class RaisingReads(FaultyBackend):
+    """A fault tier whose scripted ``get`` failures raise instead of missing."""
+
+    def _get(self, kind, name):
+        if self._inject("get", kind, name):
+            raise OSError(errno.EIO, "Input/output error")
+        return self.inner.get(kind, name)
+
+
 class TestCheckpointFailures:
+    def test_unreadable_checkpoints_are_counted_on_resume(self, tmp_path):
+        tier = RaisingReads(DiskBackend(tmp_path))
+        first = make_coordinator(ArtifactStore(backends=[tier]))
+        plan = make_plan(with_measures=False)                 # 2 groups
+        run_id = first.create_run(plan)
+        lease = first.lease("w1")
+        first.complete(
+            "w1", lease["lease_id"], run_id, lease["group_index"],
+            rows_for_group(plan, lease["group_index"]),
+        )
+
+        def resume(warm_keys):
+            # A cold object tier, warmed with the checkpoints read before
+            # the one whose read raises.
+            store = ArtifactStore(backends=[tier])
+            for key in warm_keys:
+                assert store.get_json(CHECKPOINT_KIND, key) is not None
+            tier.fail_next("get")
+            coordinator = make_coordinator(store)
+            resumed = coordinator.resume_runs()
+            return coordinator, resumed, coordinator.counters["checkpoint_failures"]
+
+        # The index is unreadable: nothing resumes.
+        _, resumed, failures = resume(())
+        assert (resumed, failures) == (0, 1)
+        # The run's meta is unreadable: the run is skipped.
+        _, resumed, failures = resume((_INDEX_KEY,))
+        assert (resumed, failures) == (0, 1)
+        # The done group's rows are unreadable: the run resumes and the
+        # group returns to pending.
+        coordinator, resumed, failures = resume((_INDEX_KEY, run_id))
+        assert (resumed, failures) == (1, 1)
+        assert coordinator.run_status(run_id)["done"] == 0
+        assert stats(coordinator=coordinator)["cluster"]["counters"]["checkpoint_failures"] == 1
+
     def test_refused_checkpoints_are_counted_and_the_run_still_finishes(self):
         clock = FakeClock()
         coordinator = make_coordinator(ArtifactStore(backends=[FullDisk()]), clock)

@@ -24,6 +24,7 @@ from repro.cluster import ClusterWorker, CoordinatorClient, config_wire_payload
 from repro.cluster import worker as worker_module
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.engine import GridEngine, RemoteBackend, plan_grid
+from repro.engine import store as store_module
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
 
@@ -53,8 +54,8 @@ def live_api(service):
         loop.close()
 
 
-@pytest.fixture(scope="module")
-def cluster():
+@contextlib.contextmanager
+def live_cluster():
     """A live coordinator (real HTTP server) plus two polling workers."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -76,6 +77,12 @@ def cluster():
             for thread in threads:
                 thread.join(timeout=30)
     service.close()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with live_cluster() as running:
+        yield running
 
 
 def stream_grid(port: int, query: str = "") -> list[dict]:
@@ -154,6 +161,40 @@ class TestDistributedGrid:
         status = get_json(api.port, "/cluster/status")
         assert status["counters"]["leases_issued"] >= 2
         assert set(status["workers"]) >= {"worker-0", "worker-1"}
+
+
+class TestUnderTheMemoryBound:
+    """Ancestry gating on a memory-only coordinator whose object tier evicts.
+
+    The quick grid leaves ~26 kB on the coordinator (2 pairs, anchor
+    factors, 4 measure and 4 downstream values, run checkpoints), and each
+    further seed ~25 kB.  Under a bound of twice the quick grid, LRU order
+    alone must keep each anchor pair until its sibling group fetches it.
+    """
+
+    BOUND = 52 * 1024
+
+    def test_each_pair_trains_once_and_a_warm_rerun_trains_nothing(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", self.BOUND)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            expected = [
+                record.to_row()
+                for record in GridEngine(quick_serve_config()).run(with_measures=True)
+            ]
+        with live_cluster() as (api, url, workers):
+            store = api.service.store
+            # Fill the coordinator past its bound with other seeds' artifacts.
+            assert len(stream_grid(api.port, "&seeds=1,2,3")) == 3 * len(expected)
+            assert total_trainings(workers)[0] == 3 * 2
+            assert sum(stat.evictions for stat in store.stats.values()) > 0
+            assert store.bytes_in_memory() <= self.BOUND
+
+            assert stream_grid(api.port) == expected
+            trained = total_trainings(workers)
+            assert trained[0] == 4 * 2                  # seed 0's 2 pairs, once each
+            assert stream_grid(api.port) == expected
+            assert total_trainings(workers) == trained  # warm: nothing retrained
 
 
 def count_handled(monkeypatch, api, route: str, worker: str) -> list[str]:

@@ -89,16 +89,6 @@ class TestMemoryBackend:
         assert (backend.stats.hits, backend.stats.misses) == (1, 1)
         assert (backend.stats.puts, backend.stats.deletes) == (1, 1)
 
-    def test_lru_bound_evicts_oldest(self):
-        backend = MemoryBackend(max_entries=2)
-        backend.put("k", "a", b"1")
-        backend.put("k", "b", b"2")
-        backend.get("k", "a")              # refresh a; b becomes the LRU entry
-        backend.put("k", "c", b"3")
-        assert backend.contains("k", "a") and backend.contains("k", "c")
-        assert not backend.contains("k", "b")
-        assert backend.stats.evictions == 1
-
 
 class TestDiskBackend:
     def test_layout_matches_store_convention(self, tmp_path):
@@ -266,7 +256,7 @@ class TestRemoteBackendHalfOpenProbe:
 class TestSpecs:
     def test_backend_spec_round_trips(self, tmp_path):
         for backend in (
-            MemoryBackend(max_entries=7),
+            MemoryBackend(),
             DiskBackend(tmp_path),
             RemoteBackend("http://127.0.0.1:1"),
         ):

@@ -23,6 +23,7 @@ class TestStats:
         snapshot = stats(store)
         assert snapshot["store"]["downstream"] == {
             "hits": 1, "misses": 1, "puts": 1, "preloads": 0, "corrupt": 0,
+            "evictions": 0,
         }
         assert snapshot["store_persistent"] is False
         assert snapshot["store_tiers"] == []      # memory-only: no byte tiers

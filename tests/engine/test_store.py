@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.engine import store as store_module
+from repro.engine.codecs import JSON_CODEC
 from repro.engine.store import (
     ArtifactStore,
     config_hash,
@@ -63,6 +65,90 @@ class TestMemoryTier:
         store = ArtifactStore()
         store.put_json("a", "k", 1)
         assert store.get_json("b", "k") is None
+
+
+class TestMemoryBound:
+    """The object tier is one LRU bounded in bytes by MEMORY_TIER_BYTES."""
+
+    @staticmethod
+    def _arrays(n):
+        return {"x": np.zeros(n // 8)}          # n bytes of float64
+
+    def test_least_recently_used_entries_go_first_and_are_counted(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", 3000)
+        store = ArtifactStore()
+        for key in "abc":
+            store.put_arrays("d", key, self._arrays(1000))
+        assert store.bytes_in_memory() == 3000
+        store.get_arrays("d", "a")                # a becomes the most recent
+        store.put_arrays("d", "e", self._arrays(1000))
+        assert store.memory_entries("d").keys() == {"c", "a", "e"}
+        assert store.bytes_in_memory() == 3000
+        assert store.stat("d").evictions == 1
+        assert store.get_arrays("d", "b") is None  # memory-only: gone for good
+
+    def test_json_values_and_peer_payloads_are_charged(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", 10**6)
+        store = ArtifactStore()
+        store.put_json("measures", "k", {"eis": 0.5})
+        charged = len(JSON_CODEC.encode({"eis": 0.5}))
+        assert store.bytes_in_memory() == charged
+        payload = store.get_bytes("measures", "k.json")
+        assert store.bytes_in_memory() == charged + len(payload)
+        store.delete_bytes("measures", "k.json")
+        assert store.bytes_in_memory() == 0 and len(store) == 0
+
+    def test_an_evicted_artifact_is_re_read_from_a_lower_tier(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", 1500)
+        store = ArtifactStore(tmp_path)
+        store.put_arrays("d", "a", self._arrays(1000))
+        store.put_arrays("d", "b", self._arrays(1000))
+        assert store.stat("d").evictions == 1 and len(store) == 1
+        np.testing.assert_array_equal(store.get_arrays("d", "a")["x"], np.zeros(125))
+        assert store.stat("d").hits == 1 and store.stat("d").evictions == 2
+
+    def test_an_entry_larger_than_the_bound_stays_until_the_next(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", 100)
+        store = ArtifactStore()
+        store.put_arrays("d", "big", self._arrays(800))
+        assert store.get_arrays("d", "big") is not None
+        store.put_json("m", "k", 1)
+        assert store.memory_entries("d") == {}
+        assert store.bytes_in_memory() == 1
+
+    def test_the_running_total_survives_racing_threads(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", 20_000)
+        store = ArtifactStore()
+        errors: list[Exception] = []
+
+        def work(worker):
+            try:
+                for i in range(300):
+                    key = f"{worker}-{i % 40}"
+                    store.put_arrays("d", key, self._arrays(800))
+                    store.get_bytes("d", f"{key}.npz")
+                    store.put_json("m", key, i)
+                    store.get_arrays("d", f"{worker}-{(i * 7) % 40}")
+                    if i % 5 == 0:
+                        store.delete_bytes("m", f"{key}.json")
+            except Exception as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # A lost update of the running total would part it from the entries.
+        charged = sum(entry.charge for entry in store._memory.values())
+        assert store.bytes_in_memory() == charged <= 20_000
 
 
 class _Finalized:

@@ -235,13 +235,11 @@ class TestArtifactKeys:
         store = _KeyRecordingStore()
         pipeline = InstabilityPipeline(config, store=store)
         pipeline.embedding_pair("cbow", 8, 0)
-        pipeline.compressed_pair("cbow", 8, 2, 0)
         pipeline.anchor_decomposition("cbow", 0)
         pipeline.compute_measures("cbow", 8, 2, 0)
         pipeline.evaluate("sst2", "cbow", 8, 2, 0)
         assert store.asked == {
             "embedding_pair": "04b5d546e066337b811cea59",
-            "quantized_pair": "25aec13bfc9d3f2e577528d3",
             "decomposition": "f7b8ff747bc83e634e49e1b5",
             "measures": "be3c1401aec23d7f0200aec1",
             "downstream": "241158919762d45209f9b230",

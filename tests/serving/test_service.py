@@ -9,10 +9,12 @@ import gc
 import threading
 import warnings
 import weakref
+from dataclasses import replace
 
 import pytest
 
 from repro.engine import stats
+from repro.engine import store as store_module
 from repro.instability import pipeline as pipeline_module
 from repro.serving import ServiceConfig, StabilityService
 from repro.serving.api import quick_serve_config
@@ -233,3 +235,41 @@ class TestObservability:
     def test_service_config_validation(self):
         with pytest.raises(ValueError, match="max_concurrency"):
             ServiceConfig(max_concurrency=0)
+
+
+class TestBoundedMemory:
+    """A long-running service holds a working set, not every seed it served."""
+
+    CALLS = 100
+    #: About four cold /selects of the soak config (each holds ~15.8 kB in
+    #: 4 entries: a pair, its anchor factors and 2 measure values).
+    BOUND = 64 * 1024
+    KEYS = 16
+
+    def test_a_soak_of_cold_selects_stays_within_every_bound(self, monkeypatch):
+        monkeypatch.setattr(store_module, "MEMORY_TIER_BYTES", self.BOUND)
+        monkeypatch.setattr(pipeline_module, "KEY_MEMO_ENTRIES", self.KEYS)
+        config = replace(
+            quick_serve_config(), algorithms=("mc",), dimensions=(6,),
+            precisions=(2, 32), embedding_epochs=3,
+        )
+        lengths = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with StabilityService(config) as svc:
+                for seed in range(self.CALLS):
+                    answer = svc.select(1000, seed=seed)
+                    assert svc.store.bytes_in_memory() <= self.BOUND
+                    assert len(svc.pipeline._key_memo) <= self.KEYS
+                    assert len(svc._ancestry_locks) == 0
+                    lengths.append(len(svc.store))
+                evictions = sum(stat.evictions for stat in svc.store.stats.values())
+                # Each seed trained once: no request lost its own working set.
+                assert svc.pipeline.embedding_train_count == self.CALLS
+            with StabilityService(config) as fresh:
+                assert fresh.select(1000, seed=self.CALLS - 1) == answer
+        assert evictions > 0
+        # The entry count levels off: the second half never holds more than
+        # the first half did at its peak.
+        half = self.CALLS // 2
+        assert max(lengths[half:]) <= max(lengths[:half])
