@@ -35,7 +35,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_load.py --rate 80 --duration 10
 
 Exits non-zero on any gate breach so CI can run it; results land in
-``BENCH_load.json`` (compared against ``benchmarks/baselines/``).
+``BENCH_load.json``.
 """
 
 from __future__ import annotations

@@ -415,8 +415,16 @@ class ArtifactStore:
                 self.stat(kind).corrupt += 1
                 continue
             # Read-through: promote the payload into every tier above the hit.
+            # A promotion that fails (a full upper disk) is counted in that
+            # tier's errors and must not fail the read: the value is in hand.
             for upper in self.tiers[:index]:
-                upper.put(kind, name, payload)
+                try:
+                    upper.put(kind, name, payload)
+                except Exception as error:
+                    logger.warning(
+                        "could not promote %s/%s into %s tier: %s",
+                        kind, name, upper.name, error,
+                    )
             self._memoize(kind, key, value, codec, payload)
             self._record(kind, True)
             return value

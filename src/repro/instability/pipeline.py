@@ -550,7 +550,9 @@ class InstabilityPipeline:
         The suite runs as a batch sharing one vocabulary alignment and one
         :class:`~repro.measures.base.DecompositionCache`, so each embedding
         matrix is decomposed once for EIS, eigenspace overlap and PIP loss
-        together; values are cached in the artifact store.  An empty
+        together; values are cached in the artifact store.  They come back
+        sorted by name, the order a stored value is read back in, so a
+        cold and a warm run list them alike.  An empty
         selection, or one naming a measure outside the suite, raises
         ``KeyError`` before the store is consulted.  ``pairs`` is the
         caller's quantized-pair memo (see :meth:`compressed_pair`).
@@ -577,7 +579,7 @@ class InstabilityPipeline:
             batch = compute_measure_batch(
                 selected, emb_a, emb_b, top_k=self.config.measure_top_k
             )
-            out = batch.values
+            out = dict(sorted(batch.values.items()))
             self.store.put_json("measures", key, out)
         return out
 

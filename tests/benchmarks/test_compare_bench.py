@@ -1,5 +1,5 @@
-"""The CI perf-regression gate (``benchmarks/compare_bench.py``) and the
-benchmark envelope contract it consumes (``benchmarks/conftest.py``)."""
+"""The benchmark envelope contract (``benchmarks/conftest.py``): every CLI
+benchmark writes its results through ``write_benchmark_results``."""
 
 import datetime
 import importlib.util
@@ -11,179 +11,16 @@ import pytest
 BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
+@pytest.fixture(scope="module")
+def bench_conftest():
+    spec = importlib.util.spec_from_file_location("bench_conftest", BENCHMARKS / "conftest.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.fixture(scope="module")
-def compare_bench():
-    return _load("compare_bench", BENCHMARKS / "compare_bench.py")
-
-
-@pytest.fixture(scope="module")
-def bench_conftest():
-    return _load("bench_conftest", BENCHMARKS / "conftest.py")
-
-
-def envelope(summary, name="engine_grid", rev="abc123"):
-    return {"benchmark": name, "git_rev": rev, "summary": summary, "rows": []}
-
-
-def write(tmp_path, filename, payload):
-    path = tmp_path / filename
-    path.write_text(json.dumps(payload))
-    return str(path)
-
-
-class TestTimingLeaves:
-    def test_units_normalise_to_ms(self, compare_bench):
-        leaves = compare_bench.timing_leaves(
-            {"seconds": 2, "mean_ms": 3.5, "total_s": 0.25, "train_seconds": 1}
-        )
-        assert leaves == {
-            "seconds": 2000.0, "mean_ms": 3.5, "total_s": 250.0,
-            "train_seconds": 1000.0,
-        }
-
-    def test_non_timing_keys_are_ignored(self, compare_bench):
-        leaves = compare_bench.timing_leaves(
-            {"cells": 4, "records_per_second": 9.0, "hits": 3, "name": "x"}
-        )
-        assert leaves == {}
-
-    def test_nested_dicts_and_lists_flatten_with_paths(self, compare_bench):
-        leaves = compare_bench.timing_leaves(
-            {"cold": {"mean_ms": 10}, "phases": [{"wall_s": 1}, {"wall_s": 2}]}
-        )
-        assert leaves == {
-            "cold.mean_ms": 10.0,
-            "phases[0].wall_s": 1000.0,
-            "phases[1].wall_s": 2000.0,
-        }
-
-    def test_bools_and_non_numeric_timings_are_skipped(self, compare_bench):
-        assert compare_bench.timing_leaves({"warm_ms": True, "cold_ms": "fast"}) == {}
-
-    def test_labelled_rows_address_by_mode_not_position(self, compare_bench):
-        rows = [
-            {"mode": "serial / cold", "seconds": 0.4, "speedup": 1.0},
-            {"mode": "serial / warm", "seconds": 0.003, "speedup": 133.0},
-        ]
-        leaves = compare_bench.timing_leaves({"rows": rows})
-        assert leaves == {
-            "rows[serial / cold].seconds": 400.0,
-            "rows[serial / warm].seconds": 3.0,
-        }
-        # Reordering the rows must not change any path.
-        assert compare_bench.timing_leaves({"rows": rows[::-1]}) == leaves
-
-
-class TestCompare:
-    def test_within_threshold_passes(self, compare_bench):
-        _, regressions = compare_bench.compare(
-            envelope({"mean_ms": 100.0}), envelope({"mean_ms": 120.0}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert regressions == []
-
-    def test_regression_over_threshold_fails(self, compare_bench):
-        _, regressions = compare_bench.compare(
-            envelope({"mean_ms": 100.0}), envelope({"mean_ms": 130.0}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert len(regressions) == 1
-        assert "mean_ms" in regressions[0]
-
-    def test_speedup_never_fails(self, compare_bench):
-        _, regressions = compare_bench.compare(
-            envelope({"mean_ms": 100.0}), envelope({"mean_ms": 10.0}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert regressions == []
-
-    def test_min_ms_floor_absorbs_tiny_jitter(self, compare_bench):
-        # 0.4ms -> 0.9ms is a +125% blowup but both sit under the noise
-        # floor, so the gate must not flap.
-        _, regressions = compare_bench.compare(
-            envelope({"mean_ms": 0.4}), envelope({"mean_ms": 0.9}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert regressions == []
-
-    def test_crossing_the_floor_still_gates(self, compare_bench):
-        _, regressions = compare_bench.compare(
-            envelope({"mean_ms": 15.0}), envelope({"mean_ms": 50.0}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert len(regressions) == 1
-
-    def test_asymmetric_leaves_are_reported_not_failed(self, compare_bench):
-        report, regressions = compare_bench.compare(
-            envelope({"old_ms": 100.0}), envelope({"new_ms": 100.0}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert regressions == []
-        assert any("old_ms" in line and "baseline only" in line for line in report)
-        assert any("new_ms" in line and "no baseline" in line for line in report)
-
-    def test_row_timings_are_gated_too(self, compare_bench):
-        base = envelope({})
-        fresh = envelope({})
-        base["rows"] = [{"mode": "cold", "seconds": 0.1}]
-        fresh["rows"] = [{"mode": "cold", "seconds": 0.5}]
-        _, regressions = compare_bench.compare(
-            base, fresh, threshold=0.25, min_ms=20.0
-        )
-        assert len(regressions) == 1
-        assert "rows[cold].seconds" in regressions[0]
-
-    def test_counters_cannot_regress(self, compare_bench):
-        _, regressions = compare_bench.compare(
-            envelope({"cells": 4, "hits": 100}), envelope({"cells": 40, "hits": 1}),
-            threshold=0.25, min_ms=20.0,
-        )
-        assert regressions == []
-
-
-class TestMain:
-    def test_exit_0_when_clean(self, compare_bench, tmp_path, capsys):
-        base = write(tmp_path, "base.json", envelope({"mean_ms": 100.0}))
-        fresh = write(tmp_path, "fresh.json", envelope({"mean_ms": 110.0}))
-        assert compare_bench.main(["--baseline", base, "--fresh", fresh]) == 0
-        assert "no timing regressions" in capsys.readouterr().out
-
-    def test_exit_1_on_regression(self, compare_bench, tmp_path, capsys):
-        base = write(tmp_path, "base.json", envelope({"mean_ms": 100.0}))
-        fresh = write(tmp_path, "fresh.json", envelope({"mean_ms": 200.0}))
-        assert compare_bench.main(["--baseline", base, "--fresh", fresh]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_threshold_flag_widens_the_gate(self, compare_bench, tmp_path):
-        base = write(tmp_path, "base.json", envelope({"mean_ms": 100.0}))
-        fresh = write(tmp_path, "fresh.json", envelope({"mean_ms": 200.0}))
-        code = compare_bench.main(
-            ["--baseline", base, "--fresh", fresh, "--threshold", "1.5"]
-        )
-        assert code == 0
-
-    def test_exit_2_on_missing_file(self, compare_bench, tmp_path, capsys):
-        fresh = write(tmp_path, "fresh.json", envelope({"mean_ms": 1.0}))
-        code = compare_bench.main(
-            ["--baseline", str(tmp_path / "nope.json"), "--fresh", fresh]
-        )
-        assert code == 2
-
-    def test_exit_2_on_benchmark_name_mismatch(self, compare_bench, tmp_path):
-        base = write(tmp_path, "base.json", envelope({"mean_ms": 1.0}, name="kernels"))
-        fresh = write(tmp_path, "fresh.json", envelope({"mean_ms": 1.0}, name="store"))
-        assert compare_bench.main(["--baseline", base, "--fresh", fresh]) == 2
-
-
 class TestEnvelopeContract:
-    """Pins the envelope fields compare_bench and CI depend on."""
+    """Pins the envelope fields of the results CI uploads."""
 
     def test_written_at_is_tz_aware_utc_iso8601(self, bench_conftest, tmp_path):
         out = tmp_path / "BENCH_probe.json"

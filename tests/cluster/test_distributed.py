@@ -162,6 +162,19 @@ class TestDistributedGrid:
         assert status["counters"]["leases_issued"] >= 2
         assert set(status["workers"]) >= {"worker-0", "worker-1"}
 
+    def test_two_seeds_lease_two_ancestries_each_pair_trained_once(self, cluster):
+        # Two seeds are two independent ancestries the two workers can run
+        # side by side; the records still equal the serial engine's.
+        api, url, workers = cluster
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            expected = GridEngine(quick_serve_config()).run(
+                with_measures=True, seeds=(1, 2)
+            )
+        before = total_trainings(workers)[0]
+        assert stream_grid(api.port, "&seeds=1,2") == [r.to_row() for r in expected]
+        assert total_trainings(workers)[0] - before == 2 * 2
+
 
 class TestUnderTheMemoryBound:
     """Ancestry gating on a memory-only coordinator whose object tier evicts.

@@ -306,6 +306,25 @@ class TestTierStack:
         assert store.get_json("measures", "k") is None
         assert store.stat("measures").hits == 0
 
+    def test_a_full_upper_disk_fails_a_put_but_not_a_read_through(self):
+        # Promoting a lower-tier hit into a full upper tier counts an error
+        # there, and the read still answers, counts a hit and memoizes the
+        # value; a put the caller asked for into that tier still raises.
+        class FullBackend(RecordingBackend):
+            def _put(self, kind, name, payload):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        full, lower = FullBackend("full", []), MemoryBackend()
+        ArtifactStore(backends=[lower]).put_json("measures", "k", {"eis": 0.5})
+        store = ArtifactStore(backends=[full, lower])
+        assert store.get_json("measures", "k") == {"eis": 0.5}
+        assert (full.stats.puts, full.stats.errors) == (0, 1)
+        assert (store.stat("measures").hits, store.stat("measures").misses) == (1, 0)
+        assert store.get_json("measures", "k") == {"eis": 0.5}   # memoized
+        assert lower.stats.hits == 1
+        with pytest.raises(OSError):
+            store.put_json("measures", "k2", {"eis": 0.25})
+
     def test_read_through_promotes_into_upper_tiers(self):
         log: list = []
         upper, lower = RecordingBackend("upper", log), RecordingBackend("lower", log)

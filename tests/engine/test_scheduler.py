@@ -5,10 +5,12 @@ the serial path, a warm artifact store performs zero retrainings, and tied
 seeds reproduce identical downstream results.
 """
 
+import json
 import warnings
 
 import pytest
 
+from repro.analysis.reporting import records_to_csv
 from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.engine import ArtifactStore, GridEngine, plan_groups, stats
 from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
@@ -146,6 +148,23 @@ class TestWarmStore:
             records = warm.run(with_measures=True, n_workers=2)
         assert records == serial_records
         assert warm.pipeline.embedding_train_count == 0
+
+    def test_cold_and_warm_runs_list_measures_in_one_order(self, tmp_path):
+        """Computed and stored measures both come back sorted by name, so a
+        cold run and its warm rerun write the same row and CSV bytes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cold = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path / "store"))
+            cold_records = cold.run(with_measures=True)
+            warm = GridEngine(TINY_GRID_CONFIG, store=ArtifactStore(tmp_path / "store"))
+            warm_records = warm.run(with_measures=True)
+        assert warm.pipeline.embedding_train_count == 0
+        assert json.dumps([r.to_row() for r in cold_records]) == json.dumps(
+            [r.to_row() for r in warm_records]
+        )
+        cold_csv = records_to_csv(cold_records, tmp_path / "cold.csv")
+        warm_csv = records_to_csv(warm_records, tmp_path / "warm.csv")
+        assert cold_csv.read_bytes() == warm_csv.read_bytes()
 
     def test_repeated_cells_hit_the_cache_in_one_run(self):
         with warnings.catch_warnings():

@@ -12,9 +12,11 @@ import asyncio
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.engine import ArtifactStore, GridEngine, RemoteBackend
+from repro.engine.codecs import ARRAYS_CODEC
 from repro.engine import stats as engine_stats
 from repro.serving import StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
@@ -62,6 +64,16 @@ class TestRemoteBackendAgainstLivePeer:
         backend.delete("testkind", "abc123.json")
         assert not backend.contains("testkind", "abc123.json")
         assert backend.get("testkind", "abc123.json") is None
+        assert backend.stats.errors == 0
+
+    def test_a_decomposition_sized_payload_round_trips_verbatim(self, peer):
+        api, _ = peer
+        backend = RemoteBackend(peer_url(api))
+        payload = ARRAYS_CODEC.encode(
+            {"u": np.random.default_rng(0).standard_normal((64, 64))}
+        )
+        backend.put("testkind", "large.npz", payload)
+        assert backend.get("testkind", "large.npz") == payload
         assert backend.stats.errors == 0
 
     def test_fetches_artifacts_the_peer_computed(self, peer):
