@@ -81,17 +81,14 @@ def stream_remote_grid(
     url: str,
     config: "PipelineConfig",
     plan: "GridPlan",
-    *,
-    timeout: float | None = None,
 ) -> Iterator["GridRecord"]:
     """Execute a grid plan on a remote coordinator, streaming its records.
 
-    ``timeout`` bounds each socket read between NDJSON lines (``None`` waits
-    indefinitely -- a cold cluster may train for a while before the first
-    record lands).  A terminal ``{"error": ...}`` line, a mid-stream
-    disconnect, or a non-200 response raise ``RuntimeError``/
-    ``ConnectionError`` so a silently-truncated grid can never be mistaken
-    for a complete one.
+    A read between NDJSON lines has no timeout: a cold cluster may train
+    for a while before the first record lands.  A terminal
+    ``{"error": ...}`` line, a mid-stream disconnect, or a non-200 response
+    raise ``RuntimeError``/``ConnectionError`` so a silently-truncated grid
+    can never be mistaken for a complete one.
     """
     from repro.instability.grid import GridRecord
 
@@ -108,7 +105,7 @@ def stream_remote_grid(
             "model_type": plan.model_type,
         }
     ).encode("utf-8")
-    conn, base_path = open_json_connection(url, timeout)
+    conn, base_path = open_json_connection(url)
     try:
         headers = {"Content-Type": "application/json"}
         headers.update(propagation_headers())

@@ -92,6 +92,9 @@ RUN_GC_AGE = 3600.0
 #: status table; its counters retire into monotonic fleet aggregates.
 WORKER_TTL = 300.0
 
+#: Seconds a waiting record stream sleeps between sweeps of expired leases.
+RECORDS_POLL_INTERVAL = 0.5
+
 #: Artifact kind of coordinator checkpoints (stored via the JSON codec).
 CHECKPOINT_KIND = "cluster-run"
 
@@ -120,6 +123,33 @@ def group_wire_payload(group: CellGroup) -> dict:
         "with_measures": group.with_measures,
         "model_type": group.model_type,
     }
+
+
+def _group_records(group: CellGroup, index: int, rows) -> "list[GridRecord]":
+    """Group ``index``'s records parsed from ``rows``.
+
+    Raises ``ValueError`` unless the rows are exactly the group's cells,
+    each once.  Callers validate the whole batch before they touch the
+    committer: a partial push would poison every retry of the group
+    ("pushed twice").
+    """
+    from repro.instability.grid import GridRecord
+
+    if not isinstance(rows, list) or len(rows) != group.n_cells:
+        raise ValueError(f"group {index} expects a list of {group.n_cells} records")
+    try:
+        records = [GridRecord.from_row(row) for row in rows]
+    except (KeyError, ValueError, TypeError) as bad:
+        raise ValueError(f"malformed record row: {bad}") from None
+    expected_keys = {
+        (group.algorithm, group.dim, precision, group.seed, task)
+        for precision in group.precisions
+        for task in group.tasks
+    }
+    keys = [cell_key(record) for record in records]
+    if len(set(keys)) != len(keys) or set(keys) != expected_keys:
+        raise ValueError(f"records do not match the cells of group {index}")
+    return records
 
 
 def group_from_wire(payload: dict) -> CellGroup:
@@ -380,13 +410,12 @@ class ClusterCoordinator:
         their attempt counts intact, and finished runs resume for status
         queries until age GC collects them.  Returns the number of runs
         resumed; safe to call with no store or no checkpoints (returns 0).
-        A checkpoint read that raises is logged and counted in
-        ``checkpoint_failures``: an unreadable index resumes nothing, an
-        unreadable run is skipped, and a done group whose rows are
-        unreadable returns to pending.
+        A checkpoint read that raises, or that holds malformed data, is
+        logged and counted in ``checkpoint_failures``: an unreadable index
+        resumes nothing, an unreadable or malformed run is skipped, and a
+        done group whose rows are unreadable or malformed returns to
+        pending.
         """
-        from repro.instability.grid import GridRecord
-
         if self.store is None:
             return 0
         try:
@@ -413,8 +442,9 @@ class ClusterCoordinator:
                 if not meta:
                     continue
                 try:
-                    run = self._rebuild_run_locked(run_id, meta, now, GridRecord)
+                    run = self._rebuild_run_locked(run_id, meta, now)
                 except (KeyError, ValueError, TypeError) as err:
+                    self.counters["checkpoint_failures"] += 1
                     logger.warning("checkpoint of %s malformed, skipping: %s", run_id, err)
                     continue
                 self._runs[run_id] = run
@@ -434,9 +464,7 @@ class ClusterCoordinator:
                 self._cond.notify_all()
         return resumed
 
-    def _rebuild_run_locked(
-        self, run_id: str, meta: dict, now: float, record_cls
-    ) -> _ClusterRun:
+    def _rebuild_run_locked(self, run_id: str, meta: dict, now: float) -> _ClusterRun:
         plan = plan_from_wire(meta["plan"])
         run = _ClusterRun(run_id, plan, dict(meta.get("config") or {}), now)
         attempts = meta.get("attempts") or []
@@ -465,7 +493,15 @@ class ClusterCoordinator:
                     run_id, index,
                 )
                 continue
-            records = [record_cls.from_row(row) for row in rows_payload["rows"]]
+            try:
+                records = _group_records(plan.groups[index], index, rows_payload["rows"])
+            except ValueError as err:
+                self.counters["checkpoint_failures"] += 1
+                logger.warning(
+                    "rows of %s group %d malformed (%s); group returns to pending",
+                    run_id, index, err,
+                )
+                continue
             for record in records:
                 run.ready.extend(run.committer.push(record))
             run.states[index] = _DONE
@@ -602,8 +638,6 @@ class ClusterCoordinator:
         payload is dropped.  Both are safe: results are content-addressed
         and deterministic, so every copy is identical.
         """
-        from repro.instability.grid import GridRecord
-
         worker = str(worker)
         with self._cond:
             now = self._clock()
@@ -665,33 +699,13 @@ class ClusterCoordinator:
                 # popped above; just wake waiting workers.
                 self._cond.notify_all()
                 return {"status": "retry"}
-            group = run.plan.groups[index]
             rows = rows or []
-            rejection = None
-            records: list["GridRecord"] = []
-            if len(rows) != group.n_cells:
-                rejection = f"group {index} expects {group.n_cells} records, got {len(rows)}"
-            else:
-                try:
-                    records = [GridRecord.from_row(row) for row in rows]
-                except (KeyError, ValueError, TypeError) as bad:
-                    rejection = f"malformed record row: {bad}"
-            if rejection is None:
-                # Validate the whole batch against the group's cells BEFORE
-                # touching the committer: a partial push would poison every
-                # retry of this group ("pushed twice").
-                expected_keys = {
-                    (group.algorithm, group.dim, precision, group.seed, task)
-                    for precision in group.precisions
-                    for task in group.tasks
-                }
-                keys = [cell_key(record) for record in records]
-                if len(set(keys)) != len(keys) or set(keys) != expected_keys:
-                    rejection = f"records do not match the cells of group {index}"
-            if rejection is not None:
+            try:
+                records = _group_records(run.plan.groups[index], index, rows)
+            except ValueError as rejection:
                 # The group already went back to pending when the lease was
                 # popped above, so a rejection cannot strand it.
-                return {"status": "rejected", "error": rejection}
+                return {"status": "rejected", "error": str(rejection)}
             released: list["GridRecord"] = []
             for record in records:
                 released.extend(run.committer.push(record))
@@ -722,14 +736,14 @@ class ClusterCoordinator:
         self,
         run_id: str,
         *,
-        poll_interval: float = 0.5,
         stop: threading.Event | None = None,
     ) -> Iterator["GridRecord"]:
         """Yield a run's records in canonical order as workers commit them.
 
-        Blocks while the run is in progress (waking every ``poll_interval``
-        to sweep expired leases, so a crashed worker cannot stall a stream
-        whose other workers have all gone quiet).  Raises
+        Blocks while the run is in progress (waking every
+        :data:`RECORDS_POLL_INTERVAL` seconds to sweep expired leases, so a
+        crashed worker cannot stall a stream whose other workers have all
+        gone quiet).  Raises
         :class:`ClusterRunFailed` when the run fails; ends silently when the
         run is cancelled (the consumer initiated it) or ``stop`` is set (a
         detaching consumer that does *not* want to cancel the run).  While
@@ -756,7 +770,7 @@ class ClusterCoordinator:
                         and not (stop is not None and stop.is_set())
                     ):
                         self._sweep_locked(self._clock())
-                        self._cond.wait(poll_interval)
+                        self._cond.wait(RECORDS_POLL_INTERVAL)
                     batch = run.ready[emitted:]
                     failure = run.failure
                     finished = not run.active

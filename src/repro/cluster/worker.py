@@ -58,13 +58,25 @@ logger = get_logger(__name__)
 
 __all__ = ["ClusterWorker", "CoordinatorClient", "main"]
 
+#: Socket timeout of one ``/cluster/*`` request, in seconds.
+CLIENT_TIMEOUT = 30.0
+#: Warm pipelines a worker keeps (least recently used evicted first), so a
+#: long-lived worker serving many configurations does not pin a corpus,
+#: datasets and store per configuration forever.
+MAX_PIPELINES = 4
+#: Cap, in seconds, on the backoff after consecutive ``ConnectionError``
+#: polls.
+BACKOFF_MAX = 30.0
+#: Seconds to wait for the heartbeat thread after a group finishes, before
+#: and after aborting the client's connections.
+HEARTBEAT_JOIN_TIMEOUT = 5.0
+
 
 class CoordinatorClient:
     """Minimal JSON-over-HTTP client for the ``/cluster/*`` endpoints."""
 
-    def __init__(self, url: str, *, timeout: float = 30.0) -> None:
+    def __init__(self, url: str) -> None:
         self.url = url
-        self.timeout = float(timeout)
         self._local = threading.local()
         # Every open connection, across all threads.  Connections are
         # per-thread (http.client is not thread-safe) but abort() must reach
@@ -112,7 +124,7 @@ class CoordinatorClient:
         for _ in (0, 1):
             conn = getattr(self._local, "conn", None)
             if conn is None:
-                conn, base = open_json_connection(self.url, self.timeout)
+                conn, base = open_json_connection(self.url, CLIENT_TIMEOUT)
                 self._local.conn = conn
                 self._local.base = base
                 with self._conns_lock:
@@ -207,21 +219,6 @@ class ClusterWorker:
     client:
         Injectable transport (tests drive the worker against an in-process
         coordinator without sockets).
-    max_pipelines:
-        Warm pipelines kept alive at once (LRU by use).  A long-lived worker
-        serving many distinct configurations would otherwise pin a corpus,
-        datasets and store per config forever.
-    backoff_max:
-        Cap on the exponential backoff applied to consecutive
-        ``ConnectionError`` polls.  Each failure doubles the sleep from
-        ``poll_interval`` up to this cap, jittered by a uniform 50-100%
-        factor so a fleet that lost its coordinator together does not
-        rejoin as a thundering herd; one success resets the sequence.
-    heartbeat_join_timeout:
-        Bound on waiting for the heartbeat thread after a group finishes;
-        past it the client connections are aborted (failing the thread's
-        blocked send) and the join retried, so a stuck socket cannot make
-        a heartbeat outlive its lease.
     rng:
         Injectable ``random.Random`` for the jitter (deterministic tests).
     """
@@ -236,24 +233,14 @@ class ClusterWorker:
         poll_interval: float = 0.5,
         max_idle: float | None = None,
         client: CoordinatorClient | None = None,
-        max_pipelines: int = 4,
-        backoff_max: float = 30.0,
-        heartbeat_join_timeout: float = 5.0,
         rng: random.Random | None = None,
     ) -> None:
-        if max_pipelines < 1:
-            raise ValueError(f"max_pipelines must be >= 1, got {max_pipelines}")
-        if backoff_max <= 0:
-            raise ValueError(f"backoff_max must be positive, got {backoff_max}")
         self.coordinator_url = coordinator_url
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.cache_dir = cache_dir
         self.store_replicas = list(store_replicas) if store_replicas else None
         self.poll_interval = float(poll_interval)
         self.max_idle = max_idle
-        self.max_pipelines = int(max_pipelines)
-        self.backoff_max = float(backoff_max)
-        self.heartbeat_join_timeout = float(heartbeat_join_timeout)
         self._rng = rng or random.Random()
         #: Span rows shipped back with completions of traced leases.
         self.spans_shipped = 0
@@ -309,9 +296,9 @@ class ClusterWorker:
 
     def _evict_stale_pipelines(self, keep: str) -> None:
         """LRU-bound the pipeline cache, keeping evicted pipelines' counters."""
-        while len(self._pipelines) > self.max_pipelines:
+        while len(self._pipelines) > MAX_PIPELINES:
             old_key, old = next(iter(self._pipelines.items()))
-            if old_key == keep:  # pragma: no cover - max_pipelines >= 1
+            if old_key == keep:  # pragma: no cover - MAX_PIPELINES >= 1
                 break
             del self._pipelines[old_key]
             for name in self._retired:
@@ -410,7 +397,7 @@ class ClusterWorker:
             error = f"{type(failure).__name__}: {failure}"
         finally:
             done.set()
-            beat.join(timeout=self.heartbeat_join_timeout)
+            beat.join(timeout=HEARTBEAT_JOIN_TIMEOUT)
             if beat.is_alive():
                 # The thread is stuck in a slow HTTP send; ignoring it would
                 # let a zombie heartbeat outlive this lease and beat against
@@ -420,7 +407,7 @@ class ClusterWorker:
                 abort = getattr(self.client, "abort", None)
                 if abort is not None:
                     abort()
-                beat.join(timeout=self.heartbeat_join_timeout)
+                beat.join(timeout=HEARTBEAT_JOIN_TIMEOUT)
                 if beat.is_alive():
                     logger.warning(
                         "heartbeat thread of lease %s still alive after abort; "
@@ -467,9 +454,15 @@ class ClusterWorker:
         return False, self._idle_delay()
 
     def _backoff_delay(self, failures: int) -> float:
-        """Exponential backoff with jitter for ``failures`` consecutive errors."""
+        """Exponential backoff with jitter for ``failures`` consecutive errors.
+
+        Each failure doubles the sleep from ``poll_interval`` up to
+        :data:`BACKOFF_MAX`, jittered by a uniform 50-100% factor so a fleet
+        that lost its coordinator together does not rejoin as a thundering
+        herd; one success resets the sequence.
+        """
         base = max(self.poll_interval, 0.05)
-        delay = min(self.backoff_max, base * (2.0 ** max(failures - 1, 0)))
+        delay = min(BACKOFF_MAX, base * (2.0 ** max(failures - 1, 0)))
         return delay * (0.5 + 0.5 * self._rng.random())
 
     def _idle_delay(self) -> float:
@@ -532,10 +525,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-idle", type=float, default=None,
         help="exit after this many consecutive idle seconds (default: run forever)",
     )
-    parser.add_argument(
-        "--backoff-max", type=float, default=30.0,
-        help="cap (seconds) on the exponential backoff after coordinator outages",
-    )
     args = parser.parse_args(argv)
     configure_logging()
     worker = ClusterWorker(
@@ -545,7 +534,6 @@ def main(argv: list[str] | None = None) -> int:
         store_replicas=options.store_replicas(args),
         poll_interval=args.poll_interval,
         max_idle=args.max_idle,
-        backoff_max=args.backoff_max,
     )
     print(f"repro-worker {worker.worker_id} polling {args.coordinator}", flush=True)
     try:

@@ -23,9 +23,7 @@ the downstream models still to train are bucketed by task and training
 config, and each bucket -- the 2 x |precisions| models of a task -- trains
 as one lockstep stack instead of model by model.
 
-Worker processes rebuild the pipeline from its configuration, so only
-config-reconstructible pipelines can run in parallel; pipelines built around a
-custom corpus fall back to serial execution with a warning.  Handing the
+Worker processes rebuild the pipeline from its configuration.  Handing the
 engine a disk-backed :class:`~repro.engine.store.ArtifactStore` lets workers
 share trained artifacts across processes and across runs.
 
@@ -387,30 +385,10 @@ class GridEngine:
 
             coordinator = default_coordinator_url()
         if coordinator:
-            if self.pipeline.reconstructible:
-                yield from self._iter_distributed(coordinator, plan)
-                return
-            warnings.warn(
-                "pipeline was built from a custom corpus source and cannot be "
-                "reconstructed on cluster workers; running locally instead",
-                UserWarning,
-                stacklevel=2,
-            )
-            # Local parallel fan-out would hit the same reconstruction limit
-            # (and warn again); go straight to serial.
-            workers = 0
+            yield from self._iter_distributed(coordinator, plan)
+            return
 
         groups = list(plan.groups)
-        if workers > 1 and not self.pipeline.reconstructible:
-            warnings.warn(
-                "pipeline was built from a custom corpus source and cannot be "
-                "reconstructed in worker processes; falling back to serial "
-                "execution",
-                UserWarning,
-                stacklevel=2,
-            )
-            workers = 0
-
         if workers > 1 and len(groups) > 1:
             batches = self._iter_parallel(groups, min(workers, len(groups)))
         else:

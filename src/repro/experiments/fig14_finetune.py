@@ -32,17 +32,8 @@ def run(
     finetune_config = replace(base_pipe.config, fine_tune_embeddings=True)
     # Share the base pipeline's artifact store so both settings see identical
     # trained pairs (embedding keys don't include the fine-tune flag, while
-    # downstream keys do).  A config-reconstructible base regenerates the same
-    # corpus deterministically; a custom-corpus base shares its source objects
-    # so the store keys line up.
-    shared_sources = (
-        {}
-        if base_pipe.reconstructible
-        else {"corpus_pair": base_pipe.corpus_pair, "generator": base_pipe.generator}
-    )
-    finetune_pipe = InstabilityPipeline(
-        finetune_config, store=base_pipe.store, **shared_sources
-    )
+    # downstream keys do).
+    finetune_pipe = InstabilityPipeline(finetune_config, store=base_pipe.store)
 
     rows = []
     for label, pipe in (("fixed", base_pipe), ("fine-tuned", finetune_pipe)):

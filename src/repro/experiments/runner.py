@@ -2,9 +2,8 @@
 
 ``python -m repro.experiments.runner figure-2-memory`` runs one experiment
 with quick settings and prints its table; ``--all`` runs the full suite and
-writes one CSV per experiment under ``results/``.  ``--serve`` boots the
-online stability-query service instead (see :mod:`repro.serving.api`),
-handing it ``--workers`` and the store flags of :mod:`repro.options`.
+writes one CSV per experiment under ``results/``.  The stability-query
+service boots with ``repro-serve`` (:mod:`repro.serving.api`).
 """
 
 from __future__ import annotations
@@ -80,26 +79,6 @@ def main(argv: list[str] | None = None) -> int:
              "sweeps are executed by its repro-worker fleet instead of "
              "locally, streaming back bit-identical records",
     )
-    parser.add_argument(
-        "--serve", action="store_true",
-        help="boot the stability-query HTTP service instead of running experiments",
-    )
-    parser.add_argument("--host", default="127.0.0.1", help="bind address for --serve")
-    parser.add_argument("--port", type=int, default=8732, help="port for --serve (0 = ephemeral)")
-    parser.add_argument(
-        "--resume-runs", action="store_true",
-        help="with --serve: rebuild cluster runs from store checkpoints at boot",
-    )
-    parser.add_argument(
-        "--monitor", action="store_true",
-        help="with --serve: enable the online instability monitor "
-             "(/monitor/ingest, /monitor/status, /monitor/events)",
-    )
-    parser.add_argument(
-        "--monitor-distributed", action="store_true",
-        help="with --serve: lease monitor retrains to the repro-worker fleet "
-             "(implies --monitor)",
-    )
     args = parser.parse_args(argv)
     options.check(parser, args)
 
@@ -108,19 +87,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
-
-    if args.serve:
-        from repro.serving.api import main as serve_main
-
-        serve_argv = ["--host", args.host, "--port", str(args.port),
-                      "--workers", str(args.workers), *options.forward(args)]
-        if args.resume_runs:
-            serve_argv += ["--resume-runs"]
-        if args.monitor:
-            serve_argv += ["--monitor"]
-        if args.monitor_distributed:
-            serve_argv += ["--monitor-distributed"]
-        return serve_main(serve_argv)
 
     names = sorted(EXPERIMENTS) if args.all else ([args.experiment] if args.experiment else [])
     if not names:

@@ -25,7 +25,6 @@ quantization is a ~2.4 ms function of the stored full-precision pair.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +97,7 @@ class PipelineConfig:
     #: corpora from the artifact store instead of generating them from
     #: ``corpus``; the keys join every artifact key, so each snapshot pair is
     #: its own cache universe.  Snapshots are first-class grid inputs: the
-    #: pipeline stays reconstructible from JSON, so snapshot retrains
+    #: pipeline is rebuilt from its JSON config alone, so snapshot retrains
     #: distribute over the cluster fleet like any other grid.
     snapshot_pair: tuple[str, str] | None = None
 
@@ -225,11 +224,6 @@ class InstabilityPipeline:
     ----------
     config:
         Pipeline configuration (quick defaults when omitted).
-    corpus_pair, generator:
-        Optional pre-built corpus sources; when given, the pipeline cannot be
-        reconstructed from its config alone, which disables the parallel
-        scheduler's worker path (and salts artifact keys, so a persistent
-        store is never polluted with artifacts that don't match their config).
     store:
         Artifact store for every expensive artifact.  ``None`` uses the
         process default (in-memory unless configured otherwise).
@@ -237,35 +231,27 @@ class InstabilityPipeline:
         A pre-built corpus pair **trusted to be identical** to the one this
         config would generate -- the scheduler's pool initializer passes the
         parent's pair here so workers skip regeneration.
-        Unlike ``corpus_pair`` it keeps the pipeline reconstructible and the
-        artifact keys unsalted.
     """
 
     def __init__(
         self,
         config: PipelineConfig | None = None,
         *,
-        corpus_pair: CorpusPair | None = None,
-        generator: SyntheticCorpusGenerator | None = None,
         store: ArtifactStore | None = None,
         warm_corpus_pair: CorpusPair | None = None,
     ) -> None:
         self.config = config or PipelineConfig()
         self.store = store if store is not None else default_store()
-        self.reconstructible = corpus_pair is None and generator is None
-        self.generator = generator or SyntheticCorpusGenerator(self.config.corpus)
+        generator = SyntheticCorpusGenerator(self.config.corpus)
         #: Number of corpus pairs this pipeline actually generated; worker
         #: warm-up tests pin this to zero for warm-started pipelines.
         self.corpus_build_count = 0
-        if corpus_pair is not None:
-            self.corpus_pair = corpus_pair
-        elif warm_corpus_pair is not None:
+        if warm_corpus_pair is not None:
             self.corpus_pair = warm_corpus_pair
         elif self.config.snapshot_pair is not None:
-            # A snapshot-configured pipeline stays reconstructible: the keys
-            # are content-addressed, so any host whose store fabric reaches
-            # the snapshot bytes (cluster workers fetch them through their
-            # remote tier) rebuilds the exact same corpora from JSON alone.
+            # The keys are content-addressed, so any host whose store fabric
+            # reaches the snapshot bytes (cluster workers fetch them through
+            # their remote tier) rebuilds the exact same corpora from JSON.
             from repro.corpus.snapshots import load_snapshot
 
             base_key, drifted_key = self.config.snapshot_pair
@@ -275,28 +261,16 @@ class InstabilityPipeline:
                 config=self.config.corpus,
             )
         else:
-            self.corpus_pair = self.generator.generate_pair(seed=self.config.corpus.seed)
+            self.corpus_pair = generator.generate_pair(seed=self.config.corpus.seed)
             self.corpus_build_count = 1
-        # Salting by the *source objects* (not the pipeline) lets pipelines that
-        # share the same custom corpus also share artifacts -- their trained
-        # embeddings really are interchangeable -- while pipelines with
-        # unrelated custom corpora can never collide in a persistent store.
-        self._key_salt = (
-            None
-            if self.reconstructible
-            else f"custom-source-{id(self.corpus_pair):x}-{id(self.generator):x}"
-        )
         self.vocab: Vocabulary = self.corpus_pair.shared_vocabulary(
             min_count=self.config.vocab_min_count
         )
-        self.lexicons = build_task_lexicons(self.generator, self.vocab)
+        self.lexicons = build_task_lexicons(generator, self.vocab)
         self._datasets: dict[str, DatasetSplits] = {}
-        #: Downstream results by key while a caller holds them, so repeated
-        #: lookups keep identity without pinning every result ever read.
-        self._downstream_results: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         #: Artifact-key memo: hashing re-serialises the whole (frozen) config,
         #: which at serving rates costs more than some measure evaluations.
-        #: Safe because PipelineConfig is frozen and the salt is fixed at init.
+        #: Safe because PipelineConfig is frozen.
         #: Bounded by :data:`KEY_MEMO_ENTRIES` (oldest first out); the lock
         #: guards inserts only, so a hit stays one dict lookup.
         self._key_memo: dict[tuple, str] = {}
@@ -330,7 +304,9 @@ class InstabilityPipeline:
             "corpus": self.config.corpus,
             "vocab_min_count": self.config.vocab_min_count,
             "snapshot_pair": self.config.snapshot_pair,
-            "salt": self._key_salt,
+            # Always None since custom-corpus pipelines went; kept so stores
+            # stay warm.
+            "salt": None,
         }
 
     def _embedding_fields(self, algorithm: str, dim: int, seed: int) -> dict:
@@ -775,15 +751,12 @@ class InstabilityPipeline:
                 task, seed = cell[0], cell[4]
                 missing.setdefault((task, seed), {})[key] = cell
             else:
-                result = self._downstream_results.get(key)
-                if result is None:
-                    result = self._downstream_results[key] = DownstreamResult(
-                        task=payload["task"],
-                        disagreement=payload["disagreement"],
-                        accuracy_a=payload["accuracy_a"],
-                        accuracy_b=payload["accuracy_b"],
-                    )
-                results[key] = result
+                results[key] = DownstreamResult(
+                    task=payload["task"],
+                    disagreement=payload["disagreement"],
+                    accuracy_a=payload["accuracy_a"],
+                    accuracy_b=payload["accuracy_b"],
+                )
         for (task, seed), todo in missing.items():
             todo_pairs = [
                 self.compressed_pair(*cell[1:], pairs=pairs) for cell in todo.values()
@@ -792,7 +765,7 @@ class InstabilityPipeline:
                 task, todo_pairs, seed, model_type=model_type, use_crf=use_crf
             )
             for key, result in zip(todo, trained):
-                results[key] = self._downstream_results[key] = result
+                results[key] = result
                 self.store.put_json("downstream", key, result)
         return [results[key] for key in keys]
 

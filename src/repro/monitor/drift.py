@@ -30,6 +30,9 @@ __all__ = ["DriftReport", "DriftEvaluator"]
 
 #: Threshold name for the mean downstream prediction disagreement.
 DISAGREEMENT = "disagreement"
+#: Drift reports an evaluator keeps (and monitor versions a monitor lists),
+#: newest last.
+HISTORY = 16
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,9 @@ class DriftReport:
 class DriftEvaluator:
     """Aggregates retrain records and keeps a bounded report history."""
 
-    def __init__(
-        self,
-        thresholds: Mapping[str, float] | None = None,
-        *,
-        history: int = 16,
-    ) -> None:
-        if history < 1:
-            raise ValueError("history must be >= 1")
+    def __init__(self, thresholds: Mapping[str, float] | None = None) -> None:
         self.thresholds = {str(k): float(v) for k, v in (thresholds or {}).items()}
-        self._reports: deque[DriftReport] = deque(maxlen=int(history))
+        self._reports: deque[DriftReport] = deque(maxlen=HISTORY)
 
     def evaluate(
         self,

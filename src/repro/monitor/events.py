@@ -18,15 +18,15 @@ from collections import deque
 
 __all__ = ["MonitorEventLog"]
 
+#: Events the log keeps, oldest evicted first.
+MAX_EVENTS = 1024
+
 
 class MonitorEventLog:
     """Thread-safe ring buffer of monitor events with blocking tail reads."""
 
-    def __init__(self, max_events: int = 1024) -> None:
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
-        self.max_events = int(max_events)
-        self._events: deque[dict] = deque(maxlen=self.max_events)
+    def __init__(self) -> None:
+        self._events: deque[dict] = deque(maxlen=MAX_EVENTS)
         self._cond = threading.Condition()
         self._next_seq = 1
         #: Total events ever emitted (not bounded by the buffer).

@@ -32,18 +32,9 @@ __all__ = ["CorpusIngestor"]
 
 
 class CorpusIngestor:
-    """Accumulates tokenised document batches into monitored corpus state.
+    """Accumulates tokenised document batches into monitored corpus state."""
 
-    Parameters
-    ----------
-    corpus_name:
-        ``name`` of every cut corpus.  Constant on purpose: the snapshot key
-        is a content hash, so an unchanged corpus cuts to the same key and
-        the scheduler can skip no-op snapshots.
-    """
-
-    def __init__(self, *, corpus_name: str = "monitor") -> None:
-        self.corpus_name = str(corpus_name)
+    def __init__(self) -> None:
         self.vocab = Vocabulary(min_count=1)
         self._documents: list[list[str]] = []
         self._lock = threading.Lock()
@@ -89,7 +80,10 @@ class CorpusIngestor:
                 word_list=self.vocab.words,
                 documents=documents,
                 document_topics=np.zeros(len(documents), dtype=np.int64),
-                name=self.corpus_name,
+                # The snapshot key hashes the name: one constant name lets an
+                # unchanged corpus cut to the same key, which the scheduler
+                # skips, and keeps the keys of stored snapshots.
+                name="monitor",
             )
 
     # -- observability ---------------------------------------------------------

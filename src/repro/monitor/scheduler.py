@@ -8,7 +8,7 @@ snapshot (or a configurable wall-clock cadence) -- schedules a **rolling
 retrain** of the embedding grid over the (previous, current) snapshot pair.
 
 Retrains are ordinary grid runs: the snapshot keys ride in
-``PipelineConfig.snapshot_pair``, so the run is reconstructible from JSON
+``PipelineConfig.snapshot_pair``, so the run is rebuilt from JSON alone
 and dispatches through the existing execution fabric unchanged --
 ``distributed=True`` leases it to the ``repro-worker`` fleet through the
 service's :class:`~repro.cluster.coordinator.ClusterCoordinator` (leases,
@@ -20,9 +20,9 @@ and because every artifact is content-addressed in the shared store, a
 (the aggregated :class:`~repro.monitor.drift.DriftReport` itself is cached
 as a ``monitor-report`` artifact, so the grid is not even re-dispatched).
 
-Retrains run on one background worker thread (ingestion answers
-immediately; retrains for successive snapshots queue and execute in
-order) unless ``sync=True`` pins them inline for deterministic tests.
+Retrains run on one background worker thread: ingestion answers
+immediately, retrains for successive snapshots queue and execute in order,
+and :meth:`InstabilityMonitor.wait_idle` blocks until the queue drains.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 from repro.corpus.snapshots import store_snapshot
 from repro.engine.store import config_hash
-from repro.monitor.drift import DriftEvaluator, DriftReport
+from repro.monitor.drift import HISTORY, DriftEvaluator, DriftReport
 from repro.monitor.events import MonitorEventLog
 from repro.monitor.ingest import CorpusIngestor
 from repro.utils.logging import get_logger
@@ -54,61 +54,40 @@ __all__ = ["MonitorConfig", "InstabilityMonitor"]
 
 #: Store kind of cached per-version-pair drift reports.
 REPORT_KIND = "monitor-report"
+#: Delivery retries of a drift-alert webhook after its first attempt, with
+#: a short backoff between them.
+WEBHOOK_RETRIES = 2
+#: Socket timeout of one webhook attempt, in seconds.
+WEBHOOK_TIMEOUT = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
 class MonitorConfig:
-    """Knobs of the online instability monitor."""
+    """Knobs of the online instability monitor (``repro-serve``'s flags)."""
 
     #: Cut a snapshot every N ingested batches (callers can force/suppress a
     #: cut per request with the ingest endpoint's ``cut`` parameter).
     snapshot_every_batches: int = 1
-    #: Dispatch a retrain whenever a new snapshot lands (a version >= 2).
-    retrain_on_snapshot: bool = True
     #: Also cut snapshots on a wall-clock cadence (seconds; 0 disables).  A
     #: cadence tick only cuts when new documents arrived since the last cut.
     cadence_seconds: float = 0.0
     #: Lease retrains to the ``repro-worker`` fleet through the service's
     #: cluster coordinator instead of executing in-process.
     distributed: bool = False
-    #: Bounded version/report history length.
-    history: int = 16
-    #: Bounded event-log length (``/monitor/events``).
-    max_events: int = 1024
     #: Drift-alert thresholds: measure name (or ``"disagreement"``) -> bound.
     #: Empty means observe without alerting.
     thresholds: Mapping[str, float] = dataclasses.field(default_factory=dict)
-    #: Retrain grid axes; ``None`` defers to the service's pipeline config.
-    algorithms: tuple[str, ...] | None = None
-    dimensions: tuple[int, ...] | None = None
-    precisions: tuple[int, ...] | None = None
-    seeds: tuple[int, ...] | None = None
-    tasks: tuple[str, ...] | None = None
-    model_type: str = "bow"
-    #: Run retrains inline on the ingesting thread (deterministic tests).
-    sync: bool = False
-    corpus_name: str = "monitor"
     #: POST each ``drift_alert`` event to this URL as JSON (``None`` = off).
     webhook_url: str | None = None
-    #: Delivery retries after the first attempt (bounded backoff between).
-    webhook_retries: int = 2
-    #: Per-attempt socket timeout in seconds.
-    webhook_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.snapshot_every_batches < 1:
             raise ValueError("snapshot_every_batches must be >= 1")
         if self.cadence_seconds < 0:
             raise ValueError("cadence_seconds must be >= 0")
-        if self.history < 1:
-            raise ValueError("history must be >= 1")
         for name, bound in dict(self.thresholds).items():
             if not isinstance(bound, (int, float)) or math.isnan(float(bound)):
                 raise ValueError(f"threshold {name!r} must be a number, got {bound!r}")
-        if self.webhook_retries < 0:
-            raise ValueError("webhook_retries must be >= 0")
-        if self.webhook_timeout <= 0:
-            raise ValueError("webhook_timeout must be > 0")
 
 
 class InstabilityMonitor:
@@ -128,11 +107,15 @@ class InstabilityMonitor:
     ) -> None:
         self.service = service
         self.config = config or MonitorConfig()
-        self.ingestor = CorpusIngestor(corpus_name=self.config.corpus_name)
-        self.drift = DriftEvaluator(self.config.thresholds, history=self.config.history)
-        self.events = MonitorEventLog(self.config.max_events)
-        self._versions: deque[dict] = deque(maxlen=self.config.history)
+        self.ingestor = CorpusIngestor()
+        self.drift = DriftEvaluator(self.config.thresholds)
+        self.events = MonitorEventLog()
+        self._versions: deque[dict] = deque(maxlen=HISTORY)
         self._lock = threading.Lock()
+        #: Serialises snapshot cuts from freeze to version number, so a
+        #: version never holds an older corpus than the one before it.  Not
+        #: ``_lock``: the store write happens under it.
+        self._cut_lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._pending = 0
         self._version = 0
@@ -145,6 +128,7 @@ class InstabilityMonitor:
             "tokens_ingested": 0,
             "snapshots_cut": 0,
             "snapshots_skipped": 0,
+            "snapshots_failed": 0,
             "retrains_dispatched": 0,
             "retrains_completed": 0,
             "retrains_failed": 0,
@@ -157,13 +141,11 @@ class InstabilityMonitor:
         }
         self._closed = threading.Event()
         self._queue: "queue.Queue[tuple | None]" = queue.Queue()
-        self._worker: threading.Thread | None = None
+        self._worker = threading.Thread(
+            target=self._retrain_loop, name="monitor-retrain", daemon=True
+        )
+        self._worker.start()
         self._cadence: threading.Thread | None = None
-        if not self.config.sync:
-            self._worker = threading.Thread(
-                target=self._retrain_loop, name="monitor-retrain", daemon=True
-            )
-            self._worker.start()
         if self.config.cadence_seconds > 0:
             self._cadence = threading.Thread(
                 target=self._cadence_loop, name="monitor-cadence", daemon=True
@@ -222,47 +204,38 @@ class InstabilityMonitor:
         """Freeze the ingested corpus into a content-addressed snapshot.
 
         An unchanged corpus hashes to the previous key and is skipped (no
-        new version, no retrain).  A new key becomes version ``v+1``; when
-        ``retrain_on_snapshot`` is set and a previous version exists, a
-        retrain over ``(key_v, key_v+1)`` is scheduled.
+        new version, no retrain).  A new key becomes version ``v+1``, and
+        when a previous version exists a retrain over ``(key_v, key_v+1)``
+        is scheduled.  Cuts run one at a time, and a version's counts are
+        those of the corpus it froze.
         """
-        corpus = self.ingestor.snapshot_corpus()
-        key = store_snapshot(self.service.store, corpus)
-        stats = self.ingestor.stats()
-        with self._lock:
-            self._batches_since_cut = 0
-            self._new_since_cut = False
-            if key == self._last_key:
-                self._counters["snapshots_skipped"] += 1
-                return {"snapshot": key, "version": self._version, "cut": False}
-            previous_key, previous_version = self._last_key, self._version
-            self._version += 1
-            version = self._version
-            self._last_key = key
-            self._counters["snapshots_cut"] += 1
-            self._versions.append(
-                {
-                    "version": version,
-                    "snapshot": key,
-                    "documents": stats["documents"],
-                    "tokens": stats["tokens"],
-                    "vocab_size": stats["vocab_size"],
-                }
+        with self._cut_lock:
+            corpus = self.ingestor.snapshot_corpus()
+            key = store_snapshot(self.service.store, corpus)
+            stats = {
+                "documents": len(corpus.documents),
+                "tokens": corpus.num_tokens,
+                "vocab_size": len(corpus.word_list),
+            }
+            with self._lock:
+                self._batches_since_cut = 0
+                self._new_since_cut = False
+                if key == self._last_key:
+                    self._counters["snapshots_skipped"] += 1
+                    return {"snapshot": key, "version": self._version, "cut": False}
+                previous_key, previous_version = self._last_key, self._version
+                self._version += 1
+                version = self._version
+                self._last_key = key
+                self._counters["snapshots_cut"] += 1
+                self._versions.append({"version": version, "snapshot": key, **stats})
+            self.events.emit("snapshot_cut", version=version, snapshot=key, **stats)
+            logger.info(
+                "monitor snapshot v%d cut: %s (%d documents, %d tokens, %d words)",
+                version, key, stats["documents"], stats["tokens"], stats["vocab_size"],
             )
-        self.events.emit(
-            "snapshot_cut",
-            version=version,
-            snapshot=key,
-            documents=stats["documents"],
-            tokens=stats["tokens"],
-            vocab_size=stats["vocab_size"],
-        )
-        logger.info(
-            "monitor snapshot v%d cut: %s (%d documents, %d tokens, %d words)",
-            version, key, stats["documents"], stats["tokens"], stats["vocab_size"],
-        )
-        if self.config.retrain_on_snapshot and previous_key is not None:
-            self._schedule_retrain(previous_version, previous_key, version, key)
+            if previous_key is not None:
+                self._schedule_retrain(previous_version, previous_key, version, key)
         return {"snapshot": key, "version": version, "cut": True}
 
     # -- retrains ------------------------------------------------------------------
@@ -273,11 +246,7 @@ class InstabilityMonitor:
         with self._idle:
             self._pending += 1
             self._counters["retrains_dispatched"] += 1
-        job = (base_version, base_key, version, key)
-        if self.config.sync:
-            self._run_job(job)
-        else:
-            self._queue.put(job)
+        self._queue.put((base_version, base_key, version, key))
 
     def _retrain_loop(self) -> None:
         while True:
@@ -303,46 +272,38 @@ class InstabilityMonitor:
 
     def retrain_config(self, base_key: str, key: str):
         """The retrain's pipeline config: the service's, re-pointed at the pair."""
-        overrides: dict = {"snapshot_pair": (base_key, key)}
-        for axis in ("algorithms", "dimensions", "precisions", "seeds", "tasks"):
-            value = getattr(self.config, axis)
-            if value:
-                overrides[axis] = tuple(value)
-        return dataclasses.replace(self.service.pipeline.config, **overrides)
+        return dataclasses.replace(
+            self.service.pipeline.config, snapshot_pair=(base_key, key)
+        )
 
     def _report_key(self, config) -> str:
         from repro.cluster.coordinator import config_wire_payload
 
+        # "bow" is the retrain grid's model type (GridEngine's default),
+        # kept in the key so stored reports stay warm.
         return config_hash(
-            {
-                "kind": REPORT_KIND,
-                "config": config_wire_payload(config),
-                "model_type": self.config.model_type,
-            }
+            {"kind": REPORT_KIND, "config": config_wire_payload(config), "model_type": "bow"}
         )
 
     def evaluate_pair(
-        self, base_version: int, base_key: str, version: int, key: str,
-        *, force: bool = False,
+        self, base_version: int, base_key: str, version: int, key: str
     ) -> DriftReport:
         """Retrain over one snapshot pair and aggregate its drift report.
 
         The report is cached content-addressed (``monitor-report``): an
         already-measured pair answers from the store without dispatching a
-        grid at all -- and even a ``force``d re-run trains nothing, because
-        every embedding/measure artifact of the pair is already cached.
+        grid at all.
         """
         config = self.retrain_config(base_key, key)
         report_key = self._report_key(config)
-        if not force:
-            cached = self.service.store.get_json(REPORT_KIND, report_key)
-            if cached is not None:
-                report = DriftReport.from_jsonable(cached)
-                self.drift.record(report)
-                with self._lock:
-                    self._counters["reports_warm"] += 1
-                self._emit_report(report, warm=True)
-                return report
+        cached = self.service.store.get_json(REPORT_KIND, report_key)
+        if cached is not None:
+            report = DriftReport.from_jsonable(cached)
+            self.drift.record(report)
+            with self._lock:
+                self._counters["reports_warm"] += 1
+            self._emit_report(report, warm=True)
+            return report
         records = self._execute_retrain(config, base_version, version)
         report = self.drift.evaluate(
             records,
@@ -364,9 +325,7 @@ class InstabilityMonitor:
             from repro.cluster.coordinator import config_wire_payload
             from repro.engine.scheduler import plan_grid
 
-            plan = plan_grid(
-                config, with_measures=True, model_type=self.config.model_type
-            )
+            plan = plan_grid(config, with_measures=True)
             run_id = self.service.coordinator.create_run(
                 plan, config_wire_payload(config)
             )
@@ -394,7 +353,7 @@ class InstabilityMonitor:
         # default coordinator is configured -- the distributed path above is
         # the monitor's only route to the fleet.
         engine = GridEngine(pipeline, coordinator_url="")
-        records = engine.run(with_measures=True, model_type=self.config.model_type)
+        records = engine.run(with_measures=True)
         with self._lock:
             self._counters["local_embedding_trainings"] += pipeline.embedding_train_count
         return records
@@ -431,17 +390,17 @@ class InstabilityMonitor:
     def _deliver_webhook(self, payload: dict) -> None:
         """POST one drift alert to the configured webhook, bounded retries.
 
-        Runs on the retrain worker thread (or inline in ``sync`` mode) --
-        never on a request path.  A 2xx answer counts as delivered; anything
-        else retries ``webhook_retries`` times with a short backoff, then
-        counts as failed.  Delivery failures never fail the retrain.
+        Runs on the retrain worker thread, never on a request path.  A 2xx
+        answer counts as delivered; anything else retries
+        :data:`WEBHOOK_RETRIES` times with a short backoff, then counts as
+        failed.  Delivery failures never fail the retrain.
         """
         url = self.config.webhook_url
         if not url:
             return
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         outcome = "no attempt"
-        for attempt in range(self.config.webhook_retries + 1):
+        for attempt in range(WEBHOOK_RETRIES + 1):
             if attempt and self._closed.wait(0.2 * attempt):
                 break
             try:
@@ -465,7 +424,7 @@ class InstabilityMonitor:
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(  # noqa: S310 - operator-supplied URL
-            request, timeout=self.config.webhook_timeout
+            request, timeout=WEBHOOK_TIMEOUT
         ) as response:
             response.read()
             return int(response.status)
@@ -474,13 +433,19 @@ class InstabilityMonitor:
 
     def _cadence_loop(self) -> None:
         while not self._closed.wait(self.config.cadence_seconds):
-            with self._lock:
-                due = self._new_since_cut
-            if due:
-                try:
-                    self.cut_snapshot()
-                except Exception:  # pragma: no cover - defensive
-                    logger.exception("cadence snapshot cut failed")
+            self._cadence_tick()
+
+    def _cadence_tick(self) -> None:
+        """Cut when documents arrived since the last cut; count a failed cut."""
+        with self._lock:
+            due = self._new_since_cut
+        if due:
+            try:
+                self.cut_snapshot()
+            except Exception:
+                logger.exception("cadence snapshot cut failed")
+                with self._lock:
+                    self._counters["snapshots_failed"] += 1
 
     # -- observability ---------------------------------------------------------------
 

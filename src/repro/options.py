@@ -4,8 +4,7 @@
 flags for the artifact store (``--cache-dir``, ``--store-url``,
 ``--store-replicas``).  Each flag, the rule on how they combine, and the
 process-wide store they configure are defined here; ``repro-worker`` takes
-only the two that apply to its per-run stores.  The runner's ``--serve``
-hands the same flags on to ``repro-serve`` through :func:`forward`.
+only the two that apply to its per-run stores.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import argparse
 
 from repro.engine.store import configure_default_store
 
-__all__ = ["add_options", "check", "configure", "forward", "store_replicas"]
+__all__ = ["add_options", "check", "configure", "store_replicas"]
 
-#: Flag -> its ``add_argument`` keywords, in the order :func:`forward` emits them.
+#: Flag -> its ``add_argument`` keywords.
 _OPTIONS: dict[str, dict] = {
     "--cache-dir": dict(
         default=None,
@@ -66,13 +65,3 @@ def configure(args: argparse.Namespace) -> None:
     replicas = store_replicas(args)
     if args.cache_dir or args.store_url or replicas:
         configure_default_store(args.cache_dir, remote_url=args.store_url, replicas=replicas)
-
-
-def forward(args: argparse.Namespace) -> list[str]:
-    """The argv that sets the same flags on another entry point."""
-    argv: list[str] = []
-    for flag in _OPTIONS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            argv += [flag, str(value)]
-    return argv

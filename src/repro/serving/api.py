@@ -139,6 +139,13 @@ _MAX_PIPELINED_BYTES = 1 << 17
 #: Computed ``/measure`` bodies one server keeps (least recently used
 #: evicted first); at 0.5-1 KB a body the table stays at a few MB.
 _MEASURE_BODY_ENTRIES = 4096
+#: Seconds a keep-alive connection waits for its next request line.
+_KEEPALIVE_TIMEOUT = 30.0
+#: Seconds the headers and body of a request may take once its line is in,
+#: so a client trickling bytes cannot pin a connection and its buffer.
+_READ_TIMEOUT = 60.0
+#: Connections served at once; the next one is answered 503 and closed.
+_MAX_CONNECTIONS = 128
 #: ``/artifacts/<kind>/<name>``: identifier-safe kind, hex-ish name with the
 #: codec suffix -- rejects path traversal and temp-file names by construction.
 _ARTIFACT_PATH = re.compile(
@@ -339,11 +346,11 @@ class _Connection(asyncio.Protocol):
     coroutine, and the requests behind it wait in the buffer until it has
     answered.  Nothing is parsed while the transport has paused writing.
 
-    One timer bounds the waits: ``keepalive_timeout`` for the request line
-    of the next request, then ``read_timeout`` for the headers and body of
-    a request whose line has arrived -- armed once per request, so a client
-    trickling bytes does not extend it.  Expiry drops the connection
-    without an answer.  No read deadline runs while a request is served;
+    One timer bounds the waits: :data:`_KEEPALIVE_TIMEOUT` for the request
+    line of the next request, then :data:`_READ_TIMEOUT` for the headers and
+    body of a request whose line has arrived -- armed once per request, so
+    a client trickling bytes does not extend it.  Expiry drops the
+    connection without an answer.  No read deadline runs while a request is served;
     ``request_timeout`` bounds handlers instead.
     """
 
@@ -381,15 +388,15 @@ class _Connection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
         server = self.server
-        cap = server.max_connections
-        if cap is not None and len(server._connections) >= cap:
+        if len(server._connections) >= _MAX_CONNECTIONS:
             self.respond_json(
-                503, {"error": f"over {cap} concurrent connections"}, close=True
+                503, {"error": f"over {_MAX_CONNECTIONS} concurrent connections"},
+                close=True,
             )
             transport.close()
             return
         server._connections.add(self)
-        self._arm(server.keepalive_timeout)
+        self._arm(_KEEPALIVE_TIMEOUT)
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
@@ -459,7 +466,7 @@ class _Connection(asyncio.Protocol):
             if not request.keep_alive:
                 self.transport.close()
                 return
-            self._arm(self.server.keepalive_timeout)
+            self._arm(_KEEPALIVE_TIMEOUT)
 
     def _parse(self) -> _Request | None:
         """The next complete request, taken from the buffer, or None."""
@@ -518,7 +525,7 @@ class _Connection(asyncio.Protocol):
         finally:
             self.task = None
         if request.keep_alive and not self.transport.is_closing():
-            self._arm(self.server.keepalive_timeout)
+            self._arm(_KEEPALIVE_TIMEOUT)
             self._process()
         else:
             self.transport.close()
@@ -534,13 +541,10 @@ class _Connection(asyncio.Protocol):
         """Arm the read deadline, once per request, when its line is in."""
         if not self.reading:
             self.reading = True
-            self._arm(self.server.read_timeout)
+            self._arm(_READ_TIMEOUT)
 
-    def _arm(self, timeout: float | None) -> None:
-        """Drop the connection ``timeout`` seconds from now (None: never)."""
-        if timeout is None:
-            self.deadline = None
-            return
+    def _arm(self, timeout: float) -> None:
+        """Drop the connection ``timeout`` seconds from now."""
         self.deadline = deadline = self.loop.time() + timeout
         # A later deadline reuses the pending timer, which re-arms itself
         # when it fires early; only an earlier one replaces it.
@@ -684,18 +688,19 @@ class StabilityAPIServer:
     """Asyncio HTTP server routing requests to a :class:`StabilityService`.
 
     Connections are keep-alive: after each response the server waits up to
-    ``keepalive_timeout`` seconds for the next request on the same socket, so
-    a peer's :class:`~repro.engine.backends.RemoteBackend` fetches hundreds of
-    artifacts over one TCP connection.  Non-streaming requests are bounded by
-    ``request_timeout`` seconds (``None`` disables); a timed-out request
-    answers 504 and closes the connection (the underlying worker thread
-    cannot be interrupted, but the socket stops waiting on it).
+    :data:`_KEEPALIVE_TIMEOUT` seconds for the next request on the same
+    socket, so a peer's :class:`~repro.engine.backends.RemoteBackend`
+    fetches hundreds of artifacts over one TCP connection.  Non-streaming
+    requests are bounded by ``request_timeout`` seconds (``None`` disables);
+    a timed-out request answers 504 and closes the connection (the
+    underlying worker thread cannot be interrupted, but the socket stops
+    waiting on it).
 
     Two further bounds protect the event loop from hostile or broken
     clients: once a request line arrives, the complete headers and body must
-    follow within ``read_timeout`` seconds (slowloris-style trickled
+    follow within :data:`_READ_TIMEOUT` seconds (slowloris-style trickled
     requests are dropped instead of pinning buffered bytes), and at most
-    ``max_connections`` sockets are served concurrently -- excess
+    :data:`_MAX_CONNECTIONS` sockets are served concurrently -- excess
     connections are answered 503 and closed immediately.
     """
 
@@ -706,18 +711,12 @@ class StabilityAPIServer:
         host: str = "127.0.0.1",
         port: int = 8732,
         request_timeout: float | None = 300.0,
-        keepalive_timeout: float = 30.0,
-        read_timeout: float | None = 60.0,
-        max_connections: int | None = 128,
         access_log: bool = False,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
         self.request_timeout = request_timeout
-        self.keepalive_timeout = keepalive_timeout
-        self.read_timeout = read_timeout
-        self.max_connections = max_connections
         #: One structured JSON line per request on stdout (silent by default).
         self.access_log = access_log
         self._server: asyncio.AbstractServer | None = None

@@ -20,7 +20,7 @@ Crossing boundaries:
 
 :class:`TraceBuffer` retains finished traces in two bounded rings — a
 *recent* ring and a *slow* ring that keeps traces whose root reached
-``slow_ms`` apart from fast traffic — serving ``/trace/recent`` and
+:data:`SLOW_MS` apart from fast traffic — serving ``/trace/recent`` and
 ``/trace/<id>``.
 """
 
@@ -47,6 +47,15 @@ _PARENT_KEY = PARENT_HEADER.lower()
 _REQUEST_ID_KEY = REQUEST_ID_HEADER.lower()
 
 _TRACE_ID_OK = frozenset("0123456789abcdefABCDEF-_.")
+
+#: Spans one trace keeps; spans beyond it are counted as ``truncated``.
+MAX_SPANS = 512
+#: Finished traces the recent ring keeps, oldest evicted first.
+RECENT_TRACES = 256
+#: Finished slow traces the slow ring keeps, oldest evicted first.
+SLOW_TRACES = 64
+#: Root latency (ms) from which a finished trace goes to the slow ring.
+SLOW_MS = 500.0
 
 
 def new_trace_id() -> str:
@@ -140,15 +149,12 @@ _current: ContextVar[_Ctx | None] = ContextVar("repro_trace_ctx", default=None)
 class Trace:
     """A span collector for one trace id; usable with or without a buffer."""
 
-    __slots__ = ("trace_id", "name", "root", "spans", "truncated", "max_spans",
-                 "finished", "_lock")
+    __slots__ = ("trace_id", "name", "root", "spans", "truncated", "finished", "_lock")
 
     def __init__(self, name: str, trace_id: str | None = None,
-                 parent_id: str | None = None, max_spans: int = 512,
-                 attrs: dict | None = None):
+                 parent_id: str | None = None, attrs: dict | None = None):
         self.trace_id = trace_id or new_trace_id()
         self.name = name
-        self.max_spans = max_spans
         self.truncated = 0
         self.finished = False
         self._lock = threading.Lock()
@@ -159,7 +165,7 @@ class Trace:
     def begin_span(self, name: str, parent_id: str | None, attrs: dict | None) -> SpanHandle:
         handle = SpanHandle(name, parent_id, attrs)
         with self._lock:
-            if len(self.spans) < self.max_spans:
+            if len(self.spans) < MAX_SPANS:
                 self.spans.append(handle)
             else:
                 self.truncated += 1
@@ -172,7 +178,7 @@ class Trace:
         handle.start = start
         handle.duration_ms = duration_ms
         with self._lock:
-            if len(self.spans) < self.max_spans:
+            if len(self.spans) < MAX_SPANS:
                 self.spans.append(handle)
             else:
                 self.truncated += 1
@@ -182,7 +188,7 @@ class Trace:
         added = 0
         with self._lock:
             for row in rows:
-                if len(self.spans) >= self.max_spans:
+                if len(self.spans) >= MAX_SPANS:
                     self.truncated += 1
                     continue
                 self.spans.append(dict(row, trace_id=self.trace_id))
@@ -384,16 +390,11 @@ class TraceBuffer:
     """Bounded retention of finished traces with a slow-trace keep-policy.
 
     Every request is traced.  A trace whose root latency reaches
-    ``slow_ms`` is retained in a separate ring that fast traffic cannot
-    evict (0 sends every trace to the recent ring).
+    :data:`SLOW_MS` is retained in a separate ring that fast traffic cannot
+    evict.
     """
 
-    def __init__(self, capacity: int = 256, slow_capacity: int = 64,
-                 slow_ms: float = 500.0, max_spans: int = 512):
-        self.capacity = max(1, int(capacity))
-        self.slow_capacity = max(1, int(slow_capacity))
-        self.slow_ms = max(float(slow_ms), 0.0)
-        self.max_spans = max(8, int(max_spans))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._open: dict[str, Trace] = {}
         #: Each finished trace enters at most one ring, once.
@@ -421,8 +422,7 @@ class TraceBuffer:
                 return SubTrace(owner, handle)
         with self._lock:
             self._counters["started"] += 1
-            trace = Trace(name, trace_id=trace_id, parent_id=parent_id,
-                          max_spans=self.max_spans, attrs=attrs)
+            trace = Trace(name, trace_id=trace_id, parent_id=parent_id, attrs=attrs)
             self._open[trace.trace_id] = trace
             return trace
 
@@ -434,13 +434,13 @@ class TraceBuffer:
         with self._lock:
             self._open.pop(trace.trace_id, None)
             duration = trace.duration_ms or 0.0
-            if self.slow_ms and duration >= self.slow_ms:
+            if duration >= SLOW_MS:
                 trace.root.set(slow=True)
                 self._counters["kept_slow"] += 1
-                self._keep_locked(self._slow, self.slow_capacity, trace)
+                self._keep_locked(self._slow, SLOW_TRACES, trace)
             else:
                 self._counters["kept"] += 1
-                self._keep_locked(self._recent, self.capacity, trace)
+                self._keep_locked(self._recent, RECENT_TRACES, trace)
 
     def request(self, name: str, trace_id: str | None = None,
                 parent_id: str | None = None, **attrs) -> "_RequestScope":
@@ -511,5 +511,5 @@ class TraceBuffer:
             out = dict(self._counters)
             out["open"] = len(self._open)
             out["retained"] = len(self._by_id)
-            out["slow_ms"] = self.slow_ms
+            out["slow_ms"] = SLOW_MS
         return out

@@ -23,6 +23,7 @@ from repro.cluster.coordinator import (
     MAX_ATTEMPTS,
     RUN_GC_AGE,
     ClusterCoordinator,
+    _group_key,
 )
 from repro.engine import DiskBackend, GridEngine, StoreBackend, plan_grid, stats
 from repro.engine.faults import FaultyBackend
@@ -107,7 +108,7 @@ class TestCheckpointResume:
         assert second.run_status(run_id)["completed"] is True
         # The resumed stream is the full canonical stream, replayed records
         # included -- byte-for-byte what an uninterrupted run would emit.
-        records = list(second.records(run_id, poll_interval=0.01))
+        records = list(second.records(run_id))
         assert [
             (r.algorithm, r.dim, r.precision, r.seed, r.task) for r in records
         ] == plan.cell_keys()
@@ -125,12 +126,12 @@ class TestCheckpointResume:
                 "w1", lease["lease_id"], run_id, lease["group_index"],
                 rows_for_group(plan, lease["group_index"]),
             )
-        expected = [r.to_row() for r in first.records(run_id, poll_interval=0.01)]
+        expected = [r.to_row() for r in first.records(run_id)]
         second = make_coordinator(store)
         assert second.resume_runs() == 1
         status = second.run_status(run_id)
         assert status["completed"] is True and status["done"] == 2
-        replayed = [r.to_row() for r in second.records(run_id, poll_interval=0.01)]
+        replayed = [r.to_row() for r in second.records(run_id)]
         assert replayed == expected
         assert second.lease("w1")["status"] == "idle"         # nothing re-leases
 
@@ -264,6 +265,38 @@ class TestCheckpointFailures:
         assert coordinator.run_status(run_id)["done"] == 0
         assert stats(coordinator=coordinator)["cluster"]["counters"]["checkpoint_failures"] == 1
 
+    def test_malformed_rows_are_counted_and_their_group_returns_to_pending(self, tmp_path):
+        store = make_store(tmp_path)
+        first = make_coordinator(store)
+        plan = make_plan(with_measures=False)                 # 2 groups
+        run_id = first.create_run(plan)
+        lease = first.lease("w1")
+        index = lease["group_index"]
+        first.complete("w1", lease["lease_id"], run_id, index, rows_for_group(plan, index))
+        key = _group_key(run_id, index)
+        payload = json.loads(json.dumps(store.get_json(CHECKPOINT_KIND, key)))
+        del payload["rows"][0]["task"]
+        store.put_json(CHECKPOINT_KIND, key, payload)
+
+        second = make_coordinator(make_store(tmp_path))
+        resumed = second.resume_runs()
+        assert (resumed, second.counters["checkpoint_failures"]) == (1, 1)
+        status = second.run_status(run_id)
+        assert (status["done"], status["pending"], status["committed"]) == (0, 2, 0)
+        assert second.lease("w2")["group_index"] == index     # it re-leases
+
+    def test_a_run_checkpoint_without_its_plan_is_counted(self, tmp_path):
+        store = make_store(tmp_path)
+        run_id = make_coordinator(store).create_run(make_plan(with_measures=False))
+        meta = json.loads(json.dumps(store.get_json(CHECKPOINT_KIND, run_id)))
+        del meta["plan"]
+        store.put_json(CHECKPOINT_KIND, run_id, meta)
+
+        second = make_coordinator(make_store(tmp_path))
+        resumed = second.resume_runs()
+        assert (resumed, second.counters["checkpoint_failures"]) == (0, 1)
+        assert second.run_status(run_id) is None
+
     def test_refused_checkpoints_are_counted_and_the_run_still_finishes(self):
         clock = FakeClock()
         coordinator = make_coordinator(ArtifactStore(backends=[FullDisk()]), clock)
@@ -278,7 +311,7 @@ class TestCheckpointFailures:
                 "w1", lease["lease_id"], run_id, lease["group_index"],
                 rows_for_group(plan, lease["group_index"]),
             )["status"] == "ok"
-        records = list(coordinator.records(run_id, poll_interval=0.01))
+        records = list(coordinator.records(run_id))
         assert [
             (r.algorithm, r.dim, r.precision, r.seed, r.task) for r in records
         ] == plan.cell_keys()

@@ -355,7 +355,7 @@ class TestCompletion:
         )
         assert answer["status"] == "failed"
         with pytest.raises(ClusterRunFailed, match="boom again"):
-            list(coordinator.records(run_id, poll_interval=0.01))
+            list(coordinator.records(run_id))
 
 
 class TestRecordsStream:
@@ -375,7 +375,7 @@ class TestRecordsStream:
                 worker, lease["lease_id"], run_id, lease["group_index"],
                 rows_for_group(plan, lease["group_index"]),
             )
-        records = list(coordinator.records(run_id, poll_interval=0.01))
+        records = list(coordinator.records(run_id))
         assert [
             (r.algorithm, r.dim, r.precision, r.seed, r.task) for r in records
         ] == plan.cell_keys()
@@ -387,7 +387,7 @@ class TestRecordsStream:
         assert coordinator.cancel(run_id) is True
         assert coordinator.cancel(run_id) is False       # idempotent
         assert coordinator.lease("w1")["status"] == "idle"
-        assert list(coordinator.records(run_id, poll_interval=0.01)) == []
+        assert list(coordinator.records(run_id)) == []
         assert coordinator.counters["runs_cancelled"] == 1
 
     def test_snapshot_reports_workers_and_runs(self):
@@ -563,7 +563,7 @@ class TestRunGC:
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         self._finish_run(coordinator, plan, run_id)
-        stream = coordinator.records(run_id, poll_interval=0.01)
+        stream = coordinator.records(run_id)
         first = next(stream)
         assert first is not None
         clock.advance(10 * RUN_GC_AGE)
@@ -579,13 +579,13 @@ class TestRunGC:
         plan = make_plan(with_measures=False)
         run_id = coordinator.create_run(plan)
         self._finish_run(coordinator, plan, run_id)
-        records = list(coordinator.records(run_id, poll_interval=0.01))
+        records = list(coordinator.records(run_id))
         assert len(records) == plan.n_cells
         assert coordinator.counters["ready_records_dropped"] == plan.n_cells
         # The dropped stream cannot be replayed from memory; a re-attach is
         # told so instead of silently yielding nothing.
         with pytest.raises(KeyError, match="already released"):
-            next(coordinator.records(run_id, poll_interval=0.01))
+            next(coordinator.records(run_id))
 
 
 WORKERS = ("w1", "w2", "w3")

@@ -356,8 +356,10 @@ class TestWorkerMechanics:
         )
         worker.run()                             # returns instead of spinning
 
-    def test_pipeline_cache_is_lru_bounded_and_stats_survive_eviction(self):
+    def test_pipeline_cache_is_lru_bounded_and_stats_survive_eviction(self, monkeypatch):
         from dataclasses import replace
+
+        monkeypatch.setattr(worker_module, "MAX_PIPELINES", 2)
 
         base = quick_serve_config()
         payloads = [
@@ -369,9 +371,7 @@ class TestWorkerMechanics:
             for i, payload in enumerate(payloads)
         ]
         client = ScriptedClient(leases)
-        worker = ClusterWorker(
-            "http://127.0.0.1:9", worker_id="t", client=client, max_pipelines=2
-        )
+        worker = ClusterWorker("http://127.0.0.1:9", worker_id="t", client=client)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             for _ in payloads:
@@ -462,12 +462,15 @@ class FlakySequenceClient:
 class TestWorkerBackoff:
     """Satellite: exponential backoff with jitter on coordinator outages."""
 
+    @pytest.fixture(autouse=True)
+    def _backoff_cap(self, monkeypatch):
+        monkeypatch.setattr(worker_module, "BACKOFF_MAX", 2.0)
+
     def _worker(self, client, **kwargs):
         import random
 
         defaults = dict(
-            worker_id="t", client=client, poll_interval=0.1,
-            backoff_max=2.0, rng=random.Random(0),
+            worker_id="t", client=client, poll_interval=0.1, rng=random.Random(0),
         )
         defaults.update(kwargs)
         return ClusterWorker("http://127.0.0.1:9", **defaults)
@@ -475,7 +478,7 @@ class TestWorkerBackoff:
     def test_connection_errors_back_off_exponentially_then_reset(self):
         # Seven straight outages, then a clean idle poll.  The run loop must
         # sleep 0.1, 0.2, 0.4, ... seconds (jittered down by at most half,
-        # capped at backoff_max) and reset the streak on the first success.
+        # capped at BACKOFF_MAX) and reset the streak on the first success.
         client = FlakySequenceClient([ConnectionError("down")] * 7)
         worker = self._worker(client)
         delays = []
@@ -544,16 +547,14 @@ class BlockedHeartbeatClient(ScriptedClient):
 
 
 class TestHeartbeatShutdown:
-    def test_stuck_heartbeat_is_aborted_not_awaited_forever(self, slow_groups):
+    def test_stuck_heartbeat_is_aborted_not_awaited_forever(self, slow_groups, monkeypatch):
         # The short TTL makes the heartbeat fire during execution and hang;
         # the bounded join must give up and abort the client's connections
         # instead of blocking the lease (and the whole worker) for 10s.
+        monkeypatch.setattr(worker_module, "HEARTBEAT_JOIN_TIMEOUT", 0.2)
         payload = config_wire_payload(quick_serve_config())
         client = BlockedHeartbeatClient([scripted_lease(payload, ttl=0.15)])
-        worker = ClusterWorker(
-            "http://127.0.0.1:9", worker_id="t", client=client,
-            heartbeat_join_timeout=0.2,
-        )
+        worker = ClusterWorker("http://127.0.0.1:9", worker_id="t", client=client)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert worker.step() is True

@@ -70,18 +70,6 @@ class TestParallelEquivalence:
         ]
         assert keys == expected
 
-    def test_custom_corpus_falls_back_to_serial(self):
-        from repro.corpus.synthetic import SyntheticCorpusGenerator
-
-        generator = SyntheticCorpusGenerator(TINY_GRID_CONFIG.corpus)
-        pair = generator.generate_pair(seed=7)
-        pipeline = InstabilityPipeline(TINY_GRID_CONFIG, corpus_pair=pair)
-        assert not pipeline.reconstructible
-        engine = GridEngine(pipeline)
-        with pytest.warns(UserWarning, match="custom corpus"):
-            records = engine.run(with_measures=False, n_workers=2, precisions=(32,))
-        assert len(records) == 2
-
 
 class TestWarmStore:
     def test_warm_rerun_trains_nothing(self, tmp_path, serial_records):

@@ -94,7 +94,7 @@ class TestMonitorSection:
             warnings.simplefilter("ignore", UserWarning)
             service = StabilityService(quick_serve_config())
         try:
-            monitor = InstabilityMonitor(service, MonitorConfig(sync=True))
+            monitor = InstabilityMonitor(service, MonitorConfig())
             snapshot = stats(monitor=monitor)
             section = snapshot["monitor"]
             assert section["version"] == 0

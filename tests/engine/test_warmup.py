@@ -33,19 +33,11 @@ class TestWarmStartedPipeline:
     def test_warm_pipeline_builds_no_corpus(self, corpus_pair):
         pipeline = InstabilityPipeline(WARMUP_CONFIG, warm_corpus_pair=corpus_pair)
         assert pipeline.corpus_build_count == 0
-        assert pipeline.reconstructible        # unlike corpus_pair=...
         cold = InstabilityPipeline(WARMUP_CONFIG)
         assert cold.corpus_build_count == 1
         # Identical vocabulary and artifact keys: warm pipelines share caches.
         assert pipeline.vocab.words == cold.vocab.words
         assert pipeline._embedding_fields("svd", 4, 0) == cold._embedding_fields("svd", 4, 0)
-
-    def test_custom_corpus_still_salts_keys(self, corpus_pair):
-        custom = InstabilityPipeline(WARMUP_CONFIG, corpus_pair=corpus_pair)
-        warm = InstabilityPipeline(WARMUP_CONFIG, warm_corpus_pair=corpus_pair)
-        assert not custom.reconstructible
-        assert custom._key_salt is not None
-        assert warm._key_salt is None
 
     def test_init_worker_uses_the_parent_corpus_pair(self, corpus_pair, tmp_path):
         _init_worker(WARMUP_CONFIG, tmp_path, corpus_pair, {})
@@ -54,7 +46,6 @@ class TestWarmStartedPipeline:
             assert worker_pipeline is not None
             assert worker_pipeline.corpus_build_count == 0
             assert worker_pipeline.corpus_pair is corpus_pair
-            assert worker_pipeline._key_salt is None
         finally:
             scheduler_module._WORKER_PIPELINE = None
 

@@ -99,8 +99,10 @@ class TestPipeline:
 
     def test_evaluate_caches_results(self, tiny_pipeline):
         a = tiny_pipeline.evaluate("sst2", "svd", 6, 1, 0)
+        trained = tiny_pipeline.downstream_train_count
         b = tiny_pipeline.evaluate("sst2", "svd", 6, 1, 0)
-        assert a is b
+        assert a == b
+        assert tiny_pipeline.downstream_train_count == trained
         assert 0.0 <= a.disagreement <= 100.0
         assert 0.0 <= a.accuracy_a <= 1.0
 

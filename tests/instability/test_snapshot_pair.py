@@ -65,7 +65,6 @@ class TestPipelineLoading:
             quick_serve_config(), snapshot_pair=(base_key, drifted_key)
         )
         pipeline = InstabilityPipeline(config, store=store)
-        assert pipeline.reconstructible
         assert pipeline.corpus_build_count == 0       # nothing generated
         base, drifted = pipeline.corpus_pair.base, pipeline.corpus_pair.drifted
         assert len(base.documents) == 25

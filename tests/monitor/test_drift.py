@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.instability.grid import GridRecord
+from repro.monitor import drift as drift_module
 from repro.monitor.drift import DISAGREEMENT, DriftEvaluator, DriftReport
 
 
@@ -90,8 +91,9 @@ class TestAlerts:
 
 
 class TestHistoryAndSerialisation:
-    def test_bounded_history(self):
-        evaluator = DriftEvaluator(history=2)
+    def test_bounded_history(self, monkeypatch):
+        monkeypatch.setattr(drift_module, "HISTORY", 2)
+        evaluator = DriftEvaluator()
         for version in range(2, 6):
             evaluator.evaluate(
                 [record({"eis": 0.1})],

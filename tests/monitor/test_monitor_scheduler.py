@@ -1,20 +1,25 @@
 """InstabilityMonitor: the ingest -> snapshot -> retrain -> drift loop.
 
-Runs the monitor in ``sync`` mode (retrains inline, deterministic) against a
-real :class:`StabilityService` and pins the subsystem's core guarantees:
+Runs the monitor against a real :class:`StabilityService`, waiting for its
+retrains with ``wait_idle()``, and pins the subsystem's core guarantees:
 rolling retrains aggregate to exactly what an equivalent batch grid run
 yields, unchanged corpora cut no new versions, and an already-measured
 version pair answers warm -- no grid, no training.
 """
 
-import dataclasses
+import errno
+import threading
+import types
 import warnings
 
 import pytest
 
-from repro.engine import GridEngine
+from repro.corpus.snapshots import load_snapshot
+from repro.engine import GridEngine, MemoryBackend
+from repro.engine.store import ArtifactStore
 from repro.instability.pipeline import InstabilityPipeline
 from repro.monitor import DriftEvaluator, InstabilityMonitor, MonitorConfig
+from repro.monitor import scheduler as scheduler_module
 from repro.serving import StabilityService
 from repro.serving.api import quick_serve_config
 
@@ -38,13 +43,12 @@ def token_documents(service):
 @pytest.fixture(scope="module")
 def monitored(service, token_documents):
     """One full monitored lifecycle: two batches, two versions, one retrain."""
-    monitor = InstabilityMonitor(
-        service, MonitorConfig(sync=True, thresholds={"eis": 0.0})
-    )
+    monitor = InstabilityMonitor(service, MonitorConfig(thresholds={"eis": 0.0}))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         first = monitor.ingest(token_documents[:40])
         second = monitor.ingest(token_documents[40:])
+        assert monitor.wait_idle(timeout=120)
     yield monitor, first, second
     monitor.close()
 
@@ -161,8 +165,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MonitorConfig(cadence_seconds=-1)
         with pytest.raises(ValueError):
-            MonitorConfig(history=0)
-        with pytest.raises(ValueError):
             MonitorConfig(thresholds={"eis": float("nan")})
 
     def test_enable_monitor_idempotent(self):
@@ -170,22 +172,19 @@ class TestConfigValidation:
             warnings.simplefilter("ignore", UserWarning)
             service = StabilityService(quick_serve_config())
         try:
-            config = MonitorConfig(sync=True)
+            config = MonitorConfig()
             monitor = service.enable_monitor(config)
             assert service.enable_monitor() is monitor
             assert service.enable_monitor(config) is monitor
             with pytest.raises(ValueError):
-                service.enable_monitor(MonitorConfig(sync=True, history=4))
+                service.enable_monitor(MonitorConfig(snapshot_every_batches=4))
         finally:
             service.close()
 
 
 class TestBatchCadence:
     def test_snapshot_every_n_batches(self, service, token_documents):
-        monitor = InstabilityMonitor(
-            service,
-            MonitorConfig(sync=True, snapshot_every_batches=2, retrain_on_snapshot=False),
-        )
+        monitor = InstabilityMonitor(service, MonitorConfig(snapshot_every_batches=2))
         try:
             first = monitor.ingest(token_documents[:10])
             assert first["snapshot"] is None           # 1 of 2 batches
@@ -195,14 +194,87 @@ class TestBatchCadence:
             monitor.close()
 
     def test_explicit_cut_override(self, service, token_documents):
-        monitor = InstabilityMonitor(
-            service,
-            MonitorConfig(sync=True, snapshot_every_batches=5, retrain_on_snapshot=False),
-        )
+        monitor = InstabilityMonitor(service, MonitorConfig(snapshot_every_batches=5))
         try:
             forced = monitor.ingest(token_documents[:10], cut=True)
             assert forced["cut"] and forced["version"] == 1
             suppressed = monitor.ingest(token_documents[10:20], cut=False)
             assert suppressed["snapshot"] is None
+        finally:
+            monitor.close()
+
+
+class FullOnce(MemoryBackend):
+    """A store tier whose first write fails as on a full disk."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.full = True
+
+    def _put(self, kind, name, payload):
+        if self.full:
+            self.full = False
+            raise OSError(errno.ENOSPC, "No space left on device")
+        super()._put(kind, name, payload)
+
+
+class TestConcurrentCuts:
+    def test_versions_follow_the_corpus_they_froze(
+        self, service, token_documents, monkeypatch
+    ):
+        # Ingest A freezes 20 documents and stalls in the store write while
+        # ingest B adds 20 more and cuts.  Cuts that overlap would let B
+        # take version 1 with 40 documents and A version 2 with 20, yet
+        # record 40 for it.
+        monitor = InstabilityMonitor(service)
+        real_store_snapshot = scheduler_module.store_snapshot
+        a_frozen, b_done = threading.Event(), threading.Event()
+
+        def stalling_store_snapshot(store, corpus):
+            if len(corpus.documents) == 20:
+                a_frozen.set()
+                b_done.wait(timeout=2.0)     # B cuts first unless cuts serialise
+            return real_store_snapshot(store, corpus)
+
+        monkeypatch.setattr(scheduler_module, "store_snapshot", stalling_store_snapshot)
+        ingest_a = threading.Thread(target=monitor.ingest, args=(token_documents[:20],))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                ingest_a.start()
+                assert a_frozen.wait(timeout=30)
+                ingest_b = threading.Thread(
+                    target=lambda: (monitor.ingest(token_documents[20:40]), b_done.set())
+                )
+                ingest_b.start()
+                ingest_a.join(timeout=30)
+                ingest_b.join(timeout=30)
+                assert monitor.wait_idle(timeout=120)
+            versions = monitor.snapshot()["versions"]
+            assert [v["version"] for v in versions] == [1, 2]
+            assert [v["documents"] for v in versions] == [20, 40]
+            for version in versions:
+                frozen = load_snapshot(service.store, version["snapshot"])
+                assert version["documents"] == len(frozen.documents)
+                assert version["tokens"] == frozen.num_tokens
+            assert monitor.counters()["retrains_completed"] == 1
+        finally:
+            monitor.close()
+
+
+class TestCadenceFailures:
+    def test_a_failed_cut_is_counted_and_the_next_tick_cuts(self, token_documents):
+        store = ArtifactStore(backends=[FullOnce()])
+        monitor = InstabilityMonitor(types.SimpleNamespace(store=store))
+        try:
+            monitor.ingest(token_documents[:10], cut=False)
+            monitor._cadence_tick()               # the snapshot write raises
+            counters = monitor.counters()
+            assert (counters["snapshots_failed"], counters["snapshots_cut"]) == (1, 0)
+            monitor._cadence_tick()               # still due: it cuts
+            counters = monitor.counters()
+            assert (counters["snapshots_failed"], counters["snapshots_cut"]) == (1, 1)
+            monitor._cadence_tick()               # nothing new: no cut
+            assert monitor.counters()["snapshots_cut"] == 1
         finally:
             monitor.close()

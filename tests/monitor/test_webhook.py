@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from repro.monitor import InstabilityMonitor, MonitorConfig
+from repro.monitor import scheduler as scheduler_module
 from repro.serving import StabilityService
 from repro.serving.api import quick_serve_config
 
@@ -27,11 +28,10 @@ def token_documents(service):
     return [[corpus.word_list[i] for i in doc] for doc in corpus.documents]
 
 
-def make_monitor(service, posts, statuses, **config):
-    """A sync monitor whose webhook POST is captured, not sent."""
+def make_monitor(service, posts, statuses):
+    """A monitor whose webhook POST is captured, not sent."""
     monitor = InstabilityMonitor(
-        service,
-        MonitorConfig(sync=True, thresholds={"eis": 0.0}, webhook_url=HOOK, **config),
+        service, MonitorConfig(thresholds={"eis": 0.0}, webhook_url=HOOK)
     )
 
     def fake_post(url, body):
@@ -54,6 +54,7 @@ class TestDelivery:
                 warnings.simplefilter("ignore", UserWarning)
                 monitor.ingest(token_documents[:40])
                 monitor.ingest(token_documents[40:])
+                assert monitor.wait_idle(timeout=120)
         finally:
             monitor.close()
 
@@ -72,9 +73,7 @@ class TestDelivery:
         assert "drift_alert" in [e["kind"] for e in monitor.events.events()]
 
     def test_no_webhook_configured_posts_nothing(self, service, token_documents):
-        monitor = InstabilityMonitor(
-            service, MonitorConfig(sync=True, thresholds={"eis": 0.0})
-        )
+        monitor = InstabilityMonitor(service, MonitorConfig(thresholds={"eis": 0.0}))
         posted = []
         monitor._webhook_post = lambda url, body: posted.append(url) or 200
         try:
@@ -95,10 +94,7 @@ class TestDelivery:
 class TestRetries:
     def test_transient_failure_retries_then_delivers(self, service):
         posts = []
-        monitor = make_monitor(
-            service, posts, statuses=[ConnectionError("down"), 200],
-            webhook_retries=2,
-        )
+        monitor = make_monitor(service, posts, statuses=[ConnectionError("down"), 200])
         try:
             monitor._deliver_webhook({"event": "drift_alert"})
         finally:
@@ -108,11 +104,10 @@ class TestRetries:
         assert counters["webhook_delivered"] == 1
         assert counters["webhook_failed"] == 0
 
-    def test_exhausted_retries_count_one_failure(self, service):
+    def test_exhausted_retries_count_one_failure(self, service, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "WEBHOOK_RETRIES", 1)
         posts = []
-        monitor = make_monitor(
-            service, posts, statuses=[503], webhook_retries=1,
-        )
+        monitor = make_monitor(service, posts, statuses=[503])
         try:
             monitor._deliver_webhook({"event": "drift_alert"})
         finally:
@@ -122,20 +117,13 @@ class TestRetries:
         assert counters["webhook_delivered"] == 0
         assert counters["webhook_failed"] == 1
 
-    def test_zero_retries_means_single_attempt(self, service):
+    def test_zero_retries_means_single_attempt(self, service, monkeypatch):
+        monkeypatch.setattr(scheduler_module, "WEBHOOK_RETRIES", 0)
         posts = []
-        monitor = make_monitor(
-            service, posts, statuses=[RuntimeError("boom")], webhook_retries=0,
-        )
+        monitor = make_monitor(service, posts, statuses=[RuntimeError("boom")])
         try:
             monitor._deliver_webhook({"event": "drift_alert"})
         finally:
             monitor.close()
         assert len(posts) == 1
         assert monitor.counters()["webhook_failed"] == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MonitorConfig(webhook_retries=-1)
-        with pytest.raises(ValueError):
-            MonitorConfig(webhook_timeout=0.0)

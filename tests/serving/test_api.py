@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.serving import StabilityService
+from repro.serving import api as api_module
 from repro.serving.api import StabilityAPIServer, quick_serve_config
 
 
@@ -269,12 +270,13 @@ class TestArtifactsEndpoint:
 class TestReadBounds:
     """Slow and excess clients are dropped instead of pinning the server."""
 
-    def test_trickled_request_is_dropped_after_read_timeout(self, server):
+    def test_trickled_request_is_dropped_after_read_timeout(self, server, monkeypatch):
         # A client that sends a request line plus a huge Content-Length and
-        # then stalls must be disconnected once read_timeout expires --
+        # then stalls must be disconnected once the read timeout expires --
         # without the bound it would pin the buffered bytes and the
         # connection task forever.
-        with live_server(server.service, read_timeout=0.3) as api:
+        monkeypatch.setattr(api_module, "_READ_TIMEOUT", 0.3)
+        with live_server(server.service) as api:
             sock = socket.create_connection(("127.0.0.1", api.port), timeout=30)
             sock.sendall(
                 b"PUT /artifacts/kind/aaaa.npz HTTP/1.1\r\n"
@@ -290,8 +292,9 @@ class TestReadBounds:
             assert data == b""
             sock.close()
 
-    def test_connections_beyond_the_cap_get_503(self, server):
-        with live_server(server.service, max_connections=1) as api:
+    def test_connections_beyond_the_cap_get_503(self, server, monkeypatch):
+        monkeypatch.setattr(api_module, "_MAX_CONNECTIONS", 1)
+        with live_server(server.service) as api:
             # One idle connection occupies the single slot...
             first = socket.create_connection(("127.0.0.1", api.port), timeout=30)
             try:

@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import StabilityService
+from repro.serving import api as api_module
 from repro.serving.api import (
     StabilityAPIServer, _Connection, _parse_head, quick_serve_config,
 )
@@ -84,8 +85,11 @@ class TestKeepAliveDeadlines:
     # The last answer comes from a coroutine (/healthz) or is written from
     # stored bytes (a repeated /measure).
     @pytest.mark.parametrize("path", ["/healthz", WARM])
-    def test_an_idle_connection_is_closed_after_keepalive_timeout(self, service, path):
-        with live_server(service, keepalive_timeout=0.3) as api:
+    def test_an_idle_connection_is_closed_after_keepalive_timeout(
+        self, service, path, monkeypatch
+    ):
+        monkeypatch.setattr(api_module, "_KEEPALIVE_TIMEOUT", 0.3)
+        with live_server(service) as api:
             request(api, WARM)
             sock = connect(api)
             sock.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode())
@@ -96,10 +100,11 @@ class TestKeepAliveDeadlines:
             assert time.monotonic() - start >= 0.2
             sock.close()
 
-    def test_a_trickled_request_is_dropped_at_read_timeout(self, service):
+    def test_a_trickled_request_is_dropped_at_read_timeout(self, service, monkeypatch):
         # One header byte every 0.1 s keeps data arriving, but the read
         # deadline runs from the request line: it is not re-armed per chunk.
-        with live_server(service, read_timeout=0.5) as api:
+        monkeypatch.setattr(api_module, "_READ_TIMEOUT", 0.5)
+        with live_server(service) as api:
             sock = connect(api)
             sock.sendall(b"GET /healthz HTTP/1.1\r\n")
             start = time.monotonic()

@@ -15,11 +15,11 @@ from tests.serving.test_api import get_json, live_server, request
 
 @pytest.fixture(scope="module")
 def monitored_server():
-    """A live server whose service has a sync monitor with a hot threshold."""
+    """A live server whose service has a monitor with a hot threshold."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         service = StabilityService(quick_serve_config())
-        service.enable_monitor(MonitorConfig(sync=True, thresholds={"eis": 0.0}))
+        service.enable_monitor(MonitorConfig(thresholds={"eis": 0.0}))
     with live_server(service) as api:
         yield api, service
     service.close()
@@ -34,7 +34,7 @@ def documents(monitored_server):
 
 @pytest.fixture(scope="module")
 def ingested(monitored_server, documents):
-    """Two batches POSTed over HTTP: two snapshots, one sync retrain."""
+    """Two batches POSTed over HTTP: two snapshots, one retrain."""
     api, service = monitored_server
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -44,6 +44,7 @@ def ingested(monitored_server, documents):
         status2, second = get_json(
             api, "/monitor/ingest", method="POST", body={"documents": documents[40:]}
         )
+        assert service.monitor.wait_idle(timeout=120)
     assert status1 == 200 and status2 == 200
     return first, second
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.telemetry import trace as trace_module
 from repro.telemetry.metrics import MetricsRegistry, REGISTRY
 from repro.telemetry.trace import (
     NOOP_SPAN,
@@ -70,8 +71,9 @@ class TestSpans:
         assert rows["child"]["attrs"]["flag"] is True
         assert rows["root"]["attrs"]["at_root"] == 1
 
-    def test_max_spans_truncates_not_grows(self):
-        trace = Trace("root", max_spans=4)
+    def test_max_spans_truncates_not_grows(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "MAX_SPANS", 4)
+        trace = Trace("root")
         with trace.active():
             for _ in range(10):
                 with span("s"):
@@ -154,7 +156,7 @@ class TestPropagation:
 
 class TestTraceBuffer:
     def test_request_retains_and_serves_back(self):
-        buffer = TraceBuffer(slow_ms=0.0)
+        buffer = TraceBuffer()
         with buffer.request("GET /x", trace_id="a" * 32) as trace:
             with span("work"):
                 pass
@@ -165,10 +167,12 @@ class TestTraceBuffer:
         assert summaries[0]["trace_id"] == "a" * 32
         assert summaries[0]["spans"] == 2
 
-    def test_slow_traces_always_retained(self):
-        # Every request is traced; one that reaches slow_ms lands in the
+    def test_slow_traces_always_retained(self, monkeypatch):
+        # Every request is traced; one that reaches SLOW_MS lands in the
         # slow ring, which the fast traffic after it cannot evict.
-        buffer = TraceBuffer(capacity=2, slow_ms=50.0)
+        monkeypatch.setattr(trace_module, "RECENT_TRACES", 2)
+        monkeypatch.setattr(trace_module, "SLOW_MS", 50.0)
+        buffer = TraceBuffer()
         buffer.finish(buffer.start("slow"), duration_ms=75.0)
         for index in range(5):
             with buffer.request(f"fast{index}"):
@@ -179,8 +183,9 @@ class TestTraceBuffer:
         counters = buffer.counters()
         assert (counters["kept"], counters["kept_slow"]) == (5, 1)
 
-    def test_ring_capacity_evicts_oldest(self):
-        buffer = TraceBuffer(capacity=3, slow_ms=0.0)
+    def test_ring_capacity_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "RECENT_TRACES", 3)
+        buffer = TraceBuffer()
         for index in range(5):
             with buffer.request(f"r{index}"):
                 pass
@@ -188,8 +193,11 @@ class TestTraceBuffer:
         assert names == ["r2", "r3", "r4"]
         assert buffer.counters()["retained"] == 3
 
-    def test_full_rings_with_a_reused_id_retain_exactly(self):
-        buffer = TraceBuffer(capacity=2, slow_capacity=1, slow_ms=50.0)
+    def test_full_rings_with_a_reused_id_retain_exactly(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "RECENT_TRACES", 2)
+        monkeypatch.setattr(trace_module, "SLOW_TRACES", 1)
+        monkeypatch.setattr(trace_module, "SLOW_MS", 50.0)
+        buffer = TraceBuffer()
 
         def finish(trace_id: str, duration_ms: float) -> None:
             buffer.finish(buffer.start(trace_id, trace_id=trace_id), duration_ms)
@@ -213,7 +221,7 @@ class TestTraceBuffer:
         assert sorted(s["trace_id"] for s in buffer.recent()) == ["d", "e", "t"]
 
     def test_ingest_stitches_remote_rows_into_open_trace(self):
-        buffer = TraceBuffer(slow_ms=0.0)
+        buffer = TraceBuffer()
         with buffer.request("GET /grid", trace_id="b" * 32) as trace:
             remote_rows = [
                 {"trace_id": "b" * 32, "span_id": "1" * 16,
@@ -230,7 +238,7 @@ class TestTraceBuffer:
         # owns (e.g. a worker fetching artifacts with the grid's headers)
         # must join it as a child span — a rival trace under the same id
         # would clobber the root and orphan spans ingested afterwards.
-        buffer = TraceBuffer(slow_ms=0.0)
+        buffer = TraceBuffer()
         with buffer.request("GET /grid", trace_id="e" * 32) as root:
             sub = buffer.request("GET /artifacts", trace_id="e" * 32)
             with sub as subtrace:
@@ -259,7 +267,7 @@ class TestTraceBuffer:
         assert buffer.counters()["spans_dropped"] == 1
 
     def test_add_span_records_pretimed_span(self):
-        buffer = TraceBuffer(slow_ms=0.0)
+        buffer = TraceBuffer()
         with buffer.request("GET /grid", trace_id="d" * 32):
             assert buffer.add_span("d" * 32, "cluster.lease_wait",
                                    123.0, 42.0, worker="w1")
@@ -268,8 +276,3 @@ class TestTraceBuffer:
                     if r["name"] == "cluster.lease_wait")
         assert wait["duration_ms"] == 42.0
         assert wait["attrs"]["worker"] == "w1"
-
-    def test_validation(self):
-        buffer = TraceBuffer(capacity=0, slow_ms=-1.0)
-        assert buffer.capacity == 1          # floored
-        assert buffer.slow_ms == 0.0         # clamped

@@ -1,4 +1,4 @@
-"""The command lines: flags, defaults, forwarding and validation errors, pinned.
+"""The command lines: flags, defaults and validation errors, pinned.
 
 ``repro-serve``, the experiment runner and ``repro-worker`` are called
 in-process with their side effects replaced by recorders: the server
@@ -51,7 +51,6 @@ WORKER_DEFAULTS = {
     "store_replicas": None,
     "poll_interval": 0.5,
     "max_idle": None,
-    "backoff_max": 30.0,
 }
 
 
@@ -165,34 +164,6 @@ def test_runner_configures_the_store_and_policy(calls, tmp_path, argv, store):
 
 
 @pytest.mark.parametrize(
-    "argv, forwarded",
-    [
-        ([], ["--host", "127.0.0.1", "--port", "8732", "--workers", "0"]),
-        (
-            [*REPLICA_ARGV, "--host", "0.0.0.0", "--port", "0", "--workers", "2",
-             "--resume-runs", "--monitor", "--monitor-distributed"],
-            ["--host", "0.0.0.0", "--port", "0", "--workers", "2",
-             "--cache-dir", "/data/cache",
-             "--store-replicas", "http://peer:1,/data/replica",
-             "--resume-runs", "--monitor", "--monitor-distributed"],
-        ),
-        (
-            URL_ARGV,
-            ["--host", "127.0.0.1", "--port", "8732", "--workers", "0",
-             "--cache-dir", "/data/cache", "--store-url", "http://peer:1"],
-        ),
-    ],
-    ids=["defaults", "replicas", "url"],
-)
-def test_runner_serve_forwards_its_flags(calls, monkeypatch, argv, forwarded):
-    handed = []
-    monkeypatch.setattr(api, "main", lambda argv: handed.append(argv) or 0)
-    assert runner.main(["--serve", *argv]) == 0
-    assert handed == [forwarded]
-    assert calls["store"] == []
-
-
-@pytest.mark.parametrize(
     "argv, changed",
     [
         ([], {}),
@@ -236,6 +207,13 @@ UNKNOWN_ERROR = "unrecognized arguments: --store-mmap"
         ("serve", ["--slow-ms", "500"], "unrecognized arguments: --slow-ms 500"),
         ("worker", ["--trace-sample", "1"], "unrecognized arguments: --trace-sample 1"),
         ("worker", ["--slow-ms", "0"], "unrecognized arguments: --slow-ms 0"),
+        ("runner", ["--serve"], "unrecognized arguments: --serve"),
+        ("runner", ["--host", "0.0.0.0"], "unrecognized arguments: --host"),
+        ("runner", ["--port", "1"], "unrecognized arguments: --port"),
+        ("runner", ["--resume-runs"], "unrecognized arguments: --resume-runs"),
+        ("runner", ["--monitor"], "unrecognized arguments: --monitor"),
+        ("runner", ["--monitor-distributed"], "unrecognized arguments: --monitor-distributed"),
+        ("worker", ["--backoff-max", "5"], "unrecognized arguments: --backoff-max 5"),
     ],
 )
 def test_invalid_combination_exits_2(calls, capsys, main, argv, message):
