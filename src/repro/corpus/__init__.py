@@ -6,13 +6,12 @@ topic-mixture synthetic corpus generator with controllable temporal drift, plus
 the vocabulary and co-occurrence machinery every embedding algorithm needs.
 """
 
-from repro.corpus.cooccurrence import CooccurrenceMatrix, build_cooccurrence, ppmi_matrix
+from repro.corpus.cooccurrence import build_cooccurrence, ppmi_matrix
 from repro.corpus.synthetic import Corpus, CorpusPair, SyntheticCorpusConfig, SyntheticCorpusGenerator
 from repro.corpus.tokenizer import SimpleTokenizer
 from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
-    "CooccurrenceMatrix",
     "Corpus",
     "CorpusPair",
     "SimpleTokenizer",

@@ -9,7 +9,6 @@ information* (PPMI) matrix rather than the raw counts (Bullinaria & Levy,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -18,51 +17,9 @@ import scipy.sparse as sp
 from repro.corpus.vocabulary import Vocabulary
 
 __all__ = [
-    "CooccurrenceMatrix",
     "build_cooccurrence",
     "ppmi_matrix",
 ]
-
-
-@dataclass
-class CooccurrenceMatrix:
-    """Sparse symmetric word-word co-occurrence counts.
-
-    Attributes
-    ----------
-    matrix:
-        ``scipy.sparse.csr_matrix`` of shape ``(n, n)`` with (possibly
-        distance-weighted) co-occurrence counts.
-    vocab:
-        The vocabulary defining row/column order.
-    window_size:
-        The symmetric context window used to build the matrix.
-    distance_weighting:
-        Whether counts were weighted by ``1/distance`` (GloVe convention).
-    """
-
-    matrix: sp.csr_matrix
-    vocab: Vocabulary
-    window_size: int
-    distance_weighting: bool
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def ppmi(self, *, shift: float = 0.0) -> sp.csr_matrix:
-        """Positive PMI transform of the counts (see :func:`ppmi_matrix`)."""
-        return ppmi_matrix(self.matrix, shift=shift)
 
 
 def build_cooccurrence(
@@ -70,10 +27,13 @@ def build_cooccurrence(
     vocab_size: int | Vocabulary,
     *,
     window_size: int = 8,
-    distance_weighting: bool = True,
-    symmetric: bool = True,
 ) -> sp.csr_matrix:
-    """Build a sparse co-occurrence matrix from id-encoded documents.
+    """Symmetric, ``1/d``-weighted co-occurrence matrix of id-encoded documents.
+
+    A pair at distance ``d`` counts ``1/d`` (the GloVe convention), in both
+    directions.  MC, GloVe and PPMI-SVD all factor this matrix; they read it
+    through :meth:`repro.corpus.synthetic.Corpus.cooccurrence`, which builds
+    it once per corpus, vocabulary and window.
 
     Parameters
     ----------
@@ -84,10 +44,6 @@ def build_cooccurrence(
         Vocabulary size, or the :class:`Vocabulary` itself.
     window_size:
         Symmetric window radius.
-    distance_weighting:
-        Weight a pair at distance ``d`` by ``1/d`` (GloVe style) instead of 1.
-    symmetric:
-        Accumulate counts for both (word, context) and (context, word).
 
     Returns
     -------
@@ -99,10 +55,7 @@ def build_cooccurrence(
         raise ValueError("vocab_size must be positive")
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    counts = _offset_counts(documents, n, window_size)
-    return _materialize(
-        counts, n, distance_weighting=distance_weighting, symmetric=symmetric
-    )
+    return _materialize(_offset_counts(documents, n, window_size), n)
 
 
 def _offset_counts(
@@ -140,13 +93,7 @@ def _offset_counts(
     return counts
 
 
-def _materialize(
-    counts: Sequence[sp.csr_matrix],
-    n: int,
-    *,
-    distance_weighting: bool,
-    symmetric: bool,
-) -> sp.csr_matrix:
+def _materialize(counts: Sequence[sp.csr_matrix], n: int) -> sp.csr_matrix:
     """Weighted float64 co-occurrence matrix from per-offset integer counts.
 
     The only float operations are ``count * (1/d)`` and the sum over offsets
@@ -157,9 +104,7 @@ def _materialize(
     for offset, mat in enumerate(counts, start=1):
         if mat.nnz == 0:
             continue
-        directional = (mat + mat.T) if symmetric else mat
-        weight = (1.0 / offset) if distance_weighting else 1.0
-        total = total + directional.astype(np.float64) * weight
+        total = total + (mat + mat.T).astype(np.float64) * (1.0 / offset)
     total.sum_duplicates()
     return total
 

@@ -27,7 +27,9 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro.corpus.cooccurrence import build_cooccurrence
 from repro.corpus.vocabulary import Vocabulary
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_probability
@@ -115,12 +117,16 @@ class Corpus:
         Per-document dominant topic (used by the downstream task generators).
     name:
         Human-readable tag, e.g. ``"wiki17"``.
+
+    A corpus's documents are never changed after construction: the
+    co-occurrence memo behind :meth:`cooccurrence` rests on that.
     """
 
     word_list: list[str]
     documents: list[np.ndarray]
     document_topics: np.ndarray
     name: str = "corpus"
+    _cooccurrence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.documents) != len(self.document_topics):
@@ -165,6 +171,29 @@ class Corpus:
             ids = lookup[doc]
             encoded.append(ids[ids >= 0])
         return encoded
+
+    def cooccurrence(self, vocab: Vocabulary, *, window_size: int) -> sp.csr_matrix:
+        """This corpus's :func:`build_cooccurrence` matrix in ``vocab``.
+
+        Built once per word order and window, then memoized: the MC, GloVe and
+        PPMI-SVD fits of one corpus all read the same matrix.  The key is the
+        vocabulary's words, not the object, because a :class:`Vocabulary` is
+        mutable and encoding depends only on its word order.  The matrix is
+        read-only, so a trainer that writes into it raises instead of
+        corrupting later fits.  There is no lock, which a pool forked while
+        another thread held it would inherit held: two racing first calls
+        both build, and both get the matrix stored first.
+        """
+        key = (tuple(vocab.words), window_size)
+        cached = self._cooccurrence.get(key)
+        if cached is not None:
+            return cached
+        built = build_cooccurrence(
+            self.encode_documents(vocab), len(vocab), window_size=window_size
+        )
+        for array in (built.data, built.indices, built.indptr):
+            array.flags.writeable = False
+        return self._cooccurrence.setdefault(key, built)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.cooccurrence import build_cooccurrence
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
@@ -84,10 +83,7 @@ class GloVeModel(EmbeddingAlgorithm):
 
     def fit(self, corpus: Corpus, *, vocab: Vocabulary | None = None) -> Embedding:
         vocab = self._resolve_vocab(corpus, vocab)
-        docs = corpus.encode_documents(vocab)
-        counts = build_cooccurrence(
-            docs, len(vocab), window_size=self.window_size, distance_weighting=True
-        ).tocoo()
+        counts = corpus.cooccurrence(vocab, window_size=self.window_size).tocoo()
         vectors = self.fit_from_cooccurrence(
             rows=counts.row, cols=counts.col, values=counts.data, n_words=len(vocab)
         )

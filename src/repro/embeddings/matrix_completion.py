@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.cooccurrence import build_cooccurrence, ppmi_matrix
+from repro.corpus.cooccurrence import ppmi_matrix
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
@@ -86,8 +86,7 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
 
     def fit(self, corpus: Corpus, *, vocab: Vocabulary | None = None) -> Embedding:
         vocab = self._resolve_vocab(corpus, vocab)
-        docs = corpus.encode_documents(vocab)
-        counts = build_cooccurrence(docs, len(vocab), window_size=self.window_size)
+        counts = corpus.cooccurrence(vocab, window_size=self.window_size)
         ppmi = ppmi_matrix(counts).tocoo()
         vectors = self.fit_from_entries(
             rows=ppmi.row, cols=ppmi.col, values=ppmi.data, n_words=len(vocab)

@@ -11,9 +11,9 @@ from repro.corpus.cooccurrence import build_cooccurrence, ppmi_matrix
 
 class TestBuildCooccurrence:
     def test_simple_pair_counts(self):
-        # "0 1 0": with window 1 and no distance weighting, (0,1) appears twice
-        # in each direction.
-        mat = build_cooccurrence([[0, 1, 0]], 2, window_size=1, distance_weighting=False)
+        # "0 1 0": with window 1 every pair is at distance 1 and weighs 1, so
+        # (0,1) appears twice in each direction.
+        mat = build_cooccurrence([[0, 1, 0]], 2, window_size=1)
         dense = mat.toarray()
         assert dense[0, 1] == 2
         assert dense[1, 0] == 2
@@ -25,16 +25,18 @@ class TestBuildCooccurrence:
         np.testing.assert_allclose(mat, mat.T)
 
     def test_distance_weighting_halves_far_pairs(self):
-        mat = build_cooccurrence([[0, 2, 1]], 3, window_size=2, distance_weighting=True)
+        mat = build_cooccurrence([[0, 2, 1]], 3, window_size=2)
         dense = mat.toarray()
         assert dense[0, 1] == pytest.approx(0.5)
         assert dense[0, 2] == pytest.approx(1.0)
 
     def test_out_of_range_ids_are_skipped(self):
-        mat = build_cooccurrence([[0, 99, 1]], 2, window_size=1)
-        assert mat.shape == (2, 2)
-        # 99 is ignored entirely, but 0 and 1 are now adjacent-with-gap.
-        assert mat.nnz >= 0
+        # A skipped id drops out before windowing, as out-of-vocabulary words
+        # do in ``Corpus.encode_documents``: 0 and 1 become neighbours at
+        # distance 1.
+        for skipped in (99, -1):
+            mat = build_cooccurrence([[0, skipped, 1]], 2, window_size=1)
+            np.testing.assert_array_equal(mat.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_empty_documents(self):
         mat = build_cooccurrence([[], [5]], 6, window_size=2)
@@ -47,7 +49,7 @@ class TestBuildCooccurrence:
             build_cooccurrence([[0, 1]], 2, window_size=0)
 
     def test_window_larger_than_document(self):
-        mat = build_cooccurrence([[0, 1]], 2, window_size=10, distance_weighting=False)
+        mat = build_cooccurrence([[0, 1]], 2, window_size=10)
         assert mat[0, 1] == 1
 
 

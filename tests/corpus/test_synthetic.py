@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.corpus.cooccurrence import build_cooccurrence
 from repro.corpus.synthetic import (
     Corpus,
     SyntheticCorpusConfig,
@@ -116,3 +117,39 @@ class TestCorpusContainer:
     def test_mismatched_topics_raises(self):
         with pytest.raises(ValueError):
             Corpus(word_list=["a"], documents=[np.array([0])], document_topics=np.array([0, 1]))
+
+
+class TestCooccurrenceMemo:
+    """``Corpus.cooccurrence`` builds each matrix once per corpus."""
+
+    @pytest.fixture()
+    def fresh(self, generator):
+        return generator.generate(seed=11, n_documents=20)
+
+    def test_equals_a_fresh_build_byte_for_byte(self, fresh):
+        vocab = fresh.build_vocabulary(min_count=2)
+        memo = fresh.cooccurrence(vocab, window_size=3)
+        built = build_cooccurrence(fresh.encode_documents(vocab), len(vocab), window_size=3)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(memo, name), getattr(built, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert memo.shape == built.shape
+
+    def test_one_entry_per_word_order_and_window(self, fresh):
+        vocab = fresh.build_vocabulary(min_count=2)
+        first = fresh.cooccurrence(vocab, window_size=3)
+        assert fresh.cooccurrence(vocab, window_size=3) is first
+        # Equal words in a new object share the entry: the key is content.
+        assert fresh.cooccurrence(fresh.build_vocabulary(min_count=2), window_size=3) is first
+        other_window = fresh.cooccurrence(vocab, window_size=2)
+        other_words = fresh.cooccurrence(vocab.truncate(len(vocab) - 1), window_size=3)
+        assert other_window is not first and other_words is not first
+        assert other_words.shape == (len(vocab) - 1, len(vocab) - 1)
+        assert len(fresh._cooccurrence) == 3
+
+    def test_the_memoized_matrix_is_read_only(self, fresh):
+        matrix = fresh.cooccurrence(fresh.build_vocabulary(), window_size=3)
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

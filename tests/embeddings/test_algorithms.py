@@ -1,5 +1,9 @@
 """Tests shared across the embedding training algorithms (CBOW, GloVe, MC, SVD, fastText)."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -161,3 +165,45 @@ class TestSVDSpecifics:
         vocab = corpus.build_vocabulary()
         emb = PPMISVDModel(dim=10).fit(corpus, vocab=vocab)
         assert emb.vectors.shape == (4, 10)
+
+
+class TestSharedCooccurrence:
+    """MC, GloVe and PPMI-SVD fits of one corpus share its co-occurrence memo."""
+
+    COUNTING = ("glove", "mc", "svd")
+
+    def test_fits_on_one_corpus_equal_fits_on_fresh_copies(self, generator, vocab):
+        shared = generator.generate_pair(seed=7).base
+        fits = {name: self._fit(name, shared, vocab) for name in self.COUNTING}
+        # Equal windows: the three fits read one matrix.
+        assert len(shared._cooccurrence) == 1
+        for name in self.COUNTING:
+            copy = generator.generate_pair(seed=7).base
+            assert copy._cooccurrence is not shared._cooccurrence
+            np.testing.assert_array_equal(fits[name], self._fit(name, copy, vocab))
+            assert len(copy._cooccurrence) == 1
+
+    def test_concurrent_first_fits_match_the_serial_fit(self, generator, vocab):
+        serial = self._fit("mc", generator.generate_pair(seed=7).base, vocab)
+        corpus = generator.generate_pair(seed=7).base
+        start = threading.Barrier(4, timeout=30)
+
+        def fit(_):
+            start.wait()
+            return self._fit("mc", corpus, vocab)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                vectors = list(pool.map(fit, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in vectors:
+            np.testing.assert_array_equal(got, serial)
+        assert len(corpus._cooccurrence) == 1
+
+    @staticmethod
+    def _fit(name, corpus, vocab):
+        model = ALGORITHMS[name](dim=8, seed=0, **FAST_KWARGS[name])
+        return model.fit(corpus, vocab=vocab).vectors

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.corpus import cooccurrence as cooccurrence_module
 from repro.engine import stats
 from repro.engine import store as store_module
 from repro.instability import pipeline as pipeline_module
@@ -194,6 +195,30 @@ class TestSelect:
     def test_unknown_criterion_rejected(self, service):
         with pytest.raises(ValueError, match="unknown selection criterion"):
             service.select(128, criterion="vibes")
+
+    def test_cold_selects_count_each_corpus_once(self, monkeypatch):
+        # Every co-occurrence build counts through ``_offset_counts``.
+        builds = []
+        count = cooccurrence_module._offset_counts
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(cooccurrence_module, "_offset_counts", counted)
+        config = replace(quick_serve_config(), algorithms=("mc",), dimensions=(4, 8))
+        after_each = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with StabilityService(config) as svc:
+                for seed in (1, 2, 3):
+                    svc.select(1000, seed=seed)
+                    after_each.append(len(builds))
+                trained = svc.pipeline.embedding_train_count
+        # Each seed trains a pair per dimension (12 fits in all), and every
+        # fit reads one of the two corpora's matrices, built on first use.
+        assert trained == 6
+        assert after_each == [2, 2, 2]
 
 
 class TestGridStream:
