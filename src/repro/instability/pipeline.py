@@ -722,6 +722,9 @@ class InstabilityPipeline:
             ner_hidden_dim=self.config.ner_hidden_dim,
             ner_learning_rate=self.config.ner_learning_rate,
             fine_tune=self.config.fine_tune_embeddings,
+            # Downstream models train in float32; results stored by float64
+            # training recompute once.
+            dtype="float32",
         )
         return config_hash(fields)
 

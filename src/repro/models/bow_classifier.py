@@ -65,7 +65,7 @@ class BowClassifier(ModelStack):
             means = [self.embedding.mean_of(doc) for doc in documents]
             return Tensor.stack(means, axis=1)
         tables = self.embedding.weight.data
-        feats = np.zeros((self.models, len(documents), self.embedding.dim))
+        feats = np.zeros((self.models, len(documents), self.embedding.dim), dtype=np.float32)
         for i, doc in enumerate(documents):
             if len(doc):
                 feats[:, i] = tables[:, doc].mean(axis=1)

@@ -11,6 +11,10 @@ share a :class:`TrainingConfig` differ only in their embedding table.
 one optimiser step per batch for all ``M`` -- with per-model losses, learning
 rates, gradient clipping and early stopping, so each model ends exactly as
 it would have alone.  A single model is the ``M = 1`` case.
+
+Every model computes in float32: the stack's embedding tables are cast once
+when it is built, and its parameters, gradients, optimiser state and
+best states are float32 (see :mod:`repro.nn.tensor`).
 """
 
 from __future__ import annotations
@@ -173,6 +177,7 @@ def fit_lockstep(
     running = list(range(models))
     for epoch in range(config.epochs):
         model.train()
+        # The history's loss sums stay float64.
         epoch_loss, n_batches = np.zeros(models), 0
         for batch_idx in BatchIterator(n_train, config.batch_size, seed=config.sampling_seed + epoch):
             loss = batch_loss(batch_idx)
@@ -194,7 +199,7 @@ def fit_lockstep(
         for m in list(running):
             histories[m]["val_accuracy"].append(scores[m])
             if config.anneal_factor is not None and stoppers[m].should_anneal:
-                optimizer.set_lr(max(optimizer.lr[m] * config.anneal_factor, 1e-5), model=m)
+                optimizer.set_lr(max(float(optimizer.lr[m]) * config.anneal_factor, 1e-5), model=m)
             state = {name: values[m].copy() for name, values in rows.items()}
             if stoppers[m].update(scores[m], state):
                 running.remove(m)

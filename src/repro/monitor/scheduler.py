@@ -280,9 +280,11 @@ class InstabilityMonitor:
         from repro.cluster.coordinator import config_wire_payload
 
         # "bow" is the retrain grid's model type (GridEngine's default),
-        # kept in the key so stored reports stay warm.
+        # kept in the key so stored reports stay warm.  A report holds
+        # downstream disagreement, so it carries the downstream key's dtype.
         return config_hash(
-            {"kind": REPORT_KIND, "config": config_wire_payload(config), "model_type": "bow"}
+            {"kind": REPORT_KIND, "config": config_wire_payload(config), "model_type": "bow",
+             "dtype": "float32"}
         )
 
     def evaluate_pair(

@@ -34,7 +34,7 @@ class Conv1d(Module):
         self.weight = Tensor(
             _init_weight(rng, kernel_width * in_dim, out_channels), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_channels, dtype=np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         """Convolve ``x`` of shape ``(seq_len, in_dim)`` -> ``(windows, out_channels)``.
@@ -45,7 +45,7 @@ class Conv1d(Module):
         seq_len = x.shape[0]
         k = self.kernel_width
         if seq_len < k:
-            pad = Tensor(np.zeros((k - seq_len, self.in_dim)))
+            pad = Tensor(np.zeros((k - seq_len, self.in_dim), dtype=np.float32))
             x = Tensor.concatenate([x, pad], axis=0)
             seq_len = k
         n_windows = seq_len - k + 1

@@ -17,6 +17,10 @@ from repro.utils.rng import check_random_state
 __all__ = ["LinearChainCRF"]
 
 
+def _init_scores(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.normal(0, 0.1, size=shape).astype(np.float32)
+
+
 def _logsumexp(x: Tensor, axis: int = -1) -> Tensor:
     shift = Tensor(x.data.max(axis=axis, keepdims=True))
     return (x - shift).exp().sum(axis=axis, keepdims=True).log() + shift
@@ -39,9 +43,9 @@ class LinearChainCRF(Module):
             raise ValueError("num_tags must be >= 1")
         rng = check_random_state(seed)
         self.num_tags = int(num_tags)
-        self.transitions = Tensor(rng.normal(0, 0.1, size=(num_tags, num_tags)), requires_grad=True)
-        self.start_scores = Tensor(rng.normal(0, 0.1, size=num_tags), requires_grad=True)
-        self.end_scores = Tensor(rng.normal(0, 0.1, size=num_tags), requires_grad=True)
+        self.transitions = Tensor(_init_scores(rng, (num_tags, num_tags)), requires_grad=True)
+        self.start_scores = Tensor(_init_scores(rng, num_tags), requires_grad=True)
+        self.end_scores = Tensor(_init_scores(rng, num_tags), requires_grad=True)
 
     # -- training ------------------------------------------------------------
 

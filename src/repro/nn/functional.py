@@ -48,13 +48,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     Its forward and its closed-form backward reproduce, bit for bit, each
     model's loss and logit gradient of
     ``nll_loss(log_softmax(logits), targets)``: the same numpy expressions in
-    the same order, including the clips in ``exp`` and ``log``.
+    the same order, including the clips in ``exp`` and ``log``.  It computes
+    in the logits' dtype.
     """
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(logits.shape[-2])
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     exp = np.exp(np.clip(shifted, -500, 500))
-    total = np.clip(exp.sum(axis=-1, keepdims=True), 1e-300, None)
+    total = np.clip(exp.sum(axis=-1, keepdims=True), np.finfo(exp.dtype).tiny, None)
     # Fancy indexing after a leading axis yields a strided array; a contiguous
     # copy keeps each model's sum the pairwise sum of one model's losses.
     picked = np.ascontiguousarray((shifted - np.log(total))[..., rows, targets])
@@ -72,7 +73,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean binary cross-entropy on raw logits against {0, 1} targets."""
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
+    targets_t = Tensor(np.asarray(targets, dtype=logits.data.dtype))
     probs = logits.sigmoid()
     eps = 1e-12
     loss = -(targets_t * (probs + eps).log() + (1.0 - targets_t) * (1.0 - probs + eps).log())
@@ -85,14 +86,14 @@ def dropout(x: Tensor, p: float, *, training: bool, rng: np.random.Generator) ->
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     return x * Tensor(mask)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     """One-hot encode integer ``indices`` into ``num_classes`` columns."""
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((len(indices), num_classes))
+    out = np.zeros((len(indices), num_classes), dtype=np.float32)
     out[np.arange(len(indices)), indices] = 1.0
     return out
 

@@ -1,4 +1,7 @@
-"""Neural-network layers (Module, Linear, Embedding, Dropout, activations)."""
+"""Neural-network layers (Module, Linear, Embedding, Dropout, activations).
+
+Every parameter and embedding table a layer holds is float32.
+"""
 
 from __future__ import annotations
 
@@ -88,7 +91,7 @@ class Module:
         for name, p in params.items():
             if p.data.shape != np.asarray(state[name]).shape:
                 raise ValueError(f"shape mismatch for {name}")
-            p.data = np.asarray(state[name], dtype=np.float64).copy()
+            p.data = np.array(state[name], dtype=np.float32)
 
     # -- call -------------------------------------------------------------------------
 
@@ -100,9 +103,9 @@ class Module:
 
 
 def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot-uniform initialisation."""
+    """Glorot-uniform initialisation, in float32."""
     scale = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-scale, scale, size=(fan_in, fan_out))
+    return rng.uniform(-scale, scale, size=(fan_in, fan_out)).astype(np.float32)
 
 
 class Linear(Module):
@@ -128,7 +131,9 @@ class Linear(Module):
             weight = np.repeat(weight[None], models, axis=0)
             bias_shape = (models, 1, out_features)
         self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(bias_shape), requires_grad=True) if bias else None
+        self.bias = (
+            Tensor(np.zeros(bias_shape, dtype=np.float32), requires_grad=True) if bias else None
+        )
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -145,7 +150,8 @@ class Embedding(Module):
     weight:
         Initial ``(num_embeddings, dim)`` matrix (e.g. pre-trained vectors), or
         a ``(models, num_embeddings, dim)`` stack of such tables: a lookup then
-        gathers the same ids from every table at once.
+        gathers the same ids from every table at once.  The layer keeps a
+        float32 copy.
     trainable:
         Whether the table receives gradients (the paper's default pipeline
         freezes it; Appendix E.4 fine-tunes it).
@@ -153,15 +159,15 @@ class Embedding(Module):
 
     def __init__(self, weight: np.ndarray, *, trainable: bool = False):
         super().__init__()
-        weight = np.asarray(weight, dtype=np.float64)
+        weight = np.array(weight, dtype=np.float32)
         if weight.ndim not in (2, 3):
             raise ValueError("embedding weight must be 2-D (or a 3-D stack of tables)")
         self.num_embeddings, self.dim = weight.shape[-2:]
         self.trainable = bool(trainable)
         if self.trainable:
-            self.weight = Tensor(weight.copy(), requires_grad=True)
+            self.weight = Tensor(weight, requires_grad=True)
         else:
-            self.weight = Tensor(weight.copy())
+            self.weight = Tensor(weight)
 
     def forward(self, indices: np.ndarray) -> Tensor:
         """Rows of ``indices``: ``(*indices.shape, dim)``, after the model axis if stacked."""
@@ -174,7 +180,7 @@ class Embedding(Module):
         """Mean embedding of a bag of word ids (empty bags map to zeros)."""
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
-            return Tensor(np.zeros(self.weight.shape[:-2] + (self.dim,)))
+            return Tensor(np.zeros(self.weight.shape[:-2] + (self.dim,), dtype=np.float32))
         return self.forward(indices).mean(axis=-2)
 
 

@@ -10,7 +10,8 @@ models train in lockstep on a leading model axis (see
 ``models`` rows.  Each model has its own learning rate and its own gradient
 clipping norm; every update is elementwise, so a model's rows change exactly
 as they would in an optimiser of its own.  With ``models=1`` (the default)
-a parameter of any shape is one row.
+a parameter of any shape is one row.  Learning rates, moment estimates and
+clipping norms take the parameters' dtype: float32 for every layer's.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Optimizer:
             raise ValueError("models must be positive")
         self.models = int(models)
         #: One learning rate per model.
-        self.lr = np.empty(self.models)
+        self.lr = np.empty(self.models, dtype=_dtype(self.parameters))
         self.set_lr(lr)
 
     def zero_grad(self) -> None:
@@ -124,6 +125,10 @@ class Adam(Optimizer):
             p.data -= self._rate(p) * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _dtype(parameters: list[Tensor]) -> np.dtype:
+    return np.result_type(*(p.data for p in parameters))
+
+
 def _clip_gradients(parameters: list[Tensor], max_norm: float, models: int = 1) -> np.ndarray:
     """Scale each model's gradients so their global L2 norm is at most ``max_norm``.
 
@@ -131,14 +136,14 @@ def _clip_gradients(parameters: list[Tensor], max_norm: float, models: int = 1) 
     row summed on its own, so it equals the norm of that model's gradients
     alone.  Returns the per-model norms before clipping.
     """
-    total = np.zeros(models)
+    total = np.zeros(models, dtype=_dtype(parameters))
     for p in parameters:
         if p.grad is not None:
             total += np.sum((p.grad**2).reshape(models, -1), axis=1)
     norm = np.sqrt(total)
     clipped = (norm > max_norm) & (norm > 0)
     if clipped.any():
-        scale = np.ones(models)
+        scale = np.ones(models, dtype=total.dtype)
         np.divide(max_norm, norm, out=scale, where=clipped)
         for p in parameters:
             if p.grad is not None:

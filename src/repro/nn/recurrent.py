@@ -20,7 +20,8 @@ plain layer is the scan's ``M = 1`` case.
 
 The fused node is bit-identical to unrolling :meth:`LSTMCell.forward`
 through the engine, and each model's slice to a single-model layer:
-outputs and every gradient.  The scan evaluates the cell's numpy
+outputs and every gradient, in float32 (what the models run) as in
+float64.  The scan evaluates the cell's numpy
 expressions in the cell's order (one sigmoid over the whole gate block
 equals per-gate sigmoids, and a stacked matmul makes the same BLAS call
 for each model and direction slice).  The backward pass accumulates each parameter's
@@ -61,7 +62,7 @@ class LSTMCell(Module):
         # Stack the four gates into single matrices for fewer matmuls.
         w_x = _init_weight(rng, input_dim, 4 * hidden_dim)
         w_h = _init_weight(rng, hidden_dim, 4 * hidden_dim)
-        bias = np.zeros(4 * hidden_dim)
+        bias = np.zeros(4 * hidden_dim, dtype=np.float32)
         # Positive forget-gate bias, the usual trick for trainability.
         bias[hidden_dim : 2 * hidden_dim] = 1.0
         if models is not None:
@@ -88,7 +89,7 @@ class LSTMCell(Module):
         shape = (batch_size, self.hidden_dim)
         if self.models is not None:
             shape = (self.models,) + shape
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
+        return Tensor(np.zeros(shape, dtype=np.float32)), Tensor(np.zeros(shape, dtype=np.float32))
 
 
 def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool, ...]) -> Tensor:
@@ -100,7 +101,8 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
     concatenated on the last axis: ``(seq_len, [models,] batch, len(cells) *
     hidden)``.  Arrays below carry a model axis ``M`` (1 for plain cells)
     ahead of the direction axis, and are indexed by processing step ``s``,
-    not time step.
+    not time step.  The scan computes in the dtype its operands promote to:
+    float32 for the layers' own parameters and float32 inputs.
     """
     stacked = cells[0].models is not None
     x = inputs.data if stacked else inputs.data[:, None]          # (T, M, B, D)
@@ -111,13 +113,13 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
     w_h = np.stack([cell.w_h.data.reshape(M, H, 4 * H) for cell in cells], axis=1)
     bias = np.stack([cell.bias.data.reshape(M, 1, 4 * H) for cell in cells], axis=1)
     # w_x: (M, n_dir, D, 4H); w_h: (M, n_dir, H, 4H); bias: (M, n_dir, 1, 4H).
+    dtype = np.result_type(x, w_x, w_h, bias)
     params = tuple(p for cell in cells for p in (cell.w_x, cell.w_h, cell.bias))
     parents = (inputs, *params)
     grad_enabled = is_grad_enabled() and any(p.requires_grad for p in parents)
-
-    def step_inputs(s: int) -> np.ndarray:
-        """Every direction's input at step ``s``: ``(M, n_dir, B, D)``."""
-        return np.stack([x[seq_len - 1 - s] if r else x[s] for r in reverse], axis=1)
+    # xs[s]: every direction's input at step s, (M, n_dir, B, D), arranged
+    # once: the reversed directions read the inputs back to front.
+    xs = np.stack([x[::-1] if r else x for r in reverse], axis=2)
 
     # hs[s + 1]: hidden state after step s; hs[0]: the zero state.  Only the
     # backward pass reads the gate activations acts[s] (sigmoid(i),
@@ -125,14 +127,14 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
     # cs[s]; without one, a single step of each is kept, and cs alternates
     # between two rows.
     kept = seq_len if grad_enabled else 1
-    hs = np.zeros((seq_len + 1, M, n_dir, batch, H))
-    cs = np.zeros((kept + 1, M, n_dir, batch, H))
-    acts = np.empty((kept, M, n_dir, batch, 4 * H))
-    tcs = np.empty((kept, M, n_dir, batch, H))
+    hs = np.zeros((seq_len + 1, M, n_dir, batch, H), dtype)
+    cs = np.zeros((kept + 1, M, n_dir, batch, H), dtype)
+    acts = np.empty((kept, M, n_dir, batch, 4 * H), dtype)
+    tcs = np.empty((kept, M, n_dir, batch, H), dtype)
     for s in range(seq_len):
         k = s if grad_enabled else 0
         c_prev, c = (cs[s], cs[s + 1]) if grad_enabled else (cs[s % 2], cs[1 - s % 2])
-        gates = step_inputs(s) @ w_x + hs[s] @ w_h + bias
+        gates = xs[s] @ w_x + hs[s] @ w_h + bias
         act = acts[k]
         # np.minimum(np.maximum(.)) is np.clip's result, without its overhead.
         np.divide(1.0, 1.0 + np.exp(-np.minimum(np.maximum(gates, -60), 60)), out=act)
@@ -141,7 +143,7 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
         np.tanh(c, out=tcs[k])
         np.multiply(act[..., 3 * H : 4 * H], tcs[k], out=hs[s + 1])
 
-    out = np.empty((seq_len, M, batch, n_dir * H))
+    out = np.empty((seq_len, M, batch, n_dir * H), dtype)
     for k, r in enumerate(reverse):
         out[..., k * H : (k + 1) * H] = hs[:0:-1, :, k] if r else hs[1:, :, k]
     out = out if stacked else out[:, 0]
@@ -150,26 +152,23 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
 
     def backward(grad: np.ndarray) -> None:
         grad = grad if stacked else grad[:, None]
-
-        def dout(s: int) -> np.ndarray:
-            """Every direction's output gradient at step ``s``: ``(M, n_dir, B, H)``."""
-            return np.stack(
-                [grad[seq_len - 1 - s if r else s, ..., k * H : (k + 1) * H]
-                 for k, r in enumerate(reverse)],
-                axis=1,
-            )
-
-        d_w_x, d_w_h = np.zeros_like(w_x), np.zeros_like(w_h)
-        d_bias = np.zeros((M, n_dir, 4 * H))
-        d_xs = np.empty((seq_len, M, n_dir) + x.shape[2:]) if inputs.requires_grad else None
-        d_gates = np.empty((M, n_dir, batch, 4 * H))
+        # douts[s]: every direction's output gradient at step s, (M, n_dir, B, H).
+        douts = np.stack(
+            [grad[::-1, ..., k * H : (k + 1) * H] if r else grad[..., k * H : (k + 1) * H]
+             for k, r in enumerate(reverse)],
+            axis=2,
+        )
+        d_w_x, d_w_h = np.zeros(w_x.shape, dtype), np.zeros(w_h.shape, dtype)
+        d_bias = np.zeros((M, n_dir, 4 * H), dtype)
+        d_xs = np.empty((seq_len, M, n_dir) + x.shape[2:], dtype) if inputs.requires_grad else None
+        d_gates = np.empty((M, n_dir, batch, 4 * H), dtype)
         w_x_t, w_h_t = np.swapaxes(w_x, -1, -2), np.swapaxes(w_h, -1, -2)
         dh_next = dc_next = None
         for s in range(seq_len - 1, -1, -1):
             act, tc, c_prev = acts[s], tcs[s], cs[s]
             i, f = act[..., 0:H], act[..., H : 2 * H]
             g, o = act[..., 2 * H : 3 * H], act[..., 3 * H : 4 * H]
-            dh = dout(s) if dh_next is None else dout(s) + dh_next
+            dh = douts[s] if dh_next is None else douts[s] + dh_next
             dc = dh * o * (1.0 - tc**2)
             if dc_next is not None:
                 dc = dc + dc_next
@@ -195,7 +194,7 @@ def _lstm_scan(inputs: Tensor, cells: tuple[LSTMCell, ...], reverse: tuple[bool,
             cell.w_h._accumulate(d_w_h[:, k].reshape(cell.w_h.shape))
             cell.bias._accumulate(d_bias[:, k].reshape(cell.bias.shape))
         if d_xs is not None:
-            dx = np.zeros_like(x)
+            dx = np.zeros(x.shape, dtype)
             for k, r in enumerate(reverse):
                 dx += d_xs[::-1, :, k] if r else d_xs[:, :, k]
             inputs._accumulate(dx.reshape(inputs.shape))

@@ -5,6 +5,14 @@ its inputs; :meth:`Tensor.backward` runs a topological sort and accumulates
 gradients into ``.grad``.  Only the operations needed by the downstream models
 in this repository are implemented, but they are implemented with full NumPy
 broadcasting support so the layer code stays natural.
+
+A tensor computes in ``float32`` unless it is given a ``float64`` array: it
+keeps the dtype of a ``float32`` or ``float64`` array and makes anything
+else (lists, Python numbers, integer and boolean arrays) ``float32``.  A
+Python number or list meeting a tensor in an operation takes that tensor's
+dtype, as numpy treats Python numbers.  The layers and the downstream
+models allocate ``float32`` throughout; ``float64`` tensors remain for
+numerical checks of the engine itself.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Grad mode is per-thread: the serving layer evaluates models on its worker
 # pool and in-process cluster workers train concurrently, so a process-global
@@ -68,7 +78,10 @@ class Tensor:
         _backward: Callable[[np.ndarray], None] | None = None,
         name: str | None = None,
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _FLOATS:
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._prev = _prev if self.requires_grad or _prev else ()
@@ -81,13 +94,19 @@ class Tensor:
     def as_tensor(value) -> "Tensor":
         return value if isinstance(value, Tensor) else Tensor(value)
 
+    def _operand(self, other) -> "Tensor":
+        """``other`` as a tensor; a Python number or list takes this tensor's dtype."""
+        if isinstance(other, (Tensor, np.ndarray, np.generic)):
+            return Tensor.as_tensor(other)
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
+
     @staticmethod
     def zeros(shape, *, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
+        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
 
     @staticmethod
     def ones(shape, *, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
+        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
 
     # -- metadata --------------------------------------------------------------
 
@@ -138,7 +157,7 @@ class Tensor:
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = Tensor.as_tensor(other)
+        other = self._operand(other)
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -156,13 +175,13 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-Tensor.as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = Tensor.as_tensor(other)
+        other = self._operand(other)
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -174,7 +193,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = Tensor.as_tensor(other)
+        other = self._operand(other)
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -186,7 +205,7 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return Tensor.as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -199,7 +218,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
-        other = Tensor.as_tensor(other)
+        other = self._operand(other)
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
@@ -250,7 +269,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             g = np.asarray(grad)
             expanded = self.data.max(axis=axis, keepdims=True)
-            mask = (self.data == expanded).astype(np.float64)
+            mask = (self.data == expanded).astype(self.data.dtype)
             mask /= mask.sum(axis=axis, keepdims=True)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
@@ -269,10 +288,13 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
-        out_data = np.log(np.clip(self.data, 1e-300, None))
+        # The floor is the dtype's smallest normal number: a literal like
+        # 1e-300 rounds to 0.0 in float32, and log(0) is -inf.
+        clipped = np.clip(self.data, np.finfo(self.data.dtype).tiny, None)
+        out_data = np.log(clipped)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / np.clip(self.data, 1e-300, None))
+            self._accumulate(grad / clipped)
 
         return self._make(out_data, (self,), backward)
 
@@ -385,7 +407,7 @@ class Tensor:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        grad = np.asarray(grad, dtype=self.data.dtype)
 
         # Topological order over the graph reachable from self.
         topo: list[Tensor] = []

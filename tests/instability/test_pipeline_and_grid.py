@@ -244,6 +244,6 @@ class TestArtifactKeys:
             "embedding_pair": "04b5d546e066337b811cea59",
             "decomposition": "f7b8ff747bc83e634e49e1b5",
             "measures": "be3c1401aec23d7f0200aec1",
-            "downstream": "241158919762d45209f9b230",
+            "downstream": "59199e452b8b54360f9911fd",
         }
         assert pipeline.embedding_train_count == pipeline.downstream_train_count == 0

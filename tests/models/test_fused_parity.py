@@ -21,7 +21,11 @@ from repro.models.bow_classifier import BowClassifier
 from repro.models.cnn_classifier import CNNClassifier
 from repro.models.trainer import TrainingConfig
 from repro.nn import optim
-from repro.tasks.datasets import train_val_test_split
+from repro.tasks.datasets import (
+    SequenceTaggingDataset,
+    TextClassificationDataset,
+    train_val_test_split,
+)
 from tests.models.reference import patch_one_at_a_time
 from tests.nn.reference import patch_per_op
 
@@ -248,3 +252,85 @@ def test_stack_results_are_per_model(embedding, sentiment_splits):
 def test_crf_tagger_takes_one_table(embedding, ner_splits):
     with pytest.raises(ValueError, match="one embedding table"):
         BiLSTMTagger(_tables(embedding, 2), ner_splits.train.num_tags, use_crf=True)
+
+
+# -- random shapes ----------------------------------------------------------------
+
+
+def random_stack_case(seed: int):
+    """A small random stack, its datasets and its training config, from ``seed``.
+
+    Taggers (two in three) and bag-of-words classifiers over ``M`` random
+    tables, with random table, sentence, batch, hidden and tag sizes,
+    optimiser, early stopping and fine-tuning.  Returns ``(shape, build,
+    train, val)``.  Looping over many seeds is the wide sweep; the tier-1
+    test below runs a fixed subset.
+    """
+    rng = np.random.default_rng(seed)
+    models, dim = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+    vocab = int(rng.integers(3, 31))
+    n_train, n_val = int(rng.integers(1, 25)), int(rng.integers(1, 9))
+    sgd = bool(rng.integers(2))
+    config = TrainingConfig(
+        optimizer="sgd" if sgd else "adam",
+        learning_rate=float(rng.choice([0.01, 0.05, 0.5])),
+        epochs=int(rng.integers(1, 4)),
+        batch_size=int(rng.integers(1, 11)),
+        patience=None if rng.integers(2) else int(rng.integers(1, 3)),
+        anneal_factor=0.5 if sgd and rng.integers(2) else None,
+        fine_tune_embeddings=bool(rng.integers(2)),
+    ).with_seed(int(rng.integers(100)))
+    scales = rng.choice([0.1, 1.0, 4.0], size=models)
+    tables = [rng.normal(scale=scale, size=(vocab, dim)) for scale in scales]
+    shape = {"models": models, "dim": dim, "config": config}
+
+    def ids(*size):
+        return rng.integers(0, vocab, size=size)
+
+    if rng.integers(3):
+        seq_len, num_tags = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+        hidden = 2 * int(rng.integers(1, 6))
+        names = [f"T{t}" for t in range(num_tags - 1)] + ["O"]
+
+        def tagging(n):
+            return SequenceTaggingDataset(
+                sentences=list(ids(n, seq_len)),
+                tags=list(rng.integers(0, num_tags, size=(n, seq_len))),
+                tag_names=names, vocab=None,
+            )
+
+        shape.update(model="tagger", seq_len=seq_len, hidden=hidden)
+        train, val = tagging(n_train), tagging(n_val)
+        return (
+            shape, lambda: BiLSTMTagger(tables, num_tags, hidden_dim=hidden, config=config),
+            train, val,
+        )
+
+    num_classes = int(rng.integers(2, 4))
+
+    def classification(n):
+        return TextClassificationDataset(
+            documents=[ids(int(rng.integers(0, 9))) for _ in range(n)],
+            labels=rng.integers(0, num_classes, size=n), vocab=None, num_classes=num_classes,
+        )
+
+    shape.update(model="bow")
+    train, val = classification(n_train), classification(n_val)
+    return shape, lambda: BowClassifier(tables, num_classes, config=config), train, val
+
+
+def known_to_differ(shape) -> bool:
+    """The two shapes whose stacks may differ from one-at-a-time fits in the
+    last bit (ROADMAP, "Small leftovers"): 1-dimensional tables over 1-token
+    sentences, and 1-dimensional bag-of-words tables."""
+    return shape["dim"] == 1 and (shape["model"] == "bow" or shape["seq_len"] == 1)
+
+
+#: The first 50 seeds whose case avoids the shapes known to differ.
+SUBSET_SEEDS = [seed for seed in range(80) if not known_to_differ(random_stack_case(seed)[0])][:50]
+
+
+@pytest.mark.parametrize("seed", SUBSET_SEEDS)
+def test_stack_matches_one_at_a_time_over_random_shapes(seed, monkeypatch):
+    _, build, train, val = random_stack_case(seed)
+    _assert_stack_parity(build, train, val, monkeypatch)

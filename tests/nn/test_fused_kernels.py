@@ -3,6 +3,8 @@
 Equality is bitwise (``np.array_equal``), not approximate: the fused nodes
 evaluate the same numpy expressions as the unrolled autograd graph and
 accumulate every gradient in the same order, so any difference is a bug.
+Inputs, output gradients and logits are float32, the dtype the downstream
+models train in.
 """
 
 import numpy as np
@@ -15,14 +17,17 @@ from repro.nn.recurrent import LSTM, BiLSTM
 from repro.nn.tensor import Tensor, no_grad
 from tests.nn.reference import per_op_cross_entropy, unrolled_bilstm, unrolled_lstm
 
+F32 = np.float32
+
 
 def _inputs(seed, seq_len, batch, dim, *, batch_major):
-    """``(seq_len, batch, dim)`` inputs; ``batch_major`` makes them a transposed
-    view of a ``(batch, seq_len, dim)`` array, the layout the tagger feeds."""
+    """``(seq_len, batch, dim)`` float32 inputs; ``batch_major`` makes them a
+    transposed view of a ``(batch, seq_len, dim)`` array, the layout the
+    tagger feeds."""
     rng = np.random.default_rng(seed)
     if batch_major:
-        return rng.standard_normal((batch, seq_len, dim)).transpose(1, 0, 2)
-    return rng.standard_normal((seq_len, batch, dim))
+        return rng.standard_normal((batch, seq_len, dim), dtype=F32).transpose(1, 0, 2)
+    return rng.standard_normal((seq_len, batch, dim), dtype=F32)
 
 
 def _run(module, forward, data, out_grad, *, input_grad):
@@ -50,7 +55,9 @@ def _assert_bitwise(fused, reference, *, input_grad):
 
 def _check_bilstm(seq_len, batch, dim, half, *, input_grad, batch_major, seed=0):
     data = _inputs(seed, seq_len, batch, dim, batch_major=batch_major)
-    out_grad = np.random.default_rng(seed + 1).standard_normal((seq_len, batch, 2 * half))
+    out_grad = np.random.default_rng(seed + 1).standard_normal(
+        (seq_len, batch, 2 * half), dtype=F32
+    )
     bilstm = BiLSTM(dim, 2 * half, seed=seed)
     fused = _run(bilstm, bilstm, data, out_grad, input_grad=input_grad)
     reference = _run(
@@ -61,7 +68,7 @@ def _check_bilstm(seq_len, batch, dim, half, *, input_grad, batch_major, seed=0)
 
 def _check_lstm(seq_len, batch, dim, hidden, *, reverse, input_grad, seed=0):
     data = _inputs(seed, seq_len, batch, dim, batch_major=False)
-    out_grad = np.random.default_rng(seed + 1).standard_normal((seq_len, batch, hidden))
+    out_grad = np.random.default_rng(seed + 1).standard_normal((seq_len, batch, hidden), dtype=F32)
     lstm = LSTM(dim, hidden, seed=seed)
     fused = _run(lstm, lambda x: lstm(x, reverse=reverse), data, out_grad, input_grad=input_grad)
     reference = _run(
@@ -163,9 +170,9 @@ class TestFusedCrossEntropy:
     @pytest.mark.parametrize(
         "logits,targets",
         [
-            (np.array([[0.3, -1.2]]), np.array([1])),
-            (np.array([[1e3, -1e3], [-1e3, 1e3], [1e3, 1e3]]), np.array([1, 1, 0])),
-            (np.array([[-1e3, 0.5, 1e3, -2.0]]), np.array([0])),
+            (np.array([[0.3, -1.2]], F32), np.array([1])),
+            (np.array([[1e3, -1e3], [-1e3, 1e3], [1e3, 1e3]], F32), np.array([1, 1, 0])),
+            (np.array([[-1e3, 0.5, 1e3, -2.0]], F32), np.array([0])),
         ],
         ids=["n1-c2", "saturated", "clipped-exp"],
     )
@@ -182,7 +189,7 @@ class TestFusedCrossEntropy:
     )
     def test_bitwise_equal_over_shapes(self, n, classes, scale, upstream, seed):
         rng = np.random.default_rng(seed)
-        logits = rng.standard_normal((n, classes)) * scale
+        logits = rng.standard_normal((n, classes), dtype=F32) * scale
         _check_cross_entropy(logits, rng.integers(0, classes, n), upstream)
 
     def test_is_one_graph_node(self, rng):
@@ -211,9 +218,9 @@ class TestModelAxis:
         rng = np.random.default_rng(seq_len + batch)
         stacked = BiLSTM(dim, 2 * half, seed=3, models=models)
         for param in stacked.parameters():  # make the models differ
-            param.data = param.data + 0.1 * rng.standard_normal(param.shape)
-        data = rng.standard_normal((batch, seq_len, models, dim)).transpose(1, 2, 0, 3)
-        out_grad = rng.standard_normal((seq_len, models, batch, 2 * half))
+            param.data = param.data + 0.1 * rng.standard_normal(param.shape, dtype=F32)
+        data = rng.standard_normal((batch, seq_len, models, dim), dtype=F32).transpose(1, 2, 0, 3)
+        out_grad = rng.standard_normal((seq_len, models, batch, 2 * half), dtype=F32)
         out, _, grads, x_grad = _run(stacked, stacked, data, out_grad, input_grad=input_grad)
         for m in range(models):
             single = BiLSTM(dim, 2 * half, seed=3)
@@ -230,8 +237,8 @@ class TestModelAxis:
 
     def test_stacked_cells_step_like_the_fused_scan(self, rng):
         stacked = BiLSTM(5, 6, seed=1, models=3)
-        data = rng.standard_normal((4, 3, 2, 5))
-        out_grad = rng.standard_normal((4, 3, 2, 6))
+        data = rng.standard_normal((4, 3, 2, 5), dtype=F32)
+        out_grad = rng.standard_normal((4, 3, 2, 6), dtype=F32)
         fused = _run(stacked, stacked, data, out_grad, input_grad=True)
         reference = _run(
             stacked, lambda x: unrolled_bilstm(stacked, x), data, out_grad, input_grad=True
@@ -248,9 +255,9 @@ class TestModelAxis:
     )
     def test_stacked_cross_entropy_equals_one_per_model(self, models, n, classes, scale, seed):
         rng = np.random.default_rng(seed)
-        logits = rng.standard_normal((models, n, classes)) * scale
+        logits = rng.standard_normal((models, n, classes), dtype=F32) * scale
         targets = rng.integers(0, classes, n)
-        upstream = rng.standard_normal(models)
+        upstream = rng.standard_normal(models, dtype=F32)
         x = Tensor(logits, requires_grad=True)
         loss = F.cross_entropy(x, targets)
         assert loss.shape == (models,)
