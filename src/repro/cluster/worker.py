@@ -100,6 +100,16 @@ class CoordinatorClient:
             except OSError:  # pragma: no cover - best effort
                 pass
 
+    def release(self) -> None:
+        """Close the calling thread's connection.
+
+        A thread that is done with the client calls this; otherwise its
+        connection would stay open in ``_conns`` after the thread ends.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            self._drop(conn)
+
     def _drop(self, conn) -> None:
         try:
             conn.close()
@@ -359,19 +369,23 @@ class ClusterWorker:
 
     def _heartbeat_loop(self, lease: dict, done: threading.Event) -> None:
         interval = max(float(lease.get("ttl", 60.0)) / 3.0, 0.05)
-        while not done.wait(interval):
-            try:
-                answer = self.client.heartbeat(self.worker_id, lease["lease_id"])
-            except ConnectionError as error:  # keep computing; complete() retries
-                logger.warning("heartbeat failed: %s", error)
-                continue
-            if answer.get("status") != "ok":
-                logger.warning(
-                    "lease %s no longer ours (%s); finishing the group anyway -- "
-                    "a late result is still accepted if nobody beat us to it",
-                    lease["lease_id"], answer.get("status"),
-                )
-                return
+        try:
+            while not done.wait(interval):
+                try:
+                    answer = self.client.heartbeat(self.worker_id, lease["lease_id"])
+                except ConnectionError as error:  # keep computing; complete() retries
+                    logger.warning("heartbeat failed: %s", error)
+                    continue
+                if answer.get("status") != "ok":
+                    logger.warning(
+                        "lease %s no longer ours (%s); finishing the group anyway -- "
+                        "a late result is still accepted if nobody beat us to it",
+                        lease["lease_id"], answer.get("status"),
+                    )
+                    return
+        finally:
+            # The thread ends with its lease; its connection goes with it.
+            self.client.release()
 
     def _execute_lease(self, lease: dict) -> None:
         group = group_from_wire(lease["group"])

@@ -12,20 +12,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
-from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
-from repro.embeddings.word2vec import CBOWModel, build_cbow_examples
+from repro.embeddings.base import EMBEDDING_ALGORITHMS
+from repro.embeddings.word2vec import (
+    BATCH_SIZE,
+    LEARNING_RATE,
+    NEGATIVE_SAMPLES,
+    CBOWModel,
+    build_cbow_examples,
+)
 from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
-from repro.utils.rng import check_random_state
 
 logger = get_logger(__name__)
 
 __all__ = ["SubwordEmbeddingModel", "character_ngrams", "hash_ngram"]
 
+# Subword settings no caller varies.  Like CBOW's constants, no artifact key
+# holds them: changing one needs a new key field.
+#: Hash buckets of the character n-grams.
+NUM_BUCKETS = 2000
+#: Character n-gram length range.
+MIN_N = 3
+MAX_N = 5
 
-def character_ngrams(word: str, min_n: int = 3, max_n: int = 5) -> list[str]:
+
+def character_ngrams(word: str, min_n: int = MIN_N, max_n: int = MAX_N) -> list[str]:
     """Character n-grams of ``<word>`` with boundary markers, fastText-style."""
     marked = f"<{word}>"
     grams = []
@@ -48,51 +60,27 @@ def hash_ngram(gram: str, num_buckets: int) -> int:
 class SubwordEmbeddingModel(CBOWModel):
     """CBOW with subword (hashed character n-gram) input vectors.
 
-    Parameters
-    ----------
-    dim, window_size, negative_samples, learning_rate, epochs, batch_size, seed:
-        As in :class:`~repro.embeddings.word2vec.CBOWModel`.
-    num_buckets:
-        Number of hash buckets for character n-grams.
-    min_n, max_n:
-        Character n-gram length range.
+    Takes :class:`~repro.embeddings.word2vec.CBOWModel`'s parameters and
+    training constants; the subword settings are this module's
+    ``NUM_BUCKETS``, ``MIN_N`` and ``MAX_N``.
     """
 
     name = "fasttext"
-
-    def __init__(
-        self,
-        dim: int = 50,
-        *,
-        num_buckets: int = 2000,
-        min_n: int = 3,
-        max_n: int = 5,
-        **cbow_kwargs,
-    ) -> None:
-        super().__init__(dim, **cbow_kwargs)
-        if num_buckets <= 0:
-            raise ValueError("num_buckets must be positive")
-        if not (1 <= min_n <= max_n):
-            raise ValueError("need 1 <= min_n <= max_n")
-        self.num_buckets = int(num_buckets)
-        self.min_n = int(min_n)
-        self.max_n = int(max_n)
 
     def _word_ngram_ids(self, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
         """Padded matrix of n-gram bucket ids per word, plus per-word counts.
 
         Bucket ids are offset by the vocabulary size so they index into the
-        same parameter table as the word vectors; ``num_buckets`` is the pad
+        same parameter table as the word vectors; ``NUM_BUCKETS`` is the pad
         slot at the very end.
         """
         n_words = len(vocab)
         ngram_lists = []
         for word in vocab.words:
-            grams = character_ngrams(word, self.min_n, self.max_n)
-            ids = [n_words + hash_ngram(g, self.num_buckets) for g in grams]
+            ids = [n_words + hash_ngram(g, NUM_BUCKETS) for g in character_ngrams(word)]
             ngram_lists.append(ids)
         max_len = max((len(ids) for ids in ngram_lists), default=0)
-        pad_slot = n_words + self.num_buckets
+        pad_slot = n_words + NUM_BUCKETS
         table = np.full((n_words, max(max_len, 1)), pad_slot, dtype=np.int64)
         counts = np.zeros(n_words, dtype=np.int64)
         for i, ids in enumerate(ngram_lists):
@@ -106,8 +94,8 @@ class SubwordEmbeddingModel(CBOWModel):
     ) -> np.ndarray:
         n_words = len(vocab)
         ngram_table, ngram_counts = self._word_ngram_ids(vocab)
-        pad_word = n_words + self.num_buckets  # shared pad slot (all-zero row)
-        n_params = n_words + self.num_buckets + 1
+        pad_word = n_words + NUM_BUCKETS  # shared pad slot (all-zero row)
+        n_params = n_words + NUM_BUCKETS + 1
 
         contexts, sizes, targets = build_cbow_examples(docs, self.window_size, pad_word)
         n_examples = len(targets)
@@ -121,16 +109,16 @@ class SubwordEmbeddingModel(CBOWModel):
             return self._compose(W_in, ngram_table, ngram_counts, n_words)
 
         neg_probs = self._negative_table(vocab)
-        total_steps = self.epochs * int(np.ceil(n_examples / self.batch_size))
+        total_steps = self.epochs * int(np.ceil(n_examples / BATCH_SIZE))
         step = 0
         denom = 1.0 + ngram_counts.astype(np.float64)  # word vector + its n-grams
 
         for _epoch in range(self.epochs):
             order = rng.permutation(n_examples)
-            for start in range(0, n_examples, self.batch_size):
-                lr = self.learning_rate * max(1e-1, 1.0 - step / max(total_steps, 1))
+            for start in range(0, n_examples, BATCH_SIZE):
+                lr = LEARNING_RATE * max(1e-1, 1.0 - step / max(total_steps, 1))
                 step += 1
-                batch = order[start : start + self.batch_size]
+                batch = order[start : start + BATCH_SIZE]
                 ctx = contexts[batch]
                 size = sizes[batch].astype(np.float64)
                 tgt = targets[batch]
@@ -151,9 +139,9 @@ class SubwordEmbeddingModel(CBOWModel):
                 composed = composed.reshape(B, ctx.shape[1], self.dim)
                 hidden = composed.sum(axis=1) / size[:, None]
 
-                negs = rng.choice(n_words, size=(B, self.negative_samples), p=neg_probs)
+                negs = rng.choice(n_words, size=(B, NEGATIVE_SAMPLES), p=neg_probs)
                 samples = np.concatenate([tgt[:, None], negs], axis=1)
-                labels = np.zeros((B, 1 + self.negative_samples))
+                labels = np.zeros((B, 1 + NEGATIVE_SAMPLES))
                 labels[:, 0] = 1.0
 
                 out_vecs = W_out[samples]
@@ -185,11 +173,3 @@ class SubwordEmbeddingModel(CBOWModel):
         ngram_sum = W_in[ngram_table].sum(axis=1)
         denom = (1.0 + ngram_counts.astype(np.float64))[:, None]
         return (W_in[:n_words] + ngram_sum) / denom
-
-    def fit(self, corpus: Corpus, *, vocab: Vocabulary | None = None) -> Embedding:
-        vocab = self._resolve_vocab(corpus, vocab)
-        rng = check_random_state(self.seed)
-        docs = corpus.encode_documents(vocab)
-        docs = self._subsample(docs, vocab, rng)
-        vectors = self._train(docs, vocab, rng)
-        return Embedding(vocab=vocab, vectors=vectors, metadata=self._metadata(corpus))

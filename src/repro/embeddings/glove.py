@@ -25,10 +25,26 @@ logger = get_logger(__name__)
 
 __all__ = ["GloVeModel"]
 
+# Training settings no caller varies.  No artifact key holds them: changing
+# one would change every stored GloVe pair under its old key, so it needs a
+# new key field.
+#: Initial AdaGrad step size (the paper uses 0.01 for its large corpora).
+LEARNING_RATE = 0.05
+#: Parameters of the weighting function ``f``.  The reference GloVe uses
+#: ``x_max = 100`` for multi-billion-token corpora; this one is scaled to the
+#: co-occurrence counts of the synthetic corpora.
+X_MAX = 10.0
+ALPHA = 0.75
+#: Mini-batch size over non-zero entries.
+BATCH_SIZE = 4096
+
 
 @EMBEDDING_ALGORITHMS.register("glove")
 class GloVeModel(EmbeddingAlgorithm):
     """GloVe trained with AdaGrad over the non-zero co-occurrence entries.
+
+    The other training settings are this module's constants
+    (``LEARNING_RATE``, ``X_MAX``, ``ALPHA``, ``BATCH_SIZE``).
 
     Parameters
     ----------
@@ -36,50 +52,20 @@ class GloVeModel(EmbeddingAlgorithm):
         Embedding dimension.
     window_size:
         Co-occurrence window (distance-weighted counts, GloVe convention).
-    learning_rate:
-        Initial AdaGrad step size (the paper uses 0.01 for its large corpora).
     epochs:
         Passes over the non-zero entries.
-    x_max, alpha:
-        Parameters of the weighting function ``f``.  The reference GloVe uses
-        ``x_max = 100`` for multi-billion-token corpora; the default here is
-        scaled to the co-occurrence counts of the synthetic corpora.
-    batch_size:
-        Mini-batch size over non-zero entries.
-    combine:
-        How to produce the final vectors from word/context factors:
-        ``"sum"`` (reference behaviour) or ``"word"``.
     """
 
     name = "glove"
 
     def __init__(
-        self,
-        dim: int = 50,
-        *,
-        window_size: int = 8,
-        learning_rate: float = 0.05,
-        epochs: int = 25,
-        x_max: float = 10.0,
-        alpha: float = 0.75,
-        batch_size: int = 4096,
-        combine: str = "sum",
-        seed: int = 0,
+        self, dim: int = 50, *, window_size: int = 8, epochs: int = 25, seed: int = 0
     ) -> None:
         super().__init__(dim, seed=seed)
-        if combine not in ("sum", "word"):
-            raise ValueError("combine must be 'sum' or 'word'")
-        if learning_rate <= 0 or epochs <= 0:
-            raise ValueError("learning_rate and epochs must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        if epochs <= 0:
+            raise ValueError("epochs must be positive")
         self.window_size = int(window_size)
-        self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.x_max = float(x_max)
-        self.alpha = float(alpha)
-        self.batch_size = int(batch_size)
-        self.combine = combine
 
     def fit(self, corpus: Corpus, *, vocab: Vocabulary | None = None) -> Embedding:
         vocab = self._resolve_vocab(corpus, vocab)
@@ -114,15 +100,15 @@ class GloVeModel(EmbeddingAlgorithm):
         n_obs = len(values)
         if n_obs == 0:
             logger.warning("GloVe received no co-occurrence entries; returning init")
-            return W + C if self.combine == "sum" else W
+            return W + C
 
         log_vals = np.log(values)
-        weights = np.minimum(1.0, (values / self.x_max) ** self.alpha)
+        weights = np.minimum(1.0, (values / X_MAX) ** ALPHA)
 
         for _epoch in range(self.epochs):
             order = rng.permutation(n_obs)
-            for start in range(0, n_obs, self.batch_size):
-                batch = order[start : start + self.batch_size]
+            for start in range(0, n_obs, BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 i, j = rows[batch], cols[batch]
                 wi, cj = W[i], C[j]
                 diff = np.einsum("nd,nd->n", wi, cj) + bw[i] + bc[j] - log_vals[batch]
@@ -137,9 +123,9 @@ class GloVeModel(EmbeddingAlgorithm):
                 np.add.at(gbw, i, fdiff**2)
                 np.add.at(gbc, j, fdiff**2)
 
-                scatter_add_rows(W, i, -self.learning_rate * grad_w / np.sqrt(gW[i]))
-                scatter_add_rows(C, j, -self.learning_rate * grad_c / np.sqrt(gC[j]))
-                np.add.at(bw, i, -self.learning_rate * fdiff / np.sqrt(gbw[i]))
-                np.add.at(bc, j, -self.learning_rate * fdiff / np.sqrt(gbc[j]))
+                scatter_add_rows(W, i, -LEARNING_RATE * grad_w / np.sqrt(gW[i]))
+                scatter_add_rows(C, j, -LEARNING_RATE * grad_c / np.sqrt(gC[j]))
+                np.add.at(bw, i, -LEARNING_RATE * fdiff / np.sqrt(gbw[i]))
+                np.add.at(bc, j, -LEARNING_RATE * fdiff / np.sqrt(gbc[j]))
 
-        return W + C if self.combine == "sum" else W
+        return W + C

@@ -27,10 +27,28 @@ logger = get_logger(__name__)
 
 __all__ = ["MatrixCompletionModel"]
 
+# Training settings no caller varies.  No artifact key holds them: changing
+# one would change every stored MC pair under its old key, so it needs a new
+# key field.
+#: SGD step size (the paper uses 0.2 with decay after 20 epochs).
+LEARNING_RATE = 0.05
+#: Epoch index from which the learning rate is halved every epoch.
+LR_DECAY_EPOCH = 8
+#: Mini-batch size over observed entries.
+BATCH_SIZE = 256
+#: Relative improvement in epoch loss below which training stops early.
+STOPPING_TOLERANCE = 1e-4
+#: Scale of the uniform initialisation.
+INIT_SCALE = 0.1
+
 
 @EMBEDDING_ALGORITHMS.register("mc")
 class MatrixCompletionModel(EmbeddingAlgorithm):
     """Symmetric matrix completion on the PPMI matrix via SGD.
+
+    The other training settings are this module's constants
+    (``LEARNING_RATE``, ``LR_DECAY_EPOCH``, ``BATCH_SIZE``,
+    ``STOPPING_TOLERANCE``, ``INIT_SCALE``).
 
     Parameters
     ----------
@@ -38,49 +56,20 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
         Embedding dimension.
     window_size:
         Co-occurrence window used to build the PPMI matrix.
-    learning_rate:
-        SGD step size (the paper uses 0.2 with decay after 20 epochs).
     epochs:
         Number of passes over the observed entries.
-    lr_decay_epoch:
-        Epoch index after which the learning rate is halved every epoch.
-    batch_size:
-        Mini-batch size over observed entries.
-    stopping_tolerance:
-        Relative improvement in epoch loss below which training stops early.
-    init_scale:
-        Scale of the uniform initialisation.
     """
 
     name = "mc"
 
     def __init__(
-        self,
-        dim: int = 50,
-        *,
-        window_size: int = 8,
-        learning_rate: float = 0.05,
-        epochs: int = 10,
-        lr_decay_epoch: int = 8,
-        batch_size: int = 256,
-        stopping_tolerance: float = 1e-4,
-        init_scale: float = 0.1,
-        seed: int = 0,
+        self, dim: int = 50, *, window_size: int = 8, epochs: int = 10, seed: int = 0
     ) -> None:
         super().__init__(dim, seed=seed)
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if epochs <= 0:
             raise ValueError("epochs must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.window_size = int(window_size)
-        self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.lr_decay_epoch = int(lr_decay_epoch)
-        self.batch_size = int(batch_size)
-        self.stopping_tolerance = float(stopping_tolerance)
-        self.init_scale = float(init_scale)
 
     # -- training ------------------------------------------------------------
 
@@ -108,7 +97,7 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError("rows, cols and values must have equal length")
         rng = check_random_state(self.seed)
-        X = (rng.random((n_words, self.dim)) - 0.5) * self.init_scale
+        X = (rng.random((n_words, self.dim)) - 0.5) * INIT_SCALE
 
         n_obs = len(values)
         if n_obs == 0:
@@ -116,14 +105,14 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
             return X
 
         prev_loss = np.inf
-        lr = self.learning_rate
+        lr = LEARNING_RATE
         for epoch in range(self.epochs):
-            if epoch >= self.lr_decay_epoch:
+            if epoch >= LR_DECAY_EPOCH:
                 lr *= 0.5
             order = rng.permutation(n_obs)
             epoch_loss = 0.0
-            for start in range(0, n_obs, self.batch_size):
-                batch = order[start : start + self.batch_size]
+            for start in range(0, n_obs, BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 i, j, a = rows[batch], cols[batch], values[batch]
                 xi, xj = X[i], X[j]
                 pred = np.einsum("nd,nd->n", xi, xj)
@@ -143,7 +132,7 @@ class MatrixCompletionModel(EmbeddingAlgorithm):
             epoch_loss /= n_obs
             if np.isfinite(prev_loss):
                 rel_improvement = (prev_loss - epoch_loss) / max(prev_loss, 1e-12)
-                if 0 <= rel_improvement < self.stopping_tolerance:
+                if 0 <= rel_improvement < STOPPING_TOLERANCE:
                     logger.debug("MC early stop at epoch %d (loss %.5f)", epoch, epoch_loss)
                     break
             prev_loss = epoch_loss

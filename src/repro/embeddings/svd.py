@@ -19,6 +19,10 @@ from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgo
 
 __all__ = ["PPMISVDModel"]
 
+#: Exponent ``p`` of the word vectors ``U diag(S)**p``; 0.5 is the common
+#: choice.  No artifact key holds it: changing it needs a new key field.
+EIGENVALUE_WEIGHTING = 0.5
+
 
 @EMBEDDING_ALGORITHMS.register("svd")
 class PPMISVDModel(EmbeddingAlgorithm):
@@ -30,8 +34,6 @@ class PPMISVDModel(EmbeddingAlgorithm):
         Embedding dimension (number of singular vectors kept).
     window_size:
         Co-occurrence window.
-    eigenvalue_weighting:
-        Exponent ``p`` in ``U diag(S)**p``; 0.5 is the common choice.
     seed:
         Seed for the sparse-SVD starting vector; the factorization is a
         deterministic function of the seed.
@@ -39,17 +41,9 @@ class PPMISVDModel(EmbeddingAlgorithm):
 
     name = "svd"
 
-    def __init__(
-        self,
-        dim: int = 50,
-        *,
-        window_size: int = 8,
-        eigenvalue_weighting: float = 0.5,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, dim: int = 50, *, window_size: int = 8, seed: int = 0) -> None:
         super().__init__(dim, seed=seed)
         self.window_size = int(window_size)
-        self.eigenvalue_weighting = float(eigenvalue_weighting)
 
     def fit(self, corpus: Corpus, *, vocab: Vocabulary | None = None) -> Embedding:
         vocab = self._resolve_vocab(corpus, vocab)
@@ -68,7 +62,7 @@ class PPMISVDModel(EmbeddingAlgorithm):
         # svds returns singular values in ascending order; flip to descending.
         order = np.argsort(-S)
         U, S = U[:, order], S[order]
-        vectors = U * (S[np.newaxis, :] ** self.eigenvalue_weighting)
+        vectors = U * (S[np.newaxis, :] ** EIGENVALUE_WEIGHTING)
         if vectors.shape[1] < self.dim:
             pad = np.zeros((vectors.shape[0], self.dim - vectors.shape[1]))
             vectors = np.hstack([vectors, pad])

@@ -25,6 +25,19 @@ logger = get_logger(__name__)
 
 __all__ = ["CBOWModel", "build_cbow_examples"]
 
+# Training settings no caller varies (fastText's subword model shares them).
+# No artifact key holds them: changing one would change every stored CBOW
+# and fastText pair under its old key, so it needs a new key field.
+#: Negative samples per positive example (the paper's default).
+NEGATIVE_SAMPLES = 5
+#: Initial SGD step size, linearly decayed to 10% over training (word2vec
+#: convention).
+LEARNING_RATE = 0.05
+#: Frequent-word subsampling threshold ``t``: a word with corpus frequency
+#: ``f`` is kept with probability ``min(1, sqrt(t/f) + t/f)``.
+SUBSAMPLE_THRESHOLD = 1e-3
+BATCH_SIZE = 1024
+
 
 def build_cbow_examples(
     documents: list[np.ndarray], window_size: int, pad_id: int
@@ -79,54 +92,30 @@ def build_cbow_examples(
 class CBOWModel(EmbeddingAlgorithm):
     """CBOW with negative sampling.
 
+    The other training settings are this module's constants
+    (``NEGATIVE_SAMPLES``, ``LEARNING_RATE``, ``SUBSAMPLE_THRESHOLD``,
+    ``BATCH_SIZE``).
+
     Parameters
     ----------
     dim:
         Embedding dimension.
     window_size:
         Symmetric context window.
-    negative_samples:
-        Number of negative samples per positive example (paper default: 5).
-    learning_rate:
-        Initial SGD step size, linearly decayed to 10% over training
-        (word2vec convention).
     epochs:
         Passes over the corpus.
-    subsample_threshold:
-        Frequent-word subsampling threshold ``t`` (probability of keeping a
-        word with corpus frequency ``f`` is ``min(1, sqrt(t/f) + t/f)``);
-        ``None`` disables subsampling.
-    batch_size:
-        Mini-batch size.
     """
 
     name = "cbow"
 
     def __init__(
-        self,
-        dim: int = 50,
-        *,
-        window_size: int = 8,
-        negative_samples: int = 5,
-        learning_rate: float = 0.05,
-        epochs: int = 10,
-        subsample_threshold: float | None = 1e-3,
-        batch_size: int = 1024,
-        seed: int = 0,
+        self, dim: int = 50, *, window_size: int = 8, epochs: int = 10, seed: int = 0
     ) -> None:
         super().__init__(dim, seed=seed)
-        if negative_samples < 1:
-            raise ValueError("negative_samples must be >= 1")
-        if learning_rate <= 0 or epochs <= 0:
-            raise ValueError("learning_rate and epochs must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        if epochs <= 0:
+            raise ValueError("epochs must be positive")
         self.window_size = int(window_size)
-        self.negative_samples = int(negative_samples)
-        self.learning_rate = float(learning_rate)
         self.epochs = int(epochs)
-        self.subsample_threshold = subsample_threshold
-        self.batch_size = int(batch_size)
 
     # -- helpers -------------------------------------------------------------
 
@@ -135,15 +124,13 @@ class CBOWModel(EmbeddingAlgorithm):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
     def _subsample(self, docs: list[np.ndarray], vocab: Vocabulary, rng) -> list[np.ndarray]:
-        if self.subsample_threshold is None:
-            return docs
         counts = vocab.counts.astype(np.float64)
         total = counts.sum()
         if total == 0:
             return docs
         freq = counts / total
         with np.errstate(divide="ignore", invalid="ignore"):
-            keep_prob = np.sqrt(self.subsample_threshold / freq) + self.subsample_threshold / freq
+            keep_prob = np.sqrt(SUBSAMPLE_THRESHOLD / freq) + SUBSAMPLE_THRESHOLD / freq
         keep_prob = np.clip(np.nan_to_num(keep_prob, nan=1.0, posinf=1.0), 0.0, 1.0)
         out = []
         for doc in docs:
@@ -192,15 +179,15 @@ class CBOWModel(EmbeddingAlgorithm):
             return W_in[:n_words]
 
         neg_probs = self._negative_table(vocab)
-        total_steps = self.epochs * int(np.ceil(n_examples / self.batch_size))
+        total_steps = self.epochs * int(np.ceil(n_examples / BATCH_SIZE))
         step = 0
 
         for _epoch in range(self.epochs):
             order = rng.permutation(n_examples)
-            for start in range(0, n_examples, self.batch_size):
-                lr = self.learning_rate * max(1e-1, 1.0 - step / max(total_steps, 1))
+            for start in range(0, n_examples, BATCH_SIZE):
+                lr = LEARNING_RATE * max(1e-1, 1.0 - step / max(total_steps, 1))
                 step += 1
-                batch = order[start : start + self.batch_size]
+                batch = order[start : start + BATCH_SIZE]
                 ctx = contexts[batch]                       # (B, 2w)
                 size = sizes[batch].astype(np.float64)      # (B,)
                 tgt = targets[batch]                        # (B,)
@@ -209,10 +196,10 @@ class CBOWModel(EmbeddingAlgorithm):
                 # Mean of context vectors (pad rows are zero so the sum is fine).
                 hidden = W_in[ctx].sum(axis=1) / size[:, None]   # (B, d)
 
-                # One positive target plus `negative_samples` negatives.
-                negs = rng.choice(n_words, size=(B, self.negative_samples), p=neg_probs)
+                # One positive target plus NEGATIVE_SAMPLES negatives.
+                negs = rng.choice(n_words, size=(B, NEGATIVE_SAMPLES), p=neg_probs)
                 samples = np.concatenate([tgt[:, None], negs], axis=1)   # (B, 1+k)
-                labels = np.zeros((B, 1 + self.negative_samples))
+                labels = np.zeros((B, 1 + NEGATIVE_SAMPLES))
                 labels[:, 0] = 1.0
 
                 out_vecs = W_out[samples]                   # (B, 1+k, d)

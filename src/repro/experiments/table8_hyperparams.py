@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.analysis.correlation import spearman_correlation
 from repro.experiments.base import ExperimentResult, resolve_engine, resolve_pipeline
-from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
+from repro.instability.pipeline import KNN_NUM_QUERIES, InstabilityPipeline, PipelineConfig
 from repro.measures.eigenspace_instability import EigenspaceInstability
 from repro.measures.knn import KNNDistance
 
@@ -29,7 +29,6 @@ def run(
 ) -> ExperimentResult:
     """Sweep the EIS alpha and k-NN k and report mean Spearman correlations."""
     pipe = resolve_pipeline(pipeline)
-    cfg = pipe.config
     records = resolve_engine(pipe, n_workers=n_workers).run(tasks=tasks, with_measures=False)
 
     # Group the grid by (algorithm, seed) once; each group shares its anchors
@@ -49,7 +48,7 @@ def run(
             emb_a, emb_b = pipe.compressed_pair(algorithm, dim, precision, seed)
             measure = measure_factory(algorithm, seed)
             measure_values[(algorithm, dim, precision, seed)] = measure.compute_embeddings(
-                emb_a, emb_b, top_k=cfg.measure_top_k
+                emb_a, emb_b
             ).value
         # Correlate with disagreement per (task, algorithm).
         series: dict[tuple[str, str], tuple[list, list]] = {}
@@ -73,9 +72,7 @@ def run(
         rows.append({"hyperparameter": "alpha", "value": alpha, "mean_spearman_rho": rho})
     for k in ks:
         rho = correlation_for(
-            lambda algorithm, seed, kk=k: KNNDistance(
-                k=kk, num_queries=cfg.knn_num_queries, seed=0
-            )
+            lambda algorithm, seed, kk=k: KNNDistance(k=kk, num_queries=KNN_NUM_QUERIES, seed=0)
         )
         rows.append({"hyperparameter": "k", "value": k, "mean_spearman_rho": rho})
 

@@ -37,6 +37,7 @@ from repro.embeddings.alignment import align_pair
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding
 from repro.engine.store import ArtifactStore, config_hash, default_store
 from repro.instability.downstream import prediction_disagreement
+from repro.measures.base import DEFAULT_TOP_K
 from repro.measures.batch import compute_measure_batch
 from repro.measures.eigenspace_instability import (
     AnchorFactors,
@@ -75,6 +76,32 @@ SUITE_MEASURES = ("eis", "1-knn", "semantic-displacement", "pip", "1-eigenspace-
 #: forever; a forgotten key costs one re-hash of its config.
 KEY_MEMO_ENTRIES = 4096
 
+# Settings the paper holds fixed while it sweeps dimension, precision,
+# algorithm, seed and task.  They are constants, not PipelineConfig fields,
+# because no caller needs another value.  Those that feed an artifact key
+# still appear in it under their old field names, so stores stay warm;
+# giving one of them a second value needs a config field and key field again.
+#: Minimum count of a word in both corpora to enter the shared vocabulary.
+VOCAB_MIN_COUNT = 2
+#: Context window of every embedding trainer the pipeline builds.
+EMBEDDING_WINDOW = 5
+#: Seed of the task datasets and their train/val/test split.
+TASK_SEED = 0
+VAL_FRACTION = 0.15
+TEST_FRACTION = 0.25
+NER_CONFIG = NERTaskConfig(n_sentences=260, sentence_length=14, entity_density=0.35)
+#: The paper trains its NER BiLSTM with plain SGD; at the scale of the
+#: synthetic substitute Adam converges reliably within the small epoch
+#: budget.
+NER_OPTIMIZER = "adam"
+NER_HIDDEN_DIM = 16
+SENTIMENT_LEARNING_RATE = 0.05
+NER_LEARNING_RATE = 0.02
+#: EIS's alpha and k-NN's k: the values the paper's Table 8 selects.
+EIS_ALPHA = 3.0
+KNN_K = 5
+KNN_NUM_QUERIES = 300
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -82,16 +109,18 @@ class PipelineConfig:
 
     The defaults are scaled down from the paper (whose corpora have 4.5B
     tokens and dimensions up to 800) so that a full grid runs on a laptop in
-    minutes; every knob the paper sweeps is still exposed.
+    minutes; every knob the paper sweeps is still exposed.  What the paper
+    holds fixed is a module constant (``EIS_ALPHA``, ``KNN_K``,
+    ``EMBEDDING_WINDOW``, ...), the measures' top-k cut is
+    :data:`~repro.measures.base.DEFAULT_TOP_K`, embedding pairs are always
+    Procrustes-aligned, quantized pairs always share their clipping
+    threshold, and the EIS anchors are the largest dimension.
     """
 
     # Corpus.
     corpus: SyntheticCorpusConfig = field(default_factory=lambda: SyntheticCorpusConfig(
         vocab_size=300, n_documents=300, doc_length_mean=80, seed=0,
     ))
-    vocab_min_count: int = 2
-    #: The paper computes measures over the top-10k words; kept as a knob.
-    measure_top_k: int = 10_000
     #: Content-addressed keys of a (base, drifted) corpus-snapshot pair (see
     #: :mod:`repro.corpus.snapshots`).  When set, the pipeline loads both
     #: corpora from the artifact store instead of generating them from
@@ -106,35 +135,13 @@ class PipelineConfig:
     dimensions: tuple[int, ...] = (8, 16, 32, 64)
     precisions: tuple[int, ...] = (1, 2, 4, 8, 32)
     seeds: tuple[int, ...] = (0, 1, 2)
-    anchor_dim: int | None = None            # defaults to max(dimensions)
-    align: bool = True
-    share_clip_threshold: bool = True
     embedding_epochs: int = 10
-    embedding_window: int = 5
 
     # Downstream tasks.
     tasks: tuple[str, ...] = ("sst2", "subj", NER_TASK_NAME)
-    task_seed: int = 0
-    val_fraction: float = 0.15
-    test_fraction: float = 0.25
-    ner_config: NERTaskConfig = field(default_factory=lambda: NERTaskConfig(
-        n_sentences=260, sentence_length=14, entity_density=0.35,
-    ))
     downstream_epochs: int = 15
-    #: The paper trains its NER BiLSTM with plain SGD; at the scale of the
-    #: synthetic substitute Adam converges reliably within the small epoch
-    #: budget, so it is the default here (the optimizer remains configurable).
-    ner_optimizer: str = "adam"
     ner_epochs: int = 12
-    ner_hidden_dim: int = 16
-    sentiment_learning_rate: float = 0.05
-    ner_learning_rate: float = 0.02
     fine_tune_embeddings: bool = False
-
-    # Measures.
-    eis_alpha: float = 3.0
-    knn_k: int = 5
-    knn_num_queries: int = 300
 
     def __post_init__(self) -> None:
         for algo in self.algorithms:
@@ -171,8 +178,6 @@ class PipelineConfig:
         data = dict(payload)
         if isinstance(data.get("corpus"), dict):
             data["corpus"] = SyntheticCorpusConfig(**data["corpus"])
-        if isinstance(data.get("ner_config"), dict):
-            data["ner_config"] = NERTaskConfig(**data["ner_config"])
         for name in ("algorithms", "dimensions", "precisions", "seeds", "tasks",
                      "snapshot_pair"):
             if isinstance(data.get(name), list):
@@ -181,7 +186,7 @@ class PipelineConfig:
 
     @property
     def resolved_anchor_dim(self) -> int:
-        return self.anchor_dim if self.anchor_dim is not None else max(self.dimensions)
+        return max(self.dimensions)
 
 
 @dataclass(frozen=True)
@@ -263,9 +268,7 @@ class InstabilityPipeline:
         else:
             self.corpus_pair = generator.generate_pair(seed=self.config.corpus.seed)
             self.corpus_build_count = 1
-        self.vocab: Vocabulary = self.corpus_pair.shared_vocabulary(
-            min_count=self.config.vocab_min_count
-        )
+        self.vocab: Vocabulary = self.corpus_pair.shared_vocabulary(min_count=VOCAB_MIN_COUNT)
         self.lexicons = build_task_lexicons(generator, self.vocab)
         self._datasets: dict[str, DatasetSplits] = {}
         #: Artifact-key memo: hashing re-serialises the whole (frozen) config,
@@ -302,7 +305,7 @@ class InstabilityPipeline:
     def _corpus_fields(self) -> dict:
         return {
             "corpus": self.config.corpus,
-            "vocab_min_count": self.config.vocab_min_count,
+            "vocab_min_count": VOCAB_MIN_COUNT,
             "snapshot_pair": self.config.snapshot_pair,
             # Always None since custom-corpus pipelines went; kept so stores
             # stay warm.
@@ -315,9 +318,11 @@ class InstabilityPipeline:
             algorithm=algorithm,
             dim=int(dim),
             seed=int(seed),
-            align=self.config.align,
+            # Pairs are always aligned since the option went; kept so stores
+            # stay warm.
+            align=True,
             epochs=self.config.embedding_epochs,
-            window=self.config.embedding_window,
+            window=EMBEDDING_WINDOW,
             # A constant since the SVD-kernel policy went; kept so stores stay warm.
             kernel_policy={"svd": "exact"},
         )
@@ -327,7 +332,9 @@ class InstabilityPipeline:
         fields = self._embedding_fields(algorithm, dim, seed)
         fields.update(
             precision=int(precision),
-            share_clip_threshold=self.config.share_clip_threshold,
+            # Pairs always share their clipping threshold since the option
+            # went; kept so stores stay warm.
+            share_clip_threshold=True,
         )
         return fields
 
@@ -338,18 +345,14 @@ class InstabilityPipeline:
         if task not in self._datasets:
             if task == NER_TASK_NAME:
                 full = generate_ner_dataset(
-                    self.config.ner_config, self.lexicons, seed=self.config.task_seed,
-                    vocab=self.vocab,
+                    NER_CONFIG, self.lexicons, seed=TASK_SEED, vocab=self.vocab
                 )
             else:
                 full = generate_sentiment_dataset(
-                    task, self.lexicons, seed=self.config.task_seed, vocab=self.vocab
+                    task, self.lexicons, seed=TASK_SEED, vocab=self.vocab
                 )
             self._datasets[task] = train_val_test_split(
-                full,
-                val_fraction=self.config.val_fraction,
-                test_fraction=self.config.test_fraction,
-                seed=self.config.task_seed,
+                full, val_fraction=VAL_FRACTION, test_fraction=TEST_FRACTION, seed=TASK_SEED
             )
         return self._datasets[task]
 
@@ -357,11 +360,7 @@ class InstabilityPipeline:
 
     def _make_algorithm(self, name: str, dim: int, seed: int):
         cls = EMBEDDING_ALGORITHMS.get(name)
-        kwargs = {
-            "dim": dim,
-            "seed": seed,
-            "window_size": self.config.embedding_window,
-        }
+        kwargs = {"dim": dim, "seed": seed, "window_size": EMBEDDING_WINDOW}
         if name != "svd":
             kwargs["epochs"] = self.config.embedding_epochs
         return cls(**kwargs)
@@ -379,9 +378,7 @@ class InstabilityPipeline:
                 model_a = self._make_algorithm(algorithm, dim, seed)
                 model_b = self._make_algorithm(algorithm, dim, seed)
                 emb_a = model_a.fit(self.corpus_pair.base, vocab=self.vocab)
-                emb_b = model_b.fit(self.corpus_pair.drifted, vocab=self.vocab)
-                if self.config.align:
-                    emb_b = align_pair(emb_a, emb_b)
+                emb_b = align_pair(emb_a, model_b.fit(self.corpus_pair.drifted, vocab=self.vocab))
                 pair = (emb_a, emb_b)
                 self.embedding_train_count += 1
                 self.store.put_embedding_pair("embedding_pair", key, pair)
@@ -407,9 +404,7 @@ class InstabilityPipeline:
         if precision < FULL_PRECISION_BITS:
             with span("pipeline.quantize", metric="phase", label="quantize",
                       algorithm=algorithm, dim=int(dim), precision=int(precision)):
-                pair = compress_pair(
-                    *pair, precision, share_threshold=self.config.share_clip_threshold
-                )
+                pair = compress_pair(*pair, precision)
         if pairs is not None:
             pairs[cell] = pair
         return pair
@@ -431,25 +426,22 @@ class InstabilityPipeline:
         def fields_fn() -> dict:
             fields = self._embedding_fields(algorithm, self.config.resolved_anchor_dim, seed)
             # dtype is a constant since float32 measures went; kept so stores stay warm.
-            fields.update(kind="anchor-svd", alpha=self.config.eis_alpha,
-                          top_k=self.config.measure_top_k, dtype="float64")
+            fields.update(kind="anchor-svd", alpha=EIS_ALPHA, top_k=DEFAULT_TOP_K,
+                          dtype="float64")
             return fields
 
         key = self._memoised_key(("anchor-svd", algorithm, int(seed)), fields_fn)
         # All pipeline embeddings share one vocabulary, so the aligned word
         # order of any pair is the vocabulary's frequency order.
-        words = tuple(self.vocab.words[: self.config.measure_top_k])
+        words = tuple(self.vocab.words[:DEFAULT_TOP_K])
         arrays = self.store.get_arrays("decomposition", key)
         if arrays is None:
             anchor_a, anchor_b = self.anchors(algorithm, seed)
             with span("pipeline.anchor_svd", metric="phase", label="anchor_svd",
                       algorithm=algorithm, seed=int(seed)):
-                ra, rb = Embedding.aligned_pair(
-                    anchor_a, anchor_b, top_k=self.config.measure_top_k
-                )
+                ra, rb = Embedding.aligned_pair(anchor_a, anchor_b, top_k=DEFAULT_TOP_K)
                 factors = anchor_factors(
-                    ra.vectors, rb.vectors, alpha=self.config.eis_alpha,
-                    words=tuple(ra.vocab.words),
+                    ra.vectors, rb.vectors, alpha=EIS_ALPHA, words=tuple(ra.vocab.words)
                 )
             self.store.put_arrays("decomposition", key, {
                 "P": factors.P, "Ra": factors.Ra,
@@ -472,12 +464,10 @@ class InstabilityPipeline:
         anchor_a, anchor_b = self.anchors(algorithm, seed)
         return {
             "eis": EigenspaceInstability(
-                anchor_a, anchor_b, alpha=self.config.eis_alpha,
+                anchor_a, anchor_b, alpha=EIS_ALPHA,
                 factors=self.anchor_decomposition(algorithm, seed),
             ),
-            "1-knn": KNNDistance(
-                k=self.config.knn_k, num_queries=self.config.knn_num_queries, seed=0
-            ),
+            "1-knn": KNNDistance(k=KNN_K, num_queries=KNN_NUM_QUERIES, seed=0),
             "semantic-displacement": SemanticDisplacement(),
             "pip": PIPLoss(),
             "1-eigenspace-overlap": EigenspaceOverlapDistance(),
@@ -502,10 +492,10 @@ class InstabilityPipeline:
             fields.update(
                 kind="measures",
                 measures=list(selected) if selected is not None else None,
-                top_k=self.config.measure_top_k,
-                eis_alpha=self.config.eis_alpha,
-                knn_k=self.config.knn_k,
-                knn_num_queries=self.config.knn_num_queries,
+                top_k=DEFAULT_TOP_K,
+                eis_alpha=EIS_ALPHA,
+                knn_k=KNN_K,
+                knn_num_queries=KNN_NUM_QUERIES,
                 anchor_dim=self.config.resolved_anchor_dim,
                 # A constant since float32 measures went; kept so stores stay warm.
                 dtype="float64",
@@ -552,9 +542,7 @@ class InstabilityPipeline:
         with span("pipeline.measures", metric="phase", label="measures",
                   algorithm=algorithm, dim=int(dim), precision=int(precision),
                   seed=int(seed)):
-            batch = compute_measure_batch(
-                selected, emb_a, emb_b, top_k=self.config.measure_top_k
-            )
+            batch = compute_measure_batch(selected, emb_a, emb_b)
             out = dict(sorted(batch.values.items()))
             self.store.put_json("measures", key, out)
         return out
@@ -572,11 +560,11 @@ class InstabilityPipeline:
         equal train in one lockstep stack.
         """
         ner = task == NER_TASK_NAME
-        default_lr = self.config.ner_learning_rate if ner else self.config.sentiment_learning_rate
+        default_lr = NER_LEARNING_RATE if ner else SENTIMENT_LEARNING_RATE
         return TrainingConfig(
             learning_rate=default_lr if learning_rate is None else learning_rate,
             epochs=self.config.ner_epochs if ner else self.config.downstream_epochs,
-            optimizer=self.config.ner_optimizer if ner else "adam",
+            optimizer=NER_OPTIMIZER if ner else "adam",
             patience=None if ner else 4,
             anneal_factor=0.5 if ner else None,
             fine_tune_embeddings=self.config.fine_tune_embeddings,
@@ -599,7 +587,7 @@ class InstabilityPipeline:
             label = "bilstm"
             model = BiLSTMTagger(
                 embeddings, num_tags=splits.train.num_tags,
-                hidden_dim=self.config.ner_hidden_dim, use_crf=use_crf, config=config,
+                hidden_dim=NER_HIDDEN_DIM, use_crf=use_crf, config=config,
             )
         elif model_type == "bow":
             label, model = "bow", BowClassifier(embeddings, num_classes=2, config=config)
@@ -711,16 +699,16 @@ class InstabilityPipeline:
             task=task,
             model_type=model_type,
             use_crf=use_crf,
-            task_seed=self.config.task_seed,
-            val_fraction=self.config.val_fraction,
-            test_fraction=self.config.test_fraction,
+            task_seed=TASK_SEED,
+            val_fraction=VAL_FRACTION,
+            test_fraction=TEST_FRACTION,
             downstream_epochs=self.config.downstream_epochs,
-            sentiment_learning_rate=self.config.sentiment_learning_rate,
-            ner=self.config.ner_config,
-            ner_optimizer=self.config.ner_optimizer,
+            sentiment_learning_rate=SENTIMENT_LEARNING_RATE,
+            ner=NER_CONFIG,
+            ner_optimizer=NER_OPTIMIZER,
             ner_epochs=self.config.ner_epochs,
-            ner_hidden_dim=self.config.ner_hidden_dim,
-            ner_learning_rate=self.config.ner_learning_rate,
+            ner_hidden_dim=NER_HIDDEN_DIM,
+            ner_learning_rate=NER_LEARNING_RATE,
             fine_tune=self.config.fine_tune_embeddings,
             # Downstream models train in float32; results stored by float64
             # training recompute once.

@@ -68,7 +68,9 @@ class BowClassifier(ModelStack):
         feats = np.zeros((self.models, len(documents), self.embedding.dim), dtype=np.float32)
         for i, doc in enumerate(documents):
             if len(doc):
-                feats[:, i] = tables[:, doc].mean(axis=1)
+                # Contiguous, so each model sums its rows as a one-table
+                # stack does (see Embedding.mean_of).
+                feats[:, i] = np.ascontiguousarray(tables[:, doc]).mean(axis=1)
         return Tensor(feats)
 
     # -- training ------------------------------------------------------------------

@@ -181,7 +181,13 @@ class Embedding(Module):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return Tensor(np.zeros(self.weight.shape[:-2] + (self.dim,), dtype=np.float32))
-        return self.forward(indices).mean(axis=-2)
+        rows = self.forward(indices)
+        # numpy lays a stacked gather out word-major.  With dim 1 its mean
+        # would then add a bag's words one after another, where a single
+        # table's contiguous rows are summed pairwise; a contiguous copy
+        # makes every model of a stack round like a one-table fit.
+        rows.data = np.ascontiguousarray(rows.data)
+        return rows.mean(axis=-2)
 
 
 class Dropout(Module):

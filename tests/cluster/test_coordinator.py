@@ -87,7 +87,6 @@ class TestWireFormats:
         rebuilt = PipelineConfig.from_jsonable(payload)
         assert rebuilt.dimensions == config.dimensions
         assert rebuilt.corpus == config.corpus
-        assert rebuilt.ner_config == config.ner_config
 
     def test_from_jsonable_rejects_unknown_fields(self):
         payload = config_wire_payload(quick_serve_config())

@@ -265,6 +265,27 @@ class TestCoordinatorClient:
             client.abort()
         assert handled == ["/cluster/lease", "/cluster/lease"]
 
+    def test_a_finished_heartbeat_thread_leaves_no_connection_open(self, cluster):
+        api, url, workers = cluster
+        client = CoordinatorClient(url)
+        worker = ClusterWorker(url, worker_id="client-t", client=client)
+        # An unknown lease: each thread beats once, hears "gone" and ends.
+        lease = {"lease_id": "no-such-lease", "ttl": 0.15}
+        threads = [
+            threading.Thread(target=worker._heartbeat_loop, args=(lease, threading.Event()))
+            for _ in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            still_open = [conn for conn in client._conns if conn.sock is not None]
+            assert still_open == []
+        finally:
+            client.abort()
+
 
 class ScriptedClient:
     """In-memory stand-in for :class:`CoordinatorClient` (no sockets)."""
@@ -288,6 +309,9 @@ class ScriptedClient:
              "error": error, "spans": spans}
         )
         return {"status": "ok", "accepted": len(rows)}
+
+    def release(self):
+        pass
 
 
 def scripted_lease(config_payload, *, ttl=30.0, group=None):

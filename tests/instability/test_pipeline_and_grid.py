@@ -6,7 +6,7 @@ import pytest
 from repro.corpus.synthetic import SyntheticCorpusConfig
 from repro.engine import ArtifactStore, GridEngine
 from repro.instability.grid import average_over_seeds, records_to_rows
-from repro.instability.pipeline import InstabilityPipeline, PipelineConfig
+from repro.instability.pipeline import NER_OPTIMIZER, InstabilityPipeline, PipelineConfig
 from repro.models.bilstm_tagger import BiLSTMTagger
 from repro.models.bow_classifier import BowClassifier
 from repro.telemetry.trace import Trace
@@ -44,7 +44,6 @@ class TestPipelineConfig:
     def test_anchor_dim_defaults_to_max(self):
         config = PipelineConfig(dimensions=(8, 64, 16))
         assert config.resolved_anchor_dim == 64
-        assert PipelineConfig(anchor_dim=128).resolved_anchor_dim == 128
 
 
 class TestPipeline:
@@ -177,7 +176,7 @@ class TestPipeline:
         assert (tied.init_seed, tied.sampling_seed) == (3, 3)
         relaxed = tiny_pipeline.training_config("conll", 3, init_seed=9, sampling_seed=11)
         assert (relaxed.init_seed, relaxed.sampling_seed) == (9, 11)
-        assert relaxed.optimizer == tiny_pipeline.config.ner_optimizer
+        assert relaxed.optimizer == NER_OPTIMIZER
 
 
 class TestGridEngineRun:

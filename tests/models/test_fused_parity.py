@@ -320,14 +320,21 @@ def random_stack_case(seed: int):
 
 
 def known_to_differ(shape) -> bool:
-    """The two shapes whose stacks may differ from one-at-a-time fits in the
-    last bit (ROADMAP, "Small leftovers"): 1-dimensional tables over 1-token
-    sentences, and 1-dimensional bag-of-words tables."""
-    return shape["dim"] == 1 and (shape["model"] == "bow" or shape["seq_len"] == 1)
+    """The shape whose stacks may differ from one-at-a-time fits in the last
+    bit (ROADMAP, "Small leftovers"): 1-dimensional tables over 1-token
+    sentences."""
+    return shape["dim"] == 1 and shape["model"] == "tagger" and shape["seq_len"] == 1
 
 
-#: The first 50 seeds whose case avoids the shapes known to differ.
-SUBSET_SEEDS = [seed for seed in range(80) if not known_to_differ(random_stack_case(seed)[0])][:50]
+#: Bag-of-words cases with 1-dimensional tables on which a stack that sums
+#: its word-major gather (a document's words one after another) rounds
+#: apart from one-table fits (which sum them pairwise): 1044, 1203, 1240 and
+#: 1406 with frozen tables, the rest fine-tuned.
+ONE_DIMENSIONAL_BOW_SEEDS = [1044, 1203, 1240, 1406, 1255, 1577, 1593]
+#: Seeds 0-50 whose case avoids the shape known to differ, and the above.
+SUBSET_SEEDS = [
+    seed for seed in range(51) if not known_to_differ(random_stack_case(seed)[0])
+] + ONE_DIMENSIONAL_BOW_SEEDS
 
 
 @pytest.mark.parametrize("seed", SUBSET_SEEDS)

@@ -451,11 +451,14 @@ class TestClusterEndpoints:
         assert "config" in payload["error"]
 
     def test_grid_bad_config_field_is_400(self, server):
-        status, payload = get_json(
-            server, "/grid", method="POST",
-            body={"distributed": True, "config": {"not_a_field": 1}},
-        )
-        assert status == 400
+        # Retired fields (now module constants) are unknown fields too.
+        for field in ("not_a_field", "eis_alpha", "anchor_dim"):
+            status, payload = get_json(
+                server, "/grid", method="POST",
+                body={"distributed": True, "config": {field: 1}},
+            )
+            assert status == 400
+            assert field in payload["error"]
 
 
 class TestAbandonedGridCancellation:
