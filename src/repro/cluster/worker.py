@@ -489,7 +489,20 @@ class ClusterWorker:
             self._stop.wait(seconds)
 
     def run(self) -> None:
-        """Poll until :meth:`stop` (or ``max_idle`` seconds without work)."""
+        """Poll until :meth:`stop` (or ``max_idle`` seconds without work).
+
+        On the way out the calling thread closes the connections it opened:
+        its client's and those of each cached pipeline's remote store tiers.
+        """
+        try:
+            self._run()
+        finally:
+            self.client.release()
+            for pipeline in self._pipelines.values():
+                for peer in pipeline.store.remote_peers():
+                    peer.close()
+
+    def _run(self) -> None:
         idle_since: float | None = None
         while not self._stop.is_set():
             try:

@@ -129,7 +129,6 @@ class SubwordEmbeddingModel(CBOWModel):
                 ctx_flat = ctx.ravel()
                 real = ctx_flat < n_words
                 word_part = W_in[np.where(real, ctx_flat, pad_word)]
-                ngram_sum = np.zeros_like(word_part)
                 ngram_ids = ngram_table[np.where(real, ctx_flat, 0)]
                 ngram_ids[~real] = pad_word
                 ngram_sum = W_in[ngram_ids].sum(axis=1)

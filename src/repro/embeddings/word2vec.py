@@ -4,20 +4,26 @@ CBOW predicts a word from the average of its context-word vectors, trained
 with negative sampling (Mikolov et al., 2013).  The implementation here builds
 the (context-window, target) training examples for a corpus once and then runs
 mini-batched, fully vectorised SGD updates -- the same objective the word2vec
-C implementation optimises, at the scale of our synthetic corpora.  Each
-batch's row updates to the input and output vectors go through
-:func:`repro.linalg.kernels.scatter_add_rows`, which applies them one at a
-time in batch order, exactly as ``np.add.at`` would.
+C implementation optimises, at the scale of our synthetic corpora.
+
+Each batch's context mean and both SGD updates are sparse products.  A CSR
+count matrix ``C`` (batch x vocabulary + pad) of each example's context words
+gives the hidden layer ``C @ W_in / size`` and the input update
+``C.T @ grad``; a second CSR matrix ``D`` holding ``-lr * delta`` at each
+example's target and negatives gives the output update ``D.T @ hidden``.  A
+word repeated in a batch thus gets its summed update in one addition, so the
+vectors differ from a fold that applies the updates one at a time
+(``np.add.at``) by rounding only.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.corpus.synthetic import Corpus
 from repro.corpus.vocabulary import Vocabulary
 from repro.embeddings.base import EMBEDDING_ALGORITHMS, Embedding, EmbeddingAlgorithm
-from repro.linalg.kernels import scatter_add_rows
 from repro.utils.logging import get_logger
 from repro.utils.rng import check_random_state
 
@@ -163,13 +169,22 @@ class CBOWModel(EmbeddingAlgorithm):
     def _train(
         self, docs: list[np.ndarray], vocab: Vocabulary, rng: np.random.Generator
     ) -> np.ndarray:
+        """SGD over the corpus's examples; the updates are sparse products.
+
+        Per batch, the hidden layer is ``C @ W_in / size`` and the updates
+        are ``W_out += D.T @ hidden`` and ``W_in += C.T @ ctx_grad`` (see the
+        module docstring).  The random draws are those of a sequential fold
+        that applies each example's row updates one at a time, and the
+        vectors differ from that fold's by rounding only.
+        """
         n_words = len(vocab)
         pad_id = n_words  # one extra all-zero row used for padding
         contexts, sizes, targets = build_cbow_examples(docs, self.window_size, pad_id)
         n_examples = len(targets)
 
-        # Input (context) vectors W_in with an extra frozen pad row; output
-        # vectors W_out start at zero as in word2vec.
+        # Input (context) vectors W_in with an extra pad row, which stays zero
+        # because C never counts a pad; output vectors W_out start at zero as
+        # in word2vec.
         W_in = (rng.random((n_words + 1, self.dim)) - 0.5) / self.dim
         W_in[pad_id] = 0.0
         W_out = np.zeros((n_words, self.dim))
@@ -181,6 +196,12 @@ class CBOWModel(EmbeddingAlgorithm):
         neg_probs = self._negative_table(vocab)
         total_steps = self.epochs * int(np.ceil(n_examples / BATCH_SIZE))
         step = 0
+        # int32 ids, which scipy's sparse matrices take without a copy.
+        contexts = contexts.astype(np.int32)
+        targets = targets.astype(np.int32)
+        sample_indptr = np.arange(
+            0, BATCH_SIZE * (1 + NEGATIVE_SAMPLES) + 1, 1 + NEGATIVE_SAMPLES, dtype=np.int32
+        )
 
         for _epoch in range(self.epochs):
             order = rng.permutation(n_examples)
@@ -189,32 +210,38 @@ class CBOWModel(EmbeddingAlgorithm):
                 step += 1
                 batch = order[start : start + BATCH_SIZE]
                 ctx = contexts[batch]                       # (B, 2w)
-                size = sizes[batch].astype(np.float64)      # (B,)
                 tgt = targets[batch]                        # (B,)
                 B = len(batch)
 
-                # Mean of context vectors (pad rows are zero so the sum is fine).
-                hidden = W_in[ctx].sum(axis=1) / size[:, None]   # (B, d)
+                # C counts each example's real context words: C @ W_in sums
+                # their vectors, and C.T @ g gives each word the sum of the
+                # rows of g whose examples it is a context word of.
+                indptr = np.zeros(B + 1, dtype=np.int32)
+                np.cumsum(sizes[batch], out=indptr[1:])
+                C = sp.csr_matrix(
+                    (np.ones(indptr[-1]), ctx[ctx != pad_id], indptr), shape=(B, n_words + 1)
+                )
+                size = sizes[batch].astype(np.float64)[:, None]   # (B, 1)
+                hidden = (C @ W_in) / size                  # (B, d)
 
                 # One positive target plus NEGATIVE_SAMPLES negatives.
                 negs = rng.choice(n_words, size=(B, NEGATIVE_SAMPLES), p=neg_probs)
-                samples = np.concatenate([tgt[:, None], negs], axis=1)   # (B, 1+k)
-                labels = np.zeros((B, 1 + NEGATIVE_SAMPLES))
-                labels[:, 0] = 1.0
+                samples = np.concatenate([tgt[:, None], negs], axis=1, dtype=np.int32)
 
                 out_vecs = W_out[samples]                   # (B, 1+k, d)
                 scores = np.einsum("bkd,bd->bk", out_vecs, hidden)
-                probs = self._sigmoid(scores)
-                delta = probs - labels                      # (B, 1+k)
+                delta = self._sigmoid(scores)               # (B, 1+k)
+                delta[:, 0] -= 1.0                          # the target's label is 1
 
                 grad_hidden = np.einsum("bk,bkd->bd", delta, out_vecs)
-                grad_out = delta[:, :, None] * hidden[:, None, :]
-
-                scatter_add_rows(W_out, samples.ravel(), (-lr * grad_out).reshape(-1, self.dim))
+                # D holds -lr * delta at each example's sampled words, so
+                # D.T @ hidden is each word's summed output-vector update.
+                D = sp.csr_matrix(
+                    ((-lr * delta).ravel(), samples.ravel(), sample_indptr[: B + 1]),
+                    shape=(B, n_words),
+                )
+                W_out += D.T @ hidden
                 # Each context word receives grad_hidden / context_size.
-                ctx_grad = (-lr) * grad_hidden / size[:, None]
-                expanded = np.repeat(ctx_grad, ctx.shape[1], axis=0)
-                scatter_add_rows(W_in, ctx.ravel(), expanded)
-                W_in[pad_id] = 0.0
+                W_in += C.T @ ((-lr) * grad_hidden / size)
 
         return W_in[:n_words]

@@ -326,6 +326,10 @@ class InstabilityPipeline:
             # A constant since the SVD-kernel policy went; kept so stores stay warm.
             kernel_policy={"svd": "exact"},
         )
+        if algorithm == "cbow":
+            # CBOW's updates became sparse products, which moved its vectors
+            # by rounding: CBOW pairs stored before that recompute once.
+            fields["cbow_updates"] = "sparse"
         return fields
 
     def _quantized_fields(self, algorithm: str, dim: int, precision: int, seed: int) -> dict:

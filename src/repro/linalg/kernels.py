@@ -9,8 +9,9 @@ The measure kernels are blocked GEMMs, written so that
   vectorised ``searchsorted`` over row-offset-encoded neighbour ids;
 * scalar reductions accumulate in float64 regardless of the input dtype.
 
-:func:`scatter_add_rows` applies the row updates of every SGD-trained
-embedding (MC, CBOW, GloVe, fastText, TransE).  It is ``np.add.at`` on a 2-D
+:func:`scatter_add_rows` applies the row updates of the SGD-trained MC,
+GloVe, fastText and TransE embeddings (CBOW's updates are sparse products,
+see :mod:`repro.embeddings.word2vec`).  It is ``np.add.at`` on a 2-D
 table routed through numpy's faster 1-D ``add.at`` on the flat view.  Each
 element still receives its updates one at a time in index order, so rows
 that repeat in a batch accumulate exactly as before and the trained vectors

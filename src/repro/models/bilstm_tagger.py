@@ -114,67 +114,75 @@ class BiLSTMTagger(ModelStack):
         """Train every model in lockstep; returns one history dict per model."""
         sentences = np.stack(train.sentences)
         tags = np.stack(train.tags)
+        val_tags = np.stack(val.tags) if val is not None and len(val) else None
 
         def val_accuracy() -> list[float]:
-            return [_token_accuracy(preds, val.tags) for preds in self._predictions(val)]
+            return _token_accuracy(self._predictions(val), val_tags)
 
         histories = fit_lockstep(
             self, self.config, len(train),
             lambda batch_idx: self._batch_loss(sentences[batch_idx], tags[batch_idx]),
-            val_accuracy if val is not None and len(val) else None,
+            val_accuracy if val_tags is not None else None,
             models=self.models,
         )
         return self._unstack(histories)
 
     # -- inference -----------------------------------------------------------------------
 
-    def _predictions(self, dataset: SequenceTaggingDataset) -> list[list[np.ndarray]]:
-        """Per model, per sentence, arrays of predicted tag ids."""
+    def _predictions(self, dataset: SequenceTaggingDataset) -> np.ndarray:
+        """``(models, sentences, tokens)`` array of predicted tag ids."""
         self.eval()
         sentences = np.stack(dataset.sentences)
         with no_grad():
             emissions = self.emissions(sentences).data
         if self.use_crf:
-            return [[self.crf.viterbi_decode(scores) for scores in emissions[0]]]
-        return [list(tags) for tags in np.argmax(emissions, axis=-1)]
+            return np.stack([self.crf.viterbi_decode(scores) for scores in emissions[0]])[None]
+        return np.argmax(emissions, axis=-1)
 
     def predict(self, dataset: SequenceTaggingDataset):
         """Per-sentence arrays of predicted tag ids (a list of them per model)."""
-        return self._unstack(self._predictions(dataset))
+        return self._unstack([list(tags) for tags in self._predictions(dataset)])
 
     def token_accuracy(self, dataset: SequenceTaggingDataset):
         return self._unstack(
-            [_token_accuracy(preds, dataset.tags) for preds in self._predictions(dataset)]
+            _token_accuracy(self._predictions(dataset), np.stack(dataset.tags))
         )
 
     def entity_f1(self, dataset: SequenceTaggingDataset):
         """Micro-F1 over entity tokens (token-level, which suffices at this scale)."""
         return self._unstack(
-            [_entity_f1(preds, dataset) for preds in self._predictions(dataset)]
+            _entity_f1(
+                self._predictions(dataset), np.stack(dataset.tags), dataset.outside_tag_id
+            )
         )
 
 
-def _token_accuracy(preds: list[np.ndarray], gold_tags: list[np.ndarray]) -> float:
-    correct = total = 0
-    for pred, gold in zip(preds, gold_tags):
-        correct += int(np.sum(pred == gold))
-        total += len(gold)
-    return correct / total if total else 0.0
+def _token_accuracy(preds: np.ndarray, gold: np.ndarray) -> list[float]:
+    """Per model, the share of tokens whose predicted tag is the gold one.
+
+    ``preds`` is ``(models, sentences, tokens)`` and ``gold`` is
+    ``(sentences, tokens)``.  Both scores count in one numpy pass over every
+    model; the counts are Python ints, so the ratios are those of counting
+    sentence by sentence.
+    """
+    total = gold.size
+    return [int(c) / total if total else 0.0 for c in (preds == gold).sum(axis=(1, 2))]
 
 
-def _entity_f1(preds: list[np.ndarray], dataset: SequenceTaggingDataset) -> float:
-    outside = dataset.outside_tag_id
-    tp = fp = fn = 0
-    for pred, gold in zip(preds, dataset.tags):
-        pred = np.asarray(pred)
-        gold = np.asarray(gold)
-        pred_ent = pred != outside
-        gold_ent = gold != outside
-        tp += int(np.sum(pred_ent & gold_ent & (pred == gold)))
-        fp += int(np.sum(pred_ent & ((~gold_ent) | (pred != gold))))
-        fn += int(np.sum(gold_ent & ((~pred_ent) | (pred != gold))))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def _entity_f1(preds: np.ndarray, gold: np.ndarray, outside: int) -> list[float]:
+    """Per model, the token-level micro-F1 over entity tags."""
+    pred_ent = preds != outside
+    gold_ent = gold != outside
+    wrong = preds != gold
+    tps = (pred_ent & gold_ent & ~wrong).sum(axis=(1, 2))
+    fps = (pred_ent & (~gold_ent | wrong)).sum(axis=(1, 2))
+    fns = (gold_ent & (~pred_ent | wrong)).sum(axis=(1, 2))
+    scores = []
+    for tp, fp, fn in zip(tps.tolist(), fps.tolist(), fns.tolist()):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        if precision + recall == 0:
+            scores.append(0.0)
+        else:
+            scores.append(2 * precision * recall / (precision + recall))
+    return scores

@@ -136,6 +136,7 @@ class InstabilityMonitor:
             "reports_warm": 0,
             "drift_alerts": 0,
             "local_embedding_trainings": 0,
+            "local_downstream_trainings": 0,
             "webhook_delivered": 0,
             "webhook_failed": 0,
         }
@@ -281,10 +282,11 @@ class InstabilityMonitor:
 
         # "bow" is the retrain grid's model type (GridEngine's default),
         # kept in the key so stored reports stay warm.  A report holds
-        # downstream disagreement, so it carries the downstream key's dtype.
+        # downstream disagreement, so it carries the downstream key's dtype,
+        # and CBOW measures, so CBOW's embedding key field.
         return config_hash(
             {"kind": REPORT_KIND, "config": config_wire_payload(config), "model_type": "bow",
-             "dtype": "float32"}
+             "dtype": "float32", "cbow_updates": "sparse"}
         )
 
     def evaluate_pair(
@@ -358,6 +360,7 @@ class InstabilityMonitor:
         records = engine.run(with_measures=True)
         with self._lock:
             self._counters["local_embedding_trainings"] += pipeline.embedding_train_count
+            self._counters["local_downstream_trainings"] += pipeline.downstream_train_count
         return records
 
     def _emit_report(self, report: DriftReport, *, warm: bool) -> None:

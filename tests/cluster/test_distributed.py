@@ -287,6 +287,43 @@ class TestCoordinatorClient:
             client.abort()
 
 
+class TestWorkerConnections:
+    def test_a_stopped_worker_leaves_no_connection_open(self):
+        # The worker runs on this thread against a coordinator with no other
+        # worker: it executes every group of one run, idles out and returns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            service = StabilityService(quick_serve_config(), config=ServiceConfig(lease_ttl=30))
+        with live_api(service) as api:
+            config = service.pipeline.config
+            service.coordinator.create_run(
+                plan_grid(config, precisions=(32,)), config_wire_payload(config)
+            )
+            worker = ClusterWorker(
+                f"http://127.0.0.1:{api.port}", worker_id="closing-t",
+                poll_interval=0.05, max_idle=0.2,
+            )
+            peers = []
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    worker.run()
+                assert worker.groups_executed > 0
+                peers = [
+                    peer
+                    for pipeline in worker._pipelines.values()
+                    for peer in pipeline.store.remote_peers()
+                ]
+                assert peers
+                assert worker.client._conns == set()
+                assert [getattr(peer._local, "conn", None) for peer in peers] == [None] * len(peers)
+            finally:
+                worker.client.abort()
+                for peer in peers:
+                    peer.close()
+        service.close()
+
+
 class ScriptedClient:
     """In-memory stand-in for :class:`CoordinatorClient` (no sockets)."""
 
@@ -481,6 +518,9 @@ class FlakySequenceClient:
     def complete(self, worker, lease_id, run_id, group_index, rows,
                  stats=None, error=None, spans=None):
         return {"status": "ok", "accepted": len(rows)}
+
+    def release(self):
+        pass
 
 
 class TestWorkerBackoff:

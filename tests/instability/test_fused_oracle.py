@@ -1,6 +1,6 @@
 """Grid records from the fused kernels and lockstep fits equal the reference paths'.
 
-One small sst2 + conll grid (a CBOW embedding pair per cell, then a BoW
+One small sst2 + conll grid (an MC embedding pair per cell, then a BoW
 classifier pair and a BiLSTM tagger pair) runs four ways: serially as
 shipped (each task's four models in one lockstep fit), serially with the
 references monkeypatched in -- the per-op autograd path of
@@ -29,7 +29,7 @@ from tests.nn.reference import patch_per_op
 
 ORACLE_CONFIG = PipelineConfig(
     corpus=SyntheticCorpusConfig(vocab_size=120, n_documents=60, doc_length_mean=30, seed=7),
-    algorithms=("cbow",),
+    algorithms=("mc",),
     dimensions=(8,),
     precisions=(1, 32),
     seeds=(0,),
@@ -68,7 +68,7 @@ def test_records_equal_per_op_reference(shipped_rows, monkeypatch):
     patch_per_op(monkeypatch, calls)
     patch_add_at(monkeypatch, calls)
     assert _grid_rows() == shipped_rows
-    assert calls["bilstm"] > 0 and calls["loss"] > 0 and calls["cbow"] > 0
+    assert calls["bilstm"] > 0 and calls["loss"] > 0 and calls["mc"] > 0
 
 
 def test_pool_records_equal_serial(shipped_rows):

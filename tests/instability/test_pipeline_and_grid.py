@@ -224,25 +224,40 @@ class _KeyRecordingStore(ArtifactStore):
 
 
 class TestArtifactKeys:
-    def test_keys_of_one_cell_are_pinned(self):
-        # Every persistent store (disk, shards, replicas, cluster peers) finds
-        # its artifacts by these keys: a change to any of them silently
-        # orphans every store written before it.
+    # Every persistent store (disk, shards, replicas, cluster peers) finds
+    # its artifacts by these keys: a change to any of them silently orphans
+    # every store written before it.
+
+    @staticmethod
+    def _keys_of_one_cell(algorithm: str) -> dict[str, str]:
         config = PipelineConfig(
             corpus=SyntheticCorpusConfig(vocab_size=60, n_documents=20, doc_length_mean=20, seed=3),
-            algorithms=("cbow",), dimensions=(8,), precisions=(2, 32), seeds=(0,),
+            algorithms=(algorithm,), dimensions=(8,), precisions=(2, 32), seeds=(0,),
             tasks=("sst2",),
         )
         store = _KeyRecordingStore()
         pipeline = InstabilityPipeline(config, store=store)
-        pipeline.embedding_pair("cbow", 8, 0)
-        pipeline.anchor_decomposition("cbow", 0)
-        pipeline.compute_measures("cbow", 8, 2, 0)
-        pipeline.evaluate("sst2", "cbow", 8, 2, 0)
-        assert store.asked == {
-            "embedding_pair": "04b5d546e066337b811cea59",
-            "decomposition": "f7b8ff747bc83e634e49e1b5",
-            "measures": "be3c1401aec23d7f0200aec1",
-            "downstream": "59199e452b8b54360f9911fd",
-        }
+        pipeline.embedding_pair(algorithm, 8, 0)
+        pipeline.anchor_decomposition(algorithm, 0)
+        pipeline.compute_measures(algorithm, 8, 2, 0)
+        pipeline.evaluate("sst2", algorithm, 8, 2, 0)
         assert pipeline.embedding_train_count == pipeline.downstream_train_count == 0
+        return store.asked
+
+    def test_keys_of_one_cell_are_pinned(self):
+        # CBOW's keys carry its "cbow_updates" field.
+        assert self._keys_of_one_cell("cbow") == {
+            "embedding_pair": "c49d54a9d37f7107719304ac",
+            "decomposition": "e459ac316d1f998857f91afe",
+            "measures": "edbb9eec5f9d05c4c7a70692",
+            "downstream": "c45b933ca7281f183181a1b7",
+        }
+
+    def test_keys_of_an_mc_cell_are_pinned(self):
+        # The keys every earlier store holds: CBOW's key field is CBOW's only.
+        assert self._keys_of_one_cell("mc") == {
+            "embedding_pair": "c45f22d61e89072af49a4ff3",
+            "decomposition": "4196a420807893b2910a487b",
+            "measures": "8e868b0939be59795c373686",
+            "downstream": "6845757b2a1dc8fe67ae8cc7",
+        }

@@ -8,6 +8,10 @@ it stops, and its best state restored at the end.  It then writes every
 model's parameters into the stack's rows and returns the histories as
 ``fit`` does.  ``patch_one_at_a_time`` monkeypatches it in for both models'
 ``fit``.
+
+``token_accuracy_by_sentence`` and ``entity_f1_by_sentence`` score one
+model's predictions sentence by sentence: the loops that the tagger's
+stacked scoring must match.
 """
 
 from __future__ import annotations
@@ -129,3 +133,29 @@ def patch_one_at_a_time(monkeypatch, calls: Counter) -> None:
 
     monkeypatch.setattr(BiLSTMTagger, "fit", fit)
     monkeypatch.setattr(BowClassifier, "fit", fit)
+
+
+def token_accuracy_by_sentence(preds: list[np.ndarray], gold_tags: list[np.ndarray]) -> float:
+    correct = total = 0
+    for pred, gold in zip(preds, gold_tags):
+        correct += int(np.sum(pred == gold))
+        total += len(gold)
+    return correct / total if total else 0.0
+
+
+def entity_f1_by_sentence(preds: list[np.ndarray], dataset) -> float:
+    outside = dataset.outside_tag_id
+    tp = fp = fn = 0
+    for pred, gold in zip(preds, dataset.tags):
+        pred = np.asarray(pred)
+        gold = np.asarray(gold)
+        pred_ent = pred != outside
+        gold_ent = gold != outside
+        tp += int(np.sum(pred_ent & gold_ent & (pred == gold)))
+        fp += int(np.sum(pred_ent & ((~gold_ent) | (pred != gold))))
+        fn += int(np.sum(gold_ent & ((~pred_ent) | (pred != gold))))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)

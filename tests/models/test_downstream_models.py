@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.models.bilstm_tagger import BiLSTMTagger
+from repro.models.bilstm_tagger import BiLSTMTagger, _entity_f1, _token_accuracy
 from repro.models.bow_classifier import BowClassifier
 from repro.models.cnn_classifier import CNNClassifier
 from repro.models.trainer import EarlyStopper, TrainingConfig
-from repro.tasks.datasets import train_val_test_split
+from repro.tasks.datasets import SequenceTaggingDataset, train_val_test_split
+from tests.models.reference import entity_f1_by_sentence, token_accuracy_by_sentence
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +157,23 @@ class TestBiLSTMTagger:
         tagger.fit(ner_splits.train.subset(np.arange(30)))
         f1 = tagger.entity_f1(ner_splits.test)
         assert 0.0 <= f1 <= 1.0
+
+    def test_stacked_scores_equal_per_sentence_loops(self, ner_dataset):
+        rng = np.random.default_rng(0)
+        outside = ner_dataset.outside_tag_id
+        shape = (9, 6)  # sentences, tokens
+        sentences = list(rng.integers(0, len(ner_dataset.vocab), size=shape))
+        random_gold = rng.integers(0, ner_dataset.num_tags, size=shape)
+        for gold in (random_gold, np.full(shape, outside)):  # the second has no entity
+            preds = rng.integers(0, ner_dataset.num_tags, size=(4, *shape))
+            preds[1] = outside  # predicts no entity
+            preds[2] = gold
+            dataset = SequenceTaggingDataset(
+                sentences, list(gold), ner_dataset.tag_names, ner_dataset.vocab
+            )
+            assert _token_accuracy(preds, gold) == [
+                token_accuracy_by_sentence(list(p), dataset.tags) for p in preds
+            ]
+            assert _entity_f1(preds, gold, outside) == [
+                entity_f1_by_sentence(list(p), dataset) for p in preds
+            ]

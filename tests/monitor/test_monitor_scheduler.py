@@ -63,6 +63,9 @@ class TestRollingRetrain:
         assert counters["retrains_dispatched"] == 1
         assert counters["retrains_completed"] == 1
         assert counters["retrains_failed"] == 0
+        # The one cold retrain fit two models per downstream cell.
+        assert counters["retrain_records"] > 0
+        assert counters["local_downstream_trainings"] == 2 * counters["retrain_records"]
 
     def test_event_narrative(self, monitored):
         monitor, _, _ = monitored
@@ -125,6 +128,7 @@ class TestRollingRetrain:
         assert after["reports_warm"] == before["reports_warm"] + 1
         assert after["retrains_completed"] == before["retrains_completed"]
         assert after["local_embedding_trainings"] == before["local_embedding_trainings"]
+        assert after["local_downstream_trainings"] == before["local_downstream_trainings"]
         # Warm path narrates measures_ready (warm) + the still-standing
         # drift alert, but never a retrain_started.
         events = monitor.events.events()
