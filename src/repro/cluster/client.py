@@ -20,10 +20,9 @@ from __future__ import annotations
 import http.client
 import json
 from typing import TYPE_CHECKING, Iterator
-from urllib.parse import urlsplit
 
 from repro.cluster.coordinator import config_wire_payload
-from repro.telemetry.trace import propagation_headers
+from repro.utils.http import HTTPClient
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -36,7 +35,6 @@ logger = get_logger(__name__)
 __all__ = [
     "configure_default_coordinator",
     "default_coordinator_url",
-    "open_json_connection",
     "stream_remote_grid",
 ]
 
@@ -53,28 +51,6 @@ def configure_default_coordinator(url: str | None) -> None:
 
 def default_coordinator_url() -> str | None:
     return _DEFAULT_COORDINATOR
-
-
-def _split_url(url: str) -> tuple[str, str, int | None, str]:
-    if "://" not in url:
-        url = f"http://{url}"
-    split = urlsplit(url)
-    if split.scheme not in ("http", "https"):
-        raise ValueError(f"unsupported coordinator scheme {split.scheme!r}")
-    if not split.hostname:
-        raise ValueError(f"coordinator URL has no host: {url!r}")
-    return split.scheme, split.hostname, split.port, split.path.rstrip("/")
-
-
-def open_json_connection(
-    url: str, timeout: float | None = None
-) -> tuple[http.client.HTTPConnection, str]:
-    """An HTTP(S) connection to a coordinator plus its base path."""
-    scheme, host, port, base_path = _split_url(url)
-    factory = (
-        http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-    )
-    return factory(host, port, timeout=timeout), base_path
 
 
 def stream_remote_grid(
@@ -105,12 +81,12 @@ def stream_remote_grid(
             "model_type": plan.model_type,
         }
     ).encode("utf-8")
-    conn, base_path = open_json_connection(url)
+    client = HTTPClient(url, what="coordinator", timeout=None)
+    conn = client.connect()
     try:
-        headers = {"Content-Type": "application/json"}
-        headers.update(propagation_headers())
-        conn.request("POST", f"{base_path}/grid", body=body, headers=headers)
-        response = conn.getresponse()
+        response = client.send(
+            conn, "POST", "/grid", body, {"Content-Type": "application/json"}
+        )
         if response.status != 200:
             payload = response.read()
             try:
@@ -122,17 +98,24 @@ def stream_remote_grid(
             )
         expected = plan.n_cells
         received = 0
-        # http.client decodes the chunked transfer encoding; each line is one
-        # NDJSON record the moment its cell was committed by the coordinator.
-        for raw in response:
-            line = raw.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if "error" in row and "algorithm" not in row:
-                raise RuntimeError(f"distributed grid failed: {row['error']}")
-            received += 1
-            yield GridRecord.from_row(row)
+        try:
+            # http.client decodes the chunked transfer encoding; each line is
+            # one NDJSON record the moment its cell was committed by the
+            # coordinator.
+            for raw in response:
+                line = raw.strip()
+                if not line:
+                    continue
+                row = json.loads(line)
+                if "error" in row and "algorithm" not in row:
+                    raise RuntimeError(f"distributed grid failed: {row['error']}")
+                received += 1
+                yield GridRecord.from_row(row)
+        except (OSError, http.client.HTTPException) as error:
+            raise ConnectionError(
+                f"coordinator {url} broke off the grid stream after {received} "
+                f"records: {error}"
+            ) from error
         if received != expected:
             raise ConnectionError(
                 f"coordinator stream ended early: {received}/{expected} records"

@@ -1,7 +1,7 @@
 """Pull-based cluster worker: the ``repro-worker`` entrypoint.
 
 A worker polls a coordinator (any ``repro-serve`` instance) for leases over
-plain stdlib HTTP, executes each leased
+HTTP, executes each leased
 :class:`~repro.engine.scheduler.CellGroup` through a warm local
 :class:`~repro.instability.pipeline.InstabilityPipeline`, and pushes the
 resulting :class:`~repro.instability.grid.GridRecord`\\ s back.  Three
@@ -31,7 +31,6 @@ Run it::
 from __future__ import annotations
 
 import argparse
-import http.client
 import json
 import os
 import random
@@ -44,10 +43,10 @@ from typing import TYPE_CHECKING
 
 from repro import options
 from repro.cluster.coordinator import group_from_wire
-from repro.cluster.client import open_json_connection
 from repro.engine.scheduler import evaluate_group
 from repro.engine.store import ArtifactStore, config_hash
-from repro.telemetry.trace import Trace, propagation_headers
+from repro.telemetry.trace import Trace
+from repro.utils.http import HTTPClient
 from repro.utils.io import to_jsonable
 from repro.utils.logging import configure_logging, get_logger
 
@@ -68,107 +67,42 @@ MAX_PIPELINES = 4
 #: polls.
 BACKOFF_MAX = 30.0
 #: Seconds to wait for the heartbeat thread after a group finishes, before
-#: and after aborting the client's connections.
+#: and after closing the client's connections.
 HEARTBEAT_JOIN_TIMEOUT = 5.0
 
 
-class CoordinatorClient:
-    """Minimal JSON-over-HTTP client for the ``/cluster/*`` endpoints."""
+class CoordinatorClient(HTTPClient):
+    """JSON-over-HTTP client of the ``/cluster/*`` endpoints.
+
+    Its connections, resend rule, :meth:`release` and :meth:`close` are the
+    :class:`~repro.utils.http.HTTPClient`'s.
+    """
 
     def __init__(self, url: str) -> None:
-        self.url = url
-        self._local = threading.local()
-        # Every open connection, across all threads.  Connections are
-        # per-thread (http.client is not thread-safe) but abort() must reach
-        # them from *outside* their owning thread -- e.g. the worker closing
-        # a heartbeat thread's socket so its blocked send fails fast.
-        self._conns_lock = threading.Lock()
-        self._conns: set = set()
-
-    def abort(self) -> None:
-        """Close every open connection, unblocking threads stuck in I/O.
-
-        Safe to call from any thread: ``http.client`` transparently reopens
-        a closed connection on the next request, so surviving threads just
-        pay one reconnect.
-        """
-        with self._conns_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
-
-    def release(self) -> None:
-        """Close the calling thread's connection.
-
-        A thread that is done with the client calls this; otherwise its
-        connection would stay open in ``_conns`` after the thread ends.
-        """
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            self._drop(conn)
-
-    def _drop(self, conn) -> None:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
-        with self._conns_lock:
-            self._conns.discard(conn)
-        self._local.conn = None
+        super().__init__(url, what="coordinator", timeout=CLIENT_TIMEOUT)
 
     def _post(self, path: str, payload: dict) -> dict:
-        """POST one JSON payload; reconnects once on a stale keep-alive.
+        """POST one JSON payload and decode the answer.
 
-        Only a POST that got no answer is sent again.  Once an answer
-        arrived the coordinator has handled the request, so a non-200
+        The coordinator handled any request that it answered, so a non-200
         status or an undecodable body raises ``ConnectionError`` (the type
         the worker's backoff catches) without a second POST.
         """
         body = json.dumps(to_jsonable(payload)).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        headers.update(propagation_headers())
-        last_error: Exception | None = None
-        for _ in (0, 1):
-            conn = getattr(self._local, "conn", None)
-            if conn is None:
-                conn, base = open_json_connection(self.url, CLIENT_TIMEOUT)
-                self._local.conn = conn
-                self._local.base = base
-                with self._conns_lock:
-                    self._conns.add(conn)
-            try:
-                conn.request(
-                    "POST", f"{self._local.base}{path}", body=body, headers=headers
-                )
-                response = conn.getresponse()
-            except (OSError, http.client.HTTPException) as error:
-                # No answer arrived -- typically the coordinator closed an
-                # idle keep-alive connection: send once more on a fresh one.
-                self._drop(conn)
-                last_error = error
-                continue
-            try:
-                data = response.read()
-            except (OSError, http.client.HTTPException) as error:
-                self._drop(conn)
-                raise ConnectionError(
-                    f"coordinator broke off its answer on {path}: {error}"
-                ) from error
-            if response.status != 200:
-                raise ConnectionError(
-                    f"coordinator answered HTTP {response.status} on {path}: "
-                    f"{data.decode('utf-8', 'replace')[:200]}"
-                )
-            try:
-                return json.loads(data)
-            except ValueError as error:
-                raise ConnectionError(
-                    f"coordinator answered {path} with undecodable JSON: {error}"
-                ) from error
-        raise ConnectionError(f"coordinator {self.url} unreachable: {last_error}")
+        status, data = self.request(
+            "POST", path, body, {"Content-Type": "application/json"}
+        )
+        if status != 200:
+            raise ConnectionError(
+                f"coordinator answered HTTP {status} on {path}: "
+                f"{data.decode('utf-8', 'replace')[:200]}"
+            )
+        try:
+            return json.loads(data)
+        except ValueError as error:
+            raise ConnectionError(
+                f"coordinator answered {path} with undecodable JSON: {error}"
+            ) from error
 
     def lease(self, worker: str) -> dict:
         return self._post("/cluster/lease", {"worker": worker})
@@ -311,6 +245,8 @@ class ClusterWorker:
             if old_key == keep:  # pragma: no cover - MAX_PIPELINES >= 1
                 break
             del self._pipelines[old_key]
+            for peer in old.store.remote_peers():
+                peer.close()
             for name in self._retired:
                 self._retired[name] += getattr(old, name)
             for name, value in old.store.replica_counters().items():
@@ -415,16 +351,13 @@ class ClusterWorker:
             if beat.is_alive():
                 # The thread is stuck in a slow HTTP send; ignoring it would
                 # let a zombie heartbeat outlive this lease and beat against
-                # the next one's log context.  Abort the client's connections
-                # (the blocked send fails immediately, the loop sees done and
-                # exits) and give the join one more bounded chance.
-                abort = getattr(self.client, "abort", None)
-                if abort is not None:
-                    abort()
+                # the next one's log context.  Close the client's connections
+                # and give the join one more bounded chance.
+                self.client.close()
                 beat.join(timeout=HEARTBEAT_JOIN_TIMEOUT)
                 if beat.is_alive():
                     logger.warning(
-                        "heartbeat thread of lease %s still alive after abort; "
+                        "heartbeat thread of lease %s still alive after close; "
                         "abandoning it (daemon)", lease["lease_id"],
                     )
         if error is None:
@@ -489,18 +422,12 @@ class ClusterWorker:
             self._stop.wait(seconds)
 
     def run(self) -> None:
-        """Poll until :meth:`stop` (or ``max_idle`` seconds without work).
-
-        On the way out the calling thread closes the connections it opened:
-        its client's and those of each cached pipeline's remote store tiers.
-        """
+        """Poll until :meth:`stop` (or ``max_idle`` seconds without work),
+        then :meth:`close`."""
         try:
             self._run()
         finally:
-            self.client.release()
-            for pipeline in self._pipelines.values():
-                for peer in pipeline.store.remote_peers():
-                    peer.close()
+            self.close()
 
     def _run(self) -> None:
         idle_since: float | None = None
@@ -530,6 +457,14 @@ class ClusterWorker:
 
     def stop(self) -> None:
         self._stop.set()
+
+    def close(self) -> None:
+        """Close the client's connections and those of every cached store's
+        remote tiers; a worker driven by :meth:`step` calls this when done."""
+        self.client.close()
+        for pipeline in self._pipelines.values():
+            for peer in pipeline.store.remote_peers():
+                peer.close()
 
 
 def main(argv: list[str] | None = None) -> int:

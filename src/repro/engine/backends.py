@@ -13,9 +13,9 @@ Backends:
   benchmark baseline; the store's object tier holds the memory bound).
 * :class:`DiskBackend` -- today's on-disk layout (``root/<kind>/<name>``),
   written via a durable atomic temp-file + ``os.replace`` + fsync protocol.
-* :class:`RemoteBackend` -- stdlib HTTP client speaking the serving layer's
-  ``/artifacts/<kind>/<name>`` endpoints, with per-thread keep-alive
-  connections; any running ``repro-serve`` instance is a valid peer.
+* :class:`RemoteBackend` -- an :class:`~repro.utils.http.HTTPClient`
+  speaking the serving layer's ``/artifacts/<kind>/<name>`` endpoints; any
+  running ``repro-serve`` instance is a valid peer.
 * :class:`ReplicatedBackend` -- N-way replication over any mix of the above:
   writes fan out to every replica, reads are served first-success with
   **read-repair** (a hit found on one replica is written back to the
@@ -29,7 +29,6 @@ counters through ``repro.engine.stats()`` as ``store_tiers``.
 
 from __future__ import annotations
 
-import http.client
 import io
 import json
 import os
@@ -42,9 +41,9 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
-from urllib.parse import quote, urlsplit
+from urllib.parse import quote
 
-from repro.telemetry.trace import propagation_headers
+from repro.utils.http import HTTPClient
 from repro.utils.io import ensure_dir
 from repro.utils.logging import get_logger
 
@@ -322,11 +321,12 @@ class RemoteBackend(StoreBackend):
     """HTTP peer backend speaking the serving layer's ``/artifacts`` API.
 
     Any running ``repro-serve`` instance is a peer: ``GET`` fetches a
-    payload, ``PUT`` replicates one, ``HEAD`` probes existence.  Connections
-    are kept alive per thread and transparently re-established once when a
-    peer closes an idle connection.  A dead or unreachable peer degrades to
-    cache misses and dropped best-effort writes (counted in ``errors``) --
-    remote tiers accelerate, they must never take the computation down.
+    payload, ``PUT`` replicates one, ``HEAD`` probes existence.  Requests go
+    through ``client``, an :class:`~repro.utils.http.HTTPClient` with its
+    per-thread connections and its resend and close rules.  A dead or
+    unreachable peer degrades to cache misses and dropped best-effort
+    writes (counted in ``errors``) -- remote tiers accelerate, they must
+    never take the computation down.
     After a connection failure the backend cools down for
     ``FAILURE_COOLDOWN`` seconds, answering misses immediately instead of
     paying the full socket timeout on every subsequent operation.  Once the
@@ -349,21 +349,10 @@ class RemoteBackend(StoreBackend):
         sleep=time.sleep,
     ) -> None:
         super().__init__()
-        if "://" not in url:
-            url = f"http://{url}"
-        split = urlsplit(url)
-        if split.scheme not in ("http", "https"):
-            raise ValueError(f"unsupported remote store scheme {split.scheme!r}")
-        if not split.hostname:
-            raise ValueError(f"remote store URL has no host: {url!r}")
-        self.url = url
+        self.client = HTTPClient(url, what="remote store", timeout=SOCKET_TIMEOUT)
+        self.url = self.client.url
         self._rng = rng if rng is not None else random.Random()
         self._sleep = sleep
-        self._scheme = split.scheme
-        self._host = split.hostname
-        self._port = split.port
-        self._base_path = split.path.rstrip("/")
-        self._local = threading.local()
         self._clock = clock
         #: Breaker state, guarded by ``_state_lock``: ``_down_until`` is the
         #: monotonic deadline of the cooldown (0.0 = closed, healthy), and
@@ -371,29 +360,6 @@ class RemoteBackend(StoreBackend):
         self._state_lock = threading.Lock()
         self._down_until = 0.0
         self._probing = False
-
-    # -- connection management -------------------------------------------------
-
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            factory = (
-                http.client.HTTPSConnection
-                if self._scheme == "https"
-                else http.client.HTTPConnection
-            )
-            conn = factory(self._host, self._port, timeout=SOCKET_TIMEOUT)
-            self._local.conn = conn
-        return conn
-
-    def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
-            self._local.conn = None
 
     def _request(
         self,
@@ -404,10 +370,10 @@ class RemoteBackend(StoreBackend):
         *,
         force: bool = False,
     ) -> tuple[int, bytes]:
-        """One keep-alive request; retries once on a stale pooled connection.
+        """One request through the client, gated by the circuit breaker.
 
-        Circuit breaker: while the peer is cooling down after a failure,
-        raise :class:`CircuitOpenError` immediately -- otherwise every lookup
+        While the peer is cooling down after a failure, raise
+        :class:`CircuitOpenError` immediately -- otherwise every lookup
         of a busy grid run would block for the full socket timeout against a
         dead peer.  When the cooldown has elapsed, exactly one caller is
         admitted as the half-open probe; concurrent callers keep failing fast
@@ -429,27 +395,19 @@ class RemoteBackend(StoreBackend):
                             f"remote store {self.url} half-open: probe already in flight"
                         )
                     self._probing = probing = True
-        path = f"{self._base_path}/artifacts/{quote(kind, safe='')}/{quote(name, safe='')}"
+        path = f"/artifacts/{quote(kind, safe='')}/{quote(name, safe='')}"
         headers = {"Content-Type": "application/octet-stream"} if body else {}
-        headers.update(propagation_headers())
-        last_error: Exception | None = None
         try:
-            for attempt in (0, 1):
-                conn = self._connection()
-                try:
-                    conn.request(method, path, body=body, headers=headers)
-                    response = conn.getresponse()
-                    payload = response.read()
-                    with self._state_lock:
-                        self._down_until = 0.0
-                        if probing:
-                            self._probing = False
-                    return response.status, payload
-                except (http.client.HTTPException, ConnectionError, OSError) as error:
-                    # The peer may have closed an idle keep-alive connection;
-                    # reconnect once before treating the peer as unreachable.
-                    self._drop_connection()
-                    last_error = error
+            answer = self.client.request(method, path, body, headers)
+        except ConnectionError:
+            with self._state_lock:
+                # Re-arm the cooldown and release the probe slot in ONE critical
+                # section: releasing first would let a concurrent caller slip in
+                # as a second probe against the still-expired deadline.
+                self._down_until = self._clock() + FAILURE_COOLDOWN
+                if probing:
+                    self._probing = False
+            raise
         except BaseException:
             # Unexpected exit (KeyboardInterrupt mid-request): release the
             # probe slot without closing the breaker.
@@ -458,13 +416,10 @@ class RemoteBackend(StoreBackend):
                     self._probing = False
             raise
         with self._state_lock:
-            # Re-arm the cooldown and release the probe slot in ONE critical
-            # section: releasing first would let a concurrent caller slip in
-            # as a second probe against the still-expired deadline.
-            self._down_until = self._clock() + FAILURE_COOLDOWN
+            self._down_until = 0.0
             if probing:
                 self._probing = False
-        raise ConnectionError(f"remote store {self.url} unreachable: {last_error}")
+        return answer
 
     # -- raw operations --------------------------------------------------------
 
@@ -539,8 +494,8 @@ class RemoteBackend(StoreBackend):
             self.stats.errors += 1
 
     def close(self) -> None:
-        """Drop this thread's pooled connection (other threads drop lazily)."""
-        self._drop_connection()
+        """Close every live thread's connection to the peer."""
+        self.client.close()
 
     @property
     def breaker_open(self) -> bool:

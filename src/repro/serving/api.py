@@ -762,6 +762,10 @@ class StabilityAPIServer:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._connections.clear()
+        # A lease grant writes its checkpoint through the store on this
+        # thread, so this thread has connections to the store's peers.
+        for peer in self.service.store.remote_peers():
+            peer.client.release()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None

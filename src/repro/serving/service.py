@@ -173,6 +173,8 @@ class StabilityService:
             self._closed = True
             if self.monitor is not None:
                 self.monitor.close()
+            for peer in self.store.remote_peers():   # while the pool's threads live
+                peer.close()
             self._executor.shutdown(wait=True, cancel_futures=True)
 
     def enable_monitor(

@@ -13,7 +13,7 @@ Two layers of violence:
   replacement peer is healed back to full coverage by read-repair.
 """
 
-import asyncio
+import contextlib
 import http.client
 import json
 import threading
@@ -27,7 +27,9 @@ from repro.engine.backends import DiskBackend, ReplicatedBackend
 from repro.engine.faults import FaultyBackend
 from repro.engine.store import ArtifactStore
 from repro.serving import ServiceConfig, StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from repro.serving.api import quick_serve_config
+
+from tests.live import live_server
 
 
 def reference_run():
@@ -128,30 +130,6 @@ class TestGridSurvivesReplicaLoss:
 # -- live-HTTP fleet chaos ------------------------------------------------------
 
 
-def start_server(service: StabilityService):
-    """Run one StabilityAPIServer on its own event-loop thread."""
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run_server() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run_server, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    return api, loop, thread
-
-
-def stop_server(api, loop, thread) -> None:
-    asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
-
-
 def stream_grid(port: int) -> list[dict]:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
     conn.request("GET", "/grid?distributed=true")
@@ -202,37 +180,29 @@ def fabric(tmp_path_factory):
         replica_b = StabilityService(
             quick_serve_config(), store=ArtifactStore(root / "replica-b")
         )
-    api_a, loop_a, thread_a = start_server(replica_a)
-    api_b, loop_b, thread_b = start_server(replica_b)
-    url_a = f"http://127.0.0.1:{api_a.port}"
-    url_b = f"http://127.0.0.1:{api_b.port}"
+    with contextlib.ExitStack() as stack, contextlib.ExitStack() as server_b:
+        stack.enter_context(replica_a)
+        stack.enter_context(replica_b)
+        api_a = stack.enter_context(live_server(replica_a))
+        api_b = server_b.enter_context(live_server(replica_b))
+        url_a = f"http://127.0.0.1:{api_a.port}"
+        url_b = f"http://127.0.0.1:{api_b.port}"
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        coordinator = StabilityService(
-            quick_serve_config(),
-            store=ArtifactStore(replicas=[url_a, url_b]),
-            config=ServiceConfig(lease_ttl=30),
-        )
-    api_c, loop_c, thread_c = start_server(coordinator)
-    url_c = f"http://127.0.0.1:{api_c.port}"
-
-    state = {
-        "api": api_c, "url": url_c,
-        "url_a": url_a, "url_b": url_b,
-        "kill_b": lambda: stop_server(api_b, loop_b, thread_b),
-        "root": root,
-    }
-    try:
-        yield state
-    finally:
-        stop_server(api_c, loop_c, thread_c)
-        stop_server(api_a, loop_a, thread_a)
-        if thread_b.is_alive():
-            stop_server(api_b, loop_b, thread_b)
-        coordinator.close()
-        replica_a.close()
-        replica_b.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            coordinator = StabilityService(
+                quick_serve_config(),
+                store=ArtifactStore(replicas=[url_a, url_b]),
+                config=ServiceConfig(lease_ttl=30),
+            )
+        stack.enter_context(coordinator)
+        api_c = stack.enter_context(live_server(coordinator))
+        yield {
+            "api": api_c, "url": f"http://127.0.0.1:{api_c.port}",
+            "url_a": url_a, "url_b": url_b,
+            "kill_b": server_b.close,
+            "root": root,
+        }
 
 
 class TestClusterSurvivesStoragePeerDeath:
@@ -280,9 +250,8 @@ class TestClusterSurvivesStoragePeerDeath:
                 quick_serve_config(),
                 store=ArtifactStore(fabric["root"] / "replica-c"),
             )
-        api_r, loop_r, thread_r = start_server(replacement)
-        url_r = f"http://127.0.0.1:{api_r.port}"
-        try:
+        with replacement, live_server(replacement) as api_r:
+            url_r = f"http://127.0.0.1:{api_r.port}"
             repaired_rows, w3 = run_grid(
                 api.port, url, [url_r, fabric["url_a"]], "w3"
             )
@@ -299,6 +268,3 @@ class TestClusterSurvivesStoragePeerDeath:
             solo_rows, w4 = run_grid(api.port, url, [url_r], "w4")
             assert solo_rows == expected
             assert w4.stats()["embedding_train_count"] == 0
-        finally:
-            stop_server(api_r, loop_r, thread_r)
-            replacement.close()

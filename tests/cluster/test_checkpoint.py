@@ -9,11 +9,9 @@ deterministically against the bare state machine with a fake clock, and
 end-to-end over live HTTP with real workers and an abrupt server stop.
 """
 
-import asyncio
 import errno
 import http.client
 import json
-import threading
 import warnings
 
 from repro.cluster import ClusterWorker, config_wire_payload, plan_from_wire, plan_wire_payload
@@ -29,13 +27,14 @@ from repro.engine import DiskBackend, GridEngine, StoreBackend, plan_grid, stats
 from repro.engine.faults import FaultyBackend
 from repro.engine.store import ArtifactStore
 from repro.serving import ServiceConfig, StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from repro.serving.api import quick_serve_config
 
 from tests.cluster.test_coordinator import (
     FakeClock,
     make_plan,
     rows_for_group,
 )
+from tests.live import live_server
 
 
 def make_store(tmp_path):
@@ -324,29 +323,6 @@ class TestCheckpointFailures:
         assert counters["checkpoints_written"] == 0
 
 
-def _boot(service):
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run_server():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run_server, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    return api, loop, thread
-
-
-def _stop(api, loop, thread):
-    asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
-
-
 def _stream_rows(port, query=""):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=300)
     conn.request("GET", f"/grid?distributed=true{query}")
@@ -374,21 +350,23 @@ class TestLiveCrashResume:
                 store=ArtifactStore(str(tmp_path / "coord")),
                 config=ServiceConfig(lease_ttl=30),
             )
-        api_a, loop_a, thread_a = _boot(service_a)
-        url_a = f"http://127.0.0.1:{api_a.port}"
-        # Submit directly (no stream attached): the run must survive with no
-        # consumer to cancel it when the server dies.
-        plan = plan_grid(config, with_measures=True)
-        run_id = service_a.coordinator.create_run(plan)
-        worker_a = ClusterWorker(url_a, worker_id="worker-a", poll_interval=0.05)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            assert worker_a.step() is True                    # anchor group done
-        assert service_a.coordinator.run_status(run_id)["done"] == 1
-        trained_a = worker_a.stats()["embedding_train_count"]
-        assert trained_a == 1
-        # CRASH: stop the server abruptly; nothing cancels or finishes the run.
-        _stop(api_a, loop_a, thread_a)
+        with live_server(service_a) as api_a:
+            url_a = f"http://127.0.0.1:{api_a.port}"
+            # Submit directly (no stream attached): the run must survive with
+            # no consumer to cancel it when the server dies.
+            plan = plan_grid(config, with_measures=True)
+            run_id = service_a.coordinator.create_run(plan)
+            worker_a = ClusterWorker(url_a, worker_id="worker-a", poll_interval=0.05)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    assert worker_a.step() is True                # anchor group done
+            finally:
+                worker_a.close()
+            assert service_a.coordinator.run_status(run_id)["done"] == 1
+            trained_a = worker_a.stats()["embedding_train_count"]
+            assert trained_a == 1
+        # CRASH: the server stopped abruptly; nothing cancels or finishes the run.
         worker_a.stop()
         service_a.close()
 
@@ -400,39 +378,37 @@ class TestLiveCrashResume:
                 store=ArtifactStore(str(tmp_path / "coord")),
                 config=ServiceConfig(lease_ttl=30),
             )
-        try:
+        with service_b:
             assert service_b.coordinator.resume_runs() == 1
             status = service_b.coordinator.run_status(run_id)
             assert status["done"] == 1 and status["pending"] == 1
-            api_b, loop_b, thread_b = _boot(service_b)
-            url_b = f"http://127.0.0.1:{api_b.port}"
-            worker_b = ClusterWorker(url_b, worker_id="worker-b", poll_interval=0.05)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    for _ in range(8):
-                        if service_b.coordinator.run_status(run_id)["completed"]:
-                            break
-                        worker_b.step()
-                final = service_b.coordinator.run_status(run_id)
-                assert final["completed"] is True
-                # Zero duplicate trainings for already-committed cells: the
-                # resumed worker trained only the one remaining pair (the
-                # anchor pair came warm out of the shared store).
-                assert worker_b.stats()["embedding_train_count"] == 1
-                counters = service_b.coordinator.snapshot()["counters"]
-                assert counters["runs_resumed"] == 1
-                assert counters["records_replayed"] == 2
-                assert counters["duplicate_results"] == 0
-                # Re-attach over HTTP: the full stream, bit-identical to the
-                # serial engine, replayed records included.
-                rows = _stream_rows(api_b.port, f"&run_id={run_id}")
-                assert rows == [record.to_row() for record in expected]
-            finally:
-                worker_b.stop()
-                _stop(api_b, loop_b, thread_b)
-        finally:
-            service_b.close()
+            with live_server(service_b) as api_b:
+                url_b = f"http://127.0.0.1:{api_b.port}"
+                worker_b = ClusterWorker(url_b, worker_id="worker-b", poll_interval=0.05)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        for _ in range(8):
+                            if service_b.coordinator.run_status(run_id)["completed"]:
+                                break
+                            worker_b.step()
+                    final = service_b.coordinator.run_status(run_id)
+                    assert final["completed"] is True
+                    # Zero duplicate trainings for already-committed cells: the
+                    # resumed worker trained only the one remaining pair (the
+                    # anchor pair came warm out of the shared store).
+                    assert worker_b.stats()["embedding_train_count"] == 1
+                    counters = service_b.coordinator.snapshot()["counters"]
+                    assert counters["runs_resumed"] == 1
+                    assert counters["records_replayed"] == 2
+                    assert counters["duplicate_results"] == 0
+                    # Re-attach over HTTP: the full stream, bit-identical to the
+                    # serial engine, replayed records included.
+                    rows = _stream_rows(api_b.port, f"&run_id={run_id}")
+                    assert rows == [record.to_row() for record in expected]
+                finally:
+                    worker_b.stop()
+                    worker_b.close()
 
     def test_drain_endpoint_over_http(self, tmp_path):
         with warnings.catch_warnings():
@@ -440,8 +416,7 @@ class TestLiveCrashResume:
             service = StabilityService(
                 quick_serve_config(), config=ServiceConfig(lease_ttl=30)
             )
-        api, loop, thread = _boot(service)
-        try:
+        with service, live_server(service) as api:
             conn = http.client.HTTPConnection("127.0.0.1", api.port, timeout=30)
 
             def call(method, path, body=None):
@@ -465,6 +440,3 @@ class TestLiveCrashResume:
             assert lifted["draining"] is False
             assert call("POST", "/cluster/lease", {"worker": "w1"})["status"] == "idle"
             conn.close()
-        finally:
-            _stop(api, loop, thread)
-            service.close()

@@ -10,8 +10,6 @@ sockets (error reporting, heartbeats, idle exit) run against a scripted
 client.
 """
 
-import asyncio
-import contextlib
 import http.client
 import json
 import threading
@@ -26,57 +24,9 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.engine import GridEngine, RemoteBackend, plan_grid
 from repro.engine import store as store_module
 from repro.serving import ServiceConfig, StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from repro.serving.api import quick_serve_config
 
-
-@contextlib.contextmanager
-def live_api(service):
-    """``service`` behind a real HTTP server on an ephemeral port."""
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run_server() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    server_thread = threading.Thread(target=run_server, daemon=True)
-    server_thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    try:
-        yield api
-    finally:
-        asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        server_thread.join(timeout=10)
-        loop.close()
-
-
-@contextlib.contextmanager
-def live_cluster():
-    """A live coordinator (real HTTP server) plus two polling workers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        service = StabilityService(quick_serve_config(), config=ServiceConfig(lease_ttl=30))
-    with live_api(service) as api:
-        url = f"http://127.0.0.1:{api.port}"
-        workers = [
-            ClusterWorker(url, worker_id=f"worker-{index}", poll_interval=0.05)
-            for index in range(2)
-        ]
-        threads = [threading.Thread(target=worker.run, daemon=True) for worker in workers]
-        for thread in threads:
-            thread.start()
-        try:
-            yield api, url, workers
-        finally:
-            for worker in workers:
-                worker.stop()
-            for thread in threads:
-                thread.join(timeout=30)
-    service.close()
+from tests.live import live_cluster, live_server
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +186,7 @@ class TestCoordinatorClient:
             with pytest.raises(ConnectionError, match="HTTP 400"):
                 client.complete("client-t", "lease-0", "", 0, [])    # empty run_id
         finally:
-            client.abort()
+            client.close()
         assert handled == ["/cluster/complete"]
 
     def test_a_connection_the_server_closed_is_posted_once_more(
@@ -262,7 +212,7 @@ class TestCoordinatorClient:
             time.sleep(0.1)
             assert "status" in client.lease("client-t")
         finally:
-            client.abort()
+            client.close()
         assert handled == ["/cluster/lease", "/cluster/lease"]
 
     def test_a_finished_heartbeat_thread_leaves_no_connection_open(self, cluster):
@@ -284,7 +234,7 @@ class TestCoordinatorClient:
             still_open = [conn for conn in client._conns if conn.sock is not None]
             assert still_open == []
         finally:
-            client.abort()
+            client.close()
 
 
 class TestWorkerConnections:
@@ -294,7 +244,7 @@ class TestWorkerConnections:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             service = StabilityService(quick_serve_config(), config=ServiceConfig(lease_ttl=30))
-        with live_api(service) as api:
+        with live_server(service) as api:
             config = service.pipeline.config
             service.coordinator.create_run(
                 plan_grid(config, precisions=(32,)), config_wire_payload(config)
@@ -303,7 +253,6 @@ class TestWorkerConnections:
                 f"http://127.0.0.1:{api.port}", worker_id="closing-t",
                 poll_interval=0.05, max_idle=0.2,
             )
-            peers = []
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
@@ -315,12 +264,12 @@ class TestWorkerConnections:
                     for peer in pipeline.store.remote_peers()
                 ]
                 assert peers
-                assert worker.client._conns == set()
-                assert [getattr(peer._local, "conn", None) for peer in peers] == [None] * len(peers)
+                for client in (worker.client, *(peer.client for peer in peers)):
+                    # It connected, and no connection it registered is open.
+                    assert list(client._conns)
+                    assert [c for c in client._conns if c.sock is not None] == []
             finally:
-                worker.client.abort()
-                for peer in peers:
-                    peer.close()
+                worker.close()
         service.close()
 
 
@@ -348,6 +297,9 @@ class ScriptedClient:
         return {"status": "ok", "accepted": len(rows)}
 
     def release(self):
+        pass
+
+    def close(self):
         pass
 
 
@@ -482,16 +434,14 @@ class TestCompletionOrdering:
 
         client = CheckingClient([scripted_lease(config_wire_payload(quick_serve_config()))])
         try:
-            with live_api(service) as api:
+            with live_server(service) as api:
                 worker = ClusterWorker(
                     f"http://127.0.0.1:{api.port}", worker_id="t", client=client
                 )
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)
                     assert worker.step() is True
-                for pipeline in worker._pipelines.values():
-                    for remote in pipeline.store.remote_peers():
-                        remote.close()
+                worker.close()
         finally:
             service.close()
         (completion,) = client.completions
@@ -520,6 +470,9 @@ class FlakySequenceClient:
         return {"status": "ok", "accepted": len(rows)}
 
     def release(self):
+        pass
+
+    def close(self):
         pass
 
 
@@ -594,26 +547,26 @@ class TestWorkerBackoff:
 
 
 class BlockedHeartbeatClient(ScriptedClient):
-    """A heartbeat that hangs in I/O until ``abort()`` cuts the connection."""
+    """A heartbeat that hangs in I/O until ``close()`` cuts the connection."""
 
     def __init__(self, leases):
         super().__init__(leases)
         self.unblock = threading.Event()
-        self.abort_called = threading.Event()
+        self.close_called = threading.Event()
 
     def heartbeat(self, worker, lease_id):
         self.unblock.wait(timeout=10.0)
         return super().heartbeat(worker, lease_id)
 
-    def abort(self):
-        self.abort_called.set()
+    def close(self):
+        self.close_called.set()
         self.unblock.set()
 
 
 class TestHeartbeatShutdown:
     def test_stuck_heartbeat_is_aborted_not_awaited_forever(self, slow_groups, monkeypatch):
         # The short TTL makes the heartbeat fire during execution and hang;
-        # the bounded join must give up and abort the client's connections
+        # the bounded join must give up and close the client's connections
         # instead of blocking the lease (and the whole worker) for 10s.
         monkeypatch.setattr(worker_module, "HEARTBEAT_JOIN_TIMEOUT", 0.2)
         payload = config_wire_payload(quick_serve_config())
@@ -622,6 +575,6 @@ class TestHeartbeatShutdown:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             assert worker.step() is True
-        assert client.abort_called.is_set()
+        assert client.close_called.is_set()
         (completion,) = client.completions
         assert completion["error"] is None and len(completion["rows"]) == 1

@@ -15,67 +15,26 @@ through ``POST /monitor/ingest``, and pins the PR's acceptance criteria:
 * warm re-evaluation of the already-measured pair **trains nothing**.
 """
 
-import asyncio
 import http.client
 import json
-import threading
 import warnings
 
 import pytest
 
-from repro.cluster import ClusterWorker
 from repro.engine import GridEngine
 from repro.engine.store import ArtifactStore
 from repro.instability.pipeline import InstabilityPipeline
 from repro.monitor import DriftEvaluator, MonitorConfig
-from repro.serving import ServiceConfig, StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+
+from tests.live import live_cluster
 
 
 @pytest.fixture(scope="module")
 def monitored_cluster():
     """A live monitored coordinator (real HTTP) plus two polling workers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        service = StabilityService(
-            quick_serve_config(), config=ServiceConfig(lease_ttl=30)
-        )
-    monitor = service.enable_monitor(
-        MonitorConfig(distributed=True, thresholds={"eis": 0.0})
-    )
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run_server() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    server_thread = threading.Thread(target=run_server, daemon=True)
-    server_thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    url = f"http://127.0.0.1:{api.port}"
-
-    workers = [
-        ClusterWorker(url, worker_id=f"monitor-worker-{index}", poll_interval=0.05)
-        for index in range(2)
-    ]
-    threads = [threading.Thread(target=worker.run, daemon=True) for worker in workers]
-    for thread in threads:
-        thread.start()
-    try:
-        yield api, service, monitor, workers
-    finally:
-        for worker in workers:
-            worker.stop()
-        for thread in threads:
-            thread.join(timeout=30)
-        asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        server_thread.join(timeout=10)
-        service.close()
+    monitor = MonitorConfig(distributed=True, thresholds={"eis": 0.0})
+    with live_cluster(monitor=monitor) as (api, url, workers):
+        yield api, api.service, api.service.monitor, workers
 
 
 def post_json(port: int, path: str, body: dict) -> tuple[int, dict]:

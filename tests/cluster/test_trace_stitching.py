@@ -9,18 +9,13 @@ RPC, and the coordinator's own spans of those pushes — all under the
 trace id the client sent in ``X-Trace-Id``.
 """
 
-import asyncio
 import http.client
 import json
-import threading
 import time
-import warnings
 
 import pytest
 
-from repro.cluster import ClusterWorker
-from repro.serving import ServiceConfig, StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from tests.live import live_cluster
 
 TRACE_ID = "feed" * 8
 
@@ -28,44 +23,8 @@ TRACE_ID = "feed" * 8
 @pytest.fixture(scope="module")
 def cluster():
     """A live coordinator plus two polling workers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        service = StabilityService(
-            quick_serve_config(), config=ServiceConfig(lease_ttl=30)
-        )
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run_server() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    server_thread = threading.Thread(target=run_server, daemon=True)
-    server_thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    url = f"http://127.0.0.1:{api.port}"
-
-    workers = [
-        ClusterWorker(url, worker_id=f"worker-{index}", poll_interval=0.05)
-        for index in range(2)
-    ]
-    threads = [threading.Thread(target=worker.run, daemon=True) for worker in workers]
-    for thread in threads:
-        thread.start()
-    try:
-        yield api, url, workers
-    finally:
-        for worker in workers:
-            worker.stop()
-        for thread in threads:
-            thread.join(timeout=30)
-        asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        server_thread.join(timeout=10)
-        service.close()
+    with live_cluster() as running:
+        yield running
 
 
 def stream_grid(port: int, headers: dict) -> list[dict]:

@@ -134,6 +134,8 @@ class TestRemoteBackendOffline:
         assert RemoteBackend("localhost:8732").url == "http://localhost:8732"
         with pytest.raises(ValueError):
             RemoteBackend("ftp://host/")
+        with pytest.raises(ValueError, match="remote store URL has no host"):
+            RemoteBackend("http:///path")
 
 
 class FakeClock:
@@ -175,7 +177,7 @@ class TestRemoteBackendHalfOpenProbe:
 
     def make_backend(self, clock, attempts, gate=None):
         backend = RemoteBackend("http://127.0.0.1:9", clock=clock)
-        backend._connection = lambda: FailingConnection(attempts, gate)  # type: ignore[method-assign]
+        backend.client.connect = lambda: FailingConnection(attempts, gate)  # type: ignore[method-assign]
         return backend
 
     def test_cooldown_blocks_then_admits_exactly_one_probe(self):
@@ -207,7 +209,7 @@ class TestRemoteBackendHalfOpenProbe:
         clock.advance(FAILURE_COOLDOWN + 1.0)
         # Thread A becomes the probe and blocks inside the connection...
         blocked_backend_gate = gate
-        backend._connection = lambda: FailingConnection(attempts, blocked_backend_gate)  # type: ignore[method-assign]
+        backend.client.connect = lambda: FailingConnection(attempts, blocked_backend_gate)  # type: ignore[method-assign]
         prober = threading.Thread(
             target=lambda: backend.get("measures", "a.json"), name="prober"
         )
@@ -244,10 +246,10 @@ class TestRemoteBackendHalfOpenProbe:
                 return R()
 
         attempts: list = []
-        backend._connection = lambda: FailingConnection(attempts)  # type: ignore[method-assign]
+        backend.client.connect = lambda: FailingConnection(attempts)  # type: ignore[method-assign]
         assert backend.get("measures", "a.json") is None      # open
         clock.advance(FAILURE_COOLDOWN + 1.0)
-        backend._connection = lambda: HappyConnection()  # type: ignore[method-assign]
+        backend.client.connect = lambda: HappyConnection()  # type: ignore[method-assign]
         assert backend.get("measures", "a.json") is None      # probe: 404 = miss
         assert backend._down_until == 0.0                     # breaker closed
         assert not backend._probing

@@ -356,7 +356,7 @@ class TestRemotePutRetry:
             rng=random.Random(0),
             sleep=sleeps.append,
         )
-        backend._connection = lambda: ScriptedConnection(script)  # type: ignore[method-assign]
+        backend.client.connect = lambda: ScriptedConnection(script)  # type: ignore[method-assign]
         return backend
 
     def test_connection_failure_retries_once_and_succeeds(self):

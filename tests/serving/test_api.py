@@ -2,8 +2,6 @@
 ephemeral port, exercised through ``http.client`` -- all five endpoints,
 NDJSON streaming, and error mapping."""
 
-import asyncio
-import contextlib
 import http.client
 import json
 import socket
@@ -15,32 +13,9 @@ import pytest
 
 from repro.serving import StabilityService
 from repro.serving import api as api_module
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from repro.serving.api import quick_serve_config
 
-
-@contextlib.contextmanager
-def live_server(service, **kwargs):
-    """A live server on an ephemeral port, with its own event-loop thread."""
-    api = StabilityAPIServer(service, port=0, **kwargs)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30), "server failed to start"
-    try:
-        yield api
-    finally:
-        asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
-        loop.close()
+from tests.live import live_server
 
 
 @pytest.fixture(scope="module")

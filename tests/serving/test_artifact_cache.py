@@ -13,7 +13,7 @@ import pytest
 from repro.serving import StabilityService
 from repro.serving.api import quick_serve_config
 
-from tests.serving.test_api import live_server, request
+from tests.live import live_server
 
 IMMUTABLE = "public, max-age=31536000, immutable"
 

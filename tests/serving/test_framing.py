@@ -30,7 +30,8 @@ from repro.serving.api import (
     StabilityAPIServer, _Connection, _parse_head, quick_serve_config,
 )
 
-from tests.serving.test_api import live_server, request
+from tests.live import live_server
+from tests.serving.test_api import request
 
 WARM = "/measure?algorithm=svd&dim=4&precision=1"
 COLD = "/measure?algorithm=svd&dim=6&precision=32"

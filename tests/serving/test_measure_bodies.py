@@ -19,7 +19,8 @@ from repro.serving import StabilityService
 from repro.serving import api as api_module
 from repro.serving.api import quick_serve_config
 
-from tests.serving.test_api import live_server, request
+from tests.live import live_server
+from tests.serving.test_api import request
 
 CELL = "/measure?algorithm=svd&dim=4&precision=1"
 #: CELL, and CELL with ``fast=`` and ``tolerance=``: /measure does not read

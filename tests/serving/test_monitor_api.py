@@ -10,7 +10,8 @@ from repro.monitor import MonitorConfig
 from repro.serving import StabilityService
 from repro.serving.api import StabilityAPIServer, quick_serve_config
 
-from tests.serving.test_api import get_json, live_server, request
+from tests.live import live_server
+from tests.serving.test_api import get_json
 
 
 @pytest.fixture(scope="module")

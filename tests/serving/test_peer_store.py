@@ -8,8 +8,6 @@ and must reproduce A's records bit-identically with **zero retrainings and
 zero new decompositions**, all artifacts flowing over ``/artifacts``.
 """
 
-import asyncio
-import threading
 import warnings
 
 import numpy as np
@@ -19,7 +17,9 @@ from repro.engine import ArtifactStore, GridEngine, RemoteBackend
 from repro.engine.codecs import ARRAYS_CODEC
 from repro.engine import stats as engine_stats
 from repro.serving import StabilityService
-from repro.serving.api import StabilityAPIServer, quick_serve_config
+from repro.serving.api import quick_serve_config
+
+from tests.live import live_server
 
 
 @pytest.fixture(scope="module")
@@ -30,34 +30,40 @@ def peer(tmp_path_factory):
         warnings.simplefilter("ignore", UserWarning)
         service = StabilityService(quick_serve_config(), store=ArtifactStore(root))
         records = service.engine.run(with_measures=True)
-    api = StabilityAPIServer(service, port=0)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(api.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(timeout=30), "peer server failed to start"
-    yield api, records
-    asyncio.run_coroutine_threadsafe(api.stop(), loop).result(timeout=10)
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
-    service.close()
+    with service, live_server(service) as api:
+        yield api, records
 
 
-def peer_url(api: StabilityAPIServer) -> str:
+def peer_url(api) -> str:
     return f"http://127.0.0.1:{api.port}"
 
 
+@pytest.fixture()
+def backend(peer):
+    """A ``RemoteBackend`` on node A, closed after the test."""
+    remote = RemoteBackend(peer_url(peer[0]))
+    yield remote
+    remote.close()
+
+
+@pytest.fixture()
+def node_b_store(peer):
+    """Node B's stores: ``node_b_store(root)`` has node A as its remote
+    tier.  Their connections close after the test."""
+    stores = []
+
+    def make(root=None) -> ArtifactStore:
+        stores.append(ArtifactStore(root, remote_url=peer_url(peer[0])))
+        return stores[-1]
+
+    yield make
+    for store in stores:
+        for remote in store.remote_peers():
+            remote.close()
+
+
 class TestRemoteBackendAgainstLivePeer:
-    def test_round_trip_and_contains(self, peer):
-        api, _ = peer
-        backend = RemoteBackend(peer_url(api))
+    def test_round_trip_and_contains(self, backend):
         backend.put("testkind", "abc123.json", b'{"x": 1}')
         assert backend.contains("testkind", "abc123.json")
         assert backend.get("testkind", "abc123.json") == b'{"x": 1}'
@@ -66,9 +72,7 @@ class TestRemoteBackendAgainstLivePeer:
         assert backend.get("testkind", "abc123.json") is None
         assert backend.stats.errors == 0
 
-    def test_a_decomposition_sized_payload_round_trips_verbatim(self, peer):
-        api, _ = peer
-        backend = RemoteBackend(peer_url(api))
+    def test_a_decomposition_sized_payload_round_trips_verbatim(self, backend):
         payload = ARRAYS_CODEC.encode(
             {"u": np.random.default_rng(0).standard_normal((64, 64))}
         )
@@ -76,9 +80,8 @@ class TestRemoteBackendAgainstLivePeer:
         assert backend.get("testkind", "large.npz") == payload
         assert backend.stats.errors == 0
 
-    def test_fetches_artifacts_the_peer_computed(self, peer):
+    def test_fetches_artifacts_the_peer_computed(self, peer, backend):
         api, _ = peer
-        backend = RemoteBackend(peer_url(api))
         store_a = api.service.store
         kind = "measures"
         keys = list(store_a.memory_entries(kind))
@@ -87,22 +90,21 @@ class TestRemoteBackendAgainstLivePeer:
         assert payload is not None
         assert payload == store_a.get_bytes(kind, f"{keys[0]}.json")
 
-    def test_many_gets_reuse_one_connection(self, peer):
-        api, _ = peer
-        backend = RemoteBackend(peer_url(api))
+    def test_many_gets_reuse_one_connection(self, backend):
         backend.put("testkind", "reuse.json", b"{}")
         sockets = set()
         for _ in range(5):
             assert backend.get("testkind", "reuse.json") == b"{}"
-            sockets.add(id(backend._connection().sock))
+            sockets.add(id(backend.client._connection().sock))
         assert len(sockets) == 1, "keep-alive should reuse the TCP connection"
-        backend.close()
 
 
 class TestPeerWarmGrid:
-    def test_remote_tier_warm_rerun_is_bit_identical_with_zero_training(self, peer):
+    def test_remote_tier_warm_rerun_is_bit_identical_with_zero_training(
+        self, peer, node_b_store
+    ):
         api, records_a = peer
-        store_b = ArtifactStore(remote_url=peer_url(api))
+        store_b = node_b_store()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             engine_b = GridEngine(quick_serve_config(), store=store_b)
@@ -122,9 +124,11 @@ class TestPeerWarmGrid:
         assert remote["name"] == "remote" and remote["hits"] > 0
         assert remote["errors"] == 0
 
-    def test_disk_plus_remote_promotes_peer_artifacts_to_disk(self, peer, tmp_path):
+    def test_disk_plus_remote_promotes_peer_artifacts_to_disk(
+        self, peer, node_b_store, tmp_path
+    ):
         api, records_a = peer
-        store = ArtifactStore(tmp_path, remote_url=peer_url(api))
+        store = node_b_store(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             engine = GridEngine(quick_serve_config(), store=store)
@@ -143,9 +147,9 @@ class TestPeerWarmGrid:
         assert offline == records_a
         assert offline_engine.pipeline.embedding_train_count == 0
 
-    def test_artifacts_computed_on_b_replicate_back_to_a(self, peer):
+    def test_artifacts_computed_on_b_replicate_back_to_a(self, peer, node_b_store):
         api, _ = peer
-        store_b = ArtifactStore(remote_url=peer_url(api))
+        store_b = node_b_store()
         store_b.put_json("replication", "fresh-key", {"value": 42})
         # Node A's store now holds the payload (written through /artifacts).
         assert api.service.store.get_json("replication", "fresh-key") == {"value": 42}

@@ -10,7 +10,8 @@ import pytest
 from repro.serving import StabilityService
 from repro.serving.api import quick_serve_config
 
-from tests.serving.test_api import get_json, live_server, request
+from tests.live import live_server
+from tests.serving.test_api import get_json, request
 from tests.serving.test_framing import connect, read_responses
 
 
